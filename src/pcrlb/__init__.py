@@ -18,7 +18,7 @@ from .filters import (FilterOutput, ParticleSet, SigmaPointSet, UTParams, init_p
                       kalman_step, particle_moments, pf_step, regularize_cov, run_pf,
                       run_ukf, sigma_points, systematic_resample, ukf_step,
                       unscented_transform)
-from .fim import (PSI_ZERO_THRESHOLD, BoundSeries, DecomposedFim, FimState, FimTriple,
+from .fim import (PSI_ZERO_THRESHOLD, DecomposedFim, FimState, FimTriple,
                   bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
                   pcrlb_from_theta_pi, true_fim_terms_mc)
@@ -35,7 +35,6 @@ __all__ = [
     "ALL_ESTIMATORS",
     "ALL_METHODS",
     "AggregateResult",
-    "BoundSeries",
     "DEFAULT_SEED",
     "DecomposedFim",
     "ExperimentConfig",

@@ -331,6 +331,8 @@ def write_meta(path: Path, config: ExperimentConfig, output: dict,
             est: [int(v) for v in data["violations"]] for est, data in result.gaps.items()}
         meta["pi_fallback_counts"] = {
             est: [int(v) for v in counts] for est, counts in result.pi_fallback_counts.items()}
+        meta["gap_fallback_counts"] = {
+            est: [int(v) for v in counts] for est, counts in result.gap_fallback_counts.items()}
     meta.update(extra)
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

@@ -240,13 +240,6 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     return np.minimum(np.searchsorted(cumulative, positions, side="right"), n - 1)
 
 
-def _evaluate_batch(model: SystemModel, fn_name: str, k: int, states: np.ndarray) -> np.ndarray:
-    fn = model.transition if fn_name == "transition" else model.measure
-    if model.vectorized:
-        return np.asarray(fn(k, states), dtype=float)
-    return np.stack([np.atleast_1d(fn(k, s)) for s in states])
-
-
 def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of N(0, cov) at each row of resid, shape (N, m) -> (N,)."""
     chol = sla.cho_factor(cov, lower=True)
@@ -291,10 +284,10 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
 
     noise = rng.standard_normal((n_particles, model.state_dim))
     chol_q = np.linalg.cholesky(model.process_cov_at(k))
-    propagated = _evaluate_batch(model, "transition", k, particles.states) + noise @ chol_q.T
+    propagated = model.transition(k, particles.states) + noise @ chol_q.T
     predicted = particle_moments(propagated, particles.weights)
 
-    resid = z - _evaluate_batch(model, "measure", k, propagated)
+    resid = z - model.measure(k, propagated)
     log_w = np.log(particles.weights) + _gaussian_loglik(resid, model.meas_cov_at(k))
     if not np.all(np.isfinite(log_w) | np.isneginf(log_w)):
         raise NumericError(f"non-finite particle log-weights at step {k}")

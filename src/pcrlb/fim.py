@@ -29,6 +29,11 @@ that split as J = theta + pi, where theta is the mean-only update and pi
 collects every covariance correction.  ``pcrlb_from_theta_pi`` and
 ``bound_difference`` evaluate the bound and the gap between the two
 approximations directly from (theta, pi) without subtracting two inverses.
+
+Every engine also takes stacks: beliefs, states and information matrices with
+leading axes (..., n) / (..., n, n) give terms and states of the same leading
+shape, computed for the whole stack in one batched pass.  Per-element
+fallbacks are decided element by element.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import NumericError, inv_lemma_split, spd_inverse, symmetrize
+from .linalg import inv_lemma_split, spd_inverse, symmetrize
 from .model import GaussianPrior, SystemModel
 from .moments import (GaussianBelief, measurement_moment_map_derivatives,
                       propagate_measurement_moments, propagate_state_moments,
@@ -48,7 +53,6 @@ __all__ = [
     "FimTriple",
     "DecomposedFim",
     "FimState",
-    "BoundSeries",
     "initial_fim",
     "fim_recursion_step",
     "true_fim_terms_mc",
@@ -58,6 +62,7 @@ __all__ = [
     "fim_via_decomposition",
     "pcrlb_from_theta_pi",
     "bound_difference",
+    "ill_conditioned",
     "spd_inverse",
     "inv_lemma_split",
 ]
@@ -73,7 +78,7 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class FimTriple:
-    """The three step terms of the information recursion."""
+    """The three step terms of the information recursion (each (..., n, n))."""
 
     d11: np.ndarray
     d12: np.ndarray
@@ -83,8 +88,8 @@ class FimTriple:
         object.__setattr__(self, "d11", symmetrize(np.atleast_2d(np.asarray(self.d11, float))))
         object.__setattr__(self, "d12", np.atleast_2d(np.asarray(self.d12, float)))
         object.__setattr__(self, "d22", symmetrize(np.atleast_2d(np.asarray(self.d22, float))))
-        n = self.d11.shape[0]
-        if self.d12.shape != (n, n) or self.d22.shape != (n, n):
+        shape = self.d11.shape
+        if shape[-1] != shape[-2] or self.d12.shape != shape or self.d22.shape != shape:
             raise ValueError("FIM term blocks must share one square shape")
 
 
@@ -124,26 +129,21 @@ class DecomposedFim:
 
 @dataclass(frozen=True)
 class FimState:
-    """Information state after one decomposed recursion step."""
+    """Information state after one decomposed recursion step.
+
+    fallback marks, per stack element, a pi that came from the direct
+    recursion instead of the explicit formula; pi_fallback counts them.
+    """
 
     j: np.ndarray
     k: Optional[int] = None
     theta: Optional[np.ndarray] = None
     pi: Optional[np.ndarray] = None
-    pi_fallback: bool = False
+    fallback: np.ndarray = np.False_
 
-
-@dataclass(frozen=True)
-class BoundSeries:
-    """A per-step series of bound matrices J_k^-1 for k = 1..T."""
-
-    method: str
-    estimator: Optional[str]
-    values: np.ndarray  # (T, n, n)
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("bound series contains non-finite values")
+    @property
+    def pi_fallback(self) -> int:
+        return int(np.count_nonzero(self.fallback))
 
 
 def initial_fim(prior: GaussianPrior) -> np.ndarray:
@@ -152,10 +152,10 @@ def initial_fim(prior: GaussianPrior) -> np.ndarray:
 
 
 def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
-    """Advance the information matrix by one step."""
+    """Advance the information matrix (or a stack of them) by one step."""
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
     inner = spd_inverse(symmetrize(j_prev + terms.d11))
-    return symmetrize(terms.d22 - terms.d12.T @ inner @ terms.d12)
+    return symmetrize(terms.d22 - terms.d12.mT @ inner @ terms.d12)
 
 
 def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
@@ -180,20 +180,12 @@ def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
         raise ValueError("at least one trajectory sample is required")
     q_inv = spd_inverse(model.process_cov_at(k))
     r_inv = spd_inverse(model.meas_cov_at(k))
-    n = model.state_dim
-    d11 = np.zeros((n, n))
-    f_bar = np.zeros((n, n))
-    h_term = np.zeros((n, n))
-    for x_prev, x_new in zip(states_prev, states_new):
-        f_jac = model.transition_jacobian(k, x_prev)
-        h_jac = model.measurement_jacobian(k, x_new)
-        d11 += f_jac.T @ q_inv @ f_jac
-        f_bar += f_jac
-        h_term += h_jac.T @ r_inv @ h_jac
-    count = states_prev.shape[0]
-    return FimTriple(d11=d11 / count,
-                     d12=-(f_bar / count).T @ q_inv,
-                     d22=q_inv + h_term / count)
+    f_jac = model.transition_jacobian(k, states_prev)
+    h_jac = model.measurement_jacobian(k, states_new)
+    f_bar = f_jac.mean(axis=0)
+    return FimTriple(d11=(f_jac.mT @ q_inv @ f_jac).mean(axis=0),
+                     d12=-f_bar.T @ q_inv,
+                     d22=q_inv + (h_jac.mT @ r_inv @ h_jac).mean(axis=0))
 
 
 def mean_only_terms(model: SystemModel, k: int, x_prev: np.ndarray,
@@ -203,7 +195,8 @@ def mean_only_terms(model: SystemModel, k: int, x_prev: np.ndarray,
     Args:
         model: the system model.
         k: target time of the step.
-        x_prev: state estimate at time k-1 (transition Jacobian point).
+        x_prev: state estimate at time k-1 (transition Jacobian point),
+            shape (..., n).
         x_new: state estimate at time k (measurement Jacobian point); when
             omitted, the noise-free transition of x_prev is used.
 
@@ -218,9 +211,9 @@ def mean_only_terms(model: SystemModel, k: int, x_prev: np.ndarray,
     r_inv = spd_inverse(model.meas_cov_at(k))
     f_jac = model.transition_jacobian(k, x_prev)
     h_jac = model.measurement_jacobian(k, x_new)
-    return FimTriple(d11=f_jac.T @ q_inv @ f_jac,
-                     d12=-f_jac.T @ q_inv,
-                     d22=q_inv + h_jac.T @ r_inv @ h_jac)
+    return FimTriple(d11=f_jac.mT @ q_inv @ f_jac,
+                     d12=-f_jac.mT @ q_inv,
+                     d22=q_inv + h_jac.mT @ r_inv @ h_jac)
 
 
 class _TaylorIngredients(NamedTuple):
@@ -253,16 +246,12 @@ def _ingredients(model: SystemModel, k: int, state_belief: GaussianBelief,
 
 
 def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
-    """Matrix with entries 0.5 tr(P^-1 dcov_i P^-1 dcov_j)."""
-    n_in = dcov.shape[0]
-    prods = [precision @ dcov[i] for i in range(n_in)]
-    gram = np.empty((n_in, n_in))
-    for i in range(n_in):
-        for j in range(i, n_in):
-            val = 0.5 * float(np.trace(prods[i] @ prods[j]))
-            gram[i, j] = val
-            gram[j, i] = val
-    return gram
+    """Matrix with entries 0.5 tr(P^-1 dcov_i P^-1 dcov_j).
+
+    precision has shape (..., m, m) and dcov (..., n_in, m, m).
+    """
+    prods = precision[..., None, :, :] @ dcov
+    return 0.5 * np.einsum("...iab,...jba->...ij", prods, prods)
 
 
 def mean_cov_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
@@ -289,12 +278,17 @@ def mean_cov_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
     pz_inv = spd_inverse(ing.meas_moments.cov)
     dmean_x = ing.state_derivs.dmean
     dmean_z = ing.meas_derivs.dmean
-    d11 = symmetrize(dmean_x.T @ px_inv @ dmean_x
+    d11 = symmetrize(dmean_x.mT @ px_inv @ dmean_x
                      + _trace_gram(px_inv, ing.state_derivs.dcov))
-    d12 = -dmean_x.T @ px_inv
-    d22 = symmetrize(px_inv + dmean_z.T @ pz_inv @ dmean_z
+    d12 = -dmean_x.mT @ px_inv
+    d22 = symmetrize(px_inv + dmean_z.mT @ pz_inv @ dmean_z
                      + _trace_gram(pz_inv, ing.meas_derivs.dcov))
     return FimTriple(d11=d11, d12=d12, d22=d22)
+
+
+def _as_mask(mask: np.ndarray) -> np.ndarray:
+    """Per-element flags broadcast against (..., n, n) matrices."""
+    return mask[..., None, None]
 
 
 def _psi(noise_cov: np.ndarray, signal_cov: np.ndarray) -> np.ndarray:
@@ -303,10 +297,12 @@ def _psi(noise_cov: np.ndarray, signal_cov: np.ndarray) -> np.ndarray:
     A signal covariance negligible against the noise covariance yields an
     exactly zero correction instead of a grossly ill-conditioned inverse.
     """
-    if np.linalg.norm(signal_cov) < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov):
-        return np.zeros_like(noise_cov)
-    inner = symmetrize(noise_cov @ spd_inverse(symmetrize(signal_cov)) @ noise_cov)
-    return spd_inverse(inner + noise_cov)
+    zero = _as_mask(np.linalg.norm(signal_cov, axis=(-2, -1))
+                    < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov))
+    # zero elements invert the noise covariance instead and are discarded
+    signal = np.where(zero, noise_cov, symmetrize(signal_cov))
+    inner = symmetrize(noise_cov @ spd_inverse(signal) @ noise_cov)
+    return np.where(zero, 0.0, spd_inverse(inner + noise_cov))
 
 
 def decompose_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
@@ -342,32 +338,34 @@ def decompose_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
     px_inv = q_inv - psi_state
     pz_inv = r_inv - psi_meas
 
-    mean_11 = symmetrize(f_jac.T @ q_inv @ f_jac)
-    mean_12 = -f_jac.T @ q_inv
-    mean_22 = symmetrize(q_inv + h_jac.T @ r_inv @ h_jac)
+    mean_11 = symmetrize(f_jac.mT @ q_inv @ f_jac)
+    mean_12 = -f_jac.mT @ q_inv
+    mean_22 = symmetrize(q_inv + h_jac.mT @ r_inv @ h_jac)
 
     spread_11 = symmetrize(_trace_gram(px_inv, ing.state_derivs.dcov)
-                           + dcurv_x.T @ q_inv @ f_jac
-                           + dmean_x.T @ q_inv @ dcurv_x
-                           - dmean_x.T @ psi_state @ dmean_x)
-    spread_12 = dmean_x.T @ psi_state - dcurv_x.T @ q_inv
+                           + dcurv_x.mT @ q_inv @ f_jac
+                           + dmean_x.mT @ q_inv @ dcurv_x
+                           - dmean_x.mT @ psi_state @ dmean_x)
+    spread_12 = dmean_x.mT @ psi_state - dcurv_x.mT @ q_inv
     spread_22 = symmetrize(_trace_gram(pz_inv, ing.meas_derivs.dcov)
                            - psi_state
-                           + dcurv_z.T @ r_inv @ h_jac
-                           + dmean_z.T @ r_inv @ dcurv_z
-                           - dmean_z.T @ psi_meas @ dmean_z)
+                           + dcurv_z.mT @ r_inv @ h_jac
+                           + dmean_z.mT @ r_inv @ dcurv_z
+                           - dmean_z.mT @ psi_meas @ dmean_z)
     return DecomposedFim(mean_11=mean_11, mean_12=mean_12, mean_22=mean_22,
                          spread_11=spread_11, spread_12=spread_12,
                          spread_22=spread_22,
                          psi_state=psi_state, psi_meas=psi_meas)
 
 
-def _finite_cond(m: np.ndarray) -> float:
-    try:
-        cond = float(np.linalg.cond(m))
-    except np.linalg.LinAlgError:
-        return np.inf
-    return cond if np.isfinite(cond) else np.inf
+def ill_conditioned(m: np.ndarray) -> np.ndarray:
+    """Per-element flag: condition number above the explicit-formula ceiling.
+
+    Singular elements (infinite or undefined condition number) count as ill
+    conditioned.  This is the test that sends fim_via_decomposition,
+    pcrlb_from_theta_pi and bound_difference to their direct fallbacks.
+    """
+    return ~(np.linalg.cond(m) <= _COND_LIMIT)
 
 
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
@@ -376,62 +374,66 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
 
     Computes theta (the mean-only update of j_prev) and pi (the total
     covariance-induced correction) so that j = theta + pi.  The explicit pi
-    formula needs spread_11 invertible; when it is singular or grossly
+    formula needs spread_11 invertible; where it is singular or grossly
     ill-conditioned, pi falls back to the difference between the direct
-    recursion and theta, and the state is flagged.
+    recursion and theta, and the element is flagged.
 
     Args:
-        j_prev: previous information matrix.
+        j_prev: previous information matrix, shape (..., n, n).
         parts: decomposed step terms.
         k: optional time index recorded on the returned state.
 
     Returns:
-        FimState with j, theta, pi, and the fallback flag.
+        FimState with j, theta, pi, and the per-element fallback flags.
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
     anchor = symmetrize(j_prev + parts.mean_11)
     anchor_inv = spd_inverse(anchor)
-    theta = symmetrize(parts.mean_22 - parts.mean_12.T @ anchor_inv @ parts.mean_12)
+    theta = symmetrize(parts.mean_22 - parts.mean_12.mT @ anchor_inv @ parts.mean_12)
 
     d11, d12 = parts.d11(), parts.d12()
-    full = symmetrize(j_prev + d11)
-    full_inv = spd_inverse(full)
+    full_inv = spd_inverse(symmetrize(j_prev + d11))
 
-    if _finite_cond(parts.spread_11) > _COND_LIMIT:
-        j = fim_recursion_step(j_prev, FimTriple(d11, d12, parts.d22()))
-        return FimState(j=j, k=k, theta=theta, pi=symmetrize(j - theta), pi_fallback=True)
-
+    fallback = ill_conditioned(parts.spread_11)
+    # fallback elements run the lemma on the identity instead and are discarded
+    spread_11 = np.where(_as_mask(fallback), np.eye(anchor.shape[-1]), parts.spread_11)
     # (j_prev + d11)^-1 = anchor^-1 - shift, via the lemma on anchor + spread_11.
-    shift = np.linalg.inv(symmetrize(anchor @ np.linalg.inv(parts.spread_11) @ anchor) + anchor)
+    shift = np.linalg.inv(symmetrize(anchor @ np.linalg.inv(spread_11) @ anchor) + anchor)
     pi = symmetrize(parts.spread_22
-                    - d12.T @ full_inv @ parts.spread_12
-                    - (parts.spread_12.T @ full_inv - parts.mean_12.T @ shift) @ parts.mean_12)
-    return FimState(j=symmetrize(theta + pi), k=k, theta=theta, pi=pi, pi_fallback=False)
+                    - d12.mT @ full_inv @ parts.spread_12
+                    - (parts.spread_12.mT @ full_inv - parts.mean_12.mT @ shift) @ parts.mean_12)
+    j = symmetrize(theta + pi)
+    if fallback.any():
+        direct = fim_recursion_step(j_prev, FimTriple(d11, d12, parts.d22()))
+        pi = np.where(_as_mask(fallback), symmetrize(direct - theta), pi)
+        j = np.where(_as_mask(fallback), direct, j)
+    return FimState(j=j, k=k, theta=theta, pi=pi, fallback=fallback)
 
 
-def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, bool]:
+def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:
     """Bound (theta + pi)^-1 evaluated through the inversion-lemma form.
 
-    Uses J^-1 = theta^-1 - (pi^-1 theta + I)^-1 theta^-1 when pi is usable;
+    Uses J^-1 = theta^-1 - (pi^-1 theta + I)^-1 theta^-1 where pi is usable;
     a singular or ill-conditioned pi falls back to the direct inverse.
 
     Returns:
-        (bound matrix, used_direct_fallback flag).
+        (bound matrix, number of elements that took the direct fallback).
     """
     theta = symmetrize(np.atleast_2d(np.asarray(theta, float)))
     pi = symmetrize(np.atleast_2d(np.asarray(pi, float)))
+    eye = np.eye(pi.shape[-1])
     theta_inv = spd_inverse(theta)
-    if _finite_cond(pi) > _COND_LIMIT:
-        return spd_inverse(symmetrize(theta + pi)), True
-    try:
-        ratio = np.linalg.solve(pi, theta)
-        bound = theta_inv - np.linalg.inv(ratio + np.eye(pi.shape[0])) @ theta_inv
-    except np.linalg.LinAlgError:
-        return spd_inverse(symmetrize(theta + pi)), True
-    return symmetrize(bound), False
+    fallback = ill_conditioned(pi)
+    usable = np.where(_as_mask(fallback), eye, pi)
+    ratio = np.linalg.solve(usable, theta)
+    bound = theta_inv - np.linalg.inv(ratio + eye) @ theta_inv
+    if fallback.any():
+        direct = spd_inverse(symmetrize(theta + np.where(_as_mask(fallback), pi, 0.0)))
+        bound = np.where(_as_mask(fallback), direct, bound)
+    return symmetrize(bound), int(np.count_nonzero(fallback))
 
 
-def bound_difference(j_star: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, bool]:
+def bound_difference(j_star: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:
     """Gap between the mean-only bound and the mean+cov bound.
 
     Evaluates (pi^-1 j_star + I)^-1 j_star^-1, which equals
@@ -440,16 +442,18 @@ def bound_difference(j_star: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, bo
     the direct subtraction, which is then exactly zero in that limit.
 
     Returns:
-        (gap matrix, used_direct_fallback flag).
+        (gap matrix, number of elements that took the direct fallback).
     """
     j_star = symmetrize(np.atleast_2d(np.asarray(j_star, float)))
     pi = symmetrize(np.atleast_2d(np.asarray(pi, float)))
+    eye = np.eye(pi.shape[-1])
     j_star_inv = spd_inverse(j_star)
-    if _finite_cond(pi) > _COND_LIMIT:
-        return symmetrize(j_star_inv - spd_inverse(symmetrize(j_star + pi))), True
-    try:
-        ratio = np.linalg.solve(pi, j_star)
-        gap = np.linalg.inv(ratio + np.eye(pi.shape[0])) @ j_star_inv
-    except np.linalg.LinAlgError:
-        return symmetrize(j_star_inv - spd_inverse(symmetrize(j_star + pi))), True
-    return symmetrize(gap), False
+    fallback = ill_conditioned(pi)
+    usable = np.where(_as_mask(fallback), eye, pi)
+    ratio = np.linalg.solve(usable, j_star)
+    gap = np.linalg.inv(ratio + eye) @ j_star_inv
+    if fallback.any():
+        direct = j_star_inv - spd_inverse(
+            symmetrize(j_star + np.where(_as_mask(fallback), pi, 0.0)))
+        gap = np.where(_as_mask(fallback), direct, gap)
+    return symmetrize(gap), int(np.count_nonzero(fallback))

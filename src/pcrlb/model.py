@@ -13,12 +13,13 @@ dependence.
 
 First and second derivatives of both maps belong to the model interface.
 Factories for the built-in models attach analytic derivatives; models built
-without them fall back to central finite differences of the maps.
+without them fall back to central finite differences of the maps.  Maps and
+derivatives take one state of shape (n,) or a stack of states (..., n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,14 +132,25 @@ class GaussianPrior:
             raise ValueError("prior covariance must be positive definite")
 
 
+def _over_stack(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Apply a pointwise map (n,) -> (...) to each state of a stack (..., n)."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    flat = np.stack([np.asarray(fn(v), dtype=float) for v in x.reshape(-1, x.shape[-1])])
+    return flat.reshape(x.shape[:-1] + flat.shape[1:])
+
+
 @dataclass
 class SystemModel:
     """A state-space model plus derivative information.
 
     ``transition_fn(k, x)`` and ``measurement_fn(k, x)`` accept a single state
-    of shape (n,).  When ``vectorized`` is true they also accept a batch of
-    shape (N, n) and return the mapped batch, which the particle filter
-    exploits.  Derivative callables are always pointwise.
+    of shape (n,).  When ``vectorized`` is true they also accept a stack of
+    shape (..., n) and return the mapped stack, which the particle filter and
+    the bound engines exploit; otherwise stacks are mapped one state at a
+    time.  Derivative callables always take a stack (..., n) and return
+    (..., m, n) Jacobians and (..., m, n, n) Hessians; a single state (n,)
+    gives (m, n) and (m, n, n).
     """
 
     state_dim: int
@@ -156,7 +168,6 @@ class SystemModel:
     meas_cov_fn: Optional[Callable[[int], np.ndarray]] = None
     vectorized: bool = False
     name: str = ""
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.process_cov = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
@@ -174,23 +185,23 @@ class SystemModel:
 
     # -- maps ------------------------------------------------------------
 
-    def _checked_state(self, x: np.ndarray) -> np.ndarray:
+    def _map(self, fn: Callable[[int, np.ndarray], np.ndarray], k: int,
+             x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and x.shape[0] == self.state_dim:
-            return x
-        # vectorized models also take (N, n) batches, see class docstring
-        if self.vectorized and x.ndim == 2 and x.shape[1] == self.state_dim:
-            return x
-        raise ValueError(
-            f"state shape {x.shape} incompatible with state_dim {self.state_dim}")
+        if x.ndim == 0 or x.shape[-1] != self.state_dim:
+            raise ValueError(
+                f"state shape {x.shape} incompatible with state_dim {self.state_dim}")
+        if self.vectorized:
+            return np.asarray(fn(k, x), dtype=float)
+        return _over_stack(lambda v: fn(k, v), x)
 
     def transition(self, k: int, x: np.ndarray) -> np.ndarray:
         """Noise-free state at time k from the state at time k-1."""
-        return np.asarray(self.transition_fn(k, self._checked_state(x)), dtype=float)
+        return self._map(self.transition_fn, k, x)
 
     def measure(self, k: int, x: np.ndarray) -> np.ndarray:
         """Noise-free measurement of the state at time k."""
-        return np.asarray(self.measurement_fn(k, self._checked_state(x)), dtype=float)
+        return self._map(self.measurement_fn, k, x)
 
     # -- derivatives -----------------------------------------------------
 
@@ -198,29 +209,29 @@ class SystemModel:
         x = np.asarray(x, dtype=float)
         if self.transition_jacobian_fn is not None:
             return np.asarray(self.transition_jacobian_fn(k, x), dtype=float)
-        return fd_jacobian(lambda v: self.transition(k, v), x)
+        return _over_stack(lambda v: fd_jacobian(lambda u: self.transition(k, u), v), x)
 
     def transition_hessians(self, k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.transition_hessian_fn is not None:
             hess = np.asarray(self.transition_hessian_fn(k, x), dtype=float)
         else:
-            hess = fd_hessians(lambda v: self.transition(k, v), x)
-        return np.stack([symmetrize(h) for h in hess])
+            hess = _over_stack(lambda v: fd_hessians(lambda u: self.transition(k, u), v), x)
+        return symmetrize(hess)
 
     def measurement_jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.measurement_jacobian_fn is not None:
             return np.asarray(self.measurement_jacobian_fn(k, x), dtype=float)
-        return fd_jacobian(lambda v: self.measure(k, v), x)
+        return _over_stack(lambda v: fd_jacobian(lambda u: self.measure(k, u), v), x)
 
     def measurement_hessians(self, k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.measurement_hessian_fn is not None:
             hess = np.asarray(self.measurement_hessian_fn(k, x), dtype=float)
         else:
-            hess = fd_hessians(lambda v: self.measure(k, v), x)
-        return np.stack([symmetrize(h) for h in hess])
+            hess = _over_stack(lambda v: fd_hessians(lambda u: self.measure(k, u), v), x)
+        return symmetrize(hess)
 
     # -- noise covariances -----------------------------------------------
 
@@ -293,9 +304,8 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         z_k = x_k^2 / 20 + v_k
 
     with x the previous state.  The cosine forcing depends on time only, so
-    state derivatives of the transition are time-invariant.  Analytic
-    derivatives through third order ride along: first and second order on the
-    model interface, third order in ``extras`` for use as a test oracle.
+    state derivatives of the transition are time-invariant.  Analytic first
+    and second derivatives ride along on the model interface.
     """
 
     def f(k: int, x: np.ndarray) -> np.ndarray:
@@ -305,24 +315,20 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
     def h(k: int, x: np.ndarray) -> np.ndarray:
         return x * x / 20.0
 
+    # x has shape (..., 1); derivatives come out as (..., 1, 1) and (..., 1, 1, 1)
     def f_jac(k: int, x: np.ndarray) -> np.ndarray:
-        v = 1.0 + x[0] * x[0]
-        return np.array([[0.5 + 25.0 * (1.0 - x[0] * x[0]) / (v * v)]])
+        v = 1.0 + x * x
+        return (0.5 + 25.0 * (1.0 - x * x) / (v * v))[..., None]
 
     def f_hess(k: int, x: np.ndarray) -> np.ndarray:
-        s = x[0]
-        v = 1.0 + s * s
-        return np.array([[[25.0 * (2.0 * s ** 3 - 6.0 * s) / v ** 3]]])
-
-    def f_third(x: float) -> float:
         v = 1.0 + x * x
-        return 150.0 * (-x ** 4 + 6.0 * x * x - 1.0) / v ** 4
+        return (25.0 * (2.0 * x ** 3 - 6.0 * x) / v ** 3)[..., None, None]
 
     def h_jac(k: int, x: np.ndarray) -> np.ndarray:
-        return np.array([[x[0] / 10.0]])
+        return (x / 10.0)[..., None]
 
     def h_hess(k: int, x: np.ndarray) -> np.ndarray:
-        return np.array([[[0.1]]])
+        return np.full(x.shape + (1, 1), 0.1)
 
     prior = GaussianPrior(mean=np.array([prior_mean]), cov=np.array([[prior_var]]))
     return SystemModel(
@@ -339,8 +345,6 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         measurement_hessian_fn=h_hess,
         vectorized=True,
         name="ungm",
-        extras={"transition_third_derivative": f_third,
-                "measurement_third_derivative": lambda x: 0.0},
     )
 
 
@@ -358,8 +362,6 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
         raise ValueError("a must be square")
     if h.shape != (m, n):
         raise ValueError(f"h shape {h.shape} incompatible with state dim {n}")
-    zero_f_hess = np.zeros((n, n, n))
-    zero_h_hess = np.zeros((m, n, n))
     prior = GaussianPrior(mean=np.atleast_1d(np.asarray(prior_mean, dtype=float)),
                           cov=np.atleast_2d(np.asarray(prior_cov, dtype=float)))
     return SystemModel(
@@ -370,10 +372,10 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
         process_cov=np.atleast_2d(np.asarray(process_cov, dtype=float)),
         meas_cov=np.atleast_2d(np.asarray(meas_cov, dtype=float)),
         prior=prior,
-        transition_jacobian_fn=lambda k, x: a,
-        transition_hessian_fn=lambda k, x: zero_f_hess,
-        measurement_jacobian_fn=lambda k, x: h,
-        measurement_hessian_fn=lambda k, x: zero_h_hess,
+        transition_jacobian_fn=lambda k, x: np.broadcast_to(a, x.shape[:-1] + a.shape),
+        transition_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (n, n, n)),
+        measurement_jacobian_fn=lambda k, x: np.broadcast_to(h, x.shape[:-1] + h.shape),
+        measurement_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (m, n, n)),
         vectorized=True,
         name=name,
     )

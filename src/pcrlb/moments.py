@@ -16,6 +16,9 @@ third derivatives of the underlying map, which the model interface does not
 expose, so they are obtained by central finite differences of the moment maps
 themselves; the mean derivative reuses the model's analytic Jacobian for its
 first-order part so that curvature-free models come out exact.
+
+Beliefs may hold a stack of Gaussians (mean (..., n), cov (..., n, n)); every
+function here then acts on each element of the stack in one batched pass.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """A Gaussian belief N(mean, cov) about a state.
+    """A Gaussian belief N(mean, cov) about a state, or a stack of them.
 
-    The covariance may be positive semidefinite (a zero covariance encodes
-    exact knowledge of the state), but never indefinite.
+    mean has shape (n,) and cov (n, n), or (..., n) and (..., n, n) for a
+    stack.  The covariance may be positive semidefinite (a zero covariance
+    encodes exact knowledge of the state), but never indefinite.
     """
 
     mean: np.ndarray
@@ -55,18 +59,19 @@ class GaussianBelief:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov shape {cov.shape} does not match mean dimension {n}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if not np.allclose(cov, cov.T, atol=1e-8 * scale):
+        n = mean.shape[-1]
+        if cov.shape != mean.shape + (n,):
+            raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
+        scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1), initial=0.0))
+        if not np.all(np.abs(cov - cov.mT) <= 1e-8 * scale[..., None, None]
+                      + 1e-5 * np.abs(cov.mT)):
             raise ValueError("belief covariance must be symmetric")
-        if float(np.linalg.eigvalsh(cov)[0]) < -1e-10 * scale:
+        if np.any(np.linalg.eigvalsh(cov)[..., 0] < -1e-10 * scale):
             raise ValueError("belief covariance must be positive semidefinite")
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,9 @@ class PropagatedMoments:
 class MomentMapDerivatives(NamedTuple):
     """Derivatives of a moment map w.r.t. the conditioning point.
 
-    dmean[i, j]  = d mean_i / d x_j          (includes the map Jacobian)
-    dcov[j]      = d cov / d x_j             (noise-free part; (n_in,) of (out, out))
-    dcurv_mean   = d curvature_mean / d x    (the second-order part of dmean)
+    dmean[..., i, j]  = d mean_i / d x_j        (includes the map Jacobian)
+    dcov[..., j, :, :] = d cov / d x_j           (noise-free part)
+    dcurv_mean        = d curvature_mean / d x  (the second-order part of dmean)
     """
 
     dmean: np.ndarray
@@ -106,25 +111,20 @@ class MomentMapDerivatives(NamedTuple):
 
 
 def _curvature_mean(hessians: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return 0.5 * np.array([np.trace(hi @ cov) for hi in hessians])
+    """0.5 tr(S_i cov) per output i; hessians (..., m, n, n), cov (..., n, n)."""
+    return 0.5 * np.trace(hessians @ cov[..., None, :, :], axis1=-2, axis2=-1)
 
 
 def _curvature_cov(hessians: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    out = hessians.shape[0]
-    hp = [hi @ cov for hi in hessians]
-    curv = np.empty((out, out))
-    for i in range(out):
-        for j in range(i, out):
-            val = 0.5 * np.trace(hp[i] @ hp[j])
-            curv[i, j] = val
-            curv[j, i] = val
-    return curv
+    """0.5 tr(S_i cov S_j cov) per output pair (i, j)."""
+    hp = hessians @ cov[..., None, :, :]
+    return 0.5 * np.einsum("...iab,...jba->...ij", hp, hp)
 
 
 def _propagate(value: np.ndarray, jac: np.ndarray, hessians: np.ndarray,
                cov: np.ndarray, noise: np.ndarray) -> PropagatedMoments:
     curv_mean = _curvature_mean(hessians, cov)
-    linear = symmetrize(jac @ cov @ jac.T)
+    linear = symmetrize(jac @ cov @ jac.mT)
     curv_cov = _curvature_cov(hessians, cov)
     total = symmetrize(linear + curv_cov + noise)
     return PropagatedMoments(mean=value + curv_mean, cov=total,
@@ -160,29 +160,31 @@ def _moment_map_derivatives(jac_fn, hess_fn, base_jac: np.ndarray,
 
     Differentiates x -> curvature_mean(x) and x -> signal_cov(x) with the
     belief covariance frozen; the full mean derivative is the analytic map
-    Jacobian plus the curvature-mean derivative.
+    Jacobian plus the curvature-mean derivative.  Each coordinate step moves
+    every element of a stack at once.
     """
-    n_in = mean.shape[0]
-    n_out = base_jac.shape[0]
+    n_in = mean.shape[-1]
+    n_out = base_jac.shape[-2]
+    stack = mean.shape[:-1]
 
     def signal_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         jac = jac_fn(x)
         hess = hess_fn(x)
         return (_curvature_mean(hess, cov),
-                symmetrize(jac @ cov @ jac.T) + _curvature_cov(hess, cov))
+                symmetrize(jac @ cov @ jac.mT) + _curvature_cov(hess, cov))
 
-    dcurv = np.empty((n_out, n_in))
-    dcov = np.empty((n_in, n_out, n_out))
+    dcurv = np.empty(stack + (n_out, n_in))
+    dcov = np.empty(stack + (n_in, n_out, n_out))
     for i in range(n_in):
-        h = _JAC_STEP * max(1.0, abs(mean[i]))
+        h = _JAC_STEP * np.maximum(1.0, np.abs(mean[..., i]))
         xp = mean.copy()
         xm = mean.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[..., i] += h
+        xm[..., i] -= h
         cm_p, sc_p = signal_parts(xp)
         cm_m, sc_m = signal_parts(xm)
-        dcurv[:, i] = (cm_p - cm_m) / (2.0 * h)
-        dcov[i] = symmetrize((sc_p - sc_m) / (2.0 * h))
+        dcurv[..., :, i] = (cm_p - cm_m) / (2.0 * h[..., None])
+        dcov[..., i, :, :] = symmetrize((sc_p - sc_m) / (2.0 * h[..., None, None]))
     return MomentMapDerivatives(dmean=base_jac + dcurv, dcov=dcov, dcurv_mean=dcurv)
 
 

@@ -27,7 +27,6 @@ from pcrlb import (ExperimentConfig, GaussianBelief, cli, decompose_terms,
                    pcrlb_from_theta_pi, propagate_state_moments, run_experiment,
                    sample_trajectory, spd_inverse, state_moment_map_derivatives,
                    true_fim_terms_mc, ungm_model)
-from pcrlb.experiment import _single_run
 
 from conftest import random_spd, random_stable_linear_model
 
@@ -56,8 +55,14 @@ def full_experiment():
 
 
 @pytest.fixture(scope="module")
-def per_run_results():
-    return [_single_run(BENCHMARK_CONFIG, i) for i in range(BENCHMARK_CONFIG.runs)]
+def per_run_results(full_experiment):
+    """Per-run Pi and gap stacks (R, T, n, n) behind the full experiment's
+    aggregates, by estimator: the same batched computation, not a rerun."""
+    result, _ = full_experiment
+    assert result.runs_used == BENCHMARK_CONFIG.runs, result.failed_runs
+    return {est: (result.run_stacks[("pi", est)], result.run_stacks[("gap_analytic", est)],
+                  result.run_stacks[("gap_direct", est)])
+            for est in ("ukf", "pf")}
 
 
 def scalar_series(result, key):
@@ -148,18 +153,15 @@ def test_criterion_4_gap_formula(per_run_results, report):
     worst_abs = 0.0
     worst_scaled = 0.0
     checked = 0
-    for run in per_run_results:
-        assert not run.failed, run.error
-        for est in ("ukf", "pf"):
-            pis = run.pis[est]
-            analytic = run.gap_analytic[est]
-            direct = run.gap_direct[est]
-            for k in range(pis.shape[0]):
-                cond = np.linalg.cond(pis[k])
+    for pis, analytic, direct in per_run_results.values():
+        assert pis.shape[0] == BENCHMARK_CONFIG.runs
+        for run in range(pis.shape[0]):
+            for k in range(pis.shape[1]):
+                cond = np.linalg.cond(pis[run, k])
                 if not (np.isfinite(cond) and cond < 1e8):
                     continue
-                diff = float(np.abs(analytic[k] - direct[k]).max())
-                scale = 1.0 + float(np.abs(direct[k]).max())
+                diff = float(np.abs(analytic[run, k] - direct[run, k]).max())
+                scale = 1.0 + float(np.abs(direct[run, k]).max())
                 worst_abs = max(worst_abs, diff)
                 worst_scaled = max(worst_scaled, diff / scale)
                 checked += 1

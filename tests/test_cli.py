@@ -189,6 +189,11 @@ def test_cmd_run_writes_all_outputs(tmp_path):
     assert meta["runs_used"] == 3
     assert "gap_ordering_violations" in meta
     assert "pi_fallback_counts" in meta
+    for key in ("pi_fallback_counts", "gap_fallback_counts"):
+        assert sorted(meta[key]) == ["pf", "ukf"]
+        for counts in meta[key].values():
+            assert len(counts) == 6
+            assert all(0 <= c <= 3 for c in counts)
     assert "elapsed_seconds" in meta
 
 
@@ -251,6 +256,24 @@ def test_config_error_exits_2(tmp_path):
     config_path = write(tmp_path, "[model]\nname = pendulum\n")
     assert cli.main(["run", "--config", str(config_path), "--quiet"]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("section, line", [
+    ("model", "process_var = -1"),
+    ("model", "meas_var = 0"),
+    ("model", "prior_var = nan"),
+    ("filters", "ut_alpha = 0"),
+    ("filters", "ut_kappa = -1"),  # n + kappa = 0 on the scalar model
+    ("filters", "ess_threshold = 7.5"),
+    ("filters", "ess_threshold = 0"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, section, line):
+    """Values a run would trip over are rejected while the config is read."""
+    config_path = write(tmp_path, TINY.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_dir_exits_1(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief, RunResult,
+from pcrlb import experiment
+from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    aggregate_bounds, build_model, derive_run_seed,
                    fim_recursion_step, gap_series, initial_fim, kalman_step,
                    mean_cov_terms, rmse_series, run_experiment, run_ukf,
@@ -160,27 +161,25 @@ def test_aggregate_bounds_modes():
         aggregate_bounds(stack, "median")
 
 
-def synthetic_run(index, analytic, direct, violation):
-    run = RunResult(index=index, seed=index)
-    run.gap_analytic["ukf"] = analytic
-    run.gap_direct["ukf"] = direct
-    run.gap_violation["ukf"] = violation
-    return run
+def synthetic_stacks(*runs):
+    """Per-run ukf gap stacks from (analytic, direct, violation) triples."""
+    analytic, direct, violation = (np.stack(parts) for parts in zip(*runs))
+    return {("gap_analytic", "ukf"): analytic, ("gap_direct", "ukf"): direct,
+            ("gap_violation", "ukf"): violation}
 
 
 def test_gap_series_hand_values():
     # per-run gap 0.5 both ways, as for unit information and unit correction
     half = np.full((4, 1, 1), 0.5)
     flags = np.zeros(4, dtype=bool)
-    runs = [synthetic_run(0, half, half, flags),
-            synthetic_run(1, half, half, flags)]
+    runs = synthetic_stacks((half, half, flags), (half, half, flags))
     analytic, direct, violations = gap_series(runs, "ukf")
     assert_allclose(analytic, half)
     assert_allclose(direct, half)
     assert violations.tolist() == [0, 0, 0, 0]
 
     zero = np.zeros((4, 1, 1))
-    runs = [synthetic_run(0, zero, zero, flags)]
+    runs = synthetic_stacks((zero, zero, flags))
     analytic, direct, _ = gap_series(runs, "ukf")
     assert_allclose(analytic, zero)
     assert_allclose(direct, zero)
@@ -191,8 +190,8 @@ def test_gap_series_hand_values():
 
 def test_gap_series_violation_counts():
     half = np.full((2, 1, 1), 0.5)
-    runs = [synthetic_run(0, half, half, np.array([True, False])),
-            synthetic_run(1, half, half, np.array([True, True]))]
+    runs = synthetic_stacks((half, half, np.array([True, False])),
+                            (half, half, np.array([True, True])))
     _, _, violations = gap_series(runs, "ukf")
     assert violations.tolist() == [2, 1]
 
@@ -209,6 +208,50 @@ def test_gap_series_agreement_on_experiment():
         agree = np.abs(a - d)[fallbacks == 0]
         assert agree.size > 0
         assert np.all(agree <= 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_bound_failure_drops_only_its_run(monkeypatch):
+    """A run whose own bound computation fails is dropped with its error and
+    left out of every aggregate; the other runs' results do not change."""
+    config = ExperimentConfig(model_name="ungm", horizon=8, runs=4, particles=50,
+                              max_failure_fraction=0.5)
+    filters_only = experiment._single_run
+
+    def diverged(config, index):
+        result = filters_only(config, index)
+        if index == 2:  # the UKF estimate of run 2 blows up at step 3
+            post = result.posterior["ukf"]
+            mean = post.mean.copy()
+            mean[2] = 1e200
+            result.posterior["ukf"] = GaussianBelief(mean, post.cov)
+        return result
+
+    def skipped(config, index):
+        result = filters_only(config, index)
+        if index == 2:
+            result.failed, result.error = True, "skipped"
+        return result
+
+    monkeypatch.setattr(experiment, "_single_run", diverged)
+    got = run_experiment(config)
+    monkeypatch.setattr(experiment, "_single_run", skipped)
+    want = run_experiment(config)
+
+    assert [index for index, _ in got.failed_runs] == [2]
+    assert got.failed_runs[0][1] == "ValueError: m must be symmetric"
+    assert got.runs_used == want.runs_used == 3
+    assert got.bounds.keys() == want.bounds.keys()
+    for key in want.bounds:
+        assert_allclose(got.bounds[key], want.bounds[key], rtol=1e-12, atol=0)
+    for est in want.rmse:
+        assert np.array_equal(got.rmse[est], want.rmse[est])
+        assert np.array_equal(got.gaps[est]["violations"], want.gaps[est]["violations"])
+        assert_allclose(got.gaps[est]["analytic"], want.gaps[est]["analytic"], rtol=1e-12)
+        assert np.array_equal(got.pi_fallback_counts[est], want.pi_fallback_counts[est])
+    for key, stack in want.run_stacks.items():
+        assert got.run_stacks[key].shape == stack.shape == (3,) + stack.shape[1:]
 
 
 def test_true_bound_series_requires_trajectories():

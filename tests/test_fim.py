@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (BoundSeries, DecomposedFim, FimTriple, GaussianBelief, NumericError,
+from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
                    bound_difference, decompose_terms, fim_recursion_step,
                    fim_via_decomposition, initial_fim, inv_lemma_split,
                    kalman_step, linear_gaussian_model, mean_cov_terms,
@@ -351,14 +351,6 @@ def test_fim_triple_symmetrizes_and_validates():
         FimTriple(d11=np.eye(2), d12=np.zeros((3, 3)), d22=np.eye(2))
 
 
-def test_bound_series_rejects_non_finite():
-    with pytest.raises(ValueError):
-        BoundSeries(method="true", estimator=None,
-                    values=np.array([[[np.nan]]]))
-    ok = BoundSeries(method="true", estimator=None, values=np.ones((5, 1, 1)))
-    assert ok.values.shape == (5, 1, 1)
-
-
 def test_returned_fims_symmetric_psd():
     model = ungm_model()
     rng = np.random.default_rng(21)
@@ -370,3 +362,66 @@ def test_returned_fims_symmetric_psd():
         assert_allclose(j, j.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(spd_inverse(j)) > -1e-12)
         x = np.array([rng.uniform(-10, 10)])
+
+
+def test_stacked_engines_match_pointwise(rng):
+    """An engine given a stack returns, element by element, what it returns
+    for that element alone.  A stack is inverted by LU rather than Cholesky,
+    so the two agree to rounding; the explicit Pi split amplifies rounding
+    about 1e9-fold (2e-7 relative seen on these inputs), hence its tolerance."""
+    count, k = 6, 3
+    for model, dim in ((ungm_model(), 1), (random_stable_linear_model(rng, 2), 2)):
+        x_prev = rng.uniform(-5.0, 5.0, size=(count, dim))
+        x_new = rng.uniform(-5.0, 5.0, size=(count, dim))
+        cov_prev = np.stack([random_spd(rng, dim, shift=0.5) for _ in range(count)])
+        cov_new = np.stack([random_spd(rng, dim, shift=0.5) for _ in range(count)])
+        j_prev = np.stack([random_spd(rng, dim) for _ in range(count)])
+        prev, new = GaussianBelief(x_prev, cov_prev), GaussianBelief(x_new, cov_new)
+
+        point = mean_only_terms(model, k, x_prev, x_new)
+        full = mean_cov_terms(model, k, prev, new)
+        parts = decompose_terms(model, k, prev, new)
+        state = fim_via_decomposition(j_prev, parts)
+        gap, _ = bound_difference(state.theta, state.pi)
+        inverse = spd_inverse(j_prev)
+        for i in range(count):
+            one_prev = GaussianBelief(x_prev[i], cov_prev[i])
+            one_new = GaussianBelief(x_new[i], cov_new[i])
+            one_point = mean_only_terms(model, k, x_prev[i], x_new[i])
+            one_full = mean_cov_terms(model, k, one_prev, one_new)
+            one_parts = decompose_terms(model, k, one_prev, one_new)
+            one_state = fim_via_decomposition(j_prev[i], one_parts)
+            for name in ("d11", "d12", "d22"):
+                assert_allclose(getattr(point, name)[i], getattr(one_point, name), rtol=1e-14)
+                assert_allclose(getattr(full, name)[i], getattr(one_full, name), rtol=1e-12)
+            assert_allclose(inverse[i], spd_inverse(j_prev[i]), rtol=1e-12)
+            assert_allclose(state.theta[i], one_state.theta, rtol=1e-12)
+            assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-8)
+            assert_allclose(state.j[i], one_state.j, rtol=1e-5)
+            assert_allclose(state.pi[i], one_state.pi, rtol=1e-5)
+            assert state.fallback[i] == bool(one_state.pi_fallback)
+            one_gap, _ = bound_difference(one_state.theta, one_state.pi)
+            assert_allclose(gap[i], one_gap, rtol=1e-5)
+
+
+def test_stacked_fallbacks_are_per_element():
+    """In a stack, only the elements with a singular correction fall back,
+    and the returned count says how many did."""
+    theta = np.stack([np.eye(1), np.eye(1), 2.0 * np.eye(1)])
+    pi = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
+    gap, fallbacks = bound_difference(theta, pi)
+    assert fallbacks == 1
+    assert_allclose(gap[:, 0, 0], [0.5, 0.0, 0.5 - 1.0 / 3.0], atol=1e-14)
+    bound, fallbacks = pcrlb_from_theta_pi(theta, pi)
+    assert fallbacks == 1
+    assert_allclose(bound[:, 0, 0], [0.5, 1.0, 1.0 / 3.0], atol=1e-14)
+
+
+def test_spd_inverse_stack_jitters_only_failing_elements():
+    barely = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular PSD: factors after jitter
+    stack = np.stack([np.diag([2.0, 4.0]), barely])
+    got = spd_inverse(stack)
+    assert_allclose(got[0], np.diag([0.5, 0.25]), rtol=1e-15)
+    assert np.all(np.isfinite(got[1]))
+    with pytest.raises(NumericError, match="min eigenvalue"):
+        spd_inverse(np.stack([np.eye(2), np.diag([1.0, -1.0])]))

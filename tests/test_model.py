@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (GaussianPrior, fd_hessians, fd_jacobian, linear_gaussian_model,
+from pcrlb import (GaussianPrior, SystemModel, fd_hessians, fd_jacobian, linear_gaussian_model,
                    sample_trajectory, ungm_model)
 
 from conftest import random_stable_linear_model
@@ -168,3 +168,24 @@ def test_trajectory_rejects_nonfinite():
     with pytest.raises(ValueError):
         Trajectory(states=np.array([[0.0], [np.nan]]),
                    measurements=np.array([[1.0]]), seed=0)
+
+
+def test_stacked_maps_and_derivatives_match_pointwise(rng):
+    """Maps and derivatives take (..., n) stacks, analytic or finite-difference."""
+    square = SystemModel(
+        state_dim=2, meas_dim=1,
+        transition_fn=lambda k, x: np.array([x[0] * x[1], x[1] ** 2]),
+        measurement_fn=lambda k, x: np.atleast_1d(x[0] ** 3),
+        process_cov=np.eye(2), meas_cov=np.eye(1),
+        prior=GaussianPrior(np.zeros(2), np.eye(2)))
+    for model in (ungm_model(), random_stable_linear_model(rng, 2), square):
+        x = rng.uniform(-3.0, 3.0, size=(2, 3, model.state_dim))
+        for name in ("transition", "measure", "transition_jacobian",
+                     "transition_hessians", "measurement_jacobian",
+                     "measurement_hessians"):
+            fn = getattr(model, name)
+            stacked = fn(4, x)
+            for index in np.ndindex(x.shape[:-1]):
+                # a stacked matrix product may round differently in the last bit
+                assert_allclose(stacked[index], fn(4, x[index]), rtol=1e-14, atol=1e-14,
+                                err_msg=name)
