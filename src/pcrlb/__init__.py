@@ -11,7 +11,7 @@ filters on a standard scalar benchmark.
 """
 
 from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateResult,
-                         ExperimentConfig, ExperimentError, RunResult, aggregate_bounds,
+                         ExperimentConfig, ExperimentError, aggregate_bounds,
                          build_model, derive_run_seed, gap_series, rmse_series,
                          run_experiment, true_bound_series)
 from .filters import (FilterOutput, ParticleSet, SigmaPointSet, UTParams, init_particles,
@@ -49,7 +49,6 @@ __all__ = [
     "PSI_ZERO_THRESHOLD",
     "ParticleSet",
     "PropagatedMoments",
-    "RunResult",
     "SigmaPointSet",
     "SystemModel",
     "Trajectory",

@@ -333,6 +333,7 @@ def write_meta(path: Path, config: ExperimentConfig, output: dict,
             est: [int(v) for v in counts] for est, counts in result.pi_fallback_counts.items()}
         meta["gap_fallback_counts"] = {
             est: [int(v) for v in counts] for est, counts in result.gap_fallback_counts.items()}
+        meta["filter_health"] = result.filter_health
     meta.update(extra)
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -502,10 +503,10 @@ def _check_ukf_matches_kalman() -> None:
         model = _random_linear_setup(rng, dim)
         trajectory = sample_trajectory(model, 30, rng)
         kalman = _kalman_series(model, trajectory.measurements)
-        ukf = run_ukf(model, trajectory.measurements)
-        for ko, uo in zip(kalman, ukf):
-            if (np.abs(ko.posterior.mean - uo.posterior.mean).max() > 1e-9
-                    or np.abs(ko.posterior.cov - uo.posterior.cov).max() > 1e-9):
+        ukf = run_ukf(model, trajectory.measurements).posterior
+        for k, ko in enumerate(kalman):
+            if (np.abs(ko.posterior.mean - ukf.mean[k]).max() > 1e-9
+                    or np.abs(ko.posterior.cov - ukf.cov[k]).max() > 1e-9):
                 raise AssertionError(f"sigma-point filter deviates from closed form (dim {dim})")
 
 

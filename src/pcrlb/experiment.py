@@ -13,40 +13,43 @@ the configured estimators, and produces:
   semidefiniteness and where the closed form fell back to the subtraction,
 * per-step RMSE per estimator.
 
-The work runs in two stages.  Trajectory sampling and the filters run once
-per run (``_single_run``), mapped over a process pool when ``workers`` > 1;
-every run is a pure function of (config, run index), since run seeds come
-from a splitmix64 avalanche of the master seed.  The bound engines then run
-in the calling process over the completed runs' beliefs, stacked in
-run-index order as (R, T, n) means and (R, T, n, n) covariances: each engine
-makes one batched call per time step for all R runs.  A run whose own stack
-element fails (for example a matrix past the jitter budget) is marked failed
-with that error and left out of every aggregate; the other runs are
-unaffected.  Because the bounds never leave the calling process, results are
-bit-identical for any worker count by construction.
+The work runs in two stages.  First the runs are filtered in blocks
+(``_filter_block``), mapped over a process pool when ``workers`` > 1: each
+block samples its runs' trajectories one by one, then runs each estimator
+once over the block's stack of measurement sequences, and returns (R, T, n)
+mean and (R, T, n, n) covariance stacks.  A block holds about 2^15 particle
+values (block x N x n), so at N = 1000 one block takes 32 runs and at
+N = 20000 one run, and there are at least ``workers`` blocks.  Every run is a
+pure function of (config, run index): run seeds come from a splitmix64
+avalanche of the master seed and the particle filter draws only from the
+run's own Generator, so the block split changes no byte.  The bound engines
+then run in the calling process over the completed runs' beliefs, stacked in
+run-index order: each engine makes one batched call per time step for all R
+runs.  A run whose own stack element fails, in a filter or in a bound
+engine, is marked failed with that error (the first failing estimator in
+config order) and left out of every aggregate; the other runs are
+unaffected.  Results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .filters import UTParams, run_pf, run_ukf
+from .filters import RUN_ERRORS, UTParams, error_text, guarded_step, run_pf, run_ukf
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, ill_conditioned, initial_fim, mean_only_terms,
                   spd_inverse, true_fim_terms_mc)
-from .linalg import NumericError, symmetrize
-from .model import SystemModel, Trajectory, linear_gaussian_model, sample_trajectory, ungm_model
+from .linalg import symmetrize
+from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
 from .moments import GaussianBelief
 
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
     "ExperimentError",
-    "RunResult",
     "AggregateResult",
     "derive_run_seed",
     "build_model",
@@ -167,97 +170,74 @@ def build_model(config: ExperimentConfig) -> SystemModel:
     raise ValueError(f"unknown model {config.model_name!r}")
 
 
+# A block of runs holds at most about this many particle values (block x N x n).
+_BLOCK_VALUES = 2 ** 15
+
+
+def _blocks(config: ExperimentConfig, state_dim: int) -> list[range]:
+    """Consecutive blocks of run indices: within the particle budget, at least
+    ``workers`` of them (as far as there are runs), and at least one run each."""
+    size = max(1, _BLOCK_VALUES // (config.particles * state_dim))
+    size = max(1, min(size, -(-config.runs // config.workers)))
+    return [range(start, min(start + size, config.runs))
+            for start in range(0, config.runs, size)]
+
+
 @dataclass
-class RunResult:
-    """What one run's trajectory sampling and filters produce.
+class _Block:
+    """What filtering one block of runs produces, one row per run of the block.
 
-    posterior and predicted map each estimator to its beliefs over steps
-    1..T as one GaussianBelief stack: mean (T, n), cov (T, n, n).
+    states (R, T+1, n) holds the sampled trajectories; posterior and
+    predicted map each estimator to its GaussianBelief stack over steps 1..T,
+    mean (R, T, n) and cov (R, T, n, n); health maps each estimator to its
+    per-run counters (see filters.FilterOutput).  errors maps the position
+    of each failed run to its first error text, in the order sampling, then
+    the estimators in config order; the rows of failed runs are meaningless.
     """
 
-    index: int
-    seed: int
-    trajectory: Optional[Trajectory] = None
-    posterior: dict = field(default_factory=dict)
-    predicted: dict = field(default_factory=dict)
-    failed: bool = False
-    error: str = ""
+    indices: np.ndarray
+    states: np.ndarray
+    posterior: dict
+    predicted: dict
+    health: dict
+    errors: dict
 
 
-# Errors that fail one run rather than the whole experiment.
-_RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
-
-
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _belief_stack(beliefs) -> GaussianBelief:
-    beliefs = list(beliefs)
-    return GaussianBelief(np.stack([b.mean for b in beliefs]),
-                          np.stack([b.cov for b in beliefs]))
-
-
-def _single_run(config: ExperimentConfig, index: int) -> RunResult:
+def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
+    """Sample the block's trajectories, then run each estimator over the block."""
     model = build_model(config)
-    seed = derive_run_seed(config.master_seed, index)
-    result = RunResult(index=index, seed=seed)
-    try:
-        trajectory = sample_trajectory(model, config.horizon, derive_run_seed(seed, 0))
-        result.trajectory = trajectory
-        for estimator in config.estimators:
-            if estimator == "ukf":
-                outputs = run_ukf(model, trajectory.measurements, config.ut)
-            else:
-                outputs = run_pf(model, trajectory.measurements, config.particles,
-                                 derive_run_seed(seed, 1), resample=config.resample,
-                                 ess_threshold=config.ess_threshold)
-            result.posterior[estimator] = _belief_stack(o.posterior for o in outputs)
-            result.predicted[estimator] = _belief_stack(o.predicted for o in outputs)
-    except _RUN_ERRORS as exc:
-        result.failed = True
-        result.error = _error_text(exc)
-    return result
-
-
-def _single_run_task(payload: tuple[ExperimentConfig, int]) -> RunResult:
-    return _single_run(*payload)
-
-
-class _AllRunsFailed(Exception):
-    """No run is left for the bound engines."""
-
-
-def _guarded_step(step, alive: np.ndarray, errors: dict) -> tuple[np.ndarray, tuple]:
-    """Run one engine step over the alive runs, dropping runs that fail alone.
-
-    step(idx) computes the step for the runs idx as one stack and returns a
-    tuple of arrays with one row per run.  When the batched call raises,
-    every alive run is retried as a stack of one: a run that raises again is
-    marked failed (alive cleared, errors[position] set to its error text),
-    and the others keep their own rows, which do not depend on the rest of
-    the stack.
-
-    Returns:
-        (positions of the runs still alive, the step's outputs for them).
-    """
-    idx = np.flatnonzero(alive)
-    try:
-        return idx, step(idx)
-    except _RUN_ERRORS:
-        pass
-    kept, outputs = [], []
-    for position in idx:
+    seeds = [derive_run_seed(config.master_seed, i) for i in indices]
+    count, horizon, n = len(seeds), config.horizon, model.state_dim
+    states = np.zeros((count, horizon + 1, n))
+    measurements = np.zeros((count, horizon, model.meas_dim))
+    errors: dict = {}
+    for position, seed in enumerate(seeds):
         try:
-            outputs.append(step(np.array([position])))
-        except _RUN_ERRORS as exc:
-            alive[position] = False
-            errors[int(position)] = _error_text(exc)
+            trajectory = sample_trajectory(model, horizon, derive_run_seed(seed, 0))
+        except RUN_ERRORS as exc:
+            errors[position] = error_text(exc)
         else:
-            kept.append(position)
-    if not kept:
-        raise _AllRunsFailed
-    return np.array(kept), tuple(np.concatenate(rows) for rows in zip(*outputs))
+            states[position] = trajectory.states
+            measurements[position] = trajectory.measurements
+    block = _Block(np.asarray(indices), states, {}, {}, {}, errors)
+    for estimator in config.estimators:
+        # every run goes through every filter; a run keeps its first error
+        if estimator == "ukf":
+            out = run_ukf(model, measurements, config.ut)
+        else:
+            out = run_pf(model, measurements, config.particles,
+                         [derive_run_seed(seed, 1) for seed in seeds],
+                         resample=config.resample, ess_threshold=config.ess_threshold)
+        for position, error in out.errors.items():
+            errors.setdefault(position, error)
+        block.posterior[estimator] = out.posterior
+        block.predicted[estimator] = out.predicted
+        block.health[estimator] = out.health
+    return block
+
+
+def _filter_block_task(payload: tuple[ExperimentConfig, range]) -> _Block:
+    return _filter_block(*payload)
 
 
 def _is_negative(matrix: np.ndarray) -> np.ndarray:
@@ -266,17 +246,15 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def _engine_beliefs(config: ExperimentConfig, model: SystemModel, runs: list[RunResult],
-                    estimator: str) -> tuple[GaussianBelief, GaussianBelief]:
+def _engine_beliefs(config: ExperimentConfig, model: SystemModel, posterior: GaussianBelief,
+                    predicted: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
     """Beliefs feeding the step onto time k, stacked (R, T, ...) with row k-1.
 
     The state channel takes the belief about time k-1 (the prior at k = 1);
     the measurement channel takes the belief about time k.
     """
-    posterior = _belief_stack(r.posterior[estimator] for r in runs)
-    predicted = _belief_stack(r.predicted[estimator] for r in runs)
     chosen = posterior if config.state_eval == "posterior" else predicted
-    count, n = len(runs), model.state_dim
+    count, n = chosen.mean.shape[0], model.state_dim
     state = GaussianBelief(
         np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)),
                         chosen.mean[:, :-1]], axis=1),
@@ -287,8 +265,12 @@ def _engine_beliefs(config: ExperimentConfig, model: SystemModel, runs: list[Run
 
 
 def _bound_stage(config: ExperimentConfig, model: SystemModel,
-                 runs: list[RunResult]) -> tuple[dict, np.ndarray, dict]:
+                 posterior: dict, predicted: dict) -> tuple[dict, np.ndarray, dict]:
     """Run the per-run bound engines once per time step over the stack of runs.
+
+    Args:
+        posterior, predicted: each estimator's belief stacks over the runs,
+            mean (R, T, n) and cov (R, T, n, n).
 
     Returns:
         (stacks, alive, errors).  stacks maps (quantity, estimator) to an
@@ -299,7 +281,8 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
         the rows of the others are meaningless.  errors maps the position of
         each failed run to its error text.
     """
-    horizon, n, count = config.horizon, model.state_dim, len(runs)
+    horizon, n = config.horizon, model.state_dim
+    count = posterior[config.estimators[0]].mean.shape[0]
     alive = np.ones(count, dtype=bool)
     errors: dict = {}
     stacks: dict = {}
@@ -308,58 +291,61 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
     def series(*tail) -> np.ndarray:
         return np.zeros((count, horizon) + tail)
 
-    try:
-        for estimator in config.estimators:
-            state, meas = _engine_beliefs(config, model, runs, estimator)
+    for estimator in config.estimators:
+        state, meas = _engine_beliefs(config, model, posterior[estimator], predicted[estimator])
 
-            if "mean_only" in config.methods:
-                j = np.broadcast_to(j0, (count, n, n)).copy()
-                fims = series(n, n)
-                for k in range(1, horizon + 1):
-                    def step(idx):
-                        terms = mean_only_terms(model, k, state.mean[idx, k - 1],
-                                                meas.mean[idx, k - 1])
-                        return (fim_recursion_step(j[idx], terms),)
-                    idx, (j_new,) = _guarded_step(step, alive, errors)
-                    j[idx] = fims[idx, k - 1] = j_new
-                stacks[("mean_only", estimator)] = fims
+        if "mean_only" in config.methods:
+            j = np.broadcast_to(j0, (count, n, n)).copy()
+            fims = series(n, n)
+            for k in range(1, horizon + 1):
+                def step(idx):
+                    terms = mean_only_terms(model, k, state.mean[idx, k - 1],
+                                            meas.mean[idx, k - 1])
+                    return (fim_recursion_step(j[idx], terms),)
+                idx, rows = guarded_step(step, alive, errors)
+                if rows is None:
+                    return stacks, alive, errors
+                j[idx] = fims[idx, k - 1] = rows[0]
+            stacks[("mean_only", estimator)] = fims
 
-            if "mean_cov" in config.methods:
-                j = np.broadcast_to(j0, (count, n, n)).copy()
-                out = {"mean_cov": series(n, n), "pi": series(n, n),
-                       "pi_fallback": series().astype(bool),
-                       "gap_analytic": series(n, n), "gap_direct": series(n, n),
-                       "gap_violation": series().astype(bool)}
-                for k in range(1, horizon + 1):
-                    def step(idx):
-                        prev = GaussianBelief(state.mean[idx, k - 1], state.cov[idx, k - 1])
-                        point = GaussianBelief(meas.mean[idx, k - 1], meas.cov[idx, k - 1])
-                        fim = fim_via_decomposition(
-                            j[idx], decompose_terms(model, k, prev, point), k=k)
-                        analytic, _ = bound_difference(fim.theta, fim.pi)
-                        direct = spd_inverse(fim.theta) - spd_inverse(fim.j)
-                        return (fim.j, fim.pi, fim.fallback, analytic, direct,
-                                _is_negative(direct))
-                    idx, rows = _guarded_step(step, alive, errors)
-                    for name, row in zip(out, rows):
-                        out[name][idx, k - 1] = row
-                    j[idx] = rows[0]
-                stacks.update({(name, estimator): value for name, value in out.items()})
-    except _AllRunsFailed:
-        pass
+        if "mean_cov" in config.methods:
+            j = np.broadcast_to(j0, (count, n, n)).copy()
+            out = {"mean_cov": series(n, n), "pi": series(n, n),
+                   "pi_fallback": series().astype(bool),
+                   "gap_analytic": series(n, n), "gap_direct": series(n, n),
+                   "gap_violation": series().astype(bool)}
+            for k in range(1, horizon + 1):
+                def step(idx):
+                    prev = GaussianBelief(state.mean[idx, k - 1], state.cov[idx, k - 1])
+                    point = GaussianBelief(meas.mean[idx, k - 1], meas.cov[idx, k - 1])
+                    fim = fim_via_decomposition(
+                        j[idx], decompose_terms(model, k, prev, point), k=k)
+                    analytic, _ = bound_difference(fim.theta, fim.pi)
+                    direct = spd_inverse(fim.theta) - spd_inverse(fim.j)
+                    return (fim.j, fim.pi, fim.fallback, analytic, direct,
+                            _is_negative(direct))
+                idx, rows = guarded_step(step, alive, errors)
+                if rows is None:
+                    return stacks, alive, errors
+                for name, row in zip(out, rows):
+                    out[name][idx, k - 1] = row
+                j[idx] = rows[0]
+            stacks.update({(name, estimator): value for name, value in out.items()})
     return stacks, alive, errors
 
 
-def true_bound_series(model: SystemModel, trajectories: list[Trajectory],
-                      horizon: int) -> np.ndarray:
+def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> np.ndarray:
     """Reference information series from Monte Carlo averages over trajectories.
+
+    Args:
+        states: the trajectories' states, shape (R, T+1, n).
 
     Returns:
         J series of shape (T, n, n) for k = 1..T.
     """
-    if not trajectories:
+    if len(states) == 0:
         raise ExperimentError("no trajectories available for the reference bound")
-    states = np.stack([t.states for t in trajectories])  # (R, T+1, n)
+    states = np.asarray(states, dtype=float)
     n = model.state_dim
     series = np.empty((horizon, n, n))
     j = initial_fim(model.prior)
@@ -441,6 +427,7 @@ class AggregateResult:
     gaps: dict                   # estimator -> {"analytic", "direct", "violations"}
     pi_fallback_counts: dict     # estimator -> (T,) int
     gap_fallback_counts: dict    # estimator -> (T,) int
+    filter_health: dict          # estimator -> counter -> value, see _summarize_health
     runs_used: int
     failed_runs: list            # [(index, error), ...]
     run_stacks: dict             # per-run series of the completed runs, see _bound_stage
@@ -450,36 +437,60 @@ class AggregateResult:
         return self.config.horizon
 
 
+def _summarize_health(health: dict, ok: np.ndarray) -> dict:
+    """One estimator's filter counters over the completed runs: counts summed,
+    the smallest effective sample size kept."""
+    return {name: float(values[ok].min()) if name == "min_ess" else int(values[ok].sum())
+            for name, values in health.items()}
+
+
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run the full Monte Carlo experiment described by the config."""
     model = build_model(config)
-    payloads = [(config, i) for i in range(config.runs)]
+    blocks = _blocks(config, model.state_dim)
     if config.workers == 1:
-        results = [_single_run(config, i) for i in range(config.runs)]
+        parts = [_filter_block(config, block) for block in blocks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_single_run_task, payloads))
+            parts = list(pool.map(_filter_block_task, [(config, b) for b in blocks]))
 
-    filtered = [r for r in results if not r.failed]
-    stacks, alive, errors = _bound_stage(config, model, filtered) if filtered else ({}, None, {})
-    for position, error in errors.items():
-        filtered[position].failed = True
-        filtered[position].error = error
+    errors = {int(part.indices[position]): error
+              for part in parts for position, error in part.errors.items()}
+    filtered = np.array([i not in errors for i in range(config.runs)])
+    states = np.concatenate([part.states for part in parts])
+    posterior, predicted, health = {}, {}, {}
+    for estimator in config.estimators:
+        for channel, name in ((posterior, "posterior"), (predicted, "predicted")):
+            beliefs = [getattr(part, name)[estimator] for part in parts]
+            channel[estimator] = GaussianBelief(np.concatenate([b.mean for b in beliefs]),
+                                                np.concatenate([b.cov for b in beliefs]))
+        health[estimator] = {counter: np.concatenate([part.health[estimator][counter]
+                                                      for part in parts])
+                             for counter in parts[0].health[estimator]}
 
-    failed = [(r.index, r.error) for r in results if r.failed]
+    stacks, alive = {}, None
+    if filtered.any():
+        stacks, alive, bound_errors = _bound_stage(
+            config, model,
+            {e: GaussianBelief(b.mean[filtered], b.cov[filtered]) for e, b in posterior.items()},
+            {e: GaussianBelief(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
+        kept = np.flatnonzero(filtered)
+        errors.update({int(kept[position]): error for position, error in bound_errors.items()})
+
+    failed = sorted(errors.items())
     if len(failed) > config.max_failure_fraction * config.runs:
         details = "; ".join(f"run {i}: {e}" for i, e in failed[:5])
         raise ExperimentError(
             f"{len(failed)} of {config.runs} runs failed "
             f"(threshold {config.max_failure_fraction:.0%}): {details}")
-    ok = [r for r in results if not r.failed]
-    if not ok:
+    ok = np.array([i not in errors for i in range(config.runs)])
+    if not ok.any():
         raise ExperimentError("every run failed")
     run_stacks = {key: value[alive] for key, value in stacks.items()}
 
     bounds: dict = {}
     if "true" in config.methods:
-        true_fims = true_bound_series(model, [r.trajectory for r in ok], config.horizon)
+        true_fims = true_bound_series(model, states[ok], config.horizon)
         bounds[("true", None)] = spd_inverse(true_fims)
     for method in ("mean_only", "mean_cov"):
         if method not in config.methods:
@@ -488,11 +499,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             bounds[(method, estimator)] = aggregate_bounds(run_stacks[(method, estimator)],
                                                            config.averaging)
 
-    rmse = {}
-    true_states = np.stack([r.trajectory.states for r in ok])
-    for estimator in config.estimators:
-        estimates = np.stack([r.posterior[estimator].mean for r in ok])
-        rmse[estimator] = rmse_series(true_states, estimates)
+    rmse = {estimator: rmse_series(states[ok], posterior[estimator].mean[ok])
+            for estimator in config.estimators}
 
     gaps = {}
     pi_fallback_counts = {}
@@ -510,4 +518,5 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     return AggregateResult(config=config, bounds=bounds, rmse=rmse, gaps=gaps,
                            pi_fallback_counts=pi_fallback_counts,
                            gap_fallback_counts=gap_fallback_counts,
-                           runs_used=len(ok), failed_runs=failed, run_stacks=run_stacks)
+                           filter_health={e: _summarize_health(h, ok) for e, h in health.items()},
+                           runs_used=int(ok.sum()), failed_runs=failed, run_stacks=run_stacks)

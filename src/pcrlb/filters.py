@@ -4,6 +4,21 @@ Both filters report, at every step k = 1..T, the predicted belief (prior to
 the measurement update) and the posterior belief.  The bound engines consume
 these beliefs; which one feeds which channel is the harness's decision.
 
+Every routine takes leading run axes: a UKF belief may be a stack of beliefs
+(..., n) and (..., n, n), a particle cloud a stack of clouds (..., N, n), and
+``run_ukf``/``run_pf`` take a stack of measurement sequences (..., T, m).  One
+step is then one batched numpy call per operation for all runs, and each
+element of a stack gets the bytes the single-run call gives it.  The particle
+filter draws every cloud's randomness from that run's own Generator, in the
+order of the single-run filter (prior cloud, then per step the process noise
+followed by the resampling uniform), so a run never depends on the rest of
+its stack.  A run of a stack whose own step fails is dropped with its error
+text while the others go on (``guarded_step``); a single-run call raises.
+
+Both filters count their numeric health per run: covariance repairs by the
+jitter ladder, and for the particle filter resampling events, likelihood
+collapses and the smallest effective sample size.
+
 A closed-form Kalman step for linear models rides along as the oracle used by
 the CLI selftest.  Randomness is always drawn from a caller-supplied seed or
 numpy Generator, so every routine is reproducible bit for bit.
@@ -12,13 +27,13 @@ numpy Generator, so every routine is reproducible bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import NumericError, spd_inverse, symmetrize
+from .linalg import NumericError, jitter_ladder, spd_inverse, symmetrize
 from .model import SystemModel
 from .moments import GaussianBelief
 
@@ -40,11 +55,60 @@ __all__ = [
     "regularize_cov",
 ]
 
-# Covariance repair: scaled diagonal jitter applied when a filter covariance
-# loses positive definiteness to rounding; escalates by decades, bounded so a
-# genuinely broken covariance still errors out.
+# Covariance repair: the jitter ladder's range for filter covariances that
+# lose positive definiteness to rounding, bounded so a genuinely broken
+# covariance still errors out.
 _REG_START = 1e-10
 _REG_STOP = 1e-4
+
+# Errors that fail one run of a stack rather than the whole stack.
+RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
+
+
+def error_text(exc: Exception) -> str:
+    """How a failed run's error is reported."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def guarded_step(step, alive: np.ndarray, errors: dict,
+                 generators: Optional[list] = None) -> tuple[np.ndarray, Optional[tuple]]:
+    """Run one step over the alive runs of a stack, dropping runs that fail alone.
+
+    step(idx) computes the step for the runs idx as one stack and returns a
+    tuple of arrays with one row per run.  When the batched call raises one
+    of RUN_ERRORS, every alive run is retried as a stack of one: a run that
+    raises again is marked failed (alive cleared, errors[position] set to its
+    error text), and the others keep their own rows, which do not depend on
+    the rest of the stack.  generators, one per position, are put back to
+    their state before the batched call ahead of the retries, so a retried
+    run draws what it drew in the batched call.
+
+    Returns:
+        (positions of the runs still alive, the step's outputs for them);
+        the outputs are None when no run is left.
+    """
+    idx = np.flatnonzero(alive)
+    if idx.size == 0:
+        return idx, None
+    saved = [generators[i].bit_generator.state for i in idx] if generators else []
+    try:
+        return idx, step(idx)
+    except RUN_ERRORS:
+        pass
+    for i, state in zip(idx, saved):
+        generators[i].bit_generator.state = state
+    kept, outputs = [], []
+    for position in idx:
+        try:
+            outputs.append(step(np.array([position])))
+        except RUN_ERRORS as exc:
+            alive[position] = False
+            errors[int(position)] = error_text(exc)
+        else:
+            kept.append(position)
+    if not kept:
+        return np.array([], dtype=int), None
+    return np.array(kept), tuple(np.concatenate(rows) for rows in zip(*outputs))
 
 
 @dataclass(frozen=True)
@@ -65,79 +129,100 @@ class UTParams:
 
 @dataclass(frozen=True)
 class SigmaPointSet:
-    points: np.ndarray        # (2n+1, n), row 0 is the center
+    points: np.ndarray        # (..., 2n+1, n), row 0 is the center
     mean_weights: np.ndarray  # (2n+1,)
     cov_weights: np.ndarray   # (2n+1,)
 
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Beliefs produced by one filter step."""
+    """Beliefs produced by one filter step, or by a filter run over steps 1..T.
+
+    A step's beliefs are (..., n) and (..., n, n); a run's are (..., T, n)
+    and (..., T, n, n).  health maps a counter to one value per run (the
+    leading shape): "cov_repairs" (covariances the jitter ladder repaired),
+    and for the particle filter "resamples", "collapses" (steps whose
+    likelihoods all vanished) and "min_ess" (smallest effective sample
+    size).  errors maps the flat position of each run of a stack that failed
+    to its error text; the rows of a failed run are zero from the failing
+    step on.
+    """
 
     posterior: GaussianBelief
     predicted: GaussianBelief
+    health: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        """Beliefs per channel: T for one run, R * T for a stack of R runs.
+
+        perfbench/tracing.py reads N * len(run_pf(...)) as the particle steps
+        of the call.
+        """
+        return int(np.prod(self.posterior.mean.shape[:-1]))
 
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Weighted particles; weights are normalized and non-negative."""
+    """Weighted particles, or a stack of clouds; weights are normalized and non-negative."""
 
-    states: np.ndarray   # (N, n)
-    weights: np.ndarray  # (N,)
+    states: np.ndarray   # (..., N, n)
+    weights: np.ndarray  # (..., N)
 
     def __post_init__(self) -> None:
-        if self.states.shape[0] != self.weights.shape[0]:
+        if self.states.shape[:-1] != self.weights.shape:
             raise ValueError("states and weights disagree on particle count")
         if not np.all(np.isfinite(self.weights)):
             raise NumericError("particle weights are not finite")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-8:
+        if np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-8):
             raise ValueError("particle weights must sum to one")
 
     @property
-    def ess(self) -> float:
-        """Effective sample size 1 / sum(w^2)."""
-        return 1.0 / float(np.sum(self.weights ** 2))
+    def ess(self):
+        """Effective sample size 1 / sum(w^2) of each cloud."""
+        return 1.0 / np.sum(self.weights ** 2, axis=-1)
 
 
-def regularize_cov(cov: np.ndarray) -> np.ndarray:
-    """Return a Cholesky-factorable version of a symmetric covariance.
+def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Return a Cholesky-factorable version of a symmetric covariance, or of each in a stack.
 
-    Adds trace-scaled diagonal jitter starting at 1e-10 only when the matrix
-    fails to factor as given.
+    Symmetrizes, then adds trace-scaled diagonal jitter from 1e-10 up to 1e-4
+    only to the elements that fail to factor as given (linalg.jitter_ladder).
+
+    Args:
+        cov: covariance (n, n) or stack (..., n, n).
+        repairs: optional integer array with the stack's leading shape; the
+            entry of each repaired element is incremented.
+
+    Raises:
+        NumericError: a covariance is not finite, or not repairable.
     """
     cov = symmetrize(np.asarray(cov, dtype=float))
-    n = cov.shape[0]
-    scale = float(np.trace(cov)) / n
-    if scale <= 0.0:
-        scale = 1.0
-    jitter = 0.0
-    while True:
-        try:
-            np.linalg.cholesky(cov + jitter * np.eye(n))
-            return cov if jitter == 0.0 else cov + jitter * np.eye(n)
-        except np.linalg.LinAlgError:
-            jitter = _REG_START * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > _REG_STOP * scale:
-                raise NumericError("filter covariance not repairable by jitter") from None
+    if not np.all(np.isfinite(cov)):
+        raise NumericError("filter covariance is not finite")
+    try:
+        cov, repaired = jitter_ladder(cov, _REG_START, _REG_STOP)
+    except NumericError:
+        raise NumericError("filter covariance not repairable by jitter") from None
+    if repairs is not None:
+        repairs += repaired
+    return cov
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray,
                  params: UTParams = UTParams()) -> SigmaPointSet:
-    """Scaled symmetric sigma points for N(mean, cov)."""
+    """Scaled symmetric sigma points for N(mean, cov), or for each of a stack."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = mean.shape[0]
+    n = mean.shape[-1]
     kappa = params.resolved_kappa(n)
     lam = params.alpha ** 2 * (n + kappa) - n
     spread = n + lam
     if spread <= 0.0:
         raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
-    root = np.linalg.cholesky(regularize_cov(cov) * spread)
-    points = np.empty((2 * n + 1, n))
-    points[0] = mean
-    for i in range(n):
-        points[1 + i] = mean + root[:, i]
-        points[1 + n + i] = mean - root[:, i]
+    wings = np.linalg.cholesky(regularize_cov(cov) * spread).mT  # row i is column i
+    center = mean[..., None, :]
+    points = np.concatenate([center, center + wings, center - wings], axis=-2)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))
     wc = wm.copy()
     wm[0] = lam / spread
@@ -147,75 +232,163 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
 
 def unscented_transform(fn, belief: GaussianBelief, noise_cov: np.ndarray,
                         params: UTParams = UTParams()):
-    """Push a belief through fn and add noise_cov.
+    """Push a belief, or each belief of a stack, through fn and add noise_cov.
 
     Args:
-        fn: map applied to each sigma point, shape (n,) -> (m,).
-        belief: input Gaussian belief.
+        fn: map of a stack of points (..., n) -> (..., m).
+        belief: input Gaussian belief, mean (..., n).
         noise_cov: additive noise covariance of the output, shape (m, m).
         params: sigma point spread parameters.
 
     Returns:
-        (mean, cov, cross_cov): output mean (m,), output covariance (m, m)
-        including noise, and input-output cross covariance (n, m).
+        (mean, cov, cross_cov): output mean (..., m), output covariance
+        (..., m, m) including noise, and input-output cross covariance
+        (..., n, m).
     """
     sp = sigma_points(belief.mean, belief.cov, params)
-    mapped = np.stack([np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in sp.points])
+    # Each point as a 1 x n row, so a matmul map makes one vector-matrix
+    # product per point, as when the points are mapped one at a time.
+    mapped = np.asarray(fn(sp.points[..., None, :]), dtype=float)[..., 0, :]
     mean = sp.mean_weights @ mapped
-    dev_out = mapped - mean
-    dev_in = sp.points - belief.mean
-    cov = symmetrize((dev_out * sp.cov_weights[:, None]).T @ dev_out + noise_cov)
-    cross = (dev_in * sp.cov_weights[:, None]).T @ dev_out
+    dev_out = mapped - mean[..., None, :]
+    dev_in = sp.points - belief.mean[..., None, :]
+    cov = symmetrize((dev_out * sp.cov_weights[:, None]).mT @ dev_out + noise_cov)
+    cross = (dev_in * sp.cov_weights[:, None]).mT @ dev_out
     return mean, cov, cross
 
 
 def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
              params: UTParams = UTParams()) -> FilterOutput:
-    """One predict/update cycle of the unscented Kalman filter at time k."""
+    """One predict/update cycle of the unscented Kalman filter at time k.
+
+    belief may be a stack (..., n) with one measurement per element in z
+    (..., m).  The innovation covariance of each element is inverted through
+    its own Cholesky factor.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m_pred, p_pred, _ = unscented_transform(
         lambda x: model.transition(k, x), belief, model.process_cov_at(k), params)
-    p_pred = regularize_cov(p_pred)
+    repairs = np.zeros(m_pred.shape[:-1], dtype=int)
+    p_pred = regularize_cov(p_pred, repairs)
     predicted = GaussianBelief(mean=m_pred, cov=p_pred)
     z_mean, z_cov, cross = unscented_transform(
         lambda x: model.measure(k, x), predicted, model.meas_cov_at(k), params)
-    gain = cross @ spd_inverse(z_cov)
-    post_mean = m_pred + gain @ (z - z_mean)
-    post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.T)
-    return FilterOutput(posterior=GaussianBelief(post_mean, post_cov), predicted=predicted)
+    gain = cross @ spd_inverse(z_cov, cholesky=True)
+    post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
+    post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
+    return FilterOutput(posterior=GaussianBelief(post_mean, post_cov), predicted=predicted,
+                        health={"cov_repairs": repairs})
+
+
+def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
+               health: dict, generators: Optional[list] = None) -> FilterOutput:
+    """Drive a filter over steps 1..T for one run or a stack of runs.
+
+    measurements (..., T, m) are flattened to R runs (one run is a stack of
+    one) and carry holds the filter's state with one row per run.
+    step(k, idx, z, carry_rows) filters the runs idx at time k and returns
+    (FilterOutput of the step, new carry rows).  health gives each counter's
+    value before the first step: over the steps, counts add up and
+    "min_ess" keeps the smallest.  A stack isolates failing runs with
+    guarded_step; one run raises.
+    """
+    measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
+    lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
+    z = measurements.reshape((-1,) + measurements.shape[-2:])
+    count, n = z.shape[0], model.state_dim
+    series = [np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n)),
+              np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n))]
+    series += [np.full((count, horizon), start) for start in health.values()]
+    alive = np.ones(count, dtype=bool)
+    errors: dict = {}
+    for k in range(1, horizon + 1):
+        def rows(idx):
+            rows_carry = carry if idx.size == count else tuple(c[idx] for c in carry)
+            out, new_carry = step(k, idx, z[idx, k - 1], rows_carry)
+            return (*new_carry, out.posterior.mean, out.posterior.cov, out.predicted.mean,
+                    out.predicted.cov, *(out.health[name] for name in health))
+        if lead:
+            idx, values = guarded_step(rows, alive, errors, generators)
+            if values is None:
+                break
+        else:
+            idx, values = np.arange(count), rows(np.arange(count))
+        if idx.size == count:
+            carry, idx = values[:len(carry)], slice(None)
+        else:
+            for state, value in zip(carry, values):
+                state[idx] = value
+        for array, value in zip(series, values[len(carry):]):
+            array[idx, k - 1] = value
+    post_mean, post_cov, pred_mean, pred_cov = (
+        array.reshape(lead + array.shape[1:]) for array in series[:4])
+    totals = {name: (array.min(axis=1) if name == "min_ess" else array.sum(axis=1)).reshape(lead)
+              for name, array in zip(health, series[4:])}
+    return FilterOutput(posterior=GaussianBelief(post_mean, post_cov),
+                        predicted=GaussianBelief(pred_mean, pred_cov),
+                        health=totals, errors=errors)
 
 
 def run_ukf(model: SystemModel, measurements: np.ndarray,
-            params: UTParams = UTParams()) -> list[FilterOutput]:
-    """Run the UKF over a measurement sequence, starting from the model prior."""
-    belief = GaussianBelief(model.prior.mean, model.prior.cov)
-    outputs: list[FilterOutput] = []
-    for k, z in enumerate(np.atleast_2d(np.asarray(measurements, dtype=float)), start=1):
-        out = ukf_step(model, k, belief, z, params)
-        outputs.append(out)
-        belief = out.posterior
-    return outputs
+            params: UTParams = UTParams()) -> FilterOutput:
+    """Run the UKF from the model prior over a measurement sequence (T, m),
+    or over a stack of runs' sequences (..., T, m) at once."""
+    count = int(np.prod(np.shape(measurements)[:-2]))
+    n = model.state_dim
+    carry = (np.broadcast_to(model.prior.mean, (count, n)).copy(),
+             np.broadcast_to(model.prior.cov, (count, n, n)).copy())
+
+    def step(k, idx, z, belief):
+        out = ukf_step(model, k, GaussianBelief(*belief), z, params)
+        return out, (out.posterior.mean, out.posterior.cov)
+
+    return _run_stack(model, measurements, step, carry, {"cov_repairs": 0})
 
 
 # -- particle filter ---------------------------------------------------------
 
 
+def _generators(seed) -> list:
+    """One Generator per cloud: a list of seeds for a stack, else one seed."""
+    if isinstance(seed, list):
+        return [np.random.default_rng(s) for s in seed]
+    return [np.random.default_rng(seed)]
+
+
+def _standard_normal(generators: list, lead: tuple, shape: tuple) -> np.ndarray:
+    """Draw shape from each cloud's own generator, stacked as lead + shape."""
+    if len(generators) != int(np.prod(lead)):
+        raise ValueError(f"{len(generators)} generators for {int(np.prod(lead))} clouds")
+    draws = np.empty((len(generators),) + shape)
+    for row, rng in enumerate(generators):
+        rng.standard_normal(shape, out=draws[row])
+    return draws.reshape(lead + shape)
+
+
 def init_particles(model: SystemModel, n_particles: int, seed) -> ParticleSet:
-    """Draw equally weighted particles from the model prior."""
+    """Draw equally weighted particles from the model prior.
+
+    seed is an int seed or Generator for one cloud (N, n), or a list of them
+    for a stack of clouds (R, N, n), each drawn from its own generator.
+    """
     if n_particles < 1:
         raise ValueError("n_particles must be positive")
-    rng = np.random.default_rng(seed)
+    lead = (len(seed),) if isinstance(seed, list) else ()
     chol = np.linalg.cholesky(model.prior.cov)
-    states = model.prior.mean + rng.standard_normal((n_particles, model.state_dim)) @ chol.T
-    return ParticleSet(states=states, weights=np.full(n_particles, 1.0 / n_particles))
+    draws = _standard_normal(_generators(seed), lead, (n_particles, model.state_dim))
+    states = model.prior.mean + draws @ chol.T
+    return ParticleSet(states=states, weights=np.full(lead + (n_particles,), 1.0 / n_particles))
 
 
-def particle_moments(states: np.ndarray, weights: np.ndarray) -> GaussianBelief:
-    """Weighted mean and covariance of a particle cloud (no bias correction)."""
-    mean = weights @ states
-    dev = states - mean
-    cov = symmetrize((dev * weights[:, None]).T @ dev)
-    return GaussianBelief(mean=mean, cov=regularize_cov(cov))
+def particle_moments(states: np.ndarray, weights: np.ndarray,
+                     repairs: Optional[np.ndarray] = None) -> GaussianBelief:
+    """Weighted mean and covariance of a particle cloud, or of each cloud of a
+    stack (no bias correction); repairs counts covariance repairs as in
+    regularize_cov."""
+    mean = (weights[..., None, :] @ states)[..., 0, :]
+    dev = states - mean[..., None, :]
+    cov = symmetrize((dev * weights[..., None]).mT @ dev)
+    return GaussianBelief(mean=mean, cov=regularize_cov(cov, repairs))
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -241,21 +414,22 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 
 
 def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(0, cov) at each row of resid, shape (N, m) -> (N,)."""
+    """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N)."""
     chol = sla.cho_factor(cov, lower=True)
+    m = cov.shape[0]
+    columns = np.moveaxis(resid, -1, 0)  # (m, ..., N): one solve for every run
     # skip scipy's finiteness gate; bad residuals must propagate to the
     # log-weights where pf_step raises a NumericError
-    sol = sla.cho_solve(chol, resid.T, check_finite=False)
-    quad = np.sum(resid.T * sol, axis=0)
+    sol = sla.cho_solve(chol, columns.reshape(m, -1), check_finite=False)
+    quad = np.sum(columns * sol.reshape(columns.shape), axis=0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    m = cov.shape[0]
     return -0.5 * (quad + logdet + m * np.log(2.0 * np.pi))
 
 
 def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
             seed, resample: str = "always", ess_threshold: float = 0.5
             ) -> tuple[ParticleSet, FilterOutput]:
-    """One bootstrap particle filter step at time k.
+    """One bootstrap particle filter step at time k, for one cloud or a stack.
 
     Particles are propagated through the transition with fresh process noise,
     reweighted by the measurement likelihood in the log domain (max
@@ -266,61 +440,87 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     Args:
         model: the system model.
         k: time index of the measurement being absorbed.
-        particles: current particle set.
-        z: measurement vector at time k.
-        seed: integer seed or numpy Generator for noise and resampling draws.
+        particles: current particle set, one cloud (N, n) or a stack (..., N, n).
+        z: measurement vector at time k, (m,) or one per cloud (..., m).
+        seed: integer seed or numpy Generator for noise and resampling draws;
+            for a stack, a list with one per cloud (flattened in C order).
         resample: "always" resamples every step; "adaptive" only when
             ESS < ess_threshold * N.
         ess_threshold: ESS fraction for adaptive resampling.
 
     Returns:
-        (new particle set, FilterOutput with predicted and posterior beliefs).
+        (new particle set, FilterOutput with predicted and posterior beliefs
+        and the step's health counts).
     """
     if resample not in ("always", "adaptive"):
         raise ValueError(f"unknown resample policy {resample!r}")
-    rng = np.random.default_rng(seed)
+    generators = _generators(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    n_particles = particles.states.shape[0]
+    lead = particles.weights.shape[:-1]
+    n_particles = particles.states.shape[-2]
 
-    noise = rng.standard_normal((n_particles, model.state_dim))
+    noise = _standard_normal(generators, lead, (n_particles, model.state_dim))
     chol_q = np.linalg.cholesky(model.process_cov_at(k))
     propagated = model.transition(k, particles.states) + noise @ chol_q.T
-    predicted = particle_moments(propagated, particles.weights)
+    repairs = np.zeros(lead, dtype=int)
+    predicted = particle_moments(propagated, particles.weights, repairs)
 
-    resid = z - model.measure(k, propagated)
+    resid = z[..., None, :] - model.measure(k, propagated)
     log_w = np.log(particles.weights) + _gaussian_loglik(resid, model.meas_cov_at(k))
     if not np.all(np.isfinite(log_w) | np.isneginf(log_w)):
         raise NumericError(f"non-finite particle log-weights at step {k}")
-    shifted = log_w - np.max(log_w)
+    shifted = log_w - np.max(log_w, axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    total = float(weights.sum())
-    if total <= 0.0 or not np.isfinite(total):
+    total = weights.sum(axis=-1, keepdims=True)
+    collapsed = ~((total > 0.0) & np.isfinite(total))[..., 0]
+    weights = weights / total
+    if np.any(collapsed):
         warnings.warn(f"all particle likelihoods vanished at step {k}; "
                       "falling back to uniform weights", RuntimeWarning)
-        weights = np.full(n_particles, 1.0 / n_particles)
-    else:
-        weights = weights / total
-    posterior = particle_moments(propagated, weights)
+        weights[collapsed] = 1.0 / n_particles
+    posterior = particle_moments(propagated, weights, repairs)
 
     updated = ParticleSet(states=propagated, weights=weights)
-    if resample == "always" or updated.ess < ess_threshold * n_particles:
-        idx = systematic_resample(weights, float(rng.random()))
-        updated = ParticleSet(states=propagated[idx],
-                              weights=np.full(n_particles, 1.0 / n_particles))
-    return updated, FilterOutput(posterior=posterior, predicted=predicted)
+    ess = updated.ess
+    resampled = np.full(lead, True) if resample == "always" else ess < ess_threshold * n_particles
+    if np.any(resampled):
+        clouds = propagated.reshape((-1,) + propagated.shape[-2:])
+        states = np.empty_like(clouds)
+        for row, (cloud, cloud_weights) in enumerate(zip(clouds, weights.reshape(-1, n_particles))):
+            if resampled.flat[row]:
+                picks = systematic_resample(cloud_weights, float(generators[row].random()))
+                np.take(cloud, picks, axis=0, out=states[row], mode="clip")
+            else:
+                states[row] = cloud
+        weights[resampled] = 1.0 / n_particles
+        updated = ParticleSet(states=states.reshape(propagated.shape), weights=weights)
+    health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
+              "collapses": collapsed.astype(int), "min_ess": ess}
+    return updated, FilterOutput(posterior=posterior, predicted=predicted, health=health)
 
 
 def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
-           resample: str = "always", ess_threshold: float = 0.5) -> list[FilterOutput]:
-    """Run the bootstrap particle filter over a measurement sequence."""
-    rng = np.random.default_rng(seed)
-    particles = init_particles(model, n_particles, rng)
-    outputs: list[FilterOutput] = []
-    for k, z in enumerate(np.atleast_2d(np.asarray(measurements, dtype=float)), start=1):
-        particles, out = pf_step(model, k, particles, z, rng,
-                                 resample=resample, ess_threshold=ess_threshold)
-        outputs.append(out)
-    return outputs
+           resample: str = "always", ess_threshold: float = 0.5) -> FilterOutput:
+    """Run the bootstrap particle filter over a measurement sequence (T, m),
+    or over a stack of runs' sequences (..., T, m) at once.
+
+    seed is an int seed or Generator for one run; for a stack, a list with
+    one per run (flattened in C order), each run drawing only from its own.
+    """
+    stacked = np.ndim(measurements) > 2
+    generators = _generators(seed)
+    if stacked != isinstance(seed, list) or len(generators) != np.prod(np.shape(measurements)[:-2]):
+        raise ValueError("seed must be a list with one seed per run for a stack of runs")
+    particles = init_particles(model, n_particles, generators)
+
+    def step(k, idx, z, cloud):
+        updated, out = pf_step(model, k, ParticleSet(*cloud), z,
+                               [generators[i] for i in idx], resample, ess_threshold)
+        return out, (updated.states, updated.weights)
+
+    return _run_stack(model, measurements, step, (particles.states, particles.weights),
+                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf},
+                      generators)
 
 
 def kalman_step(a: np.ndarray, h: np.ndarray, q: np.ndarray, r: np.ndarray,

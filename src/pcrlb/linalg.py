@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["NumericError", "symmetrize", "spd_inverse", "inv_lemma_split"]
+__all__ = ["NumericError", "symmetrize", "jitter_ladder", "spd_inverse", "inv_lemma_split"]
+
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 # Jitter escalation for barely-indefinite matrices: relative to trace/n,
 # starting at 1e-12 and growing by decades up to 1e-6.
@@ -40,61 +42,99 @@ def _check_square_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _cholesky_with_jitter(m: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Factor one matrix, adding the smallest ladder jitter that makes it factor.
+def jitter_ladder(m: np.ndarray, start: float = _JITTER_START,
+                  stop: float = _JITTER_STOP) -> tuple[np.ndarray, np.ndarray]:
+    """Make each matrix of a stack Cholesky-factorable with the least ladder jitter.
 
-    The jitter is scaled by trace(m)/n and escalates from 1e-12 to 1e-6 by
-    decades; past that the matrix is treated as genuinely indefinite.
+    The stack is factored in one batched call.  Only the elements that fail
+    go one by one up the ladder: a diagonal jitter of start * trace(m)/n,
+    growing by decades while it stays within stop * trace(m)/n.  Non-finite
+    entries pass through untouched (the factorization does not reject them).
+
+    Args:
+        m: symmetric matrix (n, n) or stack of them (..., n, n).
+        start, stop: the ladder's range, relative to trace/n.
 
     Returns:
-        (the factored matrix m + jitter * I, its scipy Cholesky factor).
+        (m with the jitter added to the elements that needed it, boolean mask
+        of those elements with the stack's leading shape).
+
+    Raises:
+        NumericError: an element still fails at the top of the ladder.
     """
-    n = m.shape[0]
-    scale = float(np.trace(m)) / n
-    if scale <= 0.0:
-        scale = 1.0
-    eye = np.eye(n)
-    jitter = 0.0
-    while True:
-        try:
-            shifted = m + jitter * eye
-            return shifted, sla.cho_factor(shifted, lower=True)
-        except np.linalg.LinAlgError:
-            jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > _JITTER_STOP * scale:
-                eigmin = float(sla.eigvalsh(m)[0])
-                raise NumericError(
-                    "matrix is not positive definite within jitter budget: "
-                    f"min eigenvalue {eigmin:.3e}, trace/n {scale:.3e}"
-                ) from None
+    repaired = np.zeros(m.shape[:-2], dtype=bool)
+    try:
+        np.linalg.cholesky(m)
+        return m, repaired
+    except np.linalg.LinAlgError:
+        pass
+    m = m.copy()
+    eye = np.eye(m.shape[-1])
+    for index in np.ndindex(m.shape[:-2]):
+        element = m[index]
+        scale = float(np.trace(element)) / m.shape[-1]
+        if scale <= 0.0:
+            scale = 1.0
+        jitter = 0.0
+        while True:
+            try:
+                np.linalg.cholesky(element + jitter * eye)
+                break
+            except np.linalg.LinAlgError:
+                jitter = start * scale if jitter == 0.0 else jitter * 10.0
+                if jitter > stop * scale:
+                    eigmin = float(sla.eigvalsh(element)[0])
+                    raise NumericError(
+                        "matrix is not positive definite within jitter budget: "
+                        f"min eigenvalue {eigmin:.3e}, trace/n {scale:.3e}"
+                    ) from None
+        if jitter:
+            m[index] = element + jitter * eye
+            repaired[index] = True
+    return m, repaired
 
 
-def spd_inverse(m: np.ndarray) -> np.ndarray:
+def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
+    """Invert each factorable matrix of a stack through its own Cholesky factor.
+
+    Calls LAPACK potrf/potrs once per element, as scipy's cho_factor and
+    cho_solve do, so each element gets the bytes a single-matrix inverse gives.
+    """
+    if not np.all(np.isfinite(m)):
+        raise ValueError("array must not contain infs or NaNs")
+    eye = np.eye(m.shape[-1])
+    out = np.empty_like(m)
+    for index in np.ndindex(m.shape[:-2]):
+        factor, info = _POTRF(m[index], lower=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        out[index], info = _POTRS(factor, eye, lower=1)
+    return symmetrize(out)
+
+
+def spd_inverse(m: np.ndarray, cholesky: bool = False) -> np.ndarray:
     """Invert a symmetric positive definite matrix, or each matrix of a stack.
 
-    A single matrix is inverted through its Cholesky factor.  A stack is
-    factored in one batched call; only the elements that fail to factor go
-    through the jitter ladder (see _cholesky_with_jitter), and the stack is
-    then inverted in one batched LU call.  An element past the jitter budget
-    raises a NumericError with its condition diagnostics.
+    Elements that fail to factor first go up the jitter ladder (see
+    jitter_ladder, 1e-12 to 1e-6 of trace/n).  A single matrix is then
+    inverted through its Cholesky factor, a stack in one batched LU call.  An
+    element past the jitter budget raises a NumericError with its condition
+    diagnostics.
 
     Args:
         m: symmetric positive (semi)definite matrix, shape (n, n), or a
             stack of them, shape (..., n, n).
+        cholesky: invert each element of a stack through its own Cholesky
+            factor, as a single matrix is, so that element i has the bytes
+            of spd_inverse(m[i]).
 
     Returns:
         Symmetrized inverse of m, same shape as m.
     """
-    m = _check_square_symmetric(m, "m")
-    if m.ndim == 2:
-        _, chol = _cholesky_with_jitter(m)
-        return symmetrize(sla.cho_solve(chol, np.eye(m.shape[0])))
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        m = m.copy()
-        for index in np.ndindex(m.shape[:-2]):
-            m[index], _ = _cholesky_with_jitter(m[index])
+    m, _ = jitter_ladder(_check_square_symmetric(m, "m"))
+    if m.ndim == 2 or cholesky:
+        return _cholesky_inverse(m)
     return symmetrize(np.linalg.inv(m))
 
 

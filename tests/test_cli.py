@@ -194,6 +194,13 @@ def test_cmd_run_writes_all_outputs(tmp_path):
         for counts in meta[key].values():
             assert len(counts) == 6
             assert all(0 <= c <= 3 for c in counts)
+    health = meta["filter_health"]
+    assert sorted(health) == ["pf", "ukf"]
+    assert health["ukf"] == {"cov_repairs": 0}
+    assert sorted(health["pf"]) == ["collapses", "cov_repairs", "min_ess", "resamples"]
+    assert health["pf"]["resamples"] == 3 * 6  # resample = always, 3 runs x 6 steps
+    assert health["pf"]["collapses"] == 0
+    assert 1.0 <= health["pf"]["min_ess"] <= 40.0
     assert "elapsed_seconds" in meta
 
 

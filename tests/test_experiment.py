@@ -1,8 +1,12 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pcrlb import experiment
+from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    aggregate_bounds, build_model, derive_run_seed,
                    fim_recursion_step, gap_series, initial_fim, kalman_step,
@@ -53,8 +57,8 @@ def test_linear_config_mean_cov_series_matches_rewired_recursion():
     expected = []
     for k in range(1, config.horizon + 1):
         prev = (GaussianBelief(model.prior.mean, model.prior.cov) if k == 1
-                else outputs[k - 2].posterior)
-        meas = outputs[k - 1].predicted
+                else GaussianBelief(outputs.posterior.mean[k - 2], outputs.posterior.cov[k - 2]))
+        meas = GaussianBelief(outputs.predicted.mean[k - 1], outputs.predicted.cov[k - 1])
         j = fim_recursion_step(j, mean_cov_terms(model, k, prev, meas))
         expected.append(spd_inverse(j))
     assert_allclose(result.bounds[("mean_cov", "ukf")], np.stack(expected),
@@ -74,7 +78,7 @@ def test_kalman_mse_respects_reference_bound():
         run_seed = derive_run_seed(config.master_seed, i)
         traj = sample_trajectory(model, config.horizon, derive_run_seed(run_seed, 0))
         outputs = run_ukf(model, traj.measurements, config.ut)
-        est = np.stack([o.posterior.mean for o in outputs])
+        est = outputs.posterior.mean
         sq_errors[i] = np.sum((traj.states[1:] - est) ** 2, axis=1)
 
     mse = sq_errors.mean(axis=0)
@@ -95,6 +99,61 @@ def test_worker_count_does_not_change_results():
     for est in serial.gaps:
         for field in ("analytic", "direct", "violations"):
             assert np.array_equal(serial.gaps[est][field], parallel.gaps[est][field])
+
+
+def write_outputs(result, outdir):
+    outdir.mkdir()
+    for writer, name in ((write_rmse_csv, "rmse.csv"), (write_bounds_csv, "bounds.csv"),
+                         (write_gap_csv, "gap.csv")):
+        writer(outdir / name, result)
+    return {name: (outdir / name).read_bytes() for name in ("rmse.csv", "bounds.csv", "gap.csv")}
+
+
+def test_blocks_over_three_workers_give_the_same_csv_bytes(tmp_path):
+    base = dict(model_name="ungm", horizon=10, runs=7, particles=60, master_seed=11)
+    # three blocks (3 + 3 + 1 runs) on three processes against one block of 7
+    assert [len(b) for b in experiment._blocks(ExperimentConfig(**base, workers=3), 1)] == [3, 3, 1]
+    serial = run_experiment(ExperimentConfig(**base, workers=1))
+    pooled = run_experiment(ExperimentConfig(**base, workers=3))
+    assert write_outputs(serial, tmp_path / "serial") == write_outputs(pooled, tmp_path / "pooled")
+    assert serial.filter_health == pooled.filter_health
+
+
+def test_block_size_follows_the_particle_budget():
+    def sizes(**kwargs):
+        config = ExperimentConfig(model_name="ungm", horizon=2, **kwargs)
+        return [len(b) for b in experiment._blocks(config, 1)]
+
+    assert sizes(runs=20, particles=1000) == [20]
+    assert sizes(runs=100, particles=1000) == [32, 32, 32, 4]
+    assert sizes(runs=3, particles=20000) == [1, 1, 1]
+    assert sizes(runs=20, particles=1000, workers=2) == [10, 10]
+
+
+def test_forced_collapse_counts_exactly_once_in_meta(monkeypatch, tmp_path):
+    """A run whose particle likelihoods all vanish at one step completes and
+    shows up as one collapse in meta.json's filter health."""
+    config = ExperimentConfig(model_name="ungm", horizon=8, runs=3, particles=50,
+                              estimators=("pf",), methods=("true", "mean_only"))
+    target = derive_run_seed(derive_run_seed(config.master_seed, 1), 0)
+    original = experiment.sample_trajectory
+
+    def extreme(model, horizon, seed):
+        trajectory = original(model, horizon, seed)
+        if seed == target:
+            trajectory.measurements[3] = 1e200
+        return trajectory
+
+    monkeypatch.setattr(experiment, "sample_trajectory", extreme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_experiment(config)
+    assert result.runs_used == 3 and not result.failed_runs
+    assert result.filter_health["pf"]["collapses"] == 1
+    assert result.filter_health["pf"]["resamples"] == 3 * 8
+    write_meta(tmp_path / "meta.json", config, {"dir": ".", "plots": False}, result)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["filter_health"]["pf"]["collapses"] == 1
 
 
 def test_same_seed_reproduces_everything():
@@ -217,26 +276,27 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
     left out of every aggregate; the other runs' results do not change."""
     config = ExperimentConfig(model_name="ungm", horizon=8, runs=4, particles=50,
                               max_failure_fraction=0.5)
-    filters_only = experiment._single_run
+    filters_only = experiment._filter_block
 
-    def diverged(config, index):
-        result = filters_only(config, index)
-        if index == 2:  # the UKF estimate of run 2 blows up at step 3
-            post = result.posterior["ukf"]
+    def diverged(config, indices):
+        block = filters_only(config, indices)
+        for position in np.flatnonzero(block.indices == 2):
+            # the UKF estimate of run 2 blows up at step 3
+            post = block.posterior["ukf"]
             mean = post.mean.copy()
-            mean[2] = 1e200
-            result.posterior["ukf"] = GaussianBelief(mean, post.cov)
-        return result
+            mean[position, 2] = 1e200
+            block.posterior["ukf"] = GaussianBelief(mean, post.cov)
+        return block
 
-    def skipped(config, index):
-        result = filters_only(config, index)
-        if index == 2:
-            result.failed, result.error = True, "skipped"
-        return result
+    def skipped(config, indices):
+        block = filters_only(config, indices)
+        for position in np.flatnonzero(block.indices == 2):
+            block.errors[int(position)] = "skipped"
+        return block
 
-    monkeypatch.setattr(experiment, "_single_run", diverged)
+    monkeypatch.setattr(experiment, "_filter_block", diverged)
     got = run_experiment(config)
-    monkeypatch.setattr(experiment, "_single_run", skipped)
+    monkeypatch.setattr(experiment, "_filter_block", skipped)
     want = run_experiment(config)
 
     assert [index for index, _ in got.failed_runs] == [2]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (GaussianBelief, ParticleSet, UTParams, init_particles, kalman_step,
-                   linear_gaussian_model, particle_moments, pf_step, run_pf, run_ukf,
-                   sample_trajectory, sigma_points, systematic_resample, ukf_step,
-                   ungm_model, unscented_transform)
+from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTParams, init_particles,
+                   kalman_step, linear_gaussian_model, particle_moments, pf_step,
+                   regularize_cov, run_pf, run_ukf, sample_trajectory, sigma_points,
+                   systematic_resample, ukf_step, ungm_model, unscented_transform)
 
 from conftest import random_stable_linear_model
 
@@ -55,7 +55,7 @@ def test_unscented_transform_linear_exact(rng):
     a = rng.standard_normal((2, 2))
     belief = GaussianBelief(rng.standard_normal(2), np.diag([1.5, 0.7]))
     noise = np.eye(2) * 0.3
-    mean, cov, cross = unscented_transform(lambda x: a @ x, belief, noise, UTParams())
+    mean, cov, cross = unscented_transform(lambda x: x @ a.T, belief, noise, UTParams())
     assert_allclose(mean, a @ belief.mean, atol=1e-10)
     assert_allclose(cov, a @ belief.cov @ a.T + noise, atol=1e-10)
     assert_allclose(cross, belief.cov @ a.T, atol=1e-10)
@@ -75,10 +75,10 @@ def test_ukf_matches_kalman_over_50_steps(rng):
         traj = sample_trajectory(model, 50, rng.integers(2**32))
         kalman = kalman_run(model, traj.measurements)
         ukf = run_ukf(model, traj.measurements)
-        for ko, uo in zip(kalman, ukf):
-            assert_allclose(uo.posterior.mean, ko.posterior.mean, atol=1e-9)
-            assert_allclose(uo.posterior.cov, ko.posterior.cov, atol=1e-9)
-            assert_allclose(uo.predicted.mean, ko.predicted.mean, atol=1e-9)
+        for k, ko in enumerate(kalman):
+            assert_allclose(ukf.posterior.mean[k], ko.posterior.mean, atol=1e-9)
+            assert_allclose(ukf.posterior.cov[k], ko.posterior.cov, atol=1e-9)
+            assert_allclose(ukf.predicted.mean[k], ko.predicted.mean, atol=1e-9)
 
 
 def test_ukf_uninformative_measurement():
@@ -179,7 +179,7 @@ def test_pf_converges_to_kalman(rng):
     errors = {}
     for n in (100, 10000):
         outputs = run_pf(model, traj.measurements, n_particles=n, seed=2024)
-        errors[n] = abs(outputs[-1].posterior.mean[0] - k_mean[0])
+        errors[n] = abs(outputs.posterior.mean[-1, 0] - k_mean[0])
     assert errors[10000] < errors[100]
     assert errors[10000] < 3.0 * np.sqrt(k_var / 10000)
 
@@ -204,9 +204,8 @@ def test_pf_reproducible():
     traj = sample_trajectory(model, 15, 42)
     a = run_pf(model, traj.measurements, n_particles=300, seed=9)
     b = run_pf(model, traj.measurements, n_particles=300, seed=9)
-    for oa, ob in zip(a, b):
-        assert np.array_equal(oa.posterior.mean, ob.posterior.mean)
-        assert np.array_equal(oa.posterior.cov, ob.posterior.cov)
+    assert np.array_equal(a.posterior.mean, b.posterior.mean)
+    assert np.array_equal(a.posterior.cov, b.posterior.cov)
 
 
 def test_pf_vanished_likelihood_warns():
@@ -232,6 +231,121 @@ def test_ukf_reproducible():
     traj = sample_trajectory(model, 20, 8)
     a = run_ukf(model, traj.measurements)
     b = run_ukf(model, traj.measurements)
-    for oa, ob in zip(a, b):
-        assert np.array_equal(oa.posterior.mean, ob.posterior.mean)
-        assert np.array_equal(oa.posterior.cov, ob.posterior.cov)
+    assert np.array_equal(a.posterior.mean, b.posterior.mean)
+    assert np.array_equal(a.posterior.cov, b.posterior.cov)
+
+
+def stacked_setup(name, runs, horizon=25):
+    """A model, a stack of runs' measurements (R, T, m) and one PF seed per run."""
+    if name == "ungm":
+        model = ungm_model()
+    else:
+        model = linear_gaussian_model([[0.584, -0.178], [-0.726, 0.365]],
+                                      [[1.077, 0.81], [0.499, -1.444]],
+                                      [[0.8, 0.2], [0.2, 0.5]], [[1.2, -0.3], [-0.3, 0.9]],
+                                      [0.5, -1.0], [[2.0, 0.4], [0.4, 1.5]])
+    measurements = np.stack([sample_trajectory(model, horizon, 100 + i).measurements
+                             for i in range(runs)])
+    return model, measurements, [1000 + i for i in range(runs)]
+
+
+def assert_same_output(got, want):
+    for channel in ("posterior", "predicted"):
+        for part in ("mean", "cov"):
+            assert np.array_equal(getattr(getattr(got, channel), part),
+                                  getattr(getattr(want, channel), part))
+    assert got.health.keys() == want.health.keys()
+    for name in want.health:
+        assert np.array_equal(got.health[name], want.health[name])
+
+
+def row_of(out, i):
+    """Row i of a stacked filter output, shaped like a single-run output."""
+    return FilterOutput(GaussianBelief(out.posterior.mean[i], out.posterior.cov[i]),
+                        GaussianBelief(out.predicted.mean[i], out.predicted.cov[i]),
+                        {name: value[i] for name, value in out.health.items()})
+
+
+@pytest.mark.parametrize("resample", ["always", "adaptive"])
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_stacked_filters_match_single_runs_bit_for_bit(name, resample):
+    model, measurements, seeds = stacked_setup(name, runs=4)
+    ukf = run_ukf(model, measurements)
+    pf = run_pf(model, measurements, 150, seeds, resample=resample, ess_threshold=0.6)
+    assert ukf.posterior.mean.shape == (4, 25, model.state_dim)
+    assert pf.posterior.cov.shape == (4, 25, model.state_dim, model.state_dim)
+    assert len(pf) == 4 * 25 and not ukf.errors and not pf.errors
+    for i in range(4):
+        single = run_pf(model, measurements[i], 150, seeds[i], resample=resample,
+                        ess_threshold=0.6)
+        assert_same_output(row_of(pf, i), single)
+        assert_same_output(row_of(ukf, i), run_ukf(model, measurements[i]))
+    if resample == "adaptive":
+        assert 0 < pf.health["resamples"].sum() < 4 * 25
+
+
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_splitting_a_stack_into_blocks_gives_the_same_bytes(name):
+    model, measurements, seeds = stacked_setup(name, runs=5)
+    whole = run_pf(model, measurements, 100, seeds, resample="adaptive")
+    parts = [run_pf(model, measurements[block], 100, seeds[block], resample="adaptive")
+             for block in (slice(0, 2), slice(2, 5))]
+    for channel in ("posterior", "predicted"):
+        for part in ("mean", "cov"):
+            joined = np.concatenate([getattr(getattr(p, channel), part) for p in parts])
+            assert np.array_equal(getattr(getattr(whole, channel), part), joined)
+    ukf_parts = [run_ukf(model, measurements[block]) for block in (slice(0, 3), slice(3, 5))]
+    assert np.array_equal(run_ukf(model, measurements).posterior.cov,
+                          np.concatenate([p.posterior.cov for p in ukf_parts]))
+
+
+def test_nan_measurement_fails_only_its_run():
+    model, measurements, seeds = stacked_setup("ungm", runs=4)
+    clean_pf = run_pf(model, measurements, 100, seeds)
+    clean_ukf = run_ukf(model, measurements)
+    measurements[2, 5] = np.nan  # the measurement of step 6
+    pf = run_pf(model, measurements, 100, seeds)
+    ukf = run_ukf(model, measurements)
+    assert pf.errors == {2: "NumericError: non-finite particle log-weights at step 6"}
+    # the UKF absorbs the NaN into its mean and fails on the next covariance
+    assert ukf.errors == {2: "NumericError: filter covariance is not finite"}
+    keep = [0, 1, 3]
+    for got, want in ((pf, clean_pf), (ukf, clean_ukf)):
+        assert np.array_equal(got.posterior.mean[keep], want.posterior.mean[keep])
+        assert np.array_equal(got.predicted.cov[keep], want.predicted.cov[keep])
+        assert np.array_equal(got.posterior.mean[2, :5], want.posterior.mean[2, :5])
+    with pytest.raises(NumericError, match="non-finite particle log-weights at step 6"):
+        run_pf(model, measurements[2], 100, seeds[2])
+
+
+def test_regularize_cov_rejects_non_finite_covariance():
+    with pytest.raises(NumericError, match="filter covariance is not finite"):
+        regularize_cov(np.array([[np.nan]]))
+    with pytest.raises(NumericError, match="filter covariance is not finite"):
+        regularize_cov(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
+
+
+def test_regularize_cov_repairs_only_failing_elements():
+    good = np.array([[2.0, 0.5], [0.5, 1.0]])
+    rank_one = np.ones((2, 2))  # singular: needs the first rung of the ladder
+    repairs = np.zeros(3, dtype=int)
+    out = regularize_cov(np.stack([good, rank_one, good]), repairs)
+    assert repairs.tolist() == [0, 1, 0]
+    assert np.array_equal(out[[0, 2]], np.stack([good, good]))
+    assert np.array_equal(out[1], rank_one + 1e-10 * np.eye(2))
+    assert np.array_equal(regularize_cov(rank_one), out[1])
+    with pytest.raises(NumericError, match="not repairable"):
+        regularize_cov(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_pf_collapse_counts_once_and_run_continues():
+    model, measurements, seeds = stacked_setup("ungm", runs=2, horizon=8)
+    measurements[1, 3] = 1e200  # every particle likelihood vanishes at step 4
+    with pytest.warns(RuntimeWarning, match="vanished at step 4"):
+        pf = run_pf(model, measurements, 50, seeds)
+    assert pf.health["collapses"].tolist() == [0, 1]
+    assert pf.health["resamples"].tolist() == [8, 8]
+    assert not pf.errors
+    assert np.all(np.isfinite(pf.posterior.mean))
