@@ -15,20 +15,21 @@ the configured estimators, and produces:
 
 The work runs in two stages.  First the runs are filtered in blocks
 (``_filter_block``), mapped over a process pool when ``workers`` > 1: each
-block samples its runs' trajectories one by one, then runs each estimator
-once over the block's stack of measurement sequences, and returns (R, T, n)
-mean and (R, T, n, n) covariance stacks.  A block holds about 2^15 particle
-values (block x N x n), so at N = 1000 one block takes 32 runs and at
-N = 20000 one run, and there are at least ``workers`` blocks.  Every run is a
-pure function of (config, run index): run seeds come from a splitmix64
-avalanche of the master seed and the particle filter draws only from the
-run's own Generator, so the block split changes no byte.  The bound engines
-then run in the calling process over the completed runs' beliefs, stacked in
-run-index order: each engine makes one batched call per time step for all R
-runs.  A run whose own stack element fails, in a filter or in a bound
-engine, is marked failed with that error (the first failing estimator in
-config order) and left out of every aggregate; the other runs are
-unaffected.  Results are bit-identical for any worker count.
+block samples its runs' trajectories in one stacked call, then runs each
+estimator once over the block's stack of measurement sequences, and returns
+(R, T, n) mean and (R, T, n, n) covariance stacks.  A block holds about
+2^15 particle values (block x N x n), so at N = 1000 one block takes 32 runs
+and at N = 20000 one run, and there are at least ``workers`` blocks.  Every
+run is a pure function of (config, run index): run seeds come from a
+splitmix64 avalanche of the master seed, and the sampler and the particle
+filter draw only from the run's own Generators, so the block split changes
+no byte.  The bound engines then run in the calling process over the
+completed runs' beliefs, stacked in run-index order: each engine makes one
+batched call per time step for all R runs.  A run whose own stack element
+fails, in sampling, a filter or a bound engine, is marked failed with that
+error (the first failing estimator in config order) and left out of every
+aggregate; the other runs are unaffected.  Results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import RUN_ERRORS, UTParams, error_text, guarded_step, run_pf, run_ukf
+from .filters import UTParams, guarded_step, run_pf, run_ukf
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, ill_conditioned, initial_fim, mean_only_terms,
                   spd_inverse, true_fim_terms_mc)
@@ -211,14 +212,15 @@ def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
     states = np.zeros((count, horizon + 1, n))
     measurements = np.zeros((count, horizon, model.meas_dim))
     errors: dict = {}
-    for position, seed in enumerate(seeds):
-        try:
-            trajectory = sample_trajectory(model, horizon, derive_run_seed(seed, 0))
-        except RUN_ERRORS as exc:
-            errors[position] = error_text(exc)
-        else:
-            states[position] = trajectory.states
-            measurements[position] = trajectory.measurements
+
+    def sample(idx):
+        trajectory = sample_trajectory(model, horizon,
+                                       [derive_run_seed(seeds[i], 0) for i in idx])
+        return trajectory.states, trajectory.measurements
+
+    idx, rows = guarded_step(sample, np.ones(count, dtype=bool), errors)
+    if rows is not None:
+        states[idx], measurements[idx] = rows
     block = _Block(np.asarray(indices), states, {}, {}, {}, errors)
     for estimator in config.estimators:
         # every run goes through every filter; a run keeps its first error

@@ -414,15 +414,24 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 
 
 def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N)."""
-    chol = sla.cho_factor(cov, lower=True)
+    """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N).
+
+    Bad residuals propagate to the log-weights, where pf_step raises a
+    NumericError.
+    """
     m = cov.shape[0]
     columns = np.moveaxis(resid, -1, 0)  # (m, ..., N): one solve for every run
-    # skip scipy's finiteness gate; bad residuals must propagate to the
-    # log-weights where pf_step raises a NumericError
-    sol = sla.cho_solve(chol, columns.reshape(m, -1), check_finite=False)
-    quad = np.sum(columns * sol.reshape(columns.shape), axis=0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    if m == 1:
+        # what LAPACK potrs does with a 1 x 1 factor: scale by 1/l twice
+        factor = np.linalg.cholesky(cov)
+        sol = columns * (1.0 / factor[0, 0]) * (1.0 / factor[0, 0])
+    else:
+        factor, lower = sla.cho_factor(cov, lower=True)
+        # skip scipy's finiteness gate, see above
+        sol = sla.cho_solve((factor, lower), columns.reshape(m, -1),
+                            check_finite=False).reshape(columns.shape)
+    quad = np.sum(columns * sol, axis=0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return -0.5 * (quad + logdet + m * np.log(2.0 * np.pi))
 
 

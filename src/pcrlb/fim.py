@@ -178,8 +178,8 @@ def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
         raise ValueError("states_prev and states_new must have matching shapes")
     if states_prev.shape[0] < 1:
         raise ValueError("at least one trajectory sample is required")
-    q_inv = spd_inverse(model.process_cov_at(k))
-    r_inv = spd_inverse(model.meas_cov_at(k))
+    q_inv = model.process_precision_at(k)
+    r_inv = model.meas_precision_at(k)
     f_jac = model.transition_jacobian(k, states_prev)
     h_jac = model.measurement_jacobian(k, states_new)
     f_bar = f_jac.mean(axis=0)
@@ -207,8 +207,8 @@ def mean_only_terms(model: SystemModel, k: int, x_prev: np.ndarray,
     if x_new is None:
         x_new = model.transition(k, x_prev)
     x_new = np.atleast_1d(np.asarray(x_new, float))
-    q_inv = spd_inverse(model.process_cov_at(k))
-    r_inv = spd_inverse(model.meas_cov_at(k))
+    q_inv = model.process_precision_at(k)
+    r_inv = model.meas_precision_at(k)
     f_jac = model.transition_jacobian(k, x_prev)
     h_jac = model.measurement_jacobian(k, x_new)
     return FimTriple(d11=f_jac.mT @ q_inv @ f_jac,
@@ -240,8 +240,8 @@ def _ingredients(model: SystemModel, k: int, state_belief: GaussianBelief,
         meas_derivs=measurement_moment_map_derivatives(model, k, meas_belief),
         f_jac=model.transition_jacobian(k, state_belief.mean),
         h_jac=model.measurement_jacobian(k, meas_belief.mean),
-        q_inv=spd_inverse(model.process_cov_at(k)),
-        r_inv=spd_inverse(model.meas_cov_at(k)),
+        q_inv=model.process_precision_at(k),
+        r_inv=model.meas_precision_at(k),
     )
 
 

@@ -20,11 +20,12 @@ derivatives take one state of shape (n,) or a stack of states (..., n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import symmetrize
+from .linalg import spd_inverse, symmetrize
 
 __all__ = [
     "GaussianPrior",
@@ -151,6 +152,9 @@ class SystemModel:
     time.  Derivative callables always take a stack (..., n) and return
     (..., m, n) Jacobians and (..., m, n, n) Hessians; a single state (n,)
     gives (m, n) and (m, n, n).
+
+    The precisions of the time-constant noise covariances are inverted once,
+    on first use, and handed out read-only.
     """
 
     state_dim: int
@@ -245,52 +249,94 @@ class SystemModel:
             return np.atleast_2d(np.asarray(self.meas_cov_fn(k), dtype=float))
         return self.meas_cov
 
+    @cached_property
+    def _precisions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only inverses of the time-constant process_cov and meas_cov."""
+        precisions = (spd_inverse(self.process_cov), spd_inverse(self.meas_cov))
+        for precision in precisions:
+            precision.setflags(write=False)
+        return precisions
+
+    def process_precision_at(self, k: int) -> np.ndarray:
+        """Q_k^-1, as spd_inverse(process_cov_at(k)) gives it."""
+        if self.process_cov_fn is not None:
+            return spd_inverse(self.process_cov_at(k))
+        return self._precisions[0]
+
+    def meas_precision_at(self, k: int) -> np.ndarray:
+        """R_k^-1, as spd_inverse(meas_cov_at(k)) gives it."""
+        if self.meas_cov_fn is not None:
+            return spd_inverse(self.meas_cov_at(k))
+        return self._precisions[1]
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled state/measurement history.
+    """One sampled state/measurement history, or a stack of them.
 
-    states has shape (T+1, n) with row 0 the initial state; measurements has
-    shape (T, m) with row k-1 the measurement of state k.
+    states has shape (..., T+1, n) with row 0 the initial state; measurements
+    has shape (..., T, m) with row k-1 the measurement of state k.
     """
 
     states: np.ndarray
     measurements: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.states.shape[0] != self.measurements.shape[0] + 1:
+        if self.states.shape[-2] != self.measurements.shape[-2] + 1:
             raise ValueError("states must have exactly one more row than measurements")
         if not (np.all(np.isfinite(self.states)) and np.all(np.isfinite(self.measurements))):
             raise ValueError("trajectory contains non-finite values")
 
 
+def _noise(chol: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """chol @ draws[i] for each row i of a (R, d) stack, one matrix-vector
+    product per row as for a single (d,) draw."""
+    return (chol @ draws[..., None])[..., 0]
+
+
 def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
-    """Draw one trajectory of the model over ``horizon`` steps.
+    """Draw one trajectory of the model over ``horizon`` steps, or a stack of them.
+
+    Each trajectory draws its n + T (n + m) standard normals from its own
+    Generator in one call, in the order prior draw, then per step k the
+    process noise followed by the measurement noise.  A stack steps all its
+    runs at once, and each of its elements has the bytes of the single-run
+    call with the same seed.
 
     Args:
         model: the system to simulate.
         horizon: number of transitions T; the trajectory holds T+1 states.
-        seed: integer seed or numpy Generator.
+        seed: integer seed or numpy Generator for one trajectory; for a
+            stack, a list with one per trajectory.
 
     Returns:
-        Trajectory with states (T+1, n) and measurements (T, m).
+        Trajectory with states (T+1, n) and measurements (T, m), or
+        (R, T+1, n) and (R, T, m) for a list of R seeds.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
+    seeds = seed if isinstance(seed, list) else [seed]
     n, m = model.state_dim, model.meas_dim
-    states = np.empty((horizon + 1, n))
-    measurements = np.empty((horizon, m))
-    chol_prior = np.linalg.cholesky(model.prior.cov)
-    states[0] = model.prior.mean + chol_prior @ rng.standard_normal(n)
+    draws = np.stack([np.random.default_rng(s).standard_normal(n + horizon * (n + m))
+                      for s in seeds])
+    steps = draws[:, n:].reshape(len(seeds), horizon, n + m)
+    chol_q = np.linalg.cholesky(np.stack([model.process_cov_at(k)
+                                          for k in range(1, horizon + 1)]))
+    chol_r = np.linalg.cholesky(np.stack([model.meas_cov_at(k)
+                                          for k in range(1, horizon + 1)]))
+    states = np.empty((len(seeds), horizon + 1, n))
+    measurements = np.empty((len(seeds), horizon, m))
+    states[:, 0] = model.prior.mean + _noise(np.linalg.cholesky(model.prior.cov), draws[:, :n])
+    # each state as a 1 x n row, so a matmul map makes one vector-matrix
+    # product per run, as for a single (n,) state
     for k in range(1, horizon + 1):
-        chol_q = np.linalg.cholesky(model.process_cov_at(k))
-        chol_r = np.linalg.cholesky(model.meas_cov_at(k))
-        states[k] = model.transition(k, states[k - 1]) + chol_q @ rng.standard_normal(n)
-        measurements[k - 1] = model.measure(k, states[k]) + chol_r @ rng.standard_normal(m)
-    return Trajectory(states=states, measurements=measurements,
-                      seed=seed if isinstance(seed, (int, np.integer)) else None)
+        states[:, k] = (model.transition(k, states[:, None, k - 1])[:, 0]
+                        + _noise(chol_q[k - 1], steps[:, k - 1, :n]))
+        measurements[:, k - 1] = (model.measure(k, states[:, None, k])[:, 0]
+                                  + _noise(chol_r[k - 1], steps[:, k - 1, n:]))
+    if not isinstance(seed, list):
+        states, measurements = states[0], measurements[0]
+    return Trajectory(states=states, measurements=measurements)
 
 
 def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from pcrlb import experiment
 from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
-from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
-                   aggregate_bounds, build_model, derive_run_seed,
+from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief, GaussianPrior,
+                   SystemModel, aggregate_bounds, build_model, derive_run_seed,
                    fim_recursion_step, gap_series, initial_fim, kalman_step,
                    mean_cov_terms, rmse_series, run_experiment, run_ukf,
                    sample_trajectory, spd_inverse, true_bound_series)
@@ -138,10 +138,10 @@ def test_forced_collapse_counts_exactly_once_in_meta(monkeypatch, tmp_path):
     target = derive_run_seed(derive_run_seed(config.master_seed, 1), 0)
     original = experiment.sample_trajectory
 
-    def extreme(model, horizon, seed):
-        trajectory = original(model, horizon, seed)
-        if seed == target:
-            trajectory.measurements[3] = 1e200
+    def extreme(model, horizon, seeds):
+        trajectory = original(model, horizon, seeds)
+        if target in seeds:
+            trajectory.measurements[seeds.index(target), 3] = 1e200
         return trajectory
 
     monkeypatch.setattr(experiment, "sample_trajectory", extreme)
@@ -154,6 +154,27 @@ def test_forced_collapse_counts_exactly_once_in_meta(monkeypatch, tmp_path):
     write_meta(tmp_path / "meta.json", config, {"dir": ".", "plots": False}, result)
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["filter_health"]["pf"]["collapses"] == 1
+
+
+def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
+    """A run whose sampled state leaves the reals fails alone with the sampler's
+    error; the block's other runs keep their single-run trajectories."""
+    edge = SystemModel(state_dim=1, meas_dim=1,
+                       transition_fn=lambda k, x: np.where(np.abs(x) > 2.5, np.inf, 0.5 * x),
+                       measurement_fn=lambda k, x: x, process_cov=[[1.0]], meas_cov=[[0.01]],
+                       prior=GaussianPrior([0.0], [[1.0]]), vectorized=True)
+    config = ExperimentConfig(horizon=10, runs=4, master_seed=4, estimators=("ukf",),
+                              methods=("true",), max_failure_fraction=0.5)
+    monkeypatch.setattr(experiment, "build_model", lambda config: edge)
+    block = experiment._filter_block(config, range(4))
+    assert block.errors == {2: "ValueError: trajectory contains non-finite values"}
+    assert not block.states[2].any()
+    for i in (0, 1, 3):
+        seed = derive_run_seed(derive_run_seed(config.master_seed, i), 0)
+        assert np.array_equal(block.states[i], sample_trajectory(edge, 10, seed).states)
+    result = run_experiment(config)
+    assert result.failed_runs == [(2, "ValueError: trajectory contains non-finite values")]
+    assert result.runs_used == 3
 
 
 def test_same_seed_reproduces_everything():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTParams, init_particles,
                    kalman_step, linear_gaussian_model, particle_moments, pf_step,
                    regularize_cov, run_pf, run_ukf, sample_trajectory, sigma_points,
                    systematic_resample, ukf_step, ungm_model, unscented_transform)
+
+from pcrlb.filters import _gaussian_loglik
 
 from conftest import random_stable_linear_model
 
@@ -349,3 +352,33 @@ def test_pf_collapse_counts_once_and_run_continues():
     assert pf.health["resamples"].tolist() == [8, 8]
     assert not pf.errors
     assert np.all(np.isfinite(pf.posterior.mean))
+
+
+def cho_solve_loglik(resid, cov):
+    """The Gaussian log density through LAPACK potrf/potrs, for any m."""
+    chol = sla.cho_factor(cov, lower=True)
+    m = cov.shape[0]
+    columns = np.moveaxis(resid, -1, 0)
+    sol = sla.cho_solve(chol, columns.reshape(m, -1), check_finite=False)
+    quad = np.sum(columns * sol.reshape(columns.shape), axis=0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    return -0.5 * (quad + logdet + m * np.log(2.0 * np.pi))
+
+
+def test_scalar_loglik_matches_cho_solve_bit_for_bit(rng):
+    for _ in range(300):
+        cov = np.array([[10.0 ** rng.uniform(-3.0, 3.0)]])
+        shape = tuple(int(d) for d in rng.integers(1, 40, size=2)) + (1,)
+        resid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2.0, 2.0)
+        assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
+    cov = random_stable_linear_model(rng, 3).meas_cov
+    resid = rng.standard_normal((4, 50, 3))
+    assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
+
+
+def test_nan_residual_raises_in_pf_step():
+    model = ungm_model()
+    cloud = init_particles(model, 30, [5, 6])
+    assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan), model.meas_cov)).all()
+    with pytest.raises(NumericError, match="non-finite particle log-weights at step 1"):
+        pf_step(model, 1, cloud, np.array([[0.3], [np.nan]]), [5, 6])

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pcrlb import (GaussianPrior, SystemModel, fd_hessians, fd_jacobian, linear_gaussian_model,
-                   sample_trajectory, ungm_model)
+                   sample_trajectory, spd_inverse, ungm_model)
 
 from conftest import random_stable_linear_model
 
@@ -167,7 +167,78 @@ def test_trajectory_rejects_nonfinite():
 
     with pytest.raises(ValueError):
         Trajectory(states=np.array([[0.0], [np.nan]]),
-                   measurements=np.array([[1.0]]), seed=0)
+                   measurements=np.array([[1.0]]))
+
+
+def stepwise_trajectory(model, horizon, rng):
+    """The sampler as a loop over steps, drawing each noise vector on its own."""
+    states = [model.prior.mean
+              + np.linalg.cholesky(model.prior.cov) @ rng.standard_normal(model.state_dim)]
+    measurements = []
+    for k in range(1, horizon + 1):
+        chol_q = np.linalg.cholesky(model.process_cov_at(k))
+        chol_r = np.linalg.cholesky(model.meas_cov_at(k))
+        states.append(model.transition(k, states[-1])
+                      + chol_q @ rng.standard_normal(model.state_dim))
+        measurements.append(model.measure(k, states[-1])
+                            + chol_r @ rng.standard_normal(model.meas_dim))
+    return np.stack(states), np.stack(measurements)
+
+
+def sampling_models(rng):
+    return {"ungm": ungm_model(), "linear2d": random_stable_linear_model(rng, 2),
+            "linear4d": random_stable_linear_model(rng, 4)}
+
+
+@pytest.mark.parametrize("name", ["ungm", "linear2d", "linear4d"])
+def test_stacked_sample_trajectory_matches_single_runs_bit_for_bit(rng, name):
+    model = sampling_models(rng)[name]
+    seeds = [int(s) for s in rng.integers(2**63, size=6)]
+    stack = sample_trajectory(model, 30, seeds)
+    assert stack.states.shape == (6, 31, model.state_dim)
+    assert stack.measurements.shape == (6, 30, model.meas_dim)
+    for i, seed in enumerate(seeds):
+        single = sample_trajectory(model, 30, seed)
+        assert np.array_equal(stack.states[i], single.states)
+        assert np.array_equal(stack.measurements[i], single.measurements)
+        states, measurements = stepwise_trajectory(model, 30, np.random.default_rng(seed))
+        assert np.array_equal(single.states, states)
+        assert np.array_equal(single.measurements, measurements)
+
+
+@pytest.mark.parametrize("name", ["ungm", "linear4d"])
+def test_sample_trajectory_generator_ends_after_its_draws(rng, name):
+    model = sampling_models(rng)[name]
+    n, m, horizon = model.state_dim, model.meas_dim, 12
+    generator, reference = np.random.default_rng(99), np.random.default_rng(99)
+    sample_trajectory(model, horizon, generator)
+    for _ in range(n + horizon * (n + m)):
+        reference.standard_normal()
+    assert generator.bit_generator.state == reference.bit_generator.state
+
+
+def test_cached_noise_precisions_are_the_inverses_and_read_only(rng):
+    for model in sampling_models(rng).values():
+        for k in (1, 7):
+            q_inv, r_inv = model.process_precision_at(k), model.meas_precision_at(k)
+            assert np.array_equal(q_inv, spd_inverse(model.process_cov_at(k)))
+            assert np.array_equal(r_inv, spd_inverse(model.meas_cov_at(k)))
+            assert q_inv is model.process_precision_at(k + 1)
+            for precision in (q_inv, r_inv):
+                with pytest.raises(ValueError, match="read-only"):
+                    precision[0, 0] = 0.0
+
+
+def test_time_varying_noise_is_inverted_per_step():
+    base = ungm_model()
+    model = SystemModel(state_dim=1, meas_dim=1, transition_fn=base.transition_fn,
+                        measurement_fn=base.measurement_fn, process_cov=[[1.0]],
+                        meas_cov=[[5.0]], prior=base.prior, vectorized=True,
+                        process_cov_fn=lambda k: [[1.0 + k]])
+    for k in (1, 2, 5):
+        assert np.array_equal(model.process_precision_at(k), spd_inverse(np.array([[1.0 + k]])))
+    assert model.process_precision_at(1)[0, 0] != model.process_precision_at(2)[0, 0]
+    assert np.array_equal(model.meas_precision_at(3), spd_inverse(np.array([[5.0]])))
 
 
 def test_stacked_maps_and_derivatives_match_pointwise(rng):
