@@ -334,8 +334,14 @@ def write_meta(path: Path, config: ExperimentConfig, output: dict,
         meta["gap_fallback_counts"] = {
             est: [int(v) for v in counts] for est, counts in result.gap_fallback_counts.items()}
         meta["filter_health"] = result.filter_health
+        meta["stage_seconds"] = {stage: "stage_seconds" for stage in result.stage_seconds}
     meta.update(extra)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta, indent=2, sort_keys=True)
+    if result is not None:
+        # fixed-width numbers, so that the file's size does not vary with the timings
+        for stage, seconds in result.stage_seconds.items():
+            text = text.replace(f'"{stage}": "stage_seconds"', f'"{stage}": {seconds:.6e}', 1)
+    path.write_text(text + "\n")
 
 
 _PLOT_TEMPLATES = {

@@ -24,10 +24,13 @@ run is a pure function of (config, run index): run seeds come from a
 splitmix64 avalanche of the master seed, and the sampler and the particle
 filter draw only from the run's own Generators, so the block split changes
 no byte.  The bound engines then run in the calling process over the
-completed runs' beliefs, stacked in run-index order: each engine makes one
-batched call per time step for all R runs.  A run whose own stack element
-fails, in sampling, a filter or a bound engine, is marked failed with that
-error (the first failing estimator in config order) and left out of every
+completed runs' beliefs, stacked in run-index order as (R, T, ...).  The
+step terms do not depend on J, so each estimator's mean-only and mean+cov
+terms come from one call over all runs and steps, and so do its gaps; only
+J is recursed one time step at a time, over all R runs at once.  A run whose
+own stack element fails, in sampling, a filter or a bound engine, is marked
+failed with that error (the first failing estimator in config order, see
+_bound_stage for the order within the bound engines) and left out of every
 aggregate; the other runs are unaffected.  Results are bit-identical for any
 worker count.
 """
@@ -35,14 +38,17 @@ worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
+import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .filters import UTParams, guarded_step, run_pf, run_ukf
-from .fim import (bound_difference, decompose_terms, fim_recursion_step,
-                  fim_via_decomposition, ill_conditioned, initial_fim, mean_only_terms,
-                  spd_inverse, true_fim_terms_mc)
+from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
+                  fim_recursion_step, fim_via_decomposition, ill_conditioned, initial_fim,
+                  mean_only_terms, spd_inverse, true_fim_terms_mc)
 from .linalg import symmetrize
 from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
 from .moments import GaussianBelief
@@ -266,9 +272,30 @@ def _engine_beliefs(config: ExperimentConfig, model: SystemModel, posterior: Gau
     return state, meas
 
 
+def _fields(terms) -> tuple:
+    """The arrays of a step-terms dataclass, in the order its constructor takes them."""
+    return tuple(getattr(terms, f.name) for f in dataclasses.fields(terms))
+
+
 def _bound_stage(config: ExperimentConfig, model: SystemModel,
                  posterior: dict, predicted: dict) -> tuple[dict, np.ndarray, dict]:
-    """Run the per-run bound engines once per time step over the stack of runs.
+    """Run the per-run bound engines over the stack of runs.
+
+    The step terms depend only on the beliefs at k-1 and k, never on J, so
+    per estimator mean_only_terms and decompose_terms each run once over the
+    whole (R, T) belief stack, with k = 1..T along the step axis.  Only J is
+    recursed one time step at a time (fim_recursion_step,
+    fim_via_decomposition), over every run's slice of those terms.  The
+    closed-form gap, the direct gap and its violation flags then run once
+    over the (R, T) theta, pi and J stacks.
+
+    A run whose own element fails in one of these passes is dropped with that
+    error and skips the rest.  Its error is the first in the order of the
+    passes, not of the time steps: per estimator (config order) the
+    mean-only terms, the mean-only recursion step by step, the mean+cov
+    terms, the mean+cov recursion step by step, then the gaps.  So a run
+    whose recursion would fail at step k1 while its terms fail at a later
+    step k2 reports the terms' error.
 
     Args:
         posterior, predicted: each estimator's belief stacks over the runs,
@@ -289,50 +316,75 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
     errors: dict = {}
     stacks: dict = {}
     j0 = initial_fim(model.prior)
+    steps = np.arange(1, horizon + 1)[:, None]
 
-    def series(*tail) -> np.ndarray:
-        return np.zeros((count, horizon) + tail)
+    def over_runs(compute) -> Optional[list]:
+        """compute(idx) over the alive runs' whole series, each output with
+        one row per given run; None once no run is left."""
+        idx, rows = guarded_step(compute, alive, errors)
+        if rows is None:
+            return None
+        out = [np.zeros((count,) + row.shape[1:], row.dtype) for row in rows]
+        for full, row in zip(out, rows):
+            full[idx] = row
+        return out
+
+    def recurse(advance) -> Optional[list]:
+        """J over steps 1..T: advance(idx, j, k) gives (J_k, *more) for the
+        runs idx; returns the series of J and of each further output, one row
+        per given run; None once no run is left."""
+        j = np.broadcast_to(j0, (count, n, n)).copy()
+        out = None
+        for k in range(1, horizon + 1):
+            idx, rows = guarded_step(lambda idx: advance(idx, j[idx], k), alive, errors)
+            if rows is None:
+                return None
+            if out is None:
+                out = [np.zeros((count, horizon) + row.shape[1:], row.dtype) for row in rows]
+            for series, row in zip(out, rows):
+                series[idx, k - 1] = row
+            j[idx] = rows[0]
+        return out
 
     for estimator in config.estimators:
         state, meas = _engine_beliefs(config, model, posterior[estimator], predicted[estimator])
 
         if "mean_only" in config.methods:
-            j = np.broadcast_to(j0, (count, n, n)).copy()
-            fims = series(n, n)
-            for k in range(1, horizon + 1):
-                def step(idx):
-                    terms = mean_only_terms(model, k, state.mean[idx, k - 1],
-                                            meas.mean[idx, k - 1])
-                    return (fim_recursion_step(j[idx], terms),)
-                idx, rows = guarded_step(step, alive, errors)
-                if rows is None:
-                    return stacks, alive, errors
-                j[idx] = fims[idx, k - 1] = rows[0]
-            stacks[("mean_only", estimator)] = fims
+            terms = over_runs(lambda idx: _fields(
+                mean_only_terms(model, steps, state.mean[idx], meas.mean[idx])))
+            fims = None if terms is None else recurse(lambda idx, j, k: (fim_recursion_step(
+                j, FimTriple(*(term[idx, k - 1] for term in terms))),))
+            if fims is None:
+                return stacks, alive, errors
+            stacks[("mean_only", estimator)] = fims[0]
 
         if "mean_cov" in config.methods:
-            j = np.broadcast_to(j0, (count, n, n)).copy()
-            out = {"mean_cov": series(n, n), "pi": series(n, n),
-                   "pi_fallback": series().astype(bool),
-                   "gap_analytic": series(n, n), "gap_direct": series(n, n),
-                   "gap_violation": series().astype(bool)}
-            for k in range(1, horizon + 1):
-                def step(idx):
-                    prev = GaussianBelief(state.mean[idx, k - 1], state.cov[idx, k - 1])
-                    point = GaussianBelief(meas.mean[idx, k - 1], meas.cov[idx, k - 1])
-                    fim = fim_via_decomposition(
-                        j[idx], decompose_terms(model, k, prev, point), k=k)
-                    analytic, _ = bound_difference(fim.theta, fim.pi)
-                    direct = spd_inverse(fim.theta) - spd_inverse(fim.j)
-                    return (fim.j, fim.pi, fim.fallback, analytic, direct,
-                            _is_negative(direct))
-                idx, rows = guarded_step(step, alive, errors)
-                if rows is None:
-                    return stacks, alive, errors
-                for name, row in zip(out, rows):
-                    out[name][idx, k - 1] = row
-                j[idx] = rows[0]
-            stacks.update({(name, estimator): value for name, value in out.items()})
+            parts = over_runs(lambda idx: _fields(decompose_terms(
+                model, steps, GaussianBelief(state.mean[idx], state.cov[idx]),
+                GaussianBelief(meas.mean[idx], meas.cov[idx]))))
+
+            def advance(idx, j, k):
+                fim = fim_via_decomposition(
+                    j, DecomposedFim(*(part[idx, k - 1] for part in parts)))
+                return fim.j, fim.theta, fim.pi, fim.fallback
+
+            fims = None if parts is None else recurse(advance)
+            if fims is None:
+                return stacks, alive, errors
+            fim_j, theta, pi, fallback = fims
+
+            def gaps(idx):
+                analytic, _ = bound_difference(theta[idx], pi[idx])
+                direct = spd_inverse(theta[idx]) - spd_inverse(fim_j[idx])
+                return analytic, direct, _is_negative(direct)
+
+            gap = over_runs(gaps)
+            if gap is None:
+                return stacks, alive, errors
+            names = ("mean_cov", "pi", "pi_fallback", "gap_analytic", "gap_direct",
+                     "gap_violation")
+            stacks.update({(name, estimator): value
+                           for name, value in zip(names, (fim_j, pi, fallback, *gap))})
     return stacks, alive, errors
 
 
@@ -433,6 +485,7 @@ class AggregateResult:
     runs_used: int
     failed_runs: list            # [(index, error), ...]
     run_stacks: dict             # per-run series of the completed runs, see _bound_stage
+    stage_seconds: dict          # stage -> wall seconds, see run_experiment
 
     @property
     def horizon(self) -> int:
@@ -447,7 +500,23 @@ def _summarize_health(health: dict, ok: np.ndarray) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
-    """Run the full Monte Carlo experiment described by the config."""
+    """Run the full Monte Carlo experiment described by the config.
+
+    The result's stage_seconds holds the wall seconds of its four stages:
+    "filtering" (sampling and filtering the blocks and stacking their
+    outputs), "bound_engines" (the mean-only and mean+cov engines over the
+    stack of runs), "reference" (the reference bound) and "aggregation"
+    (bounds, RMSE, gaps and counters over the completed runs).
+    """
+    clock = time.perf_counter()
+    stage_seconds: dict = {}
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stage_seconds[stage] = now - clock
+        clock = now
+
     model = build_model(config)
     blocks = _blocks(config, model.state_dim)
     if config.workers == 1:
@@ -469,6 +538,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         health[estimator] = {counter: np.concatenate([part.health[estimator][counter]
                                                       for part in parts])
                              for counter in parts[0].health[estimator]}
+    lap("filtering")
 
     stacks, alive = {}, None
     if filtered.any():
@@ -478,6 +548,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             {e: GaussianBelief(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
         kept = np.flatnonzero(filtered)
         errors.update({int(kept[position]): error for position, error in bound_errors.items()})
+    lap("bound_engines")
 
     failed = sorted(errors.items())
     if len(failed) > config.max_failure_fraction * config.runs:
@@ -494,6 +565,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     if "true" in config.methods:
         true_fims = true_bound_series(model, states[ok], config.horizon)
         bounds[("true", None)] = spd_inverse(true_fims)
+    lap("reference")
     for method in ("mean_only", "mean_cov"):
         if method not in config.methods:
             continue
@@ -516,9 +588,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             # bound_difference falls back exactly where pi is ill conditioned
             gap_fallback_counts[estimator] = ill_conditioned(
                 run_stacks[("pi", estimator)]).sum(axis=0)
+    lap("aggregation")
 
     return AggregateResult(config=config, bounds=bounds, rmse=rmse, gaps=gaps,
                            pi_fallback_counts=pi_fallback_counts,
                            gap_fallback_counts=gap_fallback_counts,
                            filter_health={e: _summarize_health(h, ok) for e, h in health.items()},
-                           runs_used=int(ok.sum()), failed_runs=failed, run_stacks=run_stacks)
+                           runs_used=int(ok.sum()), failed_runs=failed, run_stacks=run_stacks,
+                           stage_seconds=stage_seconds)

@@ -33,7 +33,11 @@ approximations directly from (theta, pi) without subtracting two inverses.
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
 shape, computed for the whole stack in one batched pass.  Per-element
-fallbacks are decided element by element.
+fallbacks are decided element by element.  The point and Taylor engines
+(``mean_only_terms``, ``mean_cov_terms``, ``decompose_terms``) also take the
+time index k as an integer array (..., 1) broadcast against the stack, as
+``pcrlb.model`` describes, so the terms of every step of a (R, T, n) stack of
+beliefs come from one call; none of them depends on J.
 """
 
 from __future__ import annotations
@@ -136,7 +140,6 @@ class FimState:
     """
 
     j: np.ndarray
-    k: Optional[int] = None
     theta: Optional[np.ndarray] = None
     pi: Optional[np.ndarray] = None
     fallback: np.ndarray = np.False_
@@ -188,13 +191,14 @@ def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
                      d22=q_inv + (h_jac.mT @ r_inv @ h_jac).mean(axis=0))
 
 
-def mean_only_terms(model: SystemModel, k: int, x_prev: np.ndarray,
+def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
                     x_new: Optional[np.ndarray] = None) -> FimTriple:
     """Step terms with expectations collapsed onto point estimates.
 
     Args:
         model: the system model.
-        k: target time of the step.
+        k: target time of the step, an int or an integer array (..., 1)
+            giving each element of the stack its own.
         x_prev: state estimate at time k-1 (transition Jacobian point),
             shape (..., n).
         x_new: state estimate at time k (measurement Jacobian point); when
@@ -227,7 +231,7 @@ class _TaylorIngredients(NamedTuple):
     r_inv: np.ndarray
 
 
-def _ingredients(model: SystemModel, k: int, state_belief: GaussianBelief,
+def _ingredients(model: SystemModel, k, state_belief: GaussianBelief,
                  meas_belief: Optional[GaussianBelief]) -> _TaylorIngredients:
     sm = propagate_state_moments(model, k, state_belief)
     if meas_belief is None:
@@ -254,7 +258,7 @@ def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...iab,...jba->...ij", prods, prods)
 
 
-def mean_cov_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
+def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
                    meas_belief: Optional[GaussianBelief] = None) -> FimTriple:
     """Step terms from the Gaussian densities fitted by Taylor propagation.
 
@@ -265,7 +269,7 @@ def mean_cov_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
 
     Args:
         model: the system model.
-        k: target time of the step.
+        k: target time of the step, an int or an integer array (..., 1).
         state_belief: belief about the state at time k-1 (state channel).
         meas_belief: belief about the state at time k feeding the measurement
             channel; defaults to the propagated state belief.
@@ -298,14 +302,14 @@ def _psi(noise_cov: np.ndarray, signal_cov: np.ndarray) -> np.ndarray:
     exactly zero correction instead of a grossly ill-conditioned inverse.
     """
     zero = _as_mask(np.linalg.norm(signal_cov, axis=(-2, -1))
-                    < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov))
+                    < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov, axis=(-2, -1)))
     # zero elements invert the noise covariance instead and are discarded
     signal = np.where(zero, noise_cov, symmetrize(signal_cov))
     inner = symmetrize(noise_cov @ spd_inverse(signal) @ noise_cov)
     return np.where(zero, 0.0, spd_inverse(inner + noise_cov))
 
 
-def decompose_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
+def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                     meas_belief: Optional[GaussianBelief] = None) -> DecomposedFim:
     """Split the mean+cov step terms into mean-only blocks plus corrections.
 
@@ -316,7 +320,7 @@ def decompose_terms(model: SystemModel, k: int, state_belief: GaussianBelief,
 
     Args:
         model: the system model.
-        k: target time of the step.
+        k: target time of the step, an int or an integer array (..., 1).
         state_belief: belief about the state at time k-1.
         meas_belief: belief about the state at time k for the measurement
             channel; defaults to the propagated state belief.
@@ -368,8 +372,7 @@ def ill_conditioned(m: np.ndarray) -> np.ndarray:
     return ~(np.linalg.cond(m) <= _COND_LIMIT)
 
 
-def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
-                          k: Optional[int] = None) -> FimState:
+def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     """Advance the information matrix through the decomposed form.
 
     Computes theta (the mean-only update of j_prev) and pi (the total
@@ -381,7 +384,6 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
     Args:
         j_prev: previous information matrix, shape (..., n, n).
         parts: decomposed step terms.
-        k: optional time index recorded on the returned state.
 
     Returns:
         FimState with j, theta, pi, and the per-element fallback flags.
@@ -407,7 +409,7 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
         direct = fim_recursion_step(j_prev, FimTriple(d11, d12, parts.d22()))
         pi = np.where(_as_mask(fallback), symmetrize(direct - theta), pi)
         j = np.where(_as_mask(fallback), direct, j)
-    return FimState(j=j, k=k, theta=theta, pi=pi, fallback=fallback)
+    return FimState(j=j, theta=theta, pi=pi, fallback=fallback)
 
 
 def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:

@@ -15,10 +15,18 @@ First and second derivatives of both maps belong to the model interface.
 Factories for the built-in models attach analytic derivatives; models built
 without them fall back to central finite differences of the maps.  Maps and
 derivatives take one state of shape (n,) or a stack of states (..., n).
+
+The time index k is an int, or an integer array (..., 1) whose leading axes
+broadcast against the stack's leading axes (and whose last axis against the
+state axis), so one call covers a stack over runs and steps, e.g. states
+(R, T, n) with k = np.arange(1, T + 1)[:, None].  Each state is then mapped
+at its own k, and the noise covariances and precisions at such a k are
+(..., n, n) stacks over its leading axes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -133,12 +141,28 @@ class GaussianPrior:
             raise ValueError("prior covariance must be positive definite")
 
 
-def _over_stack(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Apply a pointwise map (n,) -> (...) to each state of a stack (..., n)."""
-    if x.ndim == 1:
-        return np.asarray(fn(x), dtype=float)
-    flat = np.stack([np.asarray(fn(v), dtype=float) for v in x.reshape(-1, x.shape[-1])])
+def _over_stack(fn: Callable[[int, np.ndarray], np.ndarray], k,
+                x: np.ndarray) -> np.ndarray:
+    """Apply a pointwise map fn(k, v), v of shape (n,), to each state of a
+    stack (..., n), each state at its own time index (see the module notes)."""
+    if np.ndim(k) == 0:
+        if x.ndim == 1:
+            return np.asarray(fn(k, x), dtype=float)
+        ks = itertools.repeat(k)
+    else:
+        ks = np.broadcast_to(np.asarray(k)[..., 0], x.shape[:-1]).ravel().tolist()
+    flat = np.stack([np.asarray(fn(kk, v), dtype=float)
+                     for kk, v in zip(ks, x.reshape(-1, x.shape[-1]))])
     return flat.reshape(x.shape[:-1] + flat.shape[1:])
+
+
+def _per_time(fn: Callable[[int], np.ndarray], k) -> np.ndarray:
+    """fn(k) as a matrix, or a stack over the leading axes of an array k."""
+    if np.ndim(k) == 0:
+        return np.atleast_2d(np.asarray(fn(k), dtype=float))
+    ks = np.asarray(k)[..., 0]
+    flat = np.stack([_per_time(fn, kk) for kk in ks.ravel().tolist()])
+    return flat.reshape(ks.shape + flat.shape[1:])
 
 
 @dataclass
@@ -146,12 +170,14 @@ class SystemModel:
     """A state-space model plus derivative information.
 
     ``transition_fn(k, x)`` and ``measurement_fn(k, x)`` accept a single state
-    of shape (n,).  When ``vectorized`` is true they also accept a stack of
-    shape (..., n) and return the mapped stack, which the particle filter and
-    the bound engines exploit; otherwise stacks are mapped one state at a
-    time.  Derivative callables always take a stack (..., n) and return
-    (..., m, n) Jacobians and (..., m, n, n) Hessians; a single state (n,)
-    gives (m, n) and (m, n, n).
+    of shape (n,) and an int k.  When ``vectorized`` is true they also accept
+    a stack of shape (..., n), with k an int or an integer array (..., 1)
+    that broadcasts against it, and return the mapped stack, which the
+    particle filter and the bound engines exploit; otherwise stacks are
+    mapped one state at a time, each with its own int k.  Derivative
+    callables always take a stack (..., n), with k as for a vectorized map,
+    and return (..., m, n) Jacobians and (..., m, n, n) Hessians; a single
+    state (n,) gives (m, n) and (m, n, n).  The covariance hooks take an int.
 
     The precisions of the time-constant noise covariances are inverted once,
     on first use, and handed out read-only.
@@ -189,7 +215,7 @@ class SystemModel:
 
     # -- maps ------------------------------------------------------------
 
-    def _map(self, fn: Callable[[int, np.ndarray], np.ndarray], k: int,
+    def _map(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
              x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.state_dim:
@@ -197,7 +223,7 @@ class SystemModel:
                 f"state shape {x.shape} incompatible with state_dim {self.state_dim}")
         if self.vectorized:
             return np.asarray(fn(k, x), dtype=float)
-        return _over_stack(lambda v: fn(k, v), x)
+        return _over_stack(fn, k, x)
 
     def transition(self, k: int, x: np.ndarray) -> np.ndarray:
         """Noise-free state at time k from the state at time k-1."""
@@ -209,44 +235,46 @@ class SystemModel:
 
     # -- derivatives -----------------------------------------------------
 
-    def transition_jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
+    def transition_jacobian(self, k, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.transition_jacobian_fn is not None:
             return np.asarray(self.transition_jacobian_fn(k, x), dtype=float)
-        return _over_stack(lambda v: fd_jacobian(lambda u: self.transition(k, u), v), x)
+        return _over_stack(lambda kk, v: fd_jacobian(lambda u: self.transition(kk, u), v), k, x)
 
-    def transition_hessians(self, k: int, x: np.ndarray) -> np.ndarray:
+    def transition_hessians(self, k, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.transition_hessian_fn is not None:
             hess = np.asarray(self.transition_hessian_fn(k, x), dtype=float)
         else:
-            hess = _over_stack(lambda v: fd_hessians(lambda u: self.transition(k, u), v), x)
+            hess = _over_stack(lambda kk, v: fd_hessians(lambda u: self.transition(kk, u), v),
+                               k, x)
         return symmetrize(hess)
 
-    def measurement_jacobian(self, k: int, x: np.ndarray) -> np.ndarray:
+    def measurement_jacobian(self, k, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.measurement_jacobian_fn is not None:
             return np.asarray(self.measurement_jacobian_fn(k, x), dtype=float)
-        return _over_stack(lambda v: fd_jacobian(lambda u: self.measure(k, u), v), x)
+        return _over_stack(lambda kk, v: fd_jacobian(lambda u: self.measure(kk, u), v), k, x)
 
-    def measurement_hessians(self, k: int, x: np.ndarray) -> np.ndarray:
+    def measurement_hessians(self, k, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.measurement_hessian_fn is not None:
             hess = np.asarray(self.measurement_hessian_fn(k, x), dtype=float)
         else:
-            hess = _over_stack(lambda v: fd_hessians(lambda u: self.measure(k, u), v), x)
+            hess = _over_stack(lambda kk, v: fd_hessians(lambda u: self.measure(kk, u), v),
+                               k, x)
         return symmetrize(hess)
 
     # -- noise covariances -----------------------------------------------
 
-    def process_cov_at(self, k: int) -> np.ndarray:
+    def process_cov_at(self, k) -> np.ndarray:
         if self.process_cov_fn is not None:
-            return np.atleast_2d(np.asarray(self.process_cov_fn(k), dtype=float))
+            return _per_time(self.process_cov_fn, k)
         return self.process_cov
 
-    def meas_cov_at(self, k: int) -> np.ndarray:
+    def meas_cov_at(self, k) -> np.ndarray:
         if self.meas_cov_fn is not None:
-            return np.atleast_2d(np.asarray(self.meas_cov_fn(k), dtype=float))
+            return _per_time(self.meas_cov_fn, k)
         return self.meas_cov
 
     @cached_property
@@ -257,16 +285,16 @@ class SystemModel:
             precision.setflags(write=False)
         return precisions
 
-    def process_precision_at(self, k: int) -> np.ndarray:
-        """Q_k^-1, as spd_inverse(process_cov_at(k)) gives it."""
+    def process_precision_at(self, k) -> np.ndarray:
+        """Q_k^-1, as spd_inverse(process_cov_at(k)) gives it for each k."""
         if self.process_cov_fn is not None:
-            return spd_inverse(self.process_cov_at(k))
+            return spd_inverse(self.process_cov_at(k), cholesky=True)
         return self._precisions[0]
 
-    def meas_precision_at(self, k: int) -> np.ndarray:
-        """R_k^-1, as spd_inverse(meas_cov_at(k)) gives it."""
+    def meas_precision_at(self, k) -> np.ndarray:
+        """R_k^-1, as spd_inverse(meas_cov_at(k)) gives it for each k."""
         if self.meas_cov_fn is not None:
-            return spd_inverse(self.meas_cov_at(k))
+            return spd_inverse(self.meas_cov_at(k), cholesky=True)
         return self._precisions[1]
 
 

@@ -19,6 +19,8 @@ first-order part so that curvature-free models come out exact.
 
 Beliefs may hold a stack of Gaussians (mean (..., n), cov (..., n, n)); every
 function here then acts on each element of the stack in one batched pass.
+The time index k may then be an integer array (..., 1), one per element, as
+``pcrlb.model`` describes.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _propagate(value: np.ndarray, jac: np.ndarray, hessians: np.ndarray,
                              linear_cov=linear, noise_cov=noise)
 
 
-def propagate_state_moments(model: SystemModel, k: int,
+def propagate_state_moments(model: SystemModel, k,
                             belief: GaussianBelief) -> PropagatedMoments:
     """Moments of the state at time k from a belief about the state at k-1."""
     if belief.dim != model.state_dim:
@@ -143,7 +145,7 @@ def propagate_state_moments(model: SystemModel, k: int,
                       model.process_cov_at(k))
 
 
-def propagate_measurement_moments(model: SystemModel, k: int,
+def propagate_measurement_moments(model: SystemModel, k,
                                   belief: GaussianBelief) -> PropagatedMoments:
     """Moments of the measurement at time k from a belief about the state at k."""
     if belief.dim != model.state_dim:
@@ -188,7 +190,7 @@ def _moment_map_derivatives(jac_fn, hess_fn, base_jac: np.ndarray,
     return MomentMapDerivatives(dmean=base_jac + dcurv, dcov=dcov, dcurv_mean=dcurv)
 
 
-def state_moment_map_derivatives(model: SystemModel, k: int,
+def state_moment_map_derivatives(model: SystemModel, k,
                                  belief: GaussianBelief) -> MomentMapDerivatives:
     """Derivatives of the time-k state moment map at the belief mean."""
     return _moment_map_derivatives(
@@ -198,7 +200,7 @@ def state_moment_map_derivatives(model: SystemModel, k: int,
         belief.mean, belief.cov)
 
 
-def measurement_moment_map_derivatives(model: SystemModel, k: int,
+def measurement_moment_map_derivatives(model: SystemModel, k,
                                        belief: GaussianBelief) -> MomentMapDerivatives:
     """Derivatives of the time-k measurement moment map at the belief mean."""
     return _moment_map_derivatives(

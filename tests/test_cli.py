@@ -5,7 +5,7 @@ import pytest
 
 from pcrlb import DEFAULT_SEED, cli
 from pcrlb.cli import (ConfigError, config_from_file, parse_config, write_bounds_csv,
-                       write_gap_csv, write_rmse_csv, _write_csv)
+                       write_gap_csv, write_meta, write_rmse_csv, _write_csv)
 from pcrlb.experiment import ExperimentConfig, run_experiment
 
 
@@ -202,6 +202,23 @@ def test_cmd_run_writes_all_outputs(tmp_path):
     assert health["pf"]["collapses"] == 0
     assert 1.0 <= health["pf"]["min_ess"] <= 40.0
     assert "elapsed_seconds" in meta
+    stages = meta["stage_seconds"]
+    assert sorted(stages) == ["aggregation", "bound_engines", "filtering", "reference"]
+    assert all(seconds >= 0.0 for seconds in stages.values())
+
+
+def test_meta_size_does_not_depend_on_stage_timings(tmp_path):
+    config = ExperimentConfig(horizon=4, runs=2, particles=30)
+    result = run_experiment(config)
+    sizes = set()
+    for scale in (0.0, 1e-7, 1.0, 123.0):
+        result.stage_seconds = {stage: scale * (i + 1) / 3
+                                for i, stage in enumerate(result.stage_seconds)}
+        write_meta(tmp_path / "meta.json", config, {}, result)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["stage_seconds"] == pytest.approx(result.stage_seconds, rel=1e-6)
+        sizes.add((tmp_path / "meta.json").stat().st_size)
+    assert len(sizes) == 1
 
 
 def test_cmd_run_is_deterministic(tmp_path):

@@ -335,6 +335,23 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
         assert got.run_stacks[key].shape == stack.shape == (3,) + stack.shape[1:]
 
 
+def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
+    """Every step's mean-only terms, mean+cov terms and closed-form gaps come
+    from one call per estimator over the stack of runs and steps; only the
+    recursion for J goes step by step."""
+    calls = {}
+    for name in ("mean_only_terms", "decompose_terms", "bound_difference"):
+        def counted(*args, _name=name, _engine=getattr(experiment, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
+    result = run_experiment(config)
+    assert result.runs_used == 3
+    once = len(config.estimators)
+    assert calls == {"mean_only_terms": once, "decompose_terms": once, "bound_difference": once}
+
+
 def test_true_bound_series_requires_trajectories():
     model = build_model(ExperimentConfig())
     with pytest.raises(ExperimentError):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
+from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, GaussianPrior, NumericError,
+                   SystemModel,
                    bound_difference, decompose_terms, fim_recursion_step,
                    fim_via_decomposition, initial_fim, inv_lemma_split,
                    kalman_step, linear_gaussian_model, mean_cov_terms,
@@ -242,14 +245,13 @@ def test_fim_via_decomposition_linear_hand_values():
     model = unit_linear_model()
     belief = GaussianBelief(np.zeros(1), np.ones((1, 1)))
     parts = decompose_terms(model, 1, belief)
-    state = fim_via_decomposition(np.array([[1.0]]), parts, k=1)
+    state = fim_via_decomposition(np.array([[1.0]]), parts)
     assert_allclose(state.theta, [[1.5]], atol=1e-12)
     direct = fim_recursion_step(np.array([[1.0]]), mean_cov_terms(model, 1, belief))
     assert_allclose(state.j, direct, atol=1e-10)
     assert_allclose(state.pi, state.j - state.theta, atol=1e-10)
     assert_allclose(state.pi, [[-5.0 / 6.0]], atol=1e-10)
     assert not state.pi_fallback
-    assert state.k == 1
 
 
 def test_fim_via_decomposition_zero_spread_fallback(rng):
@@ -402,6 +404,49 @@ def test_stacked_engines_match_pointwise(rng):
             assert state.fallback[i] == bool(one_state.pi_fallback)
             one_gap, _ = bound_difference(one_state.theta, one_state.pi)
             assert_allclose(gap[i], one_gap, rtol=1e-5)
+
+
+def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
+    """mean_only_terms, mean_cov_terms and decompose_terms over an (R, T, n)
+    stack with k = 1..T along the step axis give, element by element, the
+    bytes of the per-step calls over the (R, n) slices.  The models cover
+    analytic derivatives (ungm, a random 2-D linear model), a time-varying
+    process covariance, and a non-vectorized map with finite-difference
+    derivatives whose maps depend on k, so each state must be mapped at its
+    own k."""
+    ungm = ungm_model()
+    varying = SystemModel(state_dim=1, meas_dim=1, transition_fn=ungm.transition_fn,
+                          measurement_fn=ungm.measurement_fn, process_cov=[[1.0]],
+                          meas_cov=[[5.0]], prior=ungm.prior, vectorized=True,
+                          process_cov_fn=lambda k: [[1.0 + k]])
+    square = SystemModel(
+        state_dim=2, meas_dim=1,
+        transition_fn=lambda k, x: np.array([x[0] * x[1], x[1] ** 2 + 0.1 * k]),
+        measurement_fn=lambda k, x: np.atleast_1d(x[0] ** 3 + 0.01 * k * x[1]),
+        process_cov=np.eye(2), meas_cov=np.eye(1),
+        prior=GaussianPrior(np.zeros(2), np.eye(2)))
+    count, horizon = 3, 4
+    steps = np.arange(1, horizon + 1)[:, None]
+    for model in (ungm, random_stable_linear_model(rng, 2), varying, square):
+        n = model.state_dim
+        x_prev = rng.uniform(-3.0, 3.0, size=(count, horizon, n))
+        x_new = rng.uniform(-3.0, 3.0, size=(count, horizon, n))
+        cov_prev, cov_new = (np.array([[random_spd(rng, n, shift=0.5) for _ in range(horizon)]
+                                       for _ in range(count)]) for _ in range(2))
+        prev, new = GaussianBelief(x_prev, cov_prev), GaussianBelief(x_new, cov_new)
+        point = mean_only_terms(model, steps, x_prev, x_new)
+        full = mean_cov_terms(model, steps, prev, new)
+        parts = decompose_terms(model, steps, prev, new)
+        for k in range(1, horizon + 1):
+            one_prev = GaussianBelief(x_prev[:, k - 1], cov_prev[:, k - 1])
+            one_new = GaussianBelief(x_new[:, k - 1], cov_new[:, k - 1])
+            one_point = mean_only_terms(model, k, x_prev[:, k - 1], x_new[:, k - 1])
+            one_full = mean_cov_terms(model, k, one_prev, one_new)
+            one_parts = decompose_terms(model, k, one_prev, one_new)
+            for terms, one in ((point, one_point), (full, one_full), (parts, one_parts)):
+                for field in dataclasses.fields(terms):
+                    got = getattr(terms, field.name)[:, k - 1]
+                    assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
 
 
 def test_stacked_fallbacks_are_per_element():
