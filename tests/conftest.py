@@ -1,27 +1,7 @@
 import numpy as np
 import pytest
 
-from pcrlb import linear_gaussian_model
-
-
-def random_spd(rng, dim, shift=None):
-    basis = rng.standard_normal((dim, dim))
-    if shift is None:
-        shift = dim
-    return basis @ basis.T + shift * np.eye(dim)
-
-
-def random_stable_linear_model(rng, dim):
-    """Linear-Gaussian model with spectral radius < 1 and SPD noises."""
-    a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    radius = max(1.0, np.max(np.abs(np.linalg.eigvals(a))))
-    a *= rng.uniform(0.5, 0.95) / radius
-    h = rng.uniform(-1.5, 1.5, size=(dim, dim))
-    q = random_spd(rng, dim)
-    r = random_spd(rng, dim)
-    p0 = random_spd(rng, dim)
-    mean0 = rng.standard_normal(dim)
-    return linear_gaussian_model(a, h, q, r, mean0, p0)
+from pcrlb.cli import random_spd, random_stable_linear_model  # noqa: F401  (re-exported for the test modules)
 
 
 @pytest.fixture

@@ -20,15 +20,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (ExperimentConfig, GaussianBelief, cli, decompose_terms,
-                   fd_hessians, fd_jacobian, fim_recursion_step,
-                   fim_via_decomposition, initial_fim, inv_lemma_split,
-                   kalman_step, mean_cov_terms, mean_only_terms,
-                   pcrlb_from_theta_pi, propagate_state_moments, run_experiment,
-                   sample_trajectory, spd_inverse, state_moment_map_derivatives,
-                   true_fim_terms_mc, ungm_model)
-
-from conftest import random_spd, random_stable_linear_model
+from pcrlb import (ExperimentConfig, GaussianBelief, cli, fd_hessians, fd_jacobian,
+                   propagate_state_moments, run_experiment, state_moment_map_derivatives,
+                   ungm_model)
 
 BENCHMARK_CONFIG = ExperimentConfig()  # ungm, horizon 50, 100 runs, 1000 particles
 
@@ -71,74 +65,24 @@ def scalar_series(result, key):
 
 def test_criterion_1_kalman_oracle(report):
     """All three bound engines reproduce the Kalman posterior covariance."""
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for trial in range(10):
-        dim = 1 if trial < 5 else 2
-        model = random_stable_linear_model(rng, dim)
-        traj = sample_trajectory(model, 50, int(rng.integers(2**32)))
-        a = model.transition_jacobian(1, model.prior.mean)
-        h = model.measurement_jacobian(1, model.prior.mean)
-        belief = GaussianBelief(model.prior.mean, model.prior.cov)
-        zero = np.zeros((dim, dim))
-        j_true = j_mo = j_mc = initial_fim(model.prior)
-        for k in range(1, 51):
-            out = kalman_step(a, h, model.process_cov, model.meas_cov,
-                              belief, traj.measurements[k - 1])
-            prev_mean = belief.mean
-            belief = out.posterior
-
-            j_true = fim_recursion_step(j_true, true_fim_terms_mc(
-                model, k, prev_mean[None, :], belief.mean[None, :]))
-            j_mo = fim_recursion_step(j_mo, mean_only_terms(
-                model, k, prev_mean, out.predicted.mean))
-            j_mc = fim_recursion_step(j_mc, mean_cov_terms(
-                model, k, GaussianBelief(prev_mean, zero),
-                GaussianBelief(out.predicted.mean, zero)))
-            for j in (j_true, j_mo, j_mc):
-                worst = max(worst, float(np.abs(spd_inverse(j) - belief.cov).max()))
+    worst = cli.kalman_oracle_deviation(np.random.default_rng(20240817),
+                                        dims=(1,) * 5 + (2,) * 5, horizon=50)
     report(1, "kalman-oracle", worst <= 1e-8, f"max deviation {worst:.2e}")
 
 
 def test_criterion_2_decomposition_identities(report):
     """Split blocks re-sum to the full terms; split recursion matches direct."""
-    model = ungm_model()
-    rng = np.random.default_rng(20240818)
-    worst_block = 0.0
-    worst_path = 0.0
-    for _ in range(100):
-        belief = GaussianBelief(np.array([rng.uniform(-25.0, 25.0)]),
-                                np.array([[rng.uniform(0.1, 30.0)]]))
-        k = int(rng.integers(1, 51))
-        parts = decompose_terms(model, k, belief)
-        full = mean_cov_terms(model, k, belief)
-        for got, want in ((parts.d11(), full.d11), (parts.d12(), full.d12),
-                          (parts.d22(), full.d22)):
-            scale = max(1e-12, float(np.abs(want).max()))
-            worst_block = max(worst_block, float(np.abs(got - want).max()) / scale)
-
-        j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        state = fim_via_decomposition(j_prev, parts)
-        direct = fim_recursion_step(j_prev, full)
-        scale = max(1e-12, float(np.abs(direct).max()))
-        worst_path = max(worst_path, float(np.abs(state.j - direct).max()) / scale)
+    worst_block, worst_path = cli.decomposition_deviation(
+        np.random.default_rng(20240818), trials=100)
     ok = worst_block <= 1e-8 and worst_path <= 1e-8
     report(2, "decomposition-identities", ok,
            f"block rel {worst_block:.2e}, path rel {worst_path:.2e}")
 
 
 def test_criterion_3_lemma_identities(report):
-    rng = np.random.default_rng(20240819)
-    worst = 0.0
-    for trial in range(100):
-        dim = 1 + trial % 4
-        a = random_spd(rng, dim)
-        b = random_spd(rng, dim)
-        worst = max(worst, float(np.abs(
-            inv_lemma_split(a, b) - np.linalg.inv(a + b)).max()))
-        bound, fallback = pcrlb_from_theta_pi(a, b)
-        assert not fallback
-        worst = max(worst, float(np.abs(bound - np.linalg.inv(a + b)).max()))
+    """Inversion-lemma split, Theta/Pi bound and closed-form gap match dense
+    inverses, with no fallback."""
+    worst = cli.lemma_deviation(np.random.default_rng(20240819), trials=100)
     report(3, "lemma-identities", worst <= 1e-10, f"max deviation {worst:.2e}")
 
 

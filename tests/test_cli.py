@@ -1,12 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcrlb import DEFAULT_SEED, cli
-from pcrlb.cli import (ConfigError, config_from_file, parse_config, write_bounds_csv,
-                       write_gap_csv, write_meta, write_rmse_csv, _write_csv)
-from pcrlb.experiment import ExperimentConfig, run_experiment
+from pcrlb.cli import (CONFIG_REFERENCE, ConfigError, config_from_file, parse_config,
+                       write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv, _write_csv)
+from pcrlb.experiment import ExperimentConfig, build_model, run_experiment
 
 
 TINY = """\
@@ -86,6 +89,39 @@ def test_unknown_key_names_key_and_line(tmp_path):
     path = write(tmp_path, "[model]\nname = ungm\nvelocity = 3\n")
     with pytest.raises(ConfigError, match=r"3.*velocity|velocity.*3"):
         parse_config(path)
+
+
+def test_duplicate_key_names_key_and_line(tmp_path):
+    path = write(tmp_path, "[experiment]\nruns = 5\n\n[filters]\nparticles = 9\n"
+                           "[experiment]\nruns = 7\n")
+    with pytest.raises(ConfigError, match=r":7:.*'runs'.*\[experiment\].*line 2"):
+        parse_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+
+
+def test_config_reference_restates_the_defaults(tmp_path):
+    """The three copies of the defaults agree: ExperimentConfig/UTParams,
+    CONFIG_REFERENCE and the README's ini block."""
+    config, output = config_from_file(write(tmp_path, CONFIG_REFERENCE))
+    default = ExperimentConfig()
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name != "model_params":
+            assert getattr(config, field.name) == getattr(default, field.name), field.name
+    assert output == {"dir": ".", "plots": True}
+    got, want = build_model(config), build_model(default)
+    for attr in ("process_cov", "meas_cov"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert np.array_equal(got.prior.mean, want.prior.mean)
+    assert np.array_equal(got.prior.cov, want.prior.cov)
+    x = np.linspace(-20.0, 20.0, 41)[:, None]
+    for k in (1, 2, 7):
+        assert np.array_equal(got.transition(k, x), want.transition(k, x))
+        assert np.array_equal(got.measure(k, x), want.measure(k, x))
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert CONFIG_REFERENCE[CONFIG_REFERENCE.index("[model]"):] == block
 
 
 def test_unknown_section(tmp_path):
@@ -311,3 +347,18 @@ def test_unwritable_output_dir_exits_1(tmp_path):
 
 def test_selftest_passes():
     assert cli.main(["selftest", "--quiet"]) == 0
+
+
+def test_selftest_reports_a_failing_check(monkeypatch, capsys):
+    name, _ = cli._SELFTEST_CHECKS[2]
+
+    def broken():
+        raise AssertionError("deliberately broken")
+
+    checks = list(cli._SELFTEST_CHECKS)
+    checks[2] = (name, broken)
+    monkeypatch.setattr(cli, "_SELFTEST_CHECKS", checks)
+    assert cli.main(["selftest", "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}: deliberately broken" in out
+    assert f"1 of {len(cli._SELFTEST_CHECKS)} checks failed" in out

@@ -8,21 +8,10 @@ from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTPa
                    regularize_cov, run_pf, run_ukf, sample_trajectory, sigma_points,
                    systematic_resample, ukf_step, ungm_model, unscented_transform)
 
+from pcrlb.cli import kalman_series
 from pcrlb.filters import _gaussian_loglik
 
 from conftest import random_stable_linear_model
-
-
-def kalman_run(model, measurements):
-    belief = GaussianBelief(model.prior.mean, model.prior.cov)
-    a = model.transition_jacobian(1, model.prior.mean)
-    h = model.measurement_jacobian(1, model.prior.mean)
-    out = []
-    for z in measurements:
-        step = kalman_step(a, h, model.process_cov, model.meas_cov, belief, z)
-        out.append(step)
-        belief = step.posterior
-    return out
 
 
 def test_kalman_step_hand_values():
@@ -76,7 +65,7 @@ def test_ukf_matches_kalman_over_50_steps(rng):
     for dim in (1, 2):
         model = random_stable_linear_model(rng, dim)
         traj = sample_trajectory(model, 50, rng.integers(2**32))
-        kalman = kalman_run(model, traj.measurements)
+        kalman = kalman_series(model, traj.measurements)
         ukf = run_ukf(model, traj.measurements)
         for k, ko in enumerate(kalman):
             assert_allclose(ukf.posterior.mean[k], ko.posterior.mean, atol=1e-9)
@@ -176,7 +165,7 @@ def test_pf_identical_particles():
 def test_pf_converges_to_kalman(rng):
     model = random_stable_linear_model(rng, 1)
     traj = sample_trajectory(model, 10, 777)
-    kalman = kalman_run(model, traj.measurements)
+    kalman = kalman_series(model, traj.measurements)
     k_mean = kalman[-1].posterior.mean
     k_var = kalman[-1].posterior.cov[0, 0]
     errors = {}
