@@ -14,20 +14,18 @@ from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateRes
                          ExperimentConfig, ExperimentError, aggregate_bounds,
                          build_model, derive_run_seed, gap_series, rmse_series,
                          run_experiment, true_bound_series)
-from .filters import (FilterOutput, ParticleSet, SigmaPointSet, UTParams, init_particles,
-                      kalman_step, particle_moments, pf_step, regularize_cov, run_pf,
-                      run_ukf, sigma_points, systematic_resample, ukf_step,
-                      unscented_transform)
-from .fim import (PSI_ZERO_THRESHOLD, DecomposedFim, FimState, FimTriple,
-                  bound_difference, decompose_terms, fim_recursion_step,
-                  fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
-                  pcrlb_from_theta_pi, true_fim_terms_mc)
-from .linalg import NumericError, inv_lemma_split, spd_inverse, symmetrize
+from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalman_step,
+                      particle_moments, pf_step, regularize_cov, run_pf, run_ukf,
+                      sigma_points, systematic_resample, ukf_step, unscented_transform)
+from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
+                  fim_recursion_step, fim_via_decomposition, initial_fim, mean_cov_terms,
+                  mean_only_terms, pcrlb_from_theta_pi, true_fim_terms_mc)
+from .linalg import NumericError, inv_lemma_split, spd_inverse
 from .model import (GaussianPrior, SystemModel, Trajectory, fd_hessians, fd_jacobian,
                     linear_gaussian_model, sample_trajectory, ungm_model)
-from .moments import (GaussianBelief, MomentMapDerivatives, PropagatedMoments,
-                      measurement_moment_map_derivatives, propagate_measurement_moments,
-                      propagate_state_moments, state_moment_map_derivatives)
+from .moments import (GaussianBelief, measurement_moment_map_derivatives,
+                      propagate_measurement_moments, propagate_state_moments,
+                      state_moment_map_derivatives)
 
 __version__ = "0.1.0"
 
@@ -40,16 +38,11 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "FilterOutput",
-    "FimState",
     "FimTriple",
     "GaussianBelief",
     "GaussianPrior",
-    "MomentMapDerivatives",
     "NumericError",
-    "PSI_ZERO_THRESHOLD",
     "ParticleSet",
-    "PropagatedMoments",
-    "SigmaPointSet",
     "SystemModel",
     "Trajectory",
     "UTParams",
@@ -85,7 +78,6 @@ __all__ = [
     "sigma_points",
     "spd_inverse",
     "state_moment_map_derivatives",
-    "symmetrize",
     "systematic_resample",
     "true_bound_series",
     "true_fim_terms_mc",

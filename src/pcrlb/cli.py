@@ -31,9 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .experiment import (ALL_ESTIMATORS, ALL_METHODS, AggregateResult, ExperimentConfig,
-                         ExperimentError, build_model, derive_run_seed, run_experiment)
-from .filters import FilterOutput, UTParams, kalman_step, run_ukf
+from .experiment import (ALL_ESTIMATORS, ALL_METHODS, AVERAGING_MODES, EVAL_BELIEFS,
+                         AggregateResult, ExperimentConfig, ExperimentError, build_model,
+                         derive_run_seed, run_experiment)
+from .filters import RESAMPLE_POLICIES, FilterOutput, UTParams, kalman_step, run_ukf
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, inv_lemma_split, mean_cov_terms,
                   mean_only_terms, pcrlb_from_theta_pi, spd_inverse, true_fim_terms_mc)
@@ -96,16 +97,16 @@ _SCHEMA = {
         "runs": int,
         "seed": int,
         "workers": int,
-        "averaging": _parse_choice("bounds", "fim"),
+        "averaging": _parse_choice(*AVERAGING_MODES),
     },
     "filters": {
         "particles": int,
         "ut_alpha": float,
         "ut_beta": float,
         "ut_kappa": _parse_kappa,
-        "state_eval": _parse_choice("posterior", "predicted"),
-        "meas_eval": _parse_choice("predicted", "posterior"),
-        "resample": _parse_choice("always", "adaptive"),
+        "state_eval": _parse_choice(*EVAL_BELIEFS),
+        "meas_eval": _parse_choice(*EVAL_BELIEFS),
+        "resample": _parse_choice(*RESAMPLE_POLICIES),
         "ess_threshold": float,
     },
     "bounds": {

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import UTParams, guarded_step, run_pf, run_ukf
+from .filters import RESAMPLE_POLICIES, UTParams, guarded_step, run_pf, run_ukf
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, ill_conditioned, initial_fim,
                   mean_only_terms, spd_inverse, true_fim_terms_mc)
@@ -74,6 +74,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 ALL_METHODS = ("true", "mean_only", "mean_cov")
 ALL_ESTIMATORS = ("ukf", "pf")
+AVERAGING_MODES = ("bounds", "fim")
+# the filter beliefs that may feed the state and the measurement channel
+EVAL_BELIEFS = ("posterior", "predicted")
 
 
 class ExperimentError(RuntimeError):
@@ -131,12 +134,10 @@ class ExperimentConfig:
             raise ValueError("particles must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.averaging not in ("bounds", "fim"):
-            raise ValueError(f"unknown averaging mode {self.averaging!r}")
-        if self.state_eval not in ("posterior", "predicted"):
-            raise ValueError(f"unknown state_eval {self.state_eval!r}")
-        if self.meas_eval not in ("predicted", "posterior"):
-            raise ValueError(f"unknown meas_eval {self.meas_eval!r}")
+        for key, allowed in (("averaging", AVERAGING_MODES), ("state_eval", EVAL_BELIEFS),
+                             ("meas_eval", EVAL_BELIEFS), ("resample", RESAMPLE_POLICIES)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}; allowed: {allowed}")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ValueError(f"unknown bound methods: {sorted(unknown)}")

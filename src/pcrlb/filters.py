@@ -61,6 +61,8 @@ __all__ = [
 _REG_START = 1e-10
 _REG_STOP = 1e-4
 
+RESAMPLE_POLICIES = ("always", "adaptive")
+
 # Errors that fail one run of a stack rather than the whole stack.
 RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
 
@@ -267,12 +269,12 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m_pred, p_pred, _ = unscented_transform(
-        lambda x: model.transition(k, x), belief, model.process_cov_at(k), params)
+        lambda x: model.transition(k, x), belief, model.process_cov, params)
     repairs = np.zeros(m_pred.shape[:-1], dtype=int)
     p_pred = regularize_cov(p_pred, repairs)
     predicted = GaussianBelief(mean=m_pred, cov=p_pred)
     z_mean, z_cov, cross = unscented_transform(
-        lambda x: model.measure(k, x), predicted, model.meas_cov_at(k), params)
+        lambda x: model.measure(k, x), predicted, model.meas_cov, params)
     gain = cross @ spd_inverse(z_cov, cholesky=True)
     post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
     post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
@@ -461,7 +463,7 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
         (new particle set, FilterOutput with predicted and posterior beliefs
         and the step's health counts).
     """
-    if resample not in ("always", "adaptive"):
+    if resample not in RESAMPLE_POLICIES:
         raise ValueError(f"unknown resample policy {resample!r}")
     generators = _generators(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -469,13 +471,13 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     n_particles = particles.states.shape[-2]
 
     noise = _standard_normal(generators, lead, (n_particles, model.state_dim))
-    chol_q = np.linalg.cholesky(model.process_cov_at(k))
+    chol_q = np.linalg.cholesky(model.process_cov)
     propagated = model.transition(k, particles.states) + noise @ chol_q.T
     repairs = np.zeros(lead, dtype=int)
     predicted = particle_moments(propagated, particles.weights, repairs)
 
     resid = z[..., None, :] - model.measure(k, propagated)
-    log_w = np.log(particles.weights) + _gaussian_loglik(resid, model.meas_cov_at(k))
+    log_w = np.log(particles.weights) + _gaussian_loglik(resid, model.meas_cov)
     if not np.all(np.isfinite(log_w) | np.isneginf(log_w)):
         raise NumericError(f"non-finite particle log-weights at step {k}")
     shifted = log_w - np.max(log_w, axis=-1, keepdims=True)

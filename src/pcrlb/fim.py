@@ -36,8 +36,10 @@ shape, computed for the whole stack in one batched pass.  Per-element
 fallbacks are decided element by element.  The point and Taylor engines
 (``mean_only_terms``, ``mean_cov_terms``, ``decompose_terms``) also take the
 time index k as an integer array (..., 1) broadcast against the stack, as
-``pcrlb.model`` describes, so the terms of every step of a (R, T, n) stack of
-beliefs come from one call; none of them depends on J.
+``pcrlb.model`` describes: the maps and their derivatives are evaluated at
+each element's own k, and the time-constant noise precisions are shared, so
+the terms of every step of a (R, T, n) stack of beliefs come from one call;
+none of them depends on J.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
         raise ValueError("states_prev and states_new must have matching shapes")
     if states_prev.shape[0] < 1:
         raise ValueError("at least one trajectory sample is required")
-    q_inv = model.process_precision_at(k)
-    r_inv = model.meas_precision_at(k)
+    q_inv = model.process_precision
+    r_inv = model.meas_precision
     f_jac = model.transition_jacobian(k, states_prev)
     h_jac = model.measurement_jacobian(k, states_new)
     f_bar = f_jac.mean(axis=0)
@@ -211,8 +213,8 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
     if x_new is None:
         x_new = model.transition(k, x_prev)
     x_new = np.atleast_1d(np.asarray(x_new, float))
-    q_inv = model.process_precision_at(k)
-    r_inv = model.meas_precision_at(k)
+    q_inv = model.process_precision
+    r_inv = model.meas_precision
     f_jac = model.transition_jacobian(k, x_prev)
     h_jac = model.measurement_jacobian(k, x_new)
     return FimTriple(d11=f_jac.mT @ q_inv @ f_jac,
@@ -244,8 +246,8 @@ def _ingredients(model: SystemModel, k, state_belief: GaussianBelief,
         meas_derivs=measurement_moment_map_derivatives(model, k, meas_belief),
         f_jac=model.transition_jacobian(k, state_belief.mean),
         h_jac=model.measurement_jacobian(k, meas_belief.mean),
-        q_inv=model.process_precision_at(k),
-        r_inv=model.meas_precision_at(k),
+        q_inv=model.process_precision,
+        r_inv=model.meas_precision,
     )
 
 
@@ -332,8 +334,8 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
     ing = _ingredients(model, k, state_belief, meas_belief)
     q_inv, r_inv = ing.q_inv, ing.r_inv
     f_jac, h_jac = ing.f_jac, ing.h_jac
-    psi_state = _psi(model.process_cov_at(k), ing.state_moments.signal_cov)
-    psi_meas = _psi(model.meas_cov_at(k), ing.meas_moments.signal_cov)
+    psi_state = _psi(model.process_cov, ing.state_moments.signal_cov)
+    psi_meas = _psi(model.meas_cov, ing.meas_moments.signal_cov)
 
     dmean_x = ing.state_derivs.dmean
     dcurv_x = ing.state_derivs.dcurv_mean

@@ -2,31 +2,27 @@
 
 Models have the form
 
-    x_k = transition(k, x_{k-1}) + w_k,   w_k ~ N(0, Q_k),   k = 1..T
-    z_k = measure(k, x_k) + v_k,          v_k ~ N(0, R_k)
+    x_k = transition(k, x_{k-1}) + w_k,   w_k ~ N(0, Q),   k = 1..T
+    z_k = measure(k, x_k) + v_k,          v_k ~ N(0, R)
 
-with a Gaussian prior on x_0.  Time indices are explicit: the ``k`` passed to
-``transition`` is the index of the state being produced, and the ``k`` passed
-to ``measure`` is the index of the state being observed.  Noise covariances
-are time-constant matrices by default, with callable hooks for time
-dependence.
+with a Gaussian prior on x_0 and time-constant noise covariances Q and R.
+Time indices are explicit: the ``k`` passed to ``transition`` is the index of
+the state being produced, and the ``k`` passed to ``measure`` is the index of
+the state being observed.
 
-First and second derivatives of both maps belong to the model interface.
-Factories for the built-in models attach analytic derivatives; models built
-without them fall back to central finite differences of the maps.  Maps and
-derivatives take one state of shape (n,) or a stack of states (..., n).
+A model is its two maps, their analytic first and second derivatives and the
+two noise covariances.  Maps and derivatives take one state of shape (n,) or
+a stack of states (..., n) and map the whole stack in one call.
 
 The time index k is an int, or an integer array (..., 1) whose leading axes
 broadcast against the stack's leading axes (and whose last axis against the
 state axis), so one call covers a stack over runs and steps, e.g. states
 (R, T, n) with k = np.arange(1, T + 1)[:, None].  Each state is then mapped
-at its own k, and the noise covariances and precisions at such a k are
-(..., n, n) stacks over its leading axes.
+at its own k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -141,46 +137,25 @@ class GaussianPrior:
             raise ValueError("prior covariance must be positive definite")
 
 
-def _over_stack(fn: Callable[[int, np.ndarray], np.ndarray], k,
-                x: np.ndarray) -> np.ndarray:
-    """Apply a pointwise map fn(k, v), v of shape (n,), to each state of a
-    stack (..., n), each state at its own time index (see the module notes)."""
-    if np.ndim(k) == 0:
-        if x.ndim == 1:
-            return np.asarray(fn(k, x), dtype=float)
-        ks = itertools.repeat(k)
-    else:
-        ks = np.broadcast_to(np.asarray(k)[..., 0], x.shape[:-1]).ravel().tolist()
-    flat = np.stack([np.asarray(fn(kk, v), dtype=float)
-                     for kk, v in zip(ks, x.reshape(-1, x.shape[-1]))])
-    return flat.reshape(x.shape[:-1] + flat.shape[1:])
-
-
-def _per_time(fn: Callable[[int], np.ndarray], k) -> np.ndarray:
-    """fn(k) as a matrix, or a stack over the leading axes of an array k."""
-    if np.ndim(k) == 0:
-        return np.atleast_2d(np.asarray(fn(k), dtype=float))
-    ks = np.asarray(k)[..., 0]
-    flat = np.stack([_per_time(fn, kk) for kk in ks.ravel().tolist()])
-    return flat.reshape(ks.shape + flat.shape[1:])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
 class SystemModel:
-    """A state-space model plus derivative information.
+    """A state-space model: its maps, their analytic derivatives and its noise.
 
-    ``transition_fn(k, x)`` and ``measurement_fn(k, x)`` accept a single state
-    of shape (n,) and an int k.  When ``vectorized`` is true they also accept
-    a stack of shape (..., n), with k an int or an integer array (..., 1)
-    that broadcasts against it, and return the mapped stack, which the
-    particle filter and the bound engines exploit; otherwise stacks are
-    mapped one state at a time, each with its own int k.  Derivative
-    callables always take a stack (..., n), with k as for a vectorized map,
-    and return (..., m, n) Jacobians and (..., m, n, n) Hessians; a single
-    state (n,) gives (m, n) and (m, n, n).  The covariance hooks take an int.
+    All six callables take the time index k, as the module notes describe,
+    and a stack of states (..., n); a single state (n,) is a stack without
+    leading axes.  ``transition_fn`` and ``measurement_fn`` return the mapped
+    stack (..., n) and (..., m), the Jacobian callables (..., n, n) and
+    (..., m, n), and the Hessian callables (..., n, n, n) and (..., m, n, n),
+    entry [..., c, i, j] being the (i, j) second derivative of output c.
 
-    The precisions of the time-constant noise covariances are inverted once,
-    on first use, and handed out read-only.
+    The noise covariances are time-constant.  Their precisions
+    ``process_precision`` and ``meas_precision`` are inverted on first use and
+    handed out read-only.
     """
 
     state_dim: int
@@ -190,13 +165,10 @@ class SystemModel:
     process_cov: np.ndarray
     meas_cov: np.ndarray
     prior: GaussianPrior
-    transition_jacobian_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    transition_hessian_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    measurement_jacobian_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    measurement_hessian_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    process_cov_fn: Optional[Callable[[int], np.ndarray]] = None
-    meas_cov_fn: Optional[Callable[[int], np.ndarray]] = None
-    vectorized: bool = False
+    transition_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
+    transition_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
+    measurement_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
+    measurement_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -213,89 +185,49 @@ class SystemModel:
         if self.prior.mean.shape[0] != self.state_dim:
             raise ValueError("prior dimension does not match state_dim")
 
-    # -- maps ------------------------------------------------------------
-
-    def _map(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
-             x: np.ndarray) -> np.ndarray:
+    def _call(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
+              x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.state_dim:
             raise ValueError(
                 f"state shape {x.shape} incompatible with state_dim {self.state_dim}")
-        if self.vectorized:
-            return np.asarray(fn(k, x), dtype=float)
-        return _over_stack(fn, k, x)
+        return np.asarray(fn(k, x), dtype=float)
 
-    def transition(self, k: int, x: np.ndarray) -> np.ndarray:
+    # -- maps ------------------------------------------------------------
+
+    def transition(self, k, x: np.ndarray) -> np.ndarray:
         """Noise-free state at time k from the state at time k-1."""
-        return self._map(self.transition_fn, k, x)
+        return self._call(self.transition_fn, k, x)
 
-    def measure(self, k: int, x: np.ndarray) -> np.ndarray:
+    def measure(self, k, x: np.ndarray) -> np.ndarray:
         """Noise-free measurement of the state at time k."""
-        return self._map(self.measurement_fn, k, x)
+        return self._call(self.measurement_fn, k, x)
 
     # -- derivatives -----------------------------------------------------
 
     def transition_jacobian(self, k, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.transition_jacobian_fn is not None:
-            return np.asarray(self.transition_jacobian_fn(k, x), dtype=float)
-        return _over_stack(lambda kk, v: fd_jacobian(lambda u: self.transition(kk, u), v), k, x)
+        return self._call(self.transition_jacobian_fn, k, x)
 
     def transition_hessians(self, k, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.transition_hessian_fn is not None:
-            hess = np.asarray(self.transition_hessian_fn(k, x), dtype=float)
-        else:
-            hess = _over_stack(lambda kk, v: fd_hessians(lambda u: self.transition(kk, u), v),
-                               k, x)
-        return symmetrize(hess)
+        return symmetrize(self._call(self.transition_hessian_fn, k, x))
 
     def measurement_jacobian(self, k, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.measurement_jacobian_fn is not None:
-            return np.asarray(self.measurement_jacobian_fn(k, x), dtype=float)
-        return _over_stack(lambda kk, v: fd_jacobian(lambda u: self.measure(kk, u), v), k, x)
+        return self._call(self.measurement_jacobian_fn, k, x)
 
     def measurement_hessians(self, k, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.measurement_hessian_fn is not None:
-            hess = np.asarray(self.measurement_hessian_fn(k, x), dtype=float)
-        else:
-            hess = _over_stack(lambda kk, v: fd_hessians(lambda u: self.measure(kk, u), v),
-                               k, x)
-        return symmetrize(hess)
+        return symmetrize(self._call(self.measurement_hessian_fn, k, x))
 
-    # -- noise covariances -----------------------------------------------
-
-    def process_cov_at(self, k) -> np.ndarray:
-        if self.process_cov_fn is not None:
-            return _per_time(self.process_cov_fn, k)
-        return self.process_cov
-
-    def meas_cov_at(self, k) -> np.ndarray:
-        if self.meas_cov_fn is not None:
-            return _per_time(self.meas_cov_fn, k)
-        return self.meas_cov
+    # -- noise precisions ------------------------------------------------
 
     @cached_property
-    def _precisions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only inverses of the time-constant process_cov and meas_cov."""
-        precisions = (spd_inverse(self.process_cov), spd_inverse(self.meas_cov))
-        for precision in precisions:
-            precision.setflags(write=False)
-        return precisions
+    def process_precision(self) -> np.ndarray:
+        """Q^-1, read-only."""
+        return _read_only(spd_inverse(self.process_cov))
 
-    def process_precision_at(self, k) -> np.ndarray:
-        """Q_k^-1, as spd_inverse(process_cov_at(k)) gives it for each k."""
-        if self.process_cov_fn is not None:
-            return spd_inverse(self.process_cov_at(k), cholesky=True)
-        return self._precisions[0]
-
-    def meas_precision_at(self, k) -> np.ndarray:
-        """R_k^-1, as spd_inverse(meas_cov_at(k)) gives it for each k."""
-        if self.meas_cov_fn is not None:
-            return spd_inverse(self.meas_cov_at(k), cholesky=True)
-        return self._precisions[1]
+    @cached_property
+    def meas_precision(self) -> np.ndarray:
+        """R^-1, read-only."""
+        return _read_only(spd_inverse(self.meas_cov))
 
 
 @dataclass(frozen=True)
@@ -348,10 +280,8 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     draws = np.stack([np.random.default_rng(s).standard_normal(n + horizon * (n + m))
                       for s in seeds])
     steps = draws[:, n:].reshape(len(seeds), horizon, n + m)
-    chol_q = np.linalg.cholesky(np.stack([model.process_cov_at(k)
-                                          for k in range(1, horizon + 1)]))
-    chol_r = np.linalg.cholesky(np.stack([model.meas_cov_at(k)
-                                          for k in range(1, horizon + 1)]))
+    chol_q = np.linalg.cholesky(model.process_cov)
+    chol_r = np.linalg.cholesky(model.meas_cov)
     states = np.empty((len(seeds), horizon + 1, n))
     measurements = np.empty((len(seeds), horizon, m))
     states[:, 0] = model.prior.mean + _noise(np.linalg.cholesky(model.prior.cov), draws[:, :n])
@@ -359,9 +289,9 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     # product per run, as for a single (n,) state
     for k in range(1, horizon + 1):
         states[:, k] = (model.transition(k, states[:, None, k - 1])[:, 0]
-                        + _noise(chol_q[k - 1], steps[:, k - 1, :n]))
+                        + _noise(chol_q, steps[:, k - 1, :n]))
         measurements[:, k - 1] = (model.measure(k, states[:, None, k])[:, 0]
-                                  + _noise(chol_r[k - 1], steps[:, k - 1, n:]))
+                                  + _noise(chol_r, steps[:, k - 1, n:]))
     if not isinstance(seed, list):
         states, measurements = states[0], measurements[0]
     return Trajectory(states=states, measurements=measurements)
@@ -417,7 +347,6 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         transition_hessian_fn=f_hess,
         measurement_jacobian_fn=h_jac,
         measurement_hessian_fn=h_hess,
-        vectorized=True,
         name="ungm",
     )
 
@@ -450,6 +379,5 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
         transition_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (n, n, n)),
         measurement_jacobian_fn=lambda k, x: np.broadcast_to(h, x.shape[:-1] + h.shape),
         measurement_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (m, n, n)),
-        vectorized=True,
         name=name,
     )

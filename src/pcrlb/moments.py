@@ -142,7 +142,7 @@ def propagate_state_moments(model: SystemModel, k,
     x = belief.mean
     return _propagate(model.transition(k, x), model.transition_jacobian(k, x),
                       model.transition_hessians(k, x), belief.cov,
-                      model.process_cov_at(k))
+                      model.process_cov)
 
 
 def propagate_measurement_moments(model: SystemModel, k,
@@ -153,7 +153,7 @@ def propagate_measurement_moments(model: SystemModel, k,
     x = belief.mean
     return _propagate(model.measure(k, x), model.measurement_jacobian(k, x),
                       model.measurement_hessians(k, x), belief.cov,
-                      model.meas_cov_at(k))
+                      model.meas_cov)
 
 
 def _moment_map_derivatives(jac_fn, hess_fn, base_jac: np.ndarray,

@@ -162,7 +162,11 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
     edge = SystemModel(state_dim=1, meas_dim=1,
                        transition_fn=lambda k, x: np.where(np.abs(x) > 2.5, np.inf, 0.5 * x),
                        measurement_fn=lambda k, x: x, process_cov=[[1.0]], meas_cov=[[0.01]],
-                       prior=GaussianPrior([0.0], [[1.0]]), vectorized=True)
+                       prior=GaussianPrior([0.0], [[1.0]]),
+                       transition_jacobian_fn=lambda k, x: np.full(x.shape + (1,), 0.5),
+                       transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
+                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
+                       measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
     config = ExperimentConfig(horizon=10, runs=4, master_seed=4, estimators=("ukf",),
                               methods=("true",), max_failure_fraction=0.5)
     monkeypatch.setattr(experiment, "build_model", lambda config: edge)
@@ -375,6 +379,8 @@ def test_config_validation():
         ExperimentConfig(estimators=("ekf",))
     with pytest.raises(ValueError):
         ExperimentConfig(state_eval="prior")
+    with pytest.raises(ValueError, match="resample 'never'"):
+        ExperimentConfig(resample="never")
 
 
 def test_unknown_model_rejected():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, GaussianPrior, NumericError,
-                   SystemModel,
+from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
                    bound_difference, decompose_terms, fim_recursion_step,
                    fim_via_decomposition, initial_fim, inv_lemma_split,
                    kalman_step, linear_gaussian_model, mean_cov_terms,
@@ -409,25 +408,12 @@ def test_stacked_engines_match_pointwise(rng):
 def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
     """mean_only_terms, mean_cov_terms and decompose_terms over an (R, T, n)
     stack with k = 1..T along the step axis give, element by element, the
-    bytes of the per-step calls over the (R, n) slices.  The models cover
-    analytic derivatives (ungm, a random 2-D linear model), a time-varying
-    process covariance, and a non-vectorized map with finite-difference
-    derivatives whose maps depend on k, so each state must be mapped at its
-    own k."""
-    ungm = ungm_model()
-    varying = SystemModel(state_dim=1, meas_dim=1, transition_fn=ungm.transition_fn,
-                          measurement_fn=ungm.measurement_fn, process_cov=[[1.0]],
-                          meas_cov=[[5.0]], prior=ungm.prior, vectorized=True,
-                          process_cov_fn=lambda k: [[1.0 + k]])
-    square = SystemModel(
-        state_dim=2, meas_dim=1,
-        transition_fn=lambda k, x: np.array([x[0] * x[1], x[1] ** 2 + 0.1 * k]),
-        measurement_fn=lambda k, x: np.atleast_1d(x[0] ** 3 + 0.01 * k * x[1]),
-        process_cov=np.eye(2), meas_cov=np.eye(1),
-        prior=GaussianPrior(np.zeros(2), np.eye(2)))
+    bytes of the per-step calls over the (R, n) slices.  ungm's transition
+    has a k-dependent forcing, so each state must be mapped at its own k; the
+    random 2-D linear model covers the matrix path."""
     count, horizon = 3, 4
     steps = np.arange(1, horizon + 1)[:, None]
-    for model in (ungm, random_stable_linear_model(rng, 2), varying, square):
+    for model in (ungm_model(), random_stable_linear_model(rng, 2)):
         n = model.state_dim
         x_prev = rng.uniform(-3.0, 3.0, size=(count, horizon, n))
         x_new = rng.uniform(-3.0, 3.0, size=(count, horizon, n))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (GaussianPrior, SystemModel, fd_hessians, fd_jacobian, linear_gaussian_model,
+from pcrlb import (GaussianPrior, fd_hessians, fd_jacobian, linear_gaussian_model,
                    sample_trajectory, spd_inverse, ungm_model)
 
 from conftest import random_stable_linear_model
@@ -176,8 +176,8 @@ def stepwise_trajectory(model, horizon, rng):
               + np.linalg.cholesky(model.prior.cov) @ rng.standard_normal(model.state_dim)]
     measurements = []
     for k in range(1, horizon + 1):
-        chol_q = np.linalg.cholesky(model.process_cov_at(k))
-        chol_r = np.linalg.cholesky(model.meas_cov_at(k))
+        chol_q = np.linalg.cholesky(model.process_cov)
+        chol_r = np.linalg.cholesky(model.meas_cov)
         states.append(model.transition(k, states[-1])
                       + chol_q @ rng.standard_normal(model.state_dim))
         measurements.append(model.measure(k, states[-1])
@@ -219,37 +219,18 @@ def test_sample_trajectory_generator_ends_after_its_draws(rng, name):
 
 def test_cached_noise_precisions_are_the_inverses_and_read_only(rng):
     for model in sampling_models(rng).values():
-        for k in (1, 7):
-            q_inv, r_inv = model.process_precision_at(k), model.meas_precision_at(k)
-            assert np.array_equal(q_inv, spd_inverse(model.process_cov_at(k)))
-            assert np.array_equal(r_inv, spd_inverse(model.meas_cov_at(k)))
-            assert q_inv is model.process_precision_at(k + 1)
-            for precision in (q_inv, r_inv):
-                with pytest.raises(ValueError, match="read-only"):
-                    precision[0, 0] = 0.0
-
-
-def test_time_varying_noise_is_inverted_per_step():
-    base = ungm_model()
-    model = SystemModel(state_dim=1, meas_dim=1, transition_fn=base.transition_fn,
-                        measurement_fn=base.measurement_fn, process_cov=[[1.0]],
-                        meas_cov=[[5.0]], prior=base.prior, vectorized=True,
-                        process_cov_fn=lambda k: [[1.0 + k]])
-    for k in (1, 2, 5):
-        assert np.array_equal(model.process_precision_at(k), spd_inverse(np.array([[1.0 + k]])))
-    assert model.process_precision_at(1)[0, 0] != model.process_precision_at(2)[0, 0]
-    assert np.array_equal(model.meas_precision_at(3), spd_inverse(np.array([[5.0]])))
+        q_inv, r_inv = model.process_precision, model.meas_precision
+        assert np.array_equal(q_inv, spd_inverse(model.process_cov))
+        assert np.array_equal(r_inv, spd_inverse(model.meas_cov))
+        assert q_inv is model.process_precision
+        for precision in (q_inv, r_inv):
+            with pytest.raises(ValueError, match="read-only"):
+                precision[0, 0] = 0.0
 
 
 def test_stacked_maps_and_derivatives_match_pointwise(rng):
-    """Maps and derivatives take (..., n) stacks, analytic or finite-difference."""
-    square = SystemModel(
-        state_dim=2, meas_dim=1,
-        transition_fn=lambda k, x: np.array([x[0] * x[1], x[1] ** 2]),
-        measurement_fn=lambda k, x: np.atleast_1d(x[0] ** 3),
-        process_cov=np.eye(2), meas_cov=np.eye(1),
-        prior=GaussianPrior(np.zeros(2), np.eye(2)))
-    for model in (ungm_model(), random_stable_linear_model(rng, 2), square):
+    """Maps and derivatives take (..., n) stacks."""
+    for model in (ungm_model(), random_stable_linear_model(rng, 2)):
         x = rng.uniform(-3.0, 3.0, size=(2, 3, model.state_dim))
         for name in ("transition", "measure", "transition_jacobian",
                      "transition_hessians", "measurement_jacobian",

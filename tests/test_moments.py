@@ -11,13 +11,17 @@ from conftest import random_stable_linear_model
 
 
 def scalar_square_model(q=1.0, r=1.0):
-    """f(x) = x^2 with constant unit measurement, for hand-checkable moments."""
+    """f(x) = x^2 with identity measurement, for hand-checkable moments."""
     return SystemModel(
         state_dim=1, meas_dim=1,
-        transition_fn=lambda k, x: np.atleast_1d(x[0] ** 2),
-        measurement_fn=lambda k, x: np.atleast_1d(x[0]),
+        transition_fn=lambda k, x: x * x,
+        measurement_fn=lambda k, x: x,
         process_cov=np.array([[q]]), meas_cov=np.array([[r]]),
-        prior=GaussianPrior(np.zeros(1), np.eye(1)))
+        prior=GaussianPrior(np.zeros(1), np.eye(1)),
+        transition_jacobian_fn=lambda k, x: (2.0 * x)[..., None],
+        transition_hessian_fn=lambda k, x: np.full(x.shape + (1, 1), 2.0),
+        measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
+        measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
 
 
 def test_state_moments_quadratic_hand_values():
