@@ -8,9 +8,9 @@ the configured estimators, and produces:
 * the mean-only and mean+cov approximate bounds per estimator, recursed from
   each run's filter beliefs,
 * per-step gap series between the two approximations, evaluated both through
-  the closed-form difference and by direct subtraction on a shared
-  information state, plus counts of steps where the direct gap loses positive
-  semidefiniteness and where the closed form fell back to the subtraction,
+  the closed-form product theta^-1 pi J^-1 and by direct subtraction of the
+  two inverses on a shared information state, plus counts of steps where the
+  direct gap loses positive semidefiniteness,
 * per-step RMSE per estimator.
 
 The work runs in two stages.  First the runs are filtered in blocks
@@ -47,9 +47,9 @@ import numpy as np
 
 from .filters import RESAMPLE_POLICIES, UTParams, guarded_step, run_pf, run_ukf
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
-                  fim_recursion_step, fim_via_decomposition, ill_conditioned, initial_fim,
-                  mean_only_terms, spd_inverse, true_fim_terms_mc)
-from .linalg import symmetrize
+                  fim_recursion_step, fim_via_decomposition, initial_fim, mean_only_terms,
+                  true_fim_terms_mc)
+from .linalg import spd_inverse, symmetrize
 from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
 from .moments import GaussianBelief
 
@@ -287,8 +287,9 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
     whole (R, T) belief stack, with k = 1..T along the step axis.  Only J is
     recursed one time step at a time (fim_recursion_step,
     fim_via_decomposition), over every run's slice of those terms.  The
-    closed-form gap, the direct gap and its violation flags then run once
-    over the (R, T) theta, pi and J stacks.
+    closed-form gap (the product theta^-1 pi J^-1, bound_difference), the
+    direct gap theta^-1 - J^-1 and its violation flags then run once over
+    the (R, T) theta, pi and J stacks.
 
     A run whose own element fails in one of these passes is dropped with that
     error and skips the rest.  Its error is the first in the order of the
@@ -305,11 +306,11 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
     Returns:
         (stacks, alive, errors).  stacks maps (quantity, estimator) to an
         array with one row per given run: "mean_only" and "mean_cov"
-        information series, "pi" corrections (R, T, n, n), "pi_fallback"
-        flags (R, T), "gap_analytic" and "gap_direct" gaps (R, T, n, n) and
-        "gap_violation" flags (R, T).  alive marks the runs that completed;
-        the rows of the others are meaningless.  errors maps the position of
-        each failed run to its error text.
+        information series, "pi" corrections (R, T, n, n), "gap_analytic"
+        and "gap_direct" gaps (R, T, n, n) and "gap_violation" flags
+        (R, T).  alive marks the runs that completed; the rows of the others
+        are meaningless.  errors maps the position of each failed run to its
+        error text.
     """
     horizon, n = config.horizon, model.state_dim
     count = posterior[config.estimators[0]].mean.shape[0]
@@ -367,12 +368,12 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
             def advance(idx, j, k):
                 fim = fim_via_decomposition(
                     j, DecomposedFim(*(part[idx, k - 1] for part in parts)))
-                return fim.j, fim.theta, fim.pi, fim.fallback
+                return fim.j, fim.theta, fim.pi
 
             fims = None if parts is None else recurse(advance)
             if fims is None:
                 return stacks, alive, errors
-            fim_j, theta, pi, fallback = fims
+            fim_j, theta, pi = fims
 
             def gaps(idx):
                 analytic, _ = bound_difference(theta[idx], pi[idx])
@@ -382,10 +383,9 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
             gap = over_runs(gaps)
             if gap is None:
                 return stacks, alive, errors
-            names = ("mean_cov", "pi", "pi_fallback", "gap_analytic", "gap_direct",
-                     "gap_violation")
+            names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
             stacks.update({(name, estimator): value
-                           for name, value in zip(names, (fim_j, pi, fallback, *gap))})
+                           for name, value in zip(names, (fim_j, pi, *gap))})
     return stacks, alive, errors
 
 
@@ -480,8 +480,6 @@ class AggregateResult:
     bounds: dict                 # (method, estimator or None) -> (T, n, n)
     rmse: dict                   # estimator -> (T,)
     gaps: dict                   # estimator -> {"analytic", "direct", "violations"}
-    pi_fallback_counts: dict     # estimator -> (T,) int
-    gap_fallback_counts: dict    # estimator -> (T,) int
     filter_health: dict          # estimator -> counter -> value, see _summarize_health
     runs_used: int
     failed_runs: list            # [(index, error), ...]
@@ -578,22 +576,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             for estimator in config.estimators}
 
     gaps = {}
-    pi_fallback_counts = {}
-    gap_fallback_counts = {}
     if "mean_cov" in config.methods:
         for estimator in config.estimators:
             analytic, direct, violations = gap_series(run_stacks, estimator)
             gaps[estimator] = {"analytic": analytic, "direct": direct,
                                "violations": violations}
-            pi_fallback_counts[estimator] = run_stacks[("pi_fallback", estimator)].sum(axis=0)
-            # bound_difference falls back exactly where pi is ill conditioned
-            gap_fallback_counts[estimator] = ill_conditioned(
-                run_stacks[("pi", estimator)]).sum(axis=0)
     lap("aggregation")
 
     return AggregateResult(config=config, bounds=bounds, rmse=rmse, gaps=gaps,
-                           pi_fallback_counts=pi_fallback_counts,
-                           gap_fallback_counts=gap_fallback_counts,
                            filter_health={e: _summarize_health(h, ok) for e, h in health.items()},
                            runs_used=int(ok.sum()), failed_runs=failed, run_stacks=run_stacks,
                            stage_seconds=stage_seconds)

@@ -26,20 +26,26 @@ Three engines build the step terms:
 covariance-induced correction using the inversion-lemma split of the
 propagated precisions; ``fim_via_decomposition`` rebuilds the recursion from
 that split as J = theta + pi, where theta is the mean-only update and pi
-collects every covariance correction.  ``pcrlb_from_theta_pi`` and
-``bound_difference`` evaluate the bound and the gap between the two
-approximations directly from (theta, pi) without subtracting two inverses.
+collects every covariance correction.  The difference of two inverses in pi
+and in the gap between the two approximate bounds is evaluated with the
+product identity
+
+    A^-1 - (A + S)^-1 = A^-1 S (A + S)^-1
+
+(Henderson & Searle, SIAM Review 23(1), 1981), so nothing beyond the
+inverses the recursion already holds is inverted and S may be singular:
+``bound_difference`` gives the gap theta^-1 pi J^-1 and
+``pcrlb_from_theta_pi`` the bound J^-1.
 
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
-shape, computed for the whole stack in one batched pass.  Per-element
-fallbacks are decided element by element.  The point and Taylor engines
-(``mean_only_terms``, ``mean_cov_terms``, ``decompose_terms``) also take the
-time index k as an integer array (..., 1) broadcast against the stack, as
-``pcrlb.model`` describes: the maps and their derivatives are evaluated at
-each element's own k, and the time-constant noise precisions are shared, so
-the terms of every step of a (R, T, n) stack of beliefs come from one call;
-none of them depends on J.
+shape, computed for the whole stack in one batched pass.  The point and
+Taylor engines (``mean_only_terms``, ``mean_cov_terms``, ``decompose_terms``)
+also take the time index k as an integer array (..., 1) broadcast against the
+stack, as ``pcrlb.model`` describes: the maps and their derivatives are
+evaluated at each element's own k, and the time-constant noise precisions
+are shared, so the terms of every step of a (R, T, n) stack of beliefs come
+from one call; none of them depends on J.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import inv_lemma_split, spd_inverse, symmetrize
+from .linalg import spd_inverse, symmetrize
 from .model import GaussianPrior, SystemModel
 from .moments import (GaussianBelief, measurement_moment_map_derivatives,
                       propagate_measurement_moments, propagate_state_moments,
@@ -68,18 +74,11 @@ __all__ = [
     "fim_via_decomposition",
     "pcrlb_from_theta_pi",
     "bound_difference",
-    "ill_conditioned",
-    "spd_inverse",
-    "inv_lemma_split",
 ]
 
 # Signal covariances with Frobenius norm below this fraction of the noise
 # covariance norm are treated as exactly zero when forming the lemma split.
 PSI_ZERO_THRESHOLD = 1e-12
-
-# Condition-number ceiling past which the explicit split/lemma paths fall
-# back to direct formulas.
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,16 @@ class DecomposedFim:
 
 @dataclass(frozen=True)
 class FimState:
-    """Information state after one decomposed recursion step.
-
-    fallback marks, per stack element, a pi that came from the direct
-    recursion instead of the explicit formula; pi_fallback counts them.
-    """
+    """Information state after one decomposed recursion step: j = theta + pi."""
 
     j: np.ndarray
-    theta: Optional[np.ndarray] = None
-    pi: Optional[np.ndarray] = None
-    fallback: np.ndarray = np.False_
+    theta: np.ndarray
+    pi: np.ndarray
 
     @property
     def pi_fallback(self) -> int:
-        return int(np.count_nonzero(self.fallback))
+        # always 0; read only by perfbench/tracing.py's fim_via_decomposition note
+        return 0
 
 
 def initial_fim(prior: GaussianPrior) -> np.ndarray:
@@ -292,19 +287,14 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
     return FimTriple(d11=d11, d12=d12, d22=d22)
 
 
-def _as_mask(mask: np.ndarray) -> np.ndarray:
-    """Per-element flags broadcast against (..., n, n) matrices."""
-    return mask[..., None, None]
-
-
 def _psi(noise_cov: np.ndarray, signal_cov: np.ndarray) -> np.ndarray:
     """Correction term with (noise + signal)^-1 = noise^-1 - psi.
 
     A signal covariance negligible against the noise covariance yields an
     exactly zero correction instead of a grossly ill-conditioned inverse.
     """
-    zero = _as_mask(np.linalg.norm(signal_cov, axis=(-2, -1))
-                    < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov, axis=(-2, -1)))
+    zero = (np.linalg.norm(signal_cov, axis=(-2, -1))
+            < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov, axis=(-2, -1)))[..., None, None]
     # zero elements invert the noise covariance instead and are discarded
     signal = np.where(zero, noise_cov, symmetrize(signal_cov))
     inner = symmetrize(noise_cov @ spd_inverse(signal) @ noise_cov)
@@ -364,100 +354,54 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                          psi_state=psi_state, psi_meas=psi_meas)
 
 
-def ill_conditioned(m: np.ndarray) -> np.ndarray:
-    """Per-element flag: condition number above the explicit-formula ceiling.
-
-    Singular elements (infinite or undefined condition number) count as ill
-    conditioned.  This is the test that sends fim_via_decomposition,
-    pcrlb_from_theta_pi and bound_difference to their direct fallbacks.
-    """
-    return ~(np.linalg.cond(m) <= _COND_LIMIT)
-
-
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     """Advance the information matrix through the decomposed form.
 
     Computes theta (the mean-only update of j_prev) and pi (the total
-    covariance-induced correction) so that j = theta + pi.  The explicit pi
-    formula needs spread_11 invertible; where it is singular or grossly
-    ill-conditioned, pi falls back to the difference between the direct
-    recursion and theta, and the element is flagged.
+    covariance-induced correction) so that j = theta + pi.  pi needs
+    anchor^-1 - (anchor + spread_11)^-1 with anchor = j_prev + mean_11, which
+    is the product anchor^-1 spread_11 (j_prev + d11)^-1 of two inverses the
+    step computes anyway, for any spread_11, singular ones included.
 
     Args:
         j_prev: previous information matrix, shape (..., n, n).
         parts: decomposed step terms.
 
     Returns:
-        FimState with j, theta, pi, and the per-element fallback flags.
+        FimState with j, theta and pi.
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    anchor = symmetrize(j_prev + parts.mean_11)
-    anchor_inv = spd_inverse(anchor)
+    anchor_inv = spd_inverse(symmetrize(j_prev + parts.mean_11))
     theta = symmetrize(parts.mean_22 - parts.mean_12.mT @ anchor_inv @ parts.mean_12)
 
-    d11, d12 = parts.d11(), parts.d12()
-    full_inv = spd_inverse(symmetrize(j_prev + d11))
-
-    fallback = ill_conditioned(parts.spread_11)
-    # fallback elements run the lemma on the identity instead and are discarded
-    spread_11 = np.where(_as_mask(fallback), np.eye(anchor.shape[-1]), parts.spread_11)
-    # (j_prev + d11)^-1 = anchor^-1 - shift, via the lemma on anchor + spread_11.
-    shift = np.linalg.inv(symmetrize(anchor @ np.linalg.inv(spread_11) @ anchor) + anchor)
+    d12 = parts.d12()
+    full_inv = spd_inverse(symmetrize(j_prev + parts.d11()))
+    # (j_prev + d11)^-1 = anchor^-1 - shift
+    shift = anchor_inv @ parts.spread_11 @ full_inv
     pi = symmetrize(parts.spread_22
                     - d12.mT @ full_inv @ parts.spread_12
                     - (parts.spread_12.mT @ full_inv - parts.mean_12.mT @ shift) @ parts.mean_12)
-    j = symmetrize(theta + pi)
-    if fallback.any():
-        direct = fim_recursion_step(j_prev, FimTriple(d11, d12, parts.d22()))
-        pi = np.where(_as_mask(fallback), symmetrize(direct - theta), pi)
-        j = np.where(_as_mask(fallback), direct, j)
-    return FimState(j=j, theta=theta, pi=pi, fallback=fallback)
+    return FimState(j=symmetrize(theta + pi), theta=theta, pi=pi)
 
 
-def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:
-    """Bound (theta + pi)^-1 evaluated through the inversion-lemma form.
-
-    Uses J^-1 = theta^-1 - (pi^-1 theta + I)^-1 theta^-1 where pi is usable;
-    a singular or ill-conditioned pi falls back to the direct inverse.
-
-    Returns:
-        (bound matrix, number of elements that took the direct fallback).
-    """
-    theta = symmetrize(np.atleast_2d(np.asarray(theta, float)))
-    pi = symmetrize(np.atleast_2d(np.asarray(pi, float)))
-    eye = np.eye(pi.shape[-1])
-    theta_inv = spd_inverse(theta)
-    fallback = ill_conditioned(pi)
-    usable = np.where(_as_mask(fallback), eye, pi)
-    ratio = np.linalg.solve(usable, theta)
-    bound = theta_inv - np.linalg.inv(ratio + eye) @ theta_inv
-    if fallback.any():
-        direct = spd_inverse(symmetrize(theta + np.where(_as_mask(fallback), pi, 0.0)))
-        bound = np.where(_as_mask(fallback), direct, bound)
-    return symmetrize(bound), int(np.count_nonzero(fallback))
+def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Bound (theta + pi)^-1 on the error covariance."""
+    theta = np.atleast_2d(np.asarray(theta, float))
+    return spd_inverse(symmetrize(theta + np.asarray(pi, float)))
 
 
 def bound_difference(j_star: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:
     """Gap between the mean-only bound and the mean+cov bound.
 
-    Evaluates (pi^-1 j_star + I)^-1 j_star^-1, which equals
-    j_star^-1 - (j_star + pi)^-1 without the subtraction of two inverses.
-    A singular pi (including the no-correction limit pi -> 0) falls back to
-    the direct subtraction, which is then exactly zero in that limit.
+    Evaluates j_star^-1 - (j_star + pi)^-1 as the product
+    j_star^-1 pi (j_star + pi)^-1, which needs no inverse of pi, is exactly
+    zero where pi is, and carries no cancellation between two inverses.
 
     Returns:
-        (gap matrix, number of elements that took the direct fallback).
+        (gap matrix, 0).  The 0 is read only by perfbench/tracing.py's
+        bound_difference note.
     """
     j_star = symmetrize(np.atleast_2d(np.asarray(j_star, float)))
     pi = symmetrize(np.atleast_2d(np.asarray(pi, float)))
-    eye = np.eye(pi.shape[-1])
-    j_star_inv = spd_inverse(j_star)
-    fallback = ill_conditioned(pi)
-    usable = np.where(_as_mask(fallback), eye, pi)
-    ratio = np.linalg.solve(usable, j_star)
-    gap = np.linalg.inv(ratio + eye) @ j_star_inv
-    if fallback.any():
-        direct = j_star_inv - spd_inverse(
-            symmetrize(j_star + np.where(_as_mask(fallback), pi, 0.0)))
-        gap = np.where(_as_mask(fallback), direct, gap)
-    return symmetrize(gap), int(np.count_nonzero(fallback))
+    gap = spd_inverse(j_star) @ pi @ spd_inverse(symmetrize(j_star + pi))
+    return symmetrize(gap), 0

@@ -83,7 +83,7 @@ def jitter_ladder(m: np.ndarray, start: float = _JITTER_START,
             except np.linalg.LinAlgError:
                 jitter = start * scale if jitter == 0.0 else jitter * 10.0
                 if jitter > stop * scale:
-                    eigmin = float(sla.eigvalsh(element)[0])
+                    eigmin = float(np.linalg.eigvalsh(element)[0])
                     raise NumericError(
                         "matrix is not positive definite within jitter budget: "
                         f"min eigenvalue {eigmin:.3e}, trace/n {scale:.3e}"

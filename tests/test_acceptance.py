@@ -81,14 +81,14 @@ def test_criterion_2_decomposition_identities(report):
 
 def test_criterion_3_lemma_identities(report):
     """Inversion-lemma split, Theta/Pi bound and closed-form gap match dense
-    inverses, with no fallback."""
+    inverses."""
     worst = cli.lemma_deviation(np.random.default_rng(20240819), trials=100)
     report(3, "lemma-identities", worst <= 1e-10, f"max deviation {worst:.2e}")
 
 
 def test_criterion_4_gap_formula(per_run_results, report):
-    """Closed-form gap equals direct subtraction wherever the correction
-    term is well conditioned, across the full benchmark experiment.
+    """Closed-form gap equals direct subtraction at every run-step of the
+    full benchmark experiment.
 
     Tolerance is the allclose reading of 1e-8 (absolute plus relative floor),
     since the gap legitimately spans eight orders of magnitude over
@@ -101,9 +101,6 @@ def test_criterion_4_gap_formula(per_run_results, report):
         assert pis.shape[0] == BENCHMARK_CONFIG.runs
         for run in range(pis.shape[0]):
             for k in range(pis.shape[1]):
-                cond = np.linalg.cond(pis[run, k])
-                if not (np.isfinite(cond) and cond < 1e8):
-                    continue
                 diff = float(np.abs(analytic[run, k] - direct[run, k]).max())
                 scale = 1.0 + float(np.abs(direct[run, k]).max())
                 worst_abs = max(worst_abs, diff)

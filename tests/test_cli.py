@@ -224,12 +224,6 @@ def test_cmd_run_writes_all_outputs(tmp_path):
     assert meta["config"]["horizon"] == 6
     assert meta["runs_used"] == 3
     assert "gap_ordering_violations" in meta
-    assert "pi_fallback_counts" in meta
-    for key in ("pi_fallback_counts", "gap_fallback_counts"):
-        assert sorted(meta[key]) == ["pf", "ukf"]
-        for counts in meta[key].values():
-            assert len(counts) == 6
-            assert all(0 <= c <= 3 for c in counts)
     health = meta["filter_health"]
     assert sorted(health) == ["pf", "ukf"]
     assert health["ukf"] == {"cov_repairs": 0}

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,14 +254,13 @@ def test_fim_via_decomposition_linear_hand_values():
     assert not state.pi_fallback
 
 
-def test_fim_via_decomposition_zero_spread_fallback(rng):
+def test_fim_via_decomposition_zero_spread(rng):
     model = random_stable_linear_model(rng, 1)
     x = rng.standard_normal(1)
     zero = np.zeros((1, 1))
     parts = decompose_terms(model, 1, GaussianBelief(x, zero),
                             GaussianBelief(model.transition(1, x), zero))
     state = fim_via_decomposition(np.array([[2.0]]), parts)
-    assert state.pi_fallback
     assert_allclose(state.pi, zero, atol=1e-10)
     assert_allclose(state.j, state.theta, atol=1e-10)
 
@@ -279,11 +279,9 @@ def test_fim_via_decomposition_matches_direct_path():
 
 
 def test_pcrlb_from_theta_pi_hand_values():
-    bound, fallback = pcrlb_from_theta_pi(np.array([[1.0]]), np.array([[1.0]]))
+    bound = pcrlb_from_theta_pi(np.array([[1.0]]), np.array([[1.0]]))
     assert_allclose(bound, [[0.5]], atol=1e-14)
-    assert not fallback
-    bound0, fallback0 = pcrlb_from_theta_pi(np.array([[1.0]]), np.zeros((1, 1)))
-    assert fallback0
+    bound0 = pcrlb_from_theta_pi(np.array([[1.0]]), np.zeros((1, 1)))
     assert_allclose(bound0, [[1.0]], atol=1e-14)
 
 
@@ -292,17 +290,14 @@ def test_pcrlb_from_theta_pi_random(rng):
         for _ in range(25):
             theta = random_spd(rng, dim)
             pi = random_spd(rng, dim)
-            bound, fallback = pcrlb_from_theta_pi(theta, pi)
-            assert not fallback
+            bound = pcrlb_from_theta_pi(theta, pi)
             assert_allclose(bound, np.linalg.inv(theta + pi), atol=1e-10)
 
 
 def test_bound_difference_hand_values():
-    gap, fallback = bound_difference(np.array([[1.0]]), np.array([[1.0]]))
+    gap, _ = bound_difference(np.array([[1.0]]), np.array([[1.0]]))
     assert_allclose(gap, [[0.5]], atol=1e-14)
-    assert not fallback
-    gap0, fallback0 = bound_difference(np.array([[1.0]]), np.zeros((1, 1)))
-    assert fallback0
+    gap0, _ = bound_difference(np.array([[1.0]]), np.zeros((1, 1)))
     assert_allclose(gap0, np.zeros((1, 1)), atol=1e-14)
 
 
@@ -311,10 +306,33 @@ def test_bound_difference_random(rng):
         for _ in range(25):
             j_star = random_spd(rng, dim)
             pi = random_spd(rng, dim)
-            gap, fallback = bound_difference(j_star, pi)
-            assert not fallback
+            gap, _ = bound_difference(j_star, pi)
             direct = np.linalg.inv(j_star) - np.linalg.inv(j_star + pi)
             assert_allclose(gap, direct, atol=1e-10)
+
+
+def test_bound_difference_matches_exact_rational_gap():
+    """On the theta and pi of decomposed ungm steps (criterion 2's random
+    beliefs), the gap equals theta^-1 - (theta + pi)^-1 evaluated exactly in
+    rational arithmetic on the same float64 theta and pi, to 1e-13 of
+    |theta^-1| + |(theta + pi)^-1|.  Where pi is close to -theta, a form that
+    rounds anything before the sum theta + pi (which is then exact) loses
+    about |theta| / |theta + pi| ulps."""
+    model = ungm_model()
+    rng = np.random.default_rng(20240818)
+    worst = 0.0
+    for _ in range(100):
+        belief = GaussianBelief(np.array([rng.uniform(-25.0, 25.0)]),
+                                np.array([[rng.uniform(0.1, 30.0)]]))
+        k = int(rng.integers(1, 51))
+        j_prev = np.array([[rng.uniform(0.05, 5.0)]])
+        state = fim_via_decomposition(j_prev, decompose_terms(model, k, belief))
+        gap, _ = bound_difference(state.theta, state.pi)
+        theta, pi = Fraction(state.theta[0, 0]), Fraction(state.pi[0, 0])
+        exact = 1 / theta - 1 / (theta + pi)
+        scale = abs(1 / theta) + abs(1 / (theta + pi))
+        worst = max(worst, float(abs(Fraction(gap[0, 0]) - exact) / scale))
+    assert worst <= 1e-13
 
 
 def test_spd_inverse_values(rng):
@@ -368,8 +386,9 @@ def test_returned_fims_symmetric_psd():
 def test_stacked_engines_match_pointwise(rng):
     """An engine given a stack returns, element by element, what it returns
     for that element alone.  A stack is inverted by LU rather than Cholesky,
-    so the two agree to rounding; the explicit Pi split amplifies rounding
-    about 1e9-fold (2e-7 relative seen on these inputs), hence its tolerance."""
+    so the two agree to rounding; pi and the gap are small differences of
+    larger terms inside the theta/pi split (up to 1e-9 relative per entry
+    seen on these inputs), hence the tolerance of j, pi and the gap."""
     count, k = 6, 3
     for model, dim in ((ungm_model(), 1), (random_stable_linear_model(rng, 2), 2)):
         x_prev = rng.uniform(-5.0, 5.0, size=(count, dim))
@@ -400,7 +419,6 @@ def test_stacked_engines_match_pointwise(rng):
             assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-8)
             assert_allclose(state.j[i], one_state.j, rtol=1e-5)
             assert_allclose(state.pi[i], one_state.pi, rtol=1e-5)
-            assert state.fallback[i] == bool(one_state.pi_fallback)
             one_gap, _ = bound_difference(one_state.theta, one_state.pi)
             assert_allclose(gap[i], one_gap, rtol=1e-5)
 
@@ -435,16 +453,14 @@ def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
                     assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
 
 
-def test_stacked_fallbacks_are_per_element():
-    """In a stack, only the elements with a singular correction fall back,
-    and the returned count says how many did."""
+def test_stacked_bound_and_gap_with_a_singular_correction():
+    """A stack holding a zero correction gives that element the bound
+    theta^-1 and a zero gap, and the other elements their own values."""
     theta = np.stack([np.eye(1), np.eye(1), 2.0 * np.eye(1)])
     pi = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
-    gap, fallbacks = bound_difference(theta, pi)
-    assert fallbacks == 1
+    gap, _ = bound_difference(theta, pi)
     assert_allclose(gap[:, 0, 0], [0.5, 0.0, 0.5 - 1.0 / 3.0], atol=1e-14)
-    bound, fallbacks = pcrlb_from_theta_pi(theta, pi)
-    assert fallbacks == 1
+    bound = pcrlb_from_theta_pi(theta, pi)
     assert_allclose(bound[:, 0, 0], [0.5, 1.0, 1.0 / 3.0], atol=1e-14)
 
 
