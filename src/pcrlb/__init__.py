@@ -20,7 +20,7 @@ from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalma
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, initial_fim, mean_cov_terms,
                   mean_only_terms, pcrlb_from_theta_pi, true_fim_terms_mc)
-from .linalg import NumericError, inv_lemma_split, spd_inverse
+from .linalg import NumericError, spd_inverse
 from .model import (GaussianPrior, SystemModel, Trajectory, fd_hessians, fd_jacobian,
                     linear_gaussian_model, sample_trajectory, ungm_model)
 from .moments import (GaussianBelief, measurement_moment_map_derivatives,
@@ -58,7 +58,6 @@ __all__ = [
     "gap_series",
     "init_particles",
     "initial_fim",
-    "inv_lemma_split",
     "kalman_step",
     "linear_gaussian_model",
     "mean_cov_terms",

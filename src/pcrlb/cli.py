@@ -38,7 +38,7 @@ from .filters import RESAMPLE_POLICIES, FilterOutput, UTParams, kalman_step, run
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
                   pcrlb_from_theta_pi, true_fim_terms_mc)
-from .linalg import NumericError, inv_lemma_split, spd_inverse
+from .linalg import NumericError, spd_inverse
 from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
 from .moments import GaussianBelief
 
@@ -493,15 +493,15 @@ def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[floa
 
 def lemma_deviation(rng: np.random.Generator, trials: int) -> float:
     """Worst absolute deviation from dense inverses, over random SPD pairs
-    (a, b) of dimension 1 to 4, of the inversion-lemma split, the Theta/Pi
-    bound and the closed-form gap (the product a^-1 b (a + b)^-1)."""
+    (a, b) of dimension 1 to 4, of the Theta/Pi bound and the closed-form gap
+    (the product a^-1 b (a + b)^-1)."""
     worst = 0.0
     for trial in range(trials):
         dim = 1 + trial % 4
         a = random_spd(rng, dim)
         b = random_spd(rng, dim)
         direct = np.linalg.inv(a + b)
-        for got, want in ((inv_lemma_split(a, b), direct), (pcrlb_from_theta_pi(a, b), direct),
+        for got, want in ((pcrlb_from_theta_pi(a, b), direct),
                           (bound_difference(a, b)[0], np.linalg.inv(a) - direct)):
             worst = max(worst, float(np.abs(got - want).max()))
     return worst
@@ -554,7 +554,7 @@ _SELFTEST_CHECKS = [
     ("mean+cov terms reduce to mean-only terms at zero spread", _check_zero_spread_limit),
     ("term decomposition identities",
      lambda: _within(max(decomposition_deviation(np.random.default_rng(23), 20)), 1e-8)),
-    ("inversion-lemma identities",
+    ("Theta/Pi bound and closed-form gap identities",
      lambda: _within(lemma_deviation(np.random.default_rng(31), 20), 1e-10)),
     ("run seed derivation", _check_seed_derivation),
 ]

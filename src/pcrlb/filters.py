@@ -213,7 +213,12 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray,
                  params: UTParams = UTParams()) -> SigmaPointSet:
-    """Scaled symmetric sigma points for N(mean, cov), or for each of a stack."""
+    """Scaled symmetric sigma points for N(mean, cov), or for each of a stack.
+
+    cov is symmetrized and factored as given, so a covariance that is not
+    positive definite raises LinAlgError; callers repair it first
+    (regularize_cov), where the repair is counted.
+    """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mean.shape[-1]
@@ -222,7 +227,7 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
     spread = n + lam
     if spread <= 0.0:
         raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
-    wings = np.linalg.cholesky(regularize_cov(cov) * spread).mT  # row i is column i
+    wings = np.linalg.cholesky(symmetrize(cov) * spread).mT  # row i is column i
     center = mean[..., None, :]
     points = np.concatenate([center, center + wings, center - wings], axis=-2)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))

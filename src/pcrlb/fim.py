@@ -23,12 +23,12 @@ Three engines build the step terms:
   derivatives plus trace curvature terms.
 
 ``decompose_terms`` splits each mean+cov term into the mean-only part plus a
-covariance-induced correction using the inversion-lemma split of the
-propagated precisions; ``fim_via_decomposition`` rebuilds the recursion from
-that split as J = theta + pi, where theta is the mean-only update and pi
-collects every covariance correction.  The difference of two inverses in pi
-and in the gap between the two approximate bounds is evaluated with the
-product identity
+covariance-induced correction: the mean-only terms at the belief means, and
+the spread, which is the mean+cov terms minus those point terms.
+``fim_via_decomposition`` rebuilds the recursion from that split as
+J = theta + pi, where theta is the mean-only update and pi collects every
+covariance correction.  The difference of two inverses in pi and in the gap
+between the two approximate bounds is evaluated with the product identity
 
     A^-1 - (A + S)^-1 = A^-1 S (A + S)^-1
 
@@ -51,7 +51,7 @@ from one call; none of them depends on J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,11 +76,6 @@ __all__ = [
     "bound_difference",
 ]
 
-# Signal covariances with Frobenius norm below this fraction of the noise
-# covariance norm are treated as exactly zero when forming the lemma split.
-PSI_ZERO_THRESHOLD = 1e-12
-
-
 @dataclass(frozen=True)
 class FimTriple:
     """The three step terms of the information recursion (each (..., n, n))."""
@@ -102,15 +97,10 @@ class FimTriple:
 class DecomposedFim:
     """Mean+cov step terms split into mean-only blocks plus corrections.
 
-    mean_* are the blocks the mean-only engine would produce from the same
-    evaluation points; spread_* collect everything induced by the belief
-    covariance (moment-map curvature, trace terms, and the psi corrections
-    from the inversion-lemma split of the propagated precisions).  Block sums
-    mean_* + spread_* reproduce the mean+cov terms exactly.
-
-    psi_state and psi_meas are the corrections subtracted from the noise
-    precisions: (P_state)^-1 = Q^-1 - psi_state and likewise for the
-    measurement channel.
+    mean_* are the blocks the mean-only engine produces at the belief means;
+    spread_* are the mean+cov blocks minus those, i.e. everything the belief
+    covariance adds.  Block sums mean_* + spread_* reproduce the mean+cov
+    terms up to rounding.
     """
 
     mean_11: np.ndarray
@@ -119,8 +109,6 @@ class DecomposedFim:
     spread_11: np.ndarray
     spread_12: np.ndarray
     spread_22: np.ndarray
-    psi_state: np.ndarray
-    psi_meas: np.ndarray
 
     def d11(self) -> np.ndarray:
         return self.mean_11 + self.spread_11
@@ -217,33 +205,14 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
                      d22=q_inv + h_jac.mT @ r_inv @ h_jac)
 
 
-class _TaylorIngredients(NamedTuple):
-    state_moments: object
-    meas_moments: object
-    state_derivs: object
-    meas_derivs: object
-    f_jac: np.ndarray
-    h_jac: np.ndarray
-    q_inv: np.ndarray
-    r_inv: np.ndarray
-
-
-def _ingredients(model: SystemModel, k, state_belief: GaussianBelief,
-                 meas_belief: Optional[GaussianBelief]) -> _TaylorIngredients:
-    sm = propagate_state_moments(model, k, state_belief)
-    if meas_belief is None:
-        meas_belief = GaussianBelief(sm.mean, sm.cov)
-    zm = propagate_measurement_moments(model, k, meas_belief)
-    return _TaylorIngredients(
-        state_moments=sm,
-        meas_moments=zm,
-        state_derivs=state_moment_map_derivatives(model, k, state_belief),
-        meas_derivs=measurement_moment_map_derivatives(model, k, meas_belief),
-        f_jac=model.transition_jacobian(k, state_belief.mean),
-        h_jac=model.measurement_jacobian(k, meas_belief.mean),
-        q_inv=model.process_precision,
-        r_inv=model.meas_precision,
-    )
+def _meas_belief(model: SystemModel, k, state_belief: GaussianBelief,
+                 meas_belief: Optional[GaussianBelief]) -> GaussianBelief:
+    """The measurement channel's belief: meas_belief, or by default the state
+    belief propagated onto time k."""
+    if meas_belief is not None:
+        return meas_belief
+    moments = propagate_state_moments(model, k, state_belief)
+    return GaussianBelief(moments.mean, moments.cov)
 
 
 def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
@@ -274,41 +243,28 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
     Returns:
         FimTriple of the mean+cov terms.
     """
-    ing = _ingredients(model, k, state_belief, meas_belief)
-    px_inv = spd_inverse(ing.state_moments.cov)
-    pz_inv = spd_inverse(ing.meas_moments.cov)
-    dmean_x = ing.state_derivs.dmean
-    dmean_z = ing.meas_derivs.dmean
-    d11 = symmetrize(dmean_x.mT @ px_inv @ dmean_x
-                     + _trace_gram(px_inv, ing.state_derivs.dcov))
+    meas_belief = _meas_belief(model, k, state_belief, meas_belief)
+    px_inv = spd_inverse(propagate_state_moments(model, k, state_belief).cov)
+    pz_inv = spd_inverse(propagate_measurement_moments(model, k, meas_belief).cov)
+    state_derivs = state_moment_map_derivatives(model, k, state_belief)
+    meas_derivs = measurement_moment_map_derivatives(model, k, meas_belief)
+    dmean_x = state_derivs.dmean
+    dmean_z = meas_derivs.dmean
+    d11 = symmetrize(dmean_x.mT @ px_inv @ dmean_x + _trace_gram(px_inv, state_derivs.dcov))
     d12 = -dmean_x.mT @ px_inv
     d22 = symmetrize(px_inv + dmean_z.mT @ pz_inv @ dmean_z
-                     + _trace_gram(pz_inv, ing.meas_derivs.dcov))
+                     + _trace_gram(pz_inv, meas_derivs.dcov))
     return FimTriple(d11=d11, d12=d12, d22=d22)
-
-
-def _psi(noise_cov: np.ndarray, signal_cov: np.ndarray) -> np.ndarray:
-    """Correction term with (noise + signal)^-1 = noise^-1 - psi.
-
-    A signal covariance negligible against the noise covariance yields an
-    exactly zero correction instead of a grossly ill-conditioned inverse.
-    """
-    zero = (np.linalg.norm(signal_cov, axis=(-2, -1))
-            < PSI_ZERO_THRESHOLD * np.linalg.norm(noise_cov, axis=(-2, -1)))[..., None, None]
-    # zero elements invert the noise covariance instead and are discarded
-    signal = np.where(zero, noise_cov, symmetrize(signal_cov))
-    inner = symmetrize(noise_cov @ spd_inverse(signal) @ noise_cov)
-    return np.where(zero, 0.0, spd_inverse(inner + noise_cov))
 
 
 def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                     meas_belief: Optional[GaussianBelief] = None) -> DecomposedFim:
     """Split the mean+cov step terms into mean-only blocks plus corrections.
 
-    The propagated precisions are expanded with the inversion-lemma split
-    (P)^-1 = noise^-1 - psi, after which every term either depends only on
-    the evaluation points (mean_* blocks, identical to what mean_only_terms
-    produces there) or carries belief covariance (spread_* blocks).
+    The mean_* blocks are mean_only_terms at the two beliefs' means; each
+    spread_* block is the mean+cov term minus its point term.  Both are
+    symmetric where the term is: FimTriple symmetrizes d11 and d22, and the
+    difference of two symmetric matrices is symmetric.
 
     Args:
         model: the system model.
@@ -321,37 +277,12 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
         DecomposedFim whose block sums equal mean_cov_terms on the same
         beliefs up to rounding.
     """
-    ing = _ingredients(model, k, state_belief, meas_belief)
-    q_inv, r_inv = ing.q_inv, ing.r_inv
-    f_jac, h_jac = ing.f_jac, ing.h_jac
-    psi_state = _psi(model.process_cov, ing.state_moments.signal_cov)
-    psi_meas = _psi(model.meas_cov, ing.meas_moments.signal_cov)
-
-    dmean_x = ing.state_derivs.dmean
-    dcurv_x = ing.state_derivs.dcurv_mean
-    dmean_z = ing.meas_derivs.dmean
-    dcurv_z = ing.meas_derivs.dcurv_mean
-    px_inv = q_inv - psi_state
-    pz_inv = r_inv - psi_meas
-
-    mean_11 = symmetrize(f_jac.mT @ q_inv @ f_jac)
-    mean_12 = -f_jac.mT @ q_inv
-    mean_22 = symmetrize(q_inv + h_jac.mT @ r_inv @ h_jac)
-
-    spread_11 = symmetrize(_trace_gram(px_inv, ing.state_derivs.dcov)
-                           + dcurv_x.mT @ q_inv @ f_jac
-                           + dmean_x.mT @ q_inv @ dcurv_x
-                           - dmean_x.mT @ psi_state @ dmean_x)
-    spread_12 = dmean_x.mT @ psi_state - dcurv_x.mT @ q_inv
-    spread_22 = symmetrize(_trace_gram(pz_inv, ing.meas_derivs.dcov)
-                           - psi_state
-                           + dcurv_z.mT @ r_inv @ h_jac
-                           + dmean_z.mT @ r_inv @ dcurv_z
-                           - dmean_z.mT @ psi_meas @ dmean_z)
-    return DecomposedFim(mean_11=mean_11, mean_12=mean_12, mean_22=mean_22,
-                         spread_11=spread_11, spread_12=spread_12,
-                         spread_22=spread_22,
-                         psi_state=psi_state, psi_meas=psi_meas)
+    meas_belief = _meas_belief(model, k, state_belief, meas_belief)
+    point = mean_only_terms(model, k, state_belief.mean, meas_belief.mean)
+    full = mean_cov_terms(model, k, state_belief, meas_belief)
+    return DecomposedFim(mean_11=point.d11, mean_12=point.d12, mean_22=point.d22,
+                         spread_11=full.d11 - point.d11, spread_12=full.d12 - point.d12,
+                         spread_22=full.d22 - point.d22)
 
 
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:

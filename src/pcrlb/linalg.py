@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["NumericError", "symmetrize", "jitter_ladder", "spd_inverse", "inv_lemma_split"]
+__all__ = ["NumericError", "symmetrize", "jitter_ladder", "spd_inverse"]
 
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
@@ -137,27 +137,3 @@ def spd_inverse(m: np.ndarray, cholesky: bool = False) -> np.ndarray:
         return _cholesky_inverse(m)
     return symmetrize(np.linalg.inv(m))
 
-
-def inv_lemma_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate (a + b)^-1 as a^-1 minus a correction, without forming a + b.
-
-    Uses the matrix-inversion-lemma rearrangement
-
-        (a + b)^-1 = a^-1 - (a b^-1 a + a)^-1
-
-    valid for symmetric positive definite a and b.  The correction term
-    (a b^-1 a + a)^-1 is what the FIM decomposition calls the Psi matrix.
-
-    Args:
-        a: symmetric positive definite matrix, shape (..., n, n).
-        b: symmetric positive definite matrix, shape (..., n, n).
-
-    Returns:
-        (a + b)^-1 computed via the split form, shape (..., n, n).
-    """
-    a = _check_square_symmetric(a, "a")
-    b = _check_square_symmetric(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: a {a.shape} vs b {b.shape}")
-    correction = spd_inverse(symmetrize(a @ spd_inverse(b) @ a) + a)
-    return spd_inverse(a) - correction

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import symmetrize
+from .linalg import _check_square_symmetric, symmetrize
 from .model import SystemModel, _JAC_STEP
 
 __all__ = [
@@ -64,10 +64,8 @@ class GaussianBelief:
         n = mean.shape[-1]
         if cov.shape != mean.shape + (n,):
             raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
+        _check_square_symmetric(cov, "belief covariance")
         scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1), initial=0.0))
-        if not np.all(np.abs(cov - cov.mT) <= 1e-8 * scale[..., None, None]
-                      + 1e-5 * np.abs(cov.mT)):
-            raise ValueError("belief covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(cov)[..., 0] < -1e-10 * scale):
             raise ValueError("belief covariance must be positive semidefinite")
 
@@ -80,23 +78,15 @@ class GaussianBelief:
 class PropagatedMoments:
     """Moments of a belief pushed through a map with additive noise.
 
-    cov always equals linear_cov + curvature_cov + noise_cov:  linear_cov is
-    the Jacobian sandwich G cov G', curvature_cov is the Hessian-trace double
-    sum (it vanishes whenever all Hessians vanish), and noise_cov is the
-    additive noise covariance.  signal_cov = cov - noise_cov is the part the
-    FIM decomposition feeds to the inversion-lemma split.
+    cov is the Jacobian sandwich G cov G' plus curvature_cov, the
+    Hessian-trace double sum (it vanishes whenever all Hessians vanish), plus
+    the additive noise covariance; mean is the map value plus curvature_mean.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     curvature_mean: np.ndarray
     curvature_cov: np.ndarray
-    linear_cov: np.ndarray
-    noise_cov: np.ndarray
-
-    @property
-    def signal_cov(self) -> np.ndarray:
-        return self.linear_cov + self.curvature_cov
 
 
 class MomentMapDerivatives(NamedTuple):
@@ -126,12 +116,10 @@ def _curvature_cov(hessians: np.ndarray, cov: np.ndarray) -> np.ndarray:
 def _propagate(value: np.ndarray, jac: np.ndarray, hessians: np.ndarray,
                cov: np.ndarray, noise: np.ndarray) -> PropagatedMoments:
     curv_mean = _curvature_mean(hessians, cov)
-    linear = symmetrize(jac @ cov @ jac.mT)
     curv_cov = _curvature_cov(hessians, cov)
-    total = symmetrize(linear + curv_cov + noise)
+    total = symmetrize(symmetrize(jac @ cov @ jac.mT) + curv_cov + noise)
     return PropagatedMoments(mean=value + curv_mean, cov=total,
-                             curvature_mean=curv_mean, curvature_cov=curv_cov,
-                             linear_cov=linear, noise_cov=noise)
+                             curvature_mean=curv_mean, curvature_cov=curv_cov)
 
 
 def propagate_state_moments(model: SystemModel, k,
@@ -160,7 +148,7 @@ def _moment_map_derivatives(jac_fn, hess_fn, base_jac: np.ndarray,
                             mean: np.ndarray, cov: np.ndarray) -> MomentMapDerivatives:
     """Shared central-difference engine for both moment channels.
 
-    Differentiates x -> curvature_mean(x) and x -> signal_cov(x) with the
+    Differentiates x -> curvature_mean(x) and the noise-free covariance with the
     belief covariance frozen; the full mean derivative is the analytic map
     Jacobian plus the curvature-mean derivative.  Each coordinate step moves
     every element of a stack at once.

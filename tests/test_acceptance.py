@@ -80,8 +80,7 @@ def test_criterion_2_decomposition_identities(report):
 
 
 def test_criterion_3_lemma_identities(report):
-    """Inversion-lemma split, Theta/Pi bound and closed-form gap match dense
-    inverses."""
+    """Theta/Pi bound and closed-form gap match dense inverses."""
     worst = cli.lemma_deviation(np.random.default_rng(20240819), trials=100)
     report(3, "lemma-identities", worst <= 1e-10, f"max deviation {worst:.2e}")
 

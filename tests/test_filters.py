@@ -34,6 +34,13 @@ def test_sigma_points_shape_and_weights():
                     np.tile(2.0 * belief.mean, (2, 1)), atol=1e-12)
 
 
+def test_sigma_points_reject_a_covariance_that_does_not_factor():
+    """No silent repair: a singular or indefinite covariance raises."""
+    for cov in (np.ones((2, 2)), np.diag([1.0, -1.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            sigma_points(np.zeros(2), cov, UTParams())
+
+
 def test_unscented_transform_identity():
     belief = GaussianBelief(np.array([0.3, -1.0]), np.diag([2.0, 0.5]))
     noise = np.eye(2) * 0.1

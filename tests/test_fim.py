@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 
 from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
                    bound_difference, decompose_terms, fim_recursion_step,
-                   fim_via_decomposition, initial_fim, inv_lemma_split,
-                   kalman_step, linear_gaussian_model, mean_cov_terms,
-                   mean_only_terms, pcrlb_from_theta_pi, spd_inverse,
-                   true_fim_terms_mc, ungm_model)
+                   fim_via_decomposition, initial_fim, kalman_step,
+                   linear_gaussian_model, mean_cov_terms, mean_only_terms,
+                   pcrlb_from_theta_pi, spd_inverse, true_fim_terms_mc, ungm_model)
+from pcrlb.linalg import symmetrize
 
 from conftest import random_spd, random_stable_linear_model
 
@@ -204,7 +204,6 @@ def test_mean_cov_matches_independent_oracle():
 def test_decompose_linear_hand_values():
     parts = decompose_terms(unit_linear_model(), 1,
                             GaussianBelief(np.zeros(1), np.ones((1, 1))))
-    assert_allclose(parts.psi_state, [[0.5]], atol=1e-12)
     assert_allclose(parts.spread_11, [[-0.5]], atol=1e-12)
     assert_allclose(parts.mean_11, [[1.0]], atol=1e-12)
     assert_allclose(parts.d11(), [[0.5]], atol=1e-12)
@@ -218,14 +217,23 @@ def test_decompose_zero_spread_limit(rng):
     parts = decompose_terms(model, 1, GaussianBelief(x, zero),
                             GaussianBelief(meas_point, zero))
     point = mean_only_terms(model, 1, x, meas_point)
-    assert_allclose(parts.psi_state, zero, atol=1e-12)
-    assert_allclose(parts.psi_meas, zero, atol=1e-12)
     for got, want in ((parts.mean_11, point.d11), (parts.mean_12, point.d12),
                       (parts.mean_22, point.d22)):
         assert_allclose(got, want, atol=1e-10)
     assert_allclose(parts.spread_11, zero, atol=1e-10)
     assert_allclose(parts.spread_12, zero, atol=1e-10)
     assert_allclose(parts.spread_22, zero, atol=1e-10)
+
+    # a stack of zero-covariance ungm beliefs, each at its own step
+    model = ungm_model()
+    steps = np.arange(1, 51)[:, None]
+    x = rng.uniform(-20.0, 20.0, size=(50, 1))
+    zeros = np.zeros((50, 1, 1))
+    parts = decompose_terms(model, steps, GaussianBelief(x, zeros),
+                            GaussianBelief(model.transition(steps, x), zeros))
+    for spread, mean in ((parts.spread_11, parts.mean_11), (parts.spread_12, parts.mean_12),
+                         (parts.spread_22, parts.mean_22)):
+        assert np.all(np.abs(spread) <= 1e-15 * np.abs(mean))
 
 
 def test_decompose_block_sums_match_full_terms():
@@ -239,6 +247,31 @@ def test_decompose_block_sums_match_full_terms():
         assert_allclose(parts.d11(), full.d11, rtol=1e-8, atol=1e-12)
         assert_allclose(parts.d12(), full.d12, rtol=1e-8, atol=1e-12)
         assert_allclose(parts.d22(), full.d22, rtol=1e-8, atol=1e-12)
+
+    # 4-D linear models and beliefs with eigenvalues 1e-9..10: the spread
+    # blocks are small differences, and the block sums and the recursion
+    # through them still match the direct terms to rounding
+    rng = np.random.default_rng(5)
+
+    def ill_conditioned_cov():
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        return symmetrize(basis @ np.diag(10.0 ** rng.uniform(-9.0, 1.0, 4)) @ basis.T)
+
+    def relative(got, want):
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    for _ in range(200):
+        model = random_stable_linear_model(rng, 4)
+        state = GaussianBelief(rng.standard_normal(4), ill_conditioned_cov())
+        meas = GaussianBelief(rng.standard_normal(4), ill_conditioned_cov())
+        parts = decompose_terms(model, 1, state, meas)
+        full = mean_cov_terms(model, 1, state, meas)
+        for got, want in ((parts.d11(), full.d11), (parts.d12(), full.d12),
+                          (parts.d22(), full.d22)):
+            assert relative(got, want) <= 1e-13
+        j_prev = random_spd(rng, 4)
+        assert relative(fim_via_decomposition(j_prev, parts).j,
+                        fim_recursion_step(j_prev, full)) <= 1e-13
 
 
 def test_fim_via_decomposition_linear_hand_values():
@@ -349,16 +382,6 @@ def test_spd_inverse_errors():
         spd_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         spd_inverse(np.zeros((2, 3)))
-
-
-def test_inv_lemma_split_values(rng):
-    assert_allclose(inv_lemma_split(np.eye(1), np.eye(1)), [[0.5]], atol=1e-14)
-    assert_allclose(inv_lemma_split(2.0 * np.eye(1), 2.0 * np.eye(1)),
-                    [[0.25]], atol=1e-14)
-    for dim in (1, 2, 3):
-        a = random_spd(rng, dim)
-        b = random_spd(rng, dim)
-        assert_allclose(inv_lemma_split(a, b), np.linalg.inv(a + b), atol=1e-10)
 
 
 def test_fim_triple_symmetrizes_and_validates():
