@@ -9,11 +9,13 @@ Every routine takes leading run axes: a UKF belief may be a stack of beliefs
 ``run_ukf``/``run_pf`` take a stack of measurement sequences (..., T, m).  One
 step is then one batched numpy call per operation for all runs, and each
 element of a stack gets the bytes the single-run call gives it.  The particle
-filter draws every cloud's randomness from that run's own Generator, in the
-order of the single-run filter (prior cloud, then per step the process noise
-followed by the resampling uniform), so a run never depends on the rest of
-its stack.  A run of a stack whose own step fails is dropped with its error
-text while the others go on (``guarded_step``); a single-run call raises.
+filter's step works in place on its own buffers and resamples all its clouds
+in one exact O(N) ``systematic_resample`` call.  Every cloud's randomness
+comes from that run's own Generator, in the order of the single-run filter
+(prior cloud, then per step the process noise followed by the resampling
+uniform), so a run never depends on the rest of its stack.  A run of a stack
+whose own step fails is dropped with its error text while the others go on
+(``guarded_step``); a single-run call raises.
 
 Both filters count their numeric health per run: covariance repairs by the
 jitter ladder, and for the particle filter resampling events, likelihood
@@ -398,26 +400,49 @@ def particle_moments(states: np.ndarray, weights: np.ndarray,
     return GaussianBelief(mean=mean, cov=regularize_cov(cov, repairs))
 
 
-def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
-    """Systematic resampling indices for normalized weights.
+def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
+    """Systematic resampling indices for normalized weights, or for each row of a stack.
 
-    Positions (i + u) / N for i = 0..N-1 are matched against the cumulative
-    weight sum, so a single uniform draw u in [0, 1) determines the whole
-    resampled population.
+    Positions (j + u) / N, j = 0..N-1, with one uniform u in [0, 1) per row
+    (u has the stack's shape) are matched against the cumulative weight sum
+    c: index j is #{i : c_i <= (j + u) / N}, clipped to N - 1.  One ordered
+    pass gives it (Kitagawa 1996): particle i is first passed at position
+    ceil(N c_i - u), and index j counts the particles passed by position j.
+    Rounding moves either side of that comparison by at most about
+    N * 4.4e-16, so entries with N c_i - u within 1e-12 N of an integer are
+    searched among the positions, and every index is the one a search gives.
+    A negative weight is rejected: its count would land in the previous row.
 
     Returns:
-        Integer index array of length N into the particle arrays.
+        Integer indices (..., N) into each row's particles.
     """
     weights = np.asarray(weights, dtype=float)
-    if not 0.0 <= u < 1.0:
+    u = np.asarray(u, dtype=float)
+    if not np.all((0.0 <= u) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError("resampling weights must be normalized")
-    n = weights.shape[0]
-    positions = (np.arange(n) + u) / n
-    cumulative = np.cumsum(weights)
-    cumulative[-1] = max(cumulative[-1], 1.0)  # guard rounding of the final edge
-    return np.minimum(np.searchsorted(cumulative, positions, side="right"), n - 1)
+    if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9)):
+        raise ValueError("resampling weights must be non-negative and normalized")
+    n = weights.shape[-1]
+    cumulative = np.cumsum(weights.reshape(-1, n), axis=-1)
+    cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)  # guard rounding of the final edge
+    rows = cumulative.shape[0]
+    u = np.broadcast_to(u, weights.shape[:-1]).reshape(rows, 1)
+    estimate = cumulative * n
+    estimate -= u
+    first = np.ceil(estimate)
+    estimate -= first  # in (-1, 0]: near 0 or -1 where N c - u is near an integer
+    near = (estimate >= -1e-12 * n) | (estimate <= 1e-12 * n - 1.0)
+    del estimate  # its memory serves the integer counts below
+    np.minimum(first, n, out=first)
+    first += (n + 1) * np.arange(rows)[:, None]  # each row counts into its own N + 1 bins
+    first = first.astype(np.intp)
+    for row in np.flatnonzero(near.any(axis=-1)):
+        positions = (np.arange(n) + u[row, 0]) / n
+        first[row, near[row]] = (n + 1) * row + np.searchsorted(
+            positions, cumulative[row, near[row]], side="left")
+    passed = np.bincount(first.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    index = np.cumsum(passed, axis=-1, out=passed)[:, :n]
+    return np.minimum(index, n - 1, out=index).reshape(weights.shape)
 
 
 def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -431,15 +456,18 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
     if m == 1:
         # what LAPACK potrs does with a 1 x 1 factor: scale by 1/l twice
         factor = np.linalg.cholesky(cov)
-        sol = columns * (1.0 / factor[0, 0]) * (1.0 / factor[0, 0])
+        sol = columns * (1.0 / factor[0, 0])
+        sol *= 1.0 / factor[0, 0]
     else:
         factor, lower = sla.cho_factor(cov, lower=True)
         # skip scipy's finiteness gate, see above
         sol = sla.cho_solve((factor, lower), columns.reshape(m, -1),
                             check_finite=False).reshape(columns.shape)
-    quad = np.sum(columns * sol, axis=0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return -0.5 * (quad + logdet + m * np.log(2.0 * np.pi))
+    sol *= columns
+    quad = np.sum(sol, axis=0)
+    quad += 2.0 * float(np.sum(np.log(np.diag(factor))))  # log det
+    quad += m * np.log(2.0 * np.pi)
+    return np.multiply(quad, -0.5, out=quad)
 
 
 def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
@@ -475,41 +503,39 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     lead = particles.weights.shape[:-1]
     n_particles = particles.states.shape[-2]
 
-    noise = _standard_normal(generators, lead, (n_particles, model.state_dim))
-    chol_q = np.linalg.cholesky(model.process_cov)
-    propagated = model.transition(k, particles.states) + noise @ chol_q.T
+    propagated = (_standard_normal(generators, lead, (n_particles, model.state_dim))
+                  @ np.linalg.cholesky(model.process_cov).T)
+    propagated += model.transition(k, particles.states)
     repairs = np.zeros(lead, dtype=int)
     predicted = particle_moments(propagated, particles.weights, repairs)
 
-    resid = z[..., None, :] - model.measure(k, propagated)
-    log_w = np.log(particles.weights) + _gaussian_loglik(resid, model.meas_cov)
-    if not np.all(np.isfinite(log_w) | np.isneginf(log_w)):
+    log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov)
+    log_w += np.log(particles.weights)
+    if not np.all(log_w < np.inf):  # NaN or +inf
         raise NumericError(f"non-finite particle log-weights at step {k}")
-    shifted = log_w - np.max(log_w, axis=-1, keepdims=True)
-    weights = np.exp(shifted)
+    log_w -= np.max(log_w, axis=-1, keepdims=True)
+    weights = np.exp(log_w, out=log_w)
     total = weights.sum(axis=-1, keepdims=True)
     collapsed = ~((total > 0.0) & np.isfinite(total))[..., 0]
-    weights = weights / total
+    weights /= total
     if np.any(collapsed):
         warnings.warn(f"all particle likelihoods vanished at step {k}; "
                       "falling back to uniform weights", RuntimeWarning)
         weights[collapsed] = 1.0 / n_particles
     posterior = particle_moments(propagated, weights, repairs)
 
-    updated = ParticleSet(states=propagated, weights=weights)
+    updated = ParticleSet(states=propagated, weights=weights)  # resampling edits its arrays
     ess = updated.ess
     resampled = np.full(lead, True) if resample == "always" else ess < ess_threshold * n_particles
-    if np.any(resampled):
-        clouds = propagated.reshape((-1,) + propagated.shape[-2:])
-        states = np.empty_like(clouds)
-        for row, (cloud, cloud_weights) in enumerate(zip(clouds, weights.reshape(-1, n_particles))):
-            if resampled.flat[row]:
-                picks = systematic_resample(cloud_weights, float(generators[row].random()))
-                np.take(cloud, picks, axis=0, out=states[row], mode="clip")
-            else:
-                states[row] = cloud
+    rows = np.flatnonzero(resampled)
+    if rows.size:
+        # one call for all resampled clouds, each u from its own generator
+        u = np.array([generators[row].random() for row in rows])
+        picks = systematic_resample(weights.reshape(-1, n_particles)[rows], u)
+        picks += n_particles * rows[:, None]
+        propagated.reshape(-1, n_particles, model.state_dim)[rows] = np.take(
+            propagated.reshape(-1, model.state_dim), picks, axis=0, mode="clip")
         weights[resampled] = 1.0 / n_particles
-        updated = ParticleSet(states=states.reshape(propagated.shape), weights=weights)
     health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
               "collapses": collapsed.astype(int), "min_ess": ess}
     return updated, FilterOutput(posterior=posterior, predicted=predicted, health=health)

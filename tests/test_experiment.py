@@ -125,8 +125,8 @@ def test_block_size_follows_the_particle_budget():
         return [len(b) for b in experiment._blocks(config, 1)]
 
     assert sizes(runs=20, particles=1000) == [20]
-    assert sizes(runs=100, particles=1000) == [32, 32, 32, 4]
-    assert sizes(runs=3, particles=20000) == [1, 1, 1]
+    assert sizes(runs=100, particles=1000) == [65, 35]
+    assert sizes(runs=3, particles=20000) == [3]
     assert sizes(runs=20, particles=1000, workers=2) == [10, 10]
 
 

@@ -8,6 +8,7 @@ from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTPa
                    regularize_cov, run_pf, run_ukf, sample_trajectory, sigma_points,
                    systematic_resample, ukf_step, ungm_model, unscented_transform)
 
+from pcrlb import filters
 from pcrlb.cli import kalman_series
 from pcrlb.filters import _gaussian_loglik
 
@@ -135,6 +136,61 @@ def test_systematic_resample_examples():
 def test_systematic_resample_rejects_unnormalized():
     with pytest.raises(ValueError):
         systematic_resample(np.array([0.5, 0.6]), 0.1)
+    with pytest.raises(ValueError):  # a negative weight would count into the row before
+        systematic_resample(np.array([[0.5, 0.5], [-0.5, 1.5]]), np.array([0.1, 0.1]))
+
+
+def searchsorted_resample(weights, u):
+    """The 1-D systematic rule: a binary search of every position (j + u) / N."""
+    n = weights.shape[0]
+    positions = (np.arange(n) + u) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = max(cumulative[-1], 1.0)
+    return np.minimum(cumulative.searchsorted(positions, side="right"), n - 1)
+
+
+def resample_weights(rng, kind, runs, n):
+    """Normalized weights (runs, n) of one of the shapes that stress the count rule."""
+    if kind == "uniform":  # cumulative sums land on the position grid
+        weights = np.full((runs, n), 1.0)
+    elif kind == "one-hot":
+        weights = np.zeros((runs, n))
+        weights[np.arange(runs), rng.integers(0, n, runs)] = 1.0
+    elif kind == "zero-ends":
+        weights = rng.random((runs, n))
+        weights[:, :n // 3] = 0.0
+        weights[:, n - n // 3:] = 0.0
+        weights[:, n // 3] += 1e-300
+    elif kind == "skewed":
+        weights = rng.random((runs, n)) ** rng.uniform(1.0, 200.0) + 1e-300
+    else:  # a few distinct values, so many partial sums tie
+        weights = rng.integers(0, 4, (runs, n)).astype(float)
+        weights[:, 0] += 1.0
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def test_stacked_resample_matches_the_search_rule_exactly(monkeypatch):
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kwargs: searches.append(1) or search(*args, **kwargs))
+    rng = np.random.default_rng(13)
+    kinds = ("uniform", "one-hot", "zero-ends", "skewed", "ties")
+    cases = 0
+    for n in (1, 2, 3, 7, 1000, 20000):
+        for runs in range(1, 30):
+            weights = resample_weights(rng, kinds[runs % len(kinds)], runs, n)
+            u = rng.random(runs)
+            u[::3] = 0.0
+            u[1::3] = np.nextafter(1.0, 0.0)
+            got = systematic_resample(weights, u)
+            assert got.shape == (runs, n)
+            for row in range(runs):
+                assert np.array_equal(got[row], searchsorted_resample(weights[row], u[row]))
+            cases += runs
+    assert cases >= 2000
+    assert searches  # entries within the margin of an integer count were searched
+    assert np.array_equal(systematic_resample(weights[0], u[0]), got[0])
 
 
 def test_resampling_preserves_weighted_mean():
@@ -281,6 +337,29 @@ def test_stacked_filters_match_single_runs_bit_for_bit(name, resample):
         assert_same_output(row_of(ukf, i), run_ukf(model, measurements[i]))
     if resample == "adaptive":
         assert 0 < pf.health["resamples"].sum() < 4 * 25
+
+
+@pytest.mark.parametrize("resample", ["always", "adaptive"])
+def test_a_block_of_dense_clouds_matches_single_runs_bit_for_bit(resample):
+    """Three runs of 20,000 particles, a block at the default particle budget."""
+    model, measurements, seeds = stacked_setup("ungm", runs=3, horizon=6)
+    pf = run_pf(model, measurements, 20000, seeds, resample=resample, ess_threshold=0.3)
+    for i in range(3):
+        single = run_pf(model, measurements[i], 20000, seeds[i], resample=resample,
+                        ess_threshold=0.3)
+        assert_same_output(row_of(pf, i), single)
+    if resample == "adaptive":  # some steps resample only some of the clouds
+        assert len(set(pf.health["resamples"].tolist())) > 1
+
+
+def test_a_stacked_step_resamples_every_cloud_in_one_call(monkeypatch):
+    calls = []
+    resample = filters.systematic_resample
+    monkeypatch.setattr(filters, "systematic_resample",
+                        lambda *args: calls.append(np.shape(args[0])) or resample(*args))
+    model, measurements, seeds = stacked_setup("ungm", runs=3, horizon=5)
+    run_pf(model, measurements, 40, seeds)
+    assert calls == [(3, 40)] * 5
 
 
 @pytest.mark.parametrize("name", ["ungm", "linear2d"])
