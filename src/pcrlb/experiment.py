@@ -51,7 +51,7 @@ from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   true_fim_terms_mc)
 from .linalg import spd_inverse, symmetrize
 from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
-from .moments import GaussianBelief
+from .moments import GaussianBelief, _unchecked
 
 __all__ = [
     "DEFAULT_SEED",
@@ -266,7 +266,7 @@ def _engine_beliefs(config: ExperimentConfig, model: SystemModel, posterior: Gau
     """
     chosen = posterior if config.state_eval == "posterior" else predicted
     count, n = chosen.mean.shape[0], model.state_dim
-    state = GaussianBelief(
+    state = _unchecked(
         np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)),
                         chosen.mean[:, :-1]], axis=1),
         np.concatenate([np.broadcast_to(model.prior.cov, (count, 1, n, n)),
@@ -364,8 +364,8 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
 
         if "mean_cov" in config.methods:
             parts = over_runs(lambda idx: _fields(decompose_terms(
-                model, steps, GaussianBelief(state.mean[idx], state.cov[idx]),
-                GaussianBelief(meas.mean[idx], meas.cov[idx]))))
+                model, steps, _unchecked(state.mean[idx], state.cov[idx]),
+                _unchecked(meas.mean[idx], meas.cov[idx]))))
 
             def advance(idx, j, k):
                 fim = fim_via_decomposition(
@@ -534,8 +534,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     for estimator in config.estimators:
         for channel, name in ((posterior, "posterior"), (predicted, "predicted")):
             beliefs = [getattr(part, name)[estimator] for part in parts]
-            channel[estimator] = GaussianBelief(np.concatenate([b.mean for b in beliefs]),
-                                                np.concatenate([b.cov for b in beliefs]))
+            channel[estimator] = _unchecked(np.concatenate([b.mean for b in beliefs]),
+                                            np.concatenate([b.cov for b in beliefs]))
         health[estimator] = {counter: np.concatenate([part.health[estimator][counter]
                                                       for part in parts])
                              for counter in parts[0].health[estimator]}
@@ -545,8 +545,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     if filtered.any():
         stacks, alive, bound_errors = _bound_stage(
             config, model,
-            {e: GaussianBelief(b.mean[filtered], b.cov[filtered]) for e, b in posterior.items()},
-            {e: GaussianBelief(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
+            {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in posterior.items()},
+            {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
         kept = np.flatnonzero(filtered)
         errors.update({int(kept[position]): error for position, error in bound_errors.items()})
     lap("bound_engines")

@@ -15,11 +15,14 @@ comes from that run's own Generator, in the order of the single-run filter
 (prior cloud, then per step the process noise followed by the resampling
 uniform), so a run never depends on the rest of its stack.  A run of a stack
 whose own step fails is dropped with its error text while the others go on
-(``guarded_step``); a single-run call raises.
+(``guarded_step``); a single-run call raises.  The beliefs and particle sets
+built inside skip the public constructors' checks: their covariances have just
+been factored and their weights normalized.
 
 Both filters count their numeric health per run: covariance repairs by the
 jitter ladder, and for the particle filter resampling events, likelihood
-collapses and the smallest effective sample size.
+collapses and the smallest effective sample size.  The particle likelihood is
+solved by LAPACK potrf/potrs (``pcrlb.linalg``), loading scipy only for m > 1.
 
 A closed-form Kalman step for linear models rides along as the oracle used by
 the CLI selftest.  Randomness is always drawn from a caller-supplied seed or
@@ -33,11 +36,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linalg import NumericError, jitter_ladder, spd_inverse, symmetrize
+from .linalg import NumericError, _cho_factor, _cho_solve, jitter_ladder, spd_inverse, symmetrize
 from .model import SystemModel
-from .moments import GaussianBelief
+from .moments import GaussianBelief, _unchecked
 
 __all__ = [
     "UTParams",
@@ -279,13 +281,13 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
         lambda x: model.transition(k, x), belief, model.process_cov, params)
     repairs = np.zeros(m_pred.shape[:-1], dtype=int)
     p_pred = regularize_cov(p_pred, repairs)
-    predicted = GaussianBelief(mean=m_pred, cov=p_pred)
+    predicted = _unchecked(m_pred, p_pred)
     z_mean, z_cov, cross = unscented_transform(
         lambda x: model.measure(k, x), predicted, model.meas_cov, params)
     gain = cross @ spd_inverse(z_cov, cholesky=True)
     post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
     post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
-    return FilterOutput(posterior=GaussianBelief(post_mean, post_cov), predicted=predicted,
+    return FilterOutput(posterior=_unchecked(post_mean, post_cov), predicted=predicted,
                         health={"cov_repairs": repairs})
 
 
@@ -333,8 +335,8 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
         array.reshape(lead + array.shape[1:]) for array in series[:4])
     totals = {name: (array.min(axis=1) if name == "min_ess" else array.sum(axis=1)).reshape(lead)
               for name, array in zip(health, series[4:])}
-    return FilterOutput(posterior=GaussianBelief(post_mean, post_cov),
-                        predicted=GaussianBelief(pred_mean, pred_cov),
+    return FilterOutput(posterior=_unchecked(post_mean, post_cov),
+                        predicted=_unchecked(pred_mean, pred_cov),
                         health=totals, errors=errors)
 
 
@@ -348,7 +350,7 @@ def run_ukf(model: SystemModel, measurements: np.ndarray,
              np.broadcast_to(model.prior.cov, (count, n, n)).copy())
 
     def step(k, idx, z, belief):
-        out = ukf_step(model, k, GaussianBelief(*belief), z, params)
+        out = ukf_step(model, k, _unchecked(*belief), z, params)
         return out, (out.posterior.mean, out.posterior.cov)
 
     return _run_stack(model, measurements, step, carry, {"cov_repairs": 0})
@@ -397,7 +399,7 @@ def particle_moments(states: np.ndarray, weights: np.ndarray,
     mean = (weights[..., None, :] @ states)[..., 0, :]
     dev = states - mean[..., None, :]
     cov = symmetrize((dev * weights[..., None]).mT @ dev)
-    return GaussianBelief(mean=mean, cov=regularize_cov(cov, repairs))
+    return _unchecked(mean, regularize_cov(cov, repairs))
 
 
 def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
@@ -453,16 +455,8 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """
     m = cov.shape[0]
     columns = np.moveaxis(resid, -1, 0)  # (m, ..., N): one solve for every run
-    if m == 1:
-        # what LAPACK potrs does with a 1 x 1 factor: scale by 1/l twice
-        factor = np.linalg.cholesky(cov)
-        sol = columns * (1.0 / factor[0, 0])
-        sol *= 1.0 / factor[0, 0]
-    else:
-        factor, lower = sla.cho_factor(cov, lower=True)
-        # skip scipy's finiteness gate, see above
-        sol = sla.cho_solve((factor, lower), columns.reshape(m, -1),
-                            check_finite=False).reshape(columns.shape)
+    factor = _cho_factor(cov)
+    sol = _cho_solve(factor, columns.reshape(m, -1)).reshape(columns.shape)
     sol *= columns
     quad = np.sum(sol, axis=0)
     quad += 2.0 * float(np.sum(np.log(np.diag(factor))))  # log det
@@ -524,7 +518,7 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
         weights[collapsed] = 1.0 / n_particles
     posterior = particle_moments(propagated, weights, repairs)
 
-    updated = ParticleSet(states=propagated, weights=weights)  # resampling edits its arrays
+    updated = _unchecked(propagated, weights, cls=ParticleSet)  # resampling edits its arrays
     ess = updated.ess
     resampled = np.full(lead, True) if resample == "always" else ess < ess_threshold * n_particles
     rows = np.flatnonzero(resampled)
@@ -556,7 +550,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     particles = init_particles(model, n_particles, generators)
 
     def step(k, idx, z, cloud):
-        updated, out = pf_step(model, k, ParticleSet(*cloud), z,
+        updated, out = pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z,
                                [generators[i] for i in idx], resample, ess_threshold)
         return out, (updated.states, updated.weights)
 

@@ -5,16 +5,18 @@ and measurement dimensions), so Cholesky factorizations are the workhorse and
 failures are handled by escalating diagonal jitter rather than by switching to
 iterative methods.  Every helper takes a single (n, n) matrix or a stack of
 them with any leading axes (..., n, n) and acts on each element of the stack.
+Cholesky factors and solves are LAPACK potrf/potrs: numpy does the 1 x 1 case
+in their arithmetic, and scipy, which supplies them for larger matrices, is
+imported only the first time one is factored, so a scalar model never loads it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = ["NumericError", "symmetrize", "jitter_ladder", "spd_inverse"]
-
-_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 # Jitter escalation for barely-indefinite matrices: relative to trace/n,
 # starting at 1e-12 and growing by decades up to 1e-6.
@@ -94,22 +96,47 @@ def jitter_ladder(m: np.ndarray, start: float = _JITTER_START,
     return m, repaired
 
 
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK potrf and potrs for float64, importing scipy on the first call."""
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+
+
+def _cho_factor(m: np.ndarray) -> np.ndarray:
+    """potrf's lower factor (upper triangle not zeroed); for 1 x 1 elements sqrt(m)."""
+    if m.shape[-1] == 1:
+        factor, info = np.sqrt(np.abs(m)), int(not np.all(m > 0.0))
+    else:
+        factor, info = _lapack()[0](m, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """potrs's solution of L L' x = b; for 1 x 1 elements b scaled by 1/l twice, as potrs does."""
+    if factor.shape[-1] == 1:
+        x = b * (scale := 1.0 / factor)
+        x *= scale
+        return x
+    return _lapack()[1](factor, b, lower=1)[0]
+
+
 def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
     """Invert each factorable matrix of a stack through its own Cholesky factor.
 
-    Calls LAPACK potrf/potrs once per element, as scipy's cho_factor and
-    cho_solve do, so each element gets the bytes a single-matrix inverse gives.
+    Each element gets the bytes of LAPACK potrf/potrs, as in scipy's cho_solve:
+    1 x 1 elements in one vector operation, (1/sqrt(m))**2, larger ones singly.
     """
     if not np.all(np.isfinite(m)):
         raise ValueError("array must not contain infs or NaNs")
+    if m.shape[-1] == 1:
+        return symmetrize(_cho_solve(_cho_factor(m), 1.0))
     eye = np.eye(m.shape[-1])
     out = np.empty_like(m)
     for index in np.ndindex(m.shape[:-2]):
-        factor, info = _POTRF(m[index], lower=1, clean=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
-        out[index], info = _POTRS(factor, eye, lower=1)
+        out[index] = _cho_solve(_cho_factor(m[index]), eye)
     return symmetrize(out)
 
 

@@ -74,6 +74,15 @@ class GaussianBelief:
         return self.mean.shape[-1]
 
 
+def _unchecked(*values, cls=GaussianBelief):
+    """cls(*values) without the checks of the dataclass cls, for arrays known to pass them:
+    covariances that have just passed a Cholesky factorization (filters.regularize_cov),
+    slices and concatenations of such stacks and a checked prior, pf_step's weights."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 @dataclass(frozen=True)
 class PropagatedMoments:
     """Moments of a belief pushed through a map with additive noise.

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,8 @@ from pcrlb import DEFAULT_SEED, cli
 from pcrlb.cli import (CONFIG_REFERENCE, ConfigError, config_from_file, parse_config,
                        write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv, _write_csv)
 from pcrlb.experiment import ExperimentConfig, build_model, run_experiment
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 TINY = """\
@@ -356,3 +361,44 @@ def test_selftest_reports_a_failing_check(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"FAIL {name}: deliberately broken" in out
     assert f"1 of {len(cli._SELFTEST_CHECKS)} checks failed" in out
+
+
+RUN_IN_FRESH_INTERPRETER = """\
+import dataclasses, json, sys
+import pcrlb.cli as cli
+config_path, out, params = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+if params:  # the config file format is scalar-only, so matrices come in here
+    from_file = cli.config_from_file
+    def with_matrices(*args, **kwargs):
+        config, output = from_file(*args, **kwargs)
+        return dataclasses.replace(config, model_params=params), output
+    cli.config_from_file = with_matrices
+code = cli.main(["run", "--config", config_path, "--out", out, "--quiet"])
+print(json.dumps({"code": code, "scipy": sorted(
+    name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(tmp_path, text, params=None):
+    """`pcrlb run` in a new interpreter; returns its exit code and the scipy modules it loaded."""
+    config_path = write(tmp_path, text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_IN_FRESH_INTERPRETER, str(config_path),
+         str(tmp_path / "out"), json.dumps(params or {})],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scalar_run_loads_no_scipy(tmp_path):
+    text = "[model]\nname = ungm\n\n[experiment]\nhorizon = 5\nruns = 3\n\n[filters]\nparticles = 50\n"
+    assert run_fresh(tmp_path, text) == {"code": 0, "scipy": []}
+
+
+def test_matrix_run_completes_in_fresh_interpreter(tmp_path):
+    text = "[model]\nname = linear\n\n[experiment]\nhorizon = 5\nruns = 3\n\n[filters]\nparticles = 50\n"
+    params = GOLDEN_CONFIGS["linear2d"].model_params
+    assert run_fresh(tmp_path, text, params)["code"] == 0
+    assert len((tmp_path / "out" / "bounds.csv").read_text().splitlines()) == 6

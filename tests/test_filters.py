@@ -10,7 +10,7 @@ from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTPa
 
 from pcrlb import filters
 from pcrlb.cli import kalman_series
-from pcrlb.filters import _gaussian_loglik
+from pcrlb.filters import RESAMPLE_POLICIES, _gaussian_loglik
 
 from conftest import random_stable_linear_model
 
@@ -449,6 +449,10 @@ def test_scalar_loglik_matches_cho_solve_bit_for_bit(rng):
     cov = random_stable_linear_model(rng, 3).meas_cov
     resid = rng.standard_normal((4, 50, 3))
     assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
+    for _ in range(50):  # m = 2, as the golden linear model has
+        cov = random_stable_linear_model(rng, 2).meas_cov * 10.0 ** rng.uniform(-2.0, 2.0)
+        resid = rng.standard_normal((3, 40, 2))
+        assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
 
 
 def test_nan_residual_raises_in_pf_step():
@@ -457,3 +461,17 @@ def test_nan_residual_raises_in_pf_step():
     assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan), model.meas_cov)).all()
     with pytest.raises(NumericError, match="non-finite particle log-weights at step 1"):
         pf_step(model, 1, cloud, np.array([[0.3], [np.nan]]), [5, 6])
+
+
+@pytest.mark.parametrize("name", ["ungm", "linear"])
+@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
+def test_filter_beliefs_pass_the_public_checks(name, resample):
+    """The filters build their beliefs without the checks; every one must pass them."""
+    model, measurements, seeds = stacked_setup(name, runs=3, horizon=15)
+    outputs = [run_ukf(model, measurements), run_ukf(model, measurements[0]),
+               run_pf(model, measurements, 200, seeds, resample=resample),
+               run_pf(model, measurements[0], 200, seeds[0], resample=resample)]
+    for out in outputs:
+        for belief in (out.posterior, out.predicted):
+            rebuilt = GaussianBelief(belief.mean, belief.cov)
+            assert np.array_equal(rebuilt.cov, belief.cov)
