@@ -501,8 +501,9 @@ def lemma_deviation(rng: np.random.Generator, trials: int) -> float:
         a = random_spd(rng, dim)
         b = random_spd(rng, dim)
         direct = np.linalg.inv(a + b)
-        for got, want in ((pcrlb_from_theta_pi(a, b), direct),
-                          (bound_difference(a, b)[0], np.linalg.inv(a) - direct)):
+        bound = pcrlb_from_theta_pi(a, b)
+        gap, _ = bound_difference(spd_inverse(a), b, bound)
+        for got, want in ((bound, direct), (gap, np.linalg.inv(a) - direct)):
             worst = max(worst, float(np.abs(got - want).max()))
     return worst
 

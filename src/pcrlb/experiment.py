@@ -49,7 +49,7 @@ from .filters import RESAMPLE_POLICIES, UTParams, guarded_step, run_pf, run_ukf
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, initial_fim, mean_only_terms,
                   true_fim_terms_mc)
-from .linalg import spd_inverse, symmetrize
+from .linalg import spd_inverse
 from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
 from .moments import GaussianBelief, _unchecked
 
@@ -252,8 +252,8 @@ def _filter_block_task(payload: tuple[ExperimentConfig, range]) -> _Block:
 
 
 def _is_negative(matrix: np.ndarray) -> np.ndarray:
-    """Per-element flag: the symmetric part has a clearly negative eigenvalue."""
-    eigs = np.linalg.eigvalsh(symmetrize(matrix))
+    """Per-element flag: the symmetric matrix has a clearly negative eigenvalue."""
+    eigs = np.linalg.eigvalsh(matrix)
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
@@ -378,8 +378,9 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
             fim_j, theta, pi = fims
 
             def gaps(idx):
-                analytic, _ = bound_difference(theta[idx], pi[idx])
-                direct = spd_inverse(theta[idx]) - spd_inverse(fim_j[idx])
+                theta_inv, j_inv = spd_inverse(theta[idx]), spd_inverse(fim_j[idx])
+                analytic, _ = bound_difference(theta_inv, pi[idx], j_inv)
+                direct = theta_inv - j_inv
                 return analytic, direct, _is_negative(direct)
 
             gap = over_runs(gaps)

@@ -19,10 +19,11 @@ whose own step fails is dropped with its error text while the others go on
 built inside skip the public constructors' checks: their covariances have just
 been factored and their weights normalized.
 
-Both filters count their numeric health per run: covariance repairs by the
-jitter ladder, and for the particle filter resampling events, likelihood
-collapses and the smallest effective sample size.  The particle likelihood is
-solved by LAPACK potrf/potrs (``pcrlb.linalg``), loading scipy only for m > 1.
+Both filters count their numeric health per run: covariance repairs by
+``regularize_cov``, the package's only diagonal-jitter repair, and for the
+particle filter resampling events, likelihood collapses and the smallest
+effective sample size.  The particle likelihood is solved by LAPACK
+potrf/potrs (``pcrlb.linalg``), loading scipy only for m > 1.
 
 A closed-form Kalman step for linear models rides along as the oracle used by
 the CLI selftest.  Randomness is always drawn from a caller-supplied seed or
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import NumericError, _cho_factor, _cho_solve, jitter_ladder, spd_inverse, symmetrize
+from .linalg import NumericError, _cho_factor, _cho_solve, _cholesky_inverse, spd_inverse, symmetrize
 from .model import SystemModel
 from .moments import GaussianBelief, _unchecked
 
@@ -59,9 +60,9 @@ __all__ = [
     "regularize_cov",
 ]
 
-# Covariance repair: the jitter ladder's range for filter covariances that
-# lose positive definiteness to rounding, bounded so a genuinely broken
-# covariance still errors out.
+# Covariance repair: the jitter range, relative to trace/n, for filter
+# covariances that lose positive definiteness to rounding, bounded so a
+# genuinely broken covariance still errors out.
 _REG_START = 1e-10
 _REG_STOP = 1e-4
 
@@ -146,7 +147,7 @@ class FilterOutput:
 
     A step's beliefs are (..., n) and (..., n, n); a run's are (..., T, n)
     and (..., T, n, n).  health maps a counter to one value per run (the
-    leading shape): "cov_repairs" (covariances the jitter ladder repaired),
+    leading shape): "cov_repairs" (covariances regularize_cov repaired),
     and for the particle filter "resamples", "collapses" (steps whose
     likelihoods all vanished) and "min_ess" (smallest effective sample
     size).  errors maps the flat position of each run of a stack that failed
@@ -192,8 +193,11 @@ class ParticleSet:
 def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.ndarray:
     """Return a Cholesky-factorable version of a symmetric covariance, or of each in a stack.
 
-    Symmetrizes, then adds trace-scaled diagonal jitter from 1e-10 up to 1e-4
-    only to the elements that fail to factor as given (linalg.jitter_ladder).
+    Symmetrizes and factors the stack in one batched call.  Only the elements
+    that fail go one by one up the jitter ladder: a diagonal jitter of
+    1e-10 * trace(cov)/n, growing by decades while it stays within
+    1e-4 * trace(cov)/n.  This is the package's only jitter repair, and each
+    repaired element is counted.
 
     Args:
         cov: covariance (n, n) or stack (..., n, n).
@@ -207,11 +211,30 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
     if not np.all(np.isfinite(cov)):
         raise NumericError("filter covariance is not finite")
     try:
-        cov, repaired = jitter_ladder(cov, _REG_START, _REG_STOP)
-    except NumericError:
-        raise NumericError("filter covariance not repairable by jitter") from None
-    if repairs is not None:
-        repairs += repaired
+        np.linalg.cholesky(cov)
+        return cov
+    except np.linalg.LinAlgError:
+        pass
+    cov = cov.copy()
+    eye = np.eye(cov.shape[-1])
+    for index in np.ndindex(cov.shape[:-2]):
+        element = cov[index]
+        scale = float(np.trace(element)) / cov.shape[-1]
+        if scale <= 0.0:
+            scale = 1.0
+        jitter = 0.0
+        while True:
+            try:
+                np.linalg.cholesky(element + jitter * eye)
+                break
+            except np.linalg.LinAlgError:
+                jitter = _REG_START * scale if jitter == 0.0 else jitter * 10.0
+                if jitter > _REG_STOP * scale:
+                    raise NumericError("filter covariance not repairable by jitter") from None
+        if jitter:
+            cov[index] = element + jitter * eye
+            if repairs is not None:
+                repairs[index] += 1
     return cov
 
 
@@ -274,7 +297,7 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
 
     belief may be a stack (..., n) with one measurement per element in z
     (..., m).  The innovation covariance of each element is inverted through
-    its own Cholesky factor.
+    its own Cholesky factor; one that does not factor raises LinAlgError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m_pred, p_pred, _ = unscented_transform(
@@ -284,7 +307,7 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
     predicted = _unchecked(m_pred, p_pred)
     z_mean, z_cov, cross = unscented_transform(
         lambda x: model.measure(k, x), predicted, model.meas_cov, params)
-    gain = cross @ spd_inverse(z_cov, cholesky=True)
+    gain = cross @ _cholesky_inverse(z_cov)
     post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
     post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
     return FilterOutput(posterior=_unchecked(post_mean, post_cov), predicted=predicted,

@@ -34,8 +34,8 @@ between the two approximate bounds is evaluated with the product identity
 
 (Henderson & Searle, SIAM Review 23(1), 1981), so nothing beyond the
 inverses the recursion already holds is inverted and S may be singular:
-``bound_difference`` gives the gap theta^-1 pi J^-1 and
-``pcrlb_from_theta_pi`` the bound J^-1.
+``bound_difference`` gives the gap theta^-1 pi J^-1 from the two inverses
+its caller holds, and ``pcrlb_from_theta_pi`` the bound J^-1.
 
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
@@ -142,7 +142,7 @@ def initial_fim(prior: GaussianPrior) -> np.ndarray:
 def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
     """Advance the information matrix (or a stack of them) by one step."""
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    inner = spd_inverse(symmetrize(j_prev + terms.d11))
+    inner = spd_inverse(j_prev + terms.d11)
     return symmetrize(terms.d22 - terms.d12.mT @ inner @ terms.d12)
 
 
@@ -312,7 +312,7 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     pi = symmetrize(parts.spread_22
                     - d12.mT @ full_inv @ parts.spread_12
                     - (parts.spread_12.mT @ full_inv - parts.mean_12.mT @ shift) @ parts.mean_12)
-    return FimState(j=symmetrize(theta + pi), theta=theta, pi=pi)
+    return FimState(j=theta + pi, theta=theta, pi=pi)
 
 
 def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -321,18 +321,22 @@ def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return spd_inverse(symmetrize(theta + np.asarray(pi, float)))
 
 
-def bound_difference(j_star: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, int]:
+def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,
+                     j_inv: np.ndarray) -> tuple[np.ndarray, int]:
     """Gap between the mean-only bound and the mean+cov bound.
 
-    Evaluates j_star^-1 - (j_star + pi)^-1 as the product
-    j_star^-1 pi (j_star + pi)^-1, which needs no inverse of pi, is exactly
-    zero where pi is, and carries no cancellation between two inverses.
+    Evaluates theta^-1 - (theta + pi)^-1 as the product theta^-1 pi J^-1
+    with J = theta + pi, from the two inverses the caller holds: it needs no
+    inverse of pi, is exactly zero where pi is, and carries no cancellation
+    between two inverses.
+
+    Args:
+        theta_inv: theta^-1, shape (..., n, n).
+        pi: the covariance correction, shape (..., n, n).
+        j_inv: (theta + pi)^-1, shape (..., n, n).
 
     Returns:
         (gap matrix, 0).  The 0 is read only by perfbench/tracing.py's
         bound_difference note.
     """
-    j_star = symmetrize(np.atleast_2d(np.asarray(j_star, float)))
-    pi = symmetrize(np.atleast_2d(np.asarray(pi, float)))
-    gap = spd_inverse(j_star) @ pi @ spd_inverse(symmetrize(j_star + pi))
-    return symmetrize(gap), 0
+    return symmetrize(theta_inv @ pi @ j_inv), 0

@@ -1,13 +1,15 @@
 """Small dense linear-algebra helpers shared across the package.
 
 Everything here operates on square symmetric matrices of modest size (state
-and measurement dimensions), so Cholesky factorizations are the workhorse and
-failures are handled by escalating diagonal jitter rather than by switching to
-iterative methods.  Every helper takes a single (n, n) matrix or a stack of
-them with any leading axes (..., n, n) and acts on each element of the stack.
-Cholesky factors and solves are LAPACK potrf/potrs: numpy does the 1 x 1 case
-in their arithmetic, and scipy, which supplies them for larger matrices, is
-imported only the first time one is factored, so a scalar model never loads it.
+and measurement dimensions), so Cholesky factorizations are the workhorse.
+A matrix that must be positive definite and does not factor is an error here,
+never silently repaired: the only diagonal-jitter repair in the package is
+``filters.regularize_cov``, which counts every covariance it repairs.  Every
+helper takes a single (n, n) matrix or a stack of them with any leading axes
+(..., n, n) and acts on each element of the stack.  Cholesky factors and
+solves are LAPACK potrf/potrs: numpy does the 1 x 1 case in their arithmetic,
+and scipy, which supplies them for larger matrices, is imported only the first
+time one is factored, so a scalar model never loads it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ import functools
 
 import numpy as np
 
-__all__ = ["NumericError", "symmetrize", "jitter_ladder", "spd_inverse"]
-
-# Jitter escalation for barely-indefinite matrices: relative to trace/n,
-# starting at 1e-12 and growing by decades up to 1e-6.
-_JITTER_START = 1e-12
-_JITTER_STOP = 1e-6
+__all__ = ["NumericError", "symmetrize", "spd_inverse"]
 
 
 class NumericError(ArithmeticError):
-    """A linear-algebra operation failed beyond recoverable jitter."""
+    """A matrix that must be positive definite is not, or a numeric step failed."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -37,63 +34,13 @@ def _check_square_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     # np.allclose(m, m', atol=1e-8 * scale) with one scale per matrix
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0))
     if not np.all(np.abs(m - m.mT) <= 1e-8 * scale + 1e-5 * np.abs(m.mT)):
         raise ValueError(f"{name} must be symmetric")
     return m
-
-
-def jitter_ladder(m: np.ndarray, start: float = _JITTER_START,
-                  stop: float = _JITTER_STOP) -> tuple[np.ndarray, np.ndarray]:
-    """Make each matrix of a stack Cholesky-factorable with the least ladder jitter.
-
-    The stack is factored in one batched call.  Only the elements that fail
-    go one by one up the ladder: a diagonal jitter of start * trace(m)/n,
-    growing by decades while it stays within stop * trace(m)/n.  Non-finite
-    entries pass through untouched (the factorization does not reject them).
-
-    Args:
-        m: symmetric matrix (n, n) or stack of them (..., n, n).
-        start, stop: the ladder's range, relative to trace/n.
-
-    Returns:
-        (m with the jitter added to the elements that needed it, boolean mask
-        of those elements with the stack's leading shape).
-
-    Raises:
-        NumericError: an element still fails at the top of the ladder.
-    """
-    repaired = np.zeros(m.shape[:-2], dtype=bool)
-    try:
-        np.linalg.cholesky(m)
-        return m, repaired
-    except np.linalg.LinAlgError:
-        pass
-    m = m.copy()
-    eye = np.eye(m.shape[-1])
-    for index in np.ndindex(m.shape[:-2]):
-        element = m[index]
-        scale = float(np.trace(element)) / m.shape[-1]
-        if scale <= 0.0:
-            scale = 1.0
-        jitter = 0.0
-        while True:
-            try:
-                np.linalg.cholesky(element + jitter * eye)
-                break
-            except np.linalg.LinAlgError:
-                jitter = start * scale if jitter == 0.0 else jitter * 10.0
-                if jitter > stop * scale:
-                    eigmin = float(np.linalg.eigvalsh(element)[0])
-                    raise NumericError(
-                        "matrix is not positive definite within jitter budget: "
-                        f"min eigenvalue {eigmin:.3e}, trace/n {scale:.3e}"
-                    ) from None
-        if jitter:
-            m[index] = element + jitter * eye
-            repaired[index] = True
-    return m, repaired
 
 
 @functools.cache
@@ -140,27 +87,32 @@ def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
     return symmetrize(out)
 
 
-def spd_inverse(m: np.ndarray, cholesky: bool = False) -> np.ndarray:
+def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix, or each matrix of a stack.
 
-    Elements that fail to factor first go up the jitter ladder (see
-    jitter_ladder, 1e-12 to 1e-6 of trace/n).  A single matrix is then
-    inverted through its Cholesky factor, a stack in one batched LU call.  An
-    element past the jitter budget raises a NumericError with its condition
-    diagnostics.
+    m is factored once, and a factorization that runs to completion is the
+    test of positive definiteness.  A single matrix is inverted through that
+    Cholesky factor (_cholesky_inverse), a stack, once every element has
+    factored in one batched call, by one batched LU inverse.
 
     Args:
-        m: symmetric positive (semi)definite matrix, shape (n, n), or a
-            stack of them, shape (..., n, n).
-        cholesky: invert each element of a stack through its own Cholesky
-            factor, as a single matrix is, so that element i has the bytes
-            of spd_inverse(m[i]).
+        m: symmetric positive definite matrix, shape (n, n), or a stack of
+            them, shape (..., n, n).
 
     Returns:
         Symmetrized inverse of m, same shape as m.
-    """
-    m, _ = jitter_ladder(_check_square_symmetric(m, "m"))
-    if m.ndim == 2 or cholesky:
-        return _cholesky_inverse(m)
-    return symmetrize(np.linalg.inv(m))
 
+    Raises:
+        ValueError: m is not square, not finite or not symmetric.
+        NumericError: an element does not factor; the text names the
+            smallest eigenvalue of the stack.
+    """
+    m = _check_square_symmetric(m, "m")
+    try:
+        if m.ndim == 2:
+            return _cholesky_inverse(m)
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        eigmin = float(np.linalg.eigvalsh(m).min())
+        raise NumericError(f"matrix is not positive definite: min eigenvalue {eigmin:.3e}") from None
+    return symmetrize(np.linalg.inv(m))

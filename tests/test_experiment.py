@@ -322,7 +322,7 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
     want = run_experiment(config)
 
     assert [index for index, _ in got.failed_runs] == [2]
-    assert got.failed_runs[0][1] == "ValueError: m must be symmetric"
+    assert got.failed_runs[0][1] == "ValueError: m must be finite"
     assert got.runs_used == want.runs_used == 3
     assert got.bounds.keys() == want.bounds.keys()
     for key in want.bounds:

@@ -328,9 +328,9 @@ def test_pcrlb_from_theta_pi_random(rng):
 
 
 def test_bound_difference_hand_values():
-    gap, _ = bound_difference(np.array([[1.0]]), np.array([[1.0]]))
+    gap, _ = bound_difference(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.5]]))
     assert_allclose(gap, [[0.5]], atol=1e-14)
-    gap0, _ = bound_difference(np.array([[1.0]]), np.zeros((1, 1)))
+    gap0, _ = bound_difference(np.array([[1.0]]), np.zeros((1, 1)), np.array([[1.0]]))
     assert_allclose(gap0, np.zeros((1, 1)), atol=1e-14)
 
 
@@ -339,7 +339,7 @@ def test_bound_difference_random(rng):
         for _ in range(25):
             j_star = random_spd(rng, dim)
             pi = random_spd(rng, dim)
-            gap, _ = bound_difference(j_star, pi)
+            gap, _ = bound_difference(spd_inverse(j_star), pi, spd_inverse(j_star + pi))
             direct = np.linalg.inv(j_star) - np.linalg.inv(j_star + pi)
             assert_allclose(gap, direct, atol=1e-10)
 
@@ -360,7 +360,7 @@ def test_bound_difference_matches_exact_rational_gap():
         k = int(rng.integers(1, 51))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
         state = fim_via_decomposition(j_prev, decompose_terms(model, k, belief))
-        gap, _ = bound_difference(state.theta, state.pi)
+        gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
         theta, pi = Fraction(state.theta[0, 0]), Fraction(state.pi[0, 0])
         exact = 1 / theta - 1 / (theta + pi)
         scale = abs(1 / theta) + abs(1 / (theta + pi))
@@ -382,6 +382,10 @@ def test_spd_inverse_errors():
         spd_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         spd_inverse(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="m must be finite"):
+        spd_inverse(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="m must be finite"):
+        spd_inverse(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
 
 
 def test_fim_triple_symmetrizes_and_validates():
@@ -425,7 +429,7 @@ def test_stacked_engines_match_pointwise(rng):
         full = mean_cov_terms(model, k, prev, new)
         parts = decompose_terms(model, k, prev, new)
         state = fim_via_decomposition(j_prev, parts)
-        gap, _ = bound_difference(state.theta, state.pi)
+        gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
         inverse = spd_inverse(j_prev)
         for i in range(count):
             one_prev = GaussianBelief(x_prev[i], cov_prev[i])
@@ -442,7 +446,8 @@ def test_stacked_engines_match_pointwise(rng):
             assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-8)
             assert_allclose(state.j[i], one_state.j, rtol=1e-5)
             assert_allclose(state.pi[i], one_state.pi, rtol=1e-5)
-            one_gap, _ = bound_difference(one_state.theta, one_state.pi)
+            one_gap, _ = bound_difference(spd_inverse(one_state.theta), one_state.pi,
+                                          spd_inverse(one_state.j))
             assert_allclose(gap[i], one_gap, rtol=1e-5)
 
 
@@ -481,17 +486,17 @@ def test_stacked_bound_and_gap_with_a_singular_correction():
     theta^-1 and a zero gap, and the other elements their own values."""
     theta = np.stack([np.eye(1), np.eye(1), 2.0 * np.eye(1)])
     pi = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
-    gap, _ = bound_difference(theta, pi)
+    gap, _ = bound_difference(spd_inverse(theta), pi, spd_inverse(theta + pi))
     assert_allclose(gap[:, 0, 0], [0.5, 0.0, 0.5 - 1.0 / 3.0], atol=1e-14)
     bound = pcrlb_from_theta_pi(theta, pi)
     assert_allclose(bound[:, 0, 0], [0.5, 1.0, 1.0 / 3.0], atol=1e-14)
 
 
-def test_spd_inverse_stack_jitters_only_failing_elements():
-    barely = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular PSD: factors after jitter
-    stack = np.stack([np.diag([2.0, 4.0]), barely])
-    got = spd_inverse(stack)
-    assert_allclose(got[0], np.diag([0.5, 0.25]), rtol=1e-15)
-    assert np.all(np.isfinite(got[1]))
-    with pytest.raises(NumericError, match="min eigenvalue"):
-        spd_inverse(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+def test_spd_inverse_repairs_nothing():
+    """A matrix that does not factor raises, single or in a stack; nothing is
+    jittered into factoring."""
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, but not definite
+    for bad in (singular, np.stack([np.diag([2.0, 4.0]), singular]),
+                np.stack([np.eye(2), np.diag([1.0, -1.0])])):
+        with pytest.raises(NumericError, match="min eigenvalue"):
+            spd_inverse(bad)

@@ -1,4 +1,4 @@
-"""spd_inverse on 1 x 1 matrices against LAPACK potrf/potrs, byte for byte.
+"""The Cholesky inverse of 1 x 1 matrices against LAPACK potrf/potrs, byte for byte.
 
 The n = 1 inverse is computed by numpy as (1/sqrt(m))**2.  It equals the
 LAPACK result only as long as the BLAS triangular solve inside potrs
@@ -34,12 +34,11 @@ def test_scalar_inverse_matches_lapack_bit_for_bit(rng):
     want = lapack_inverse(stack)
     with np.errstate(over="ignore"):  # 1/5e-324 overflows to inf, as in LAPACK
         assert np.array_equal(_cholesky_inverse(stack), want)
-        assert np.array_equal(spd_inverse(stack, cholesky=True), want)
     for value in (1.0, 7.3, 1e-9, 4e12):
         single = np.array([[value]])
         assert np.array_equal(spd_inverse(single), lapack_inverse(single))
     grid = np.exp(rng.uniform(-10.0, 10.0, (4, 6, 1, 1)))  # (R, T, 1, 1)
-    assert np.array_equal(spd_inverse(grid, cholesky=True), lapack_inverse(grid))
+    assert np.array_equal(_cholesky_inverse(grid), lapack_inverse(grid))
 
 
 def test_scalar_inverse_error_texts():
