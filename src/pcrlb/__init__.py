@@ -19,13 +19,12 @@ from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalma
                       sigma_points, systematic_resample, ukf_step, unscented_transform)
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, initial_fim, mean_cov_terms,
-                  mean_only_terms, pcrlb_from_theta_pi, true_fim_terms_mc)
+                  mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
-from .model import (GaussianPrior, SystemModel, Trajectory, fd_hessians, fd_jacobian,
+from .model import (GaussianBelief, SystemModel, Trajectory, fd_hessians, fd_jacobian,
                     linear_gaussian_model, sample_trajectory, ungm_model)
-from .moments import (GaussianBelief, measurement_moment_map_derivatives,
-                      propagate_measurement_moments, propagate_state_moments,
-                      state_moment_map_derivatives)
+from .moments import (measurement_moment_map_derivatives, propagate_measurement_moments,
+                      propagate_state_moments, state_moment_map_derivatives)
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,6 @@ __all__ = [
     "FilterOutput",
     "FimTriple",
     "GaussianBelief",
-    "GaussianPrior",
     "NumericError",
     "ParticleSet",
     "SystemModel",
@@ -64,7 +62,6 @@ __all__ = [
     "mean_only_terms",
     "measurement_moment_map_derivatives",
     "particle_moments",
-    "pcrlb_from_theta_pi",
     "pf_step",
     "propagate_measurement_moments",
     "propagate_state_moments",

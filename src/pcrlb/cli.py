@@ -31,16 +31,16 @@ from typing import Optional
 
 import numpy as np
 
-from .experiment import (ALL_ESTIMATORS, ALL_METHODS, AVERAGING_MODES, EVAL_BELIEFS,
-                         AggregateResult, ExperimentConfig, ExperimentError, build_model,
-                         derive_run_seed, run_experiment)
-from .filters import RESAMPLE_POLICIES, FilterOutput, UTParams, kalman_step, run_ukf
+from .experiment import (_MODEL_KEYS, ALL_ESTIMATORS, AggregateResult, ExperimentConfig,
+                         ExperimentError, build_model, derive_run_seed, run_experiment,
+                         run_seeds)
+from .filters import FilterOutput, UTParams, kalman_step, run_ukf
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
-                  pcrlb_from_theta_pi, true_fim_terms_mc)
+                  true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
-from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
-from .moments import GaussianBelief
+from .model import (GaussianBelief, SystemModel, linear_gaussian_model, sample_trajectory,
+                    ungm_model)
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_REFERENCE"]
 
@@ -58,60 +58,39 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_choice(*options: str):
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {options}, got {raw!r}")
-        return raw
-    return parse
-
-
-def _parse_list(*options: str):
-    def parse(raw: str) -> tuple[str, ...]:
-        items = tuple(part.strip() for part in raw.split(",") if part.strip())
-        unknown = set(items) - set(options)
-        if unknown:
-            raise ValueError(f"unknown entries {sorted(unknown)}; allowed: {options}")
-        if not items:
-            raise ValueError("list must not be empty")
-        return items
-    return parse
+def _parse_list(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 def _parse_kappa(raw: str) -> Optional[float]:
     return None if raw.lower() == "auto" else float(raw)
 
 
-# model name -> the [model] keys that apply to it
-_MODEL_KEYS = {
-    "ungm": ("process_var", "meas_var", "prior_mean", "prior_var"),
-    "linear": ("process_var", "meas_var", "prior_mean", "prior_var", "a", "h"),
-}
-
-# section -> key -> parser.  The parsed dict mirrors this structure.
+# section -> key -> literal parser.  The parsed dict mirrors this structure;
+# ExperimentConfig decides which parsed values are allowed.
 _SCHEMA = {
-    "model": {"name": _parse_choice(*_MODEL_KEYS),
-              **{key: float for key in _MODEL_KEYS["linear"]}},
+    "model": {"name": str,
+              **{key: float for keys in _MODEL_KEYS.values() for key in keys}},
     "experiment": {
         "horizon": int,
         "runs": int,
         "seed": int,
         "workers": int,
-        "averaging": _parse_choice(*AVERAGING_MODES),
+        "averaging": str,
     },
     "filters": {
         "particles": int,
         "ut_alpha": float,
         "ut_beta": float,
         "ut_kappa": _parse_kappa,
-        "state_eval": _parse_choice(*EVAL_BELIEFS),
-        "meas_eval": _parse_choice(*EVAL_BELIEFS),
-        "resample": _parse_choice(*RESAMPLE_POLICIES),
+        "state_eval": str,
+        "meas_eval": str,
+        "resample": str,
         "ess_threshold": float,
     },
     "bounds": {
-        "methods": _parse_list(*ALL_METHODS),
-        "estimators": _parse_list(*ALL_ESTIMATORS),
+        "methods": _parse_list,
+        "estimators": _parse_list,
     },
     "output": {
         "dir": str,
@@ -205,7 +184,8 @@ def config_from_file(path, seed: Optional[int] = None, runs: Optional[int] = Non
     """Build an ExperimentConfig from a config file plus CLI overrides.
 
     Only the keys the file sets are passed on, so every other field keeps its
-    ExperimentConfig (or UTParams) default.
+    ExperimentConfig (or UTParams) default.  A value ExperimentConfig rejects
+    raises ConfigError with its message, which names the key but no line.
 
     Returns:
         (config, output options dict with keys 'dir' and 'plots').
@@ -213,9 +193,6 @@ def config_from_file(path, seed: Optional[int] = None, runs: Optional[int] = Non
     parsed = parse_config(path)
     model_params = dict(parsed["model"])
     model_name = model_params.pop("name", ExperimentConfig.model_name)
-    for key in model_params:
-        if key not in _MODEL_KEYS[model_name]:
-            raise ConfigError(f"model key {key!r} does not apply to model {model_name!r}")
     fields = {("master_seed" if key == "seed" else key): value
               for section in ("experiment", "filters", "bounds")
               for key, value in parsed[section].items()}
@@ -227,7 +204,7 @@ def config_from_file(path, seed: Optional[int] = None, runs: Optional[int] = Non
         config = ExperimentConfig(model_name=model_name, model_params=model_params,
                                   ut=UTParams(**ut), **fields)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{path}: {exc}") from None
     return config, {"dir": ".", "plots": True, **parsed["output"]}
 
 
@@ -392,9 +369,8 @@ def cmd_simulate(args) -> int:
     config, output = config_from_file(args.config, seed=args.seed, runs=args.runs)
     outdir = _resolve_outdir(args, output)
     model = build_model(config)
-    # Identical derivation chain to run 0 of the experiment.
-    run_seed = derive_run_seed(config.master_seed, 0)
-    trajectory = sample_trajectory(model, config.horizon, derive_run_seed(run_seed, 0))
+    sample_seed, _ = run_seeds(config.master_seed, 0)  # run 0's trajectory
+    trajectory = sample_trajectory(model, config.horizon, sample_seed)
     n, m = model.state_dim, model.meas_dim
     header = (["k"] + [f"x{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(m)])
     # no measurement at k = 0
@@ -493,15 +469,16 @@ def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[floa
 
 def lemma_deviation(rng: np.random.Generator, trials: int) -> float:
     """Worst absolute deviation from dense inverses, over random SPD pairs
-    (a, b) of dimension 1 to 4, of the Theta/Pi bound and the closed-form gap
-    (the product a^-1 b (a + b)^-1)."""
+    (a, b) of dimension 1 to 4, of the Theta/Pi bound (the pipeline's
+    spd_inverse of a + b) and the closed-form gap (the product
+    a^-1 b (a + b)^-1)."""
     worst = 0.0
     for trial in range(trials):
         dim = 1 + trial % 4
         a = random_spd(rng, dim)
         b = random_spd(rng, dim)
         direct = np.linalg.inv(a + b)
-        bound = pcrlb_from_theta_pi(a, b)
+        bound = spd_inverse(a + b)
         gap, _ = bound_difference(spd_inverse(a), b, bound)
         for got, want in ((bound, direct), (gap, np.linalg.inv(a) - direct)):
             worst = max(worst, float(np.abs(got - want).max()))

@@ -50,8 +50,8 @@ from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, initial_fim, mean_only_terms,
                   true_fim_terms_mc)
 from .linalg import spd_inverse
-from .model import SystemModel, linear_gaussian_model, sample_trajectory, ungm_model
-from .moments import GaussianBelief, _unchecked
+from .model import (GaussianBelief, SystemModel, _unchecked, linear_gaussian_model,
+                    sample_trajectory, ungm_model)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -59,6 +59,7 @@ __all__ = [
     "ExperimentError",
     "AggregateResult",
     "derive_run_seed",
+    "run_seeds",
     "build_model",
     "rmse_series",
     "aggregate_bounds",
@@ -98,6 +99,13 @@ def derive_run_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def run_seeds(master_seed: int, index: int) -> tuple[int, int]:
+    """The seeds of run ``index``: (trajectory sampler, particle filter), two
+    streams derived from the run's own seed."""
+    seed = derive_run_seed(master_seed, index)
+    return derive_run_seed(seed, 0), derive_run_seed(seed, 1)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
@@ -126,26 +134,30 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.particles < 1:
-            raise ValueError("particles must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        for key, allowed in (("averaging", AVERAGING_MODES), ("state_eval", EVAL_BELIEFS),
-                             ("meas_eval", EVAL_BELIEFS), ("resample", RESAMPLE_POLICIES)):
+        for key in ("horizon", "runs", "particles", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
+                             ("state_eval", EVAL_BELIEFS), ("meas_eval", EVAL_BELIEFS),
+                             ("resample", RESAMPLE_POLICIES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}; allowed: {allowed}")
-        unknown = set(self.methods) - set(ALL_METHODS)
+        for key, allowed in (("methods", ALL_METHODS), ("estimators", ALL_ESTIMATORS)):
+            chosen = getattr(self, key)
+            if not chosen:
+                raise ValueError(f"{key} must not be empty")
+            unknown = set(chosen) - set(allowed)
+            if unknown:
+                raise ValueError(f"unknown {key} {sorted(unknown)}; allowed: {allowed}")
+        unknown = set(self.model_params) - set(_MODEL_KEYS[self.model_name])
         if unknown:
-            raise ValueError(f"unknown bound methods: {sorted(unknown)}")
-        unknown = set(self.estimators) - set(ALL_ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
+                             f"{self.model_name!r}")
         if not 0.0 < self.ess_threshold <= 1.0:
             raise ValueError(f"ess_threshold must lie in (0, 1], got {self.ess_threshold}")
+        if not 0.0 <= self.max_failure_fraction <= 1.0:
+            raise ValueError(
+                f"max_failure_fraction must lie in [0, 1], got {self.max_failure_fraction}")
         for key in ("process_var", "meas_var", "prior_var"):
             value = self.model_params.get(key)
             if value is not None and np.ndim(value) == 0 and not value > 0.0:
@@ -161,21 +173,26 @@ class ExperimentConfig:
                     f"for state dimension {n}")
 
 
+# model name -> the model_params keys that apply to it
+_MODEL_KEYS = {
+    "ungm": ("process_var", "meas_var", "prior_mean", "prior_var"),
+    "linear": ("process_var", "meas_var", "prior_mean", "prior_var", "a", "h"),
+}
+
+
 def build_model(config: ExperimentConfig) -> SystemModel:
     """Construct the configured model."""
-    params = dict(config.model_params)
+    params = config.model_params
     if config.model_name == "ungm":
         return ungm_model(**params)
-    if config.model_name == "linear":
-        return linear_gaussian_model(
-            a=params.get("a", 0.9),
-            h=params.get("h", 1.0),
-            process_cov=params.get("process_var", 1.0),
-            meas_cov=params.get("meas_var", 1.0),
-            prior_mean=params.get("prior_mean", 0.0),
-            prior_cov=params.get("prior_var", 1.0),
-        )
-    raise ValueError(f"unknown model {config.model_name!r}")
+    return linear_gaussian_model(
+        a=params.get("a", 0.9),
+        h=params.get("h", 1.0),
+        process_cov=params.get("process_var", 1.0),
+        meas_cov=params.get("meas_var", 1.0),
+        prior_mean=params.get("prior_mean", 0.0),
+        prior_cov=params.get("prior_var", 1.0),
+    )
 
 
 # A block of runs holds at most about this many particle values (block x N x n).
@@ -216,15 +233,14 @@ class _Block:
 def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
     """Sample the block's trajectories, then run each estimator over the block."""
     model = build_model(config)
-    seeds = [derive_run_seed(config.master_seed, i) for i in indices]
+    seeds = [run_seeds(config.master_seed, i) for i in indices]
     count, horizon, n = len(seeds), config.horizon, model.state_dim
     states = np.zeros((count, horizon + 1, n))
     measurements = np.zeros((count, horizon, model.meas_dim))
     errors: dict = {}
 
     def sample(idx):
-        trajectory = sample_trajectory(model, horizon,
-                                       [derive_run_seed(seeds[i], 0) for i in idx])
+        trajectory = sample_trajectory(model, horizon, [seeds[i][0] for i in idx])
         return trajectory.states, trajectory.measurements
 
     idx, rows = guarded_step(sample, np.ones(count, dtype=bool), errors)
@@ -237,7 +253,7 @@ def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
             out = run_ukf(model, measurements, config.ut)
         else:
             out = run_pf(model, measurements, config.particles,
-                         [derive_run_seed(seed, 1) for seed in seeds],
+                         [pf_seed for _, pf_seed in seeds],
                          resample=config.resample, ess_threshold=config.ess_threshold)
         for position, error in out.errors.items():
             errors.setdefault(position, error)

@@ -39,8 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import NumericError, _cho_factor, _cho_solve, _cholesky_inverse, spd_inverse, symmetrize
-from .model import SystemModel
-from .moments import GaussianBelief, _unchecked
+from .model import GaussianBelief, SystemModel, _unchecked
 
 __all__ = [
     "UTParams",

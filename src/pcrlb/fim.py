@@ -35,7 +35,10 @@ between the two approximate bounds is evaluated with the product identity
 (Henderson & Searle, SIAM Review 23(1), 1981), so nothing beyond the
 inverses the recursion already holds is inverted and S may be singular:
 ``bound_difference`` gives the gap theta^-1 pi J^-1 from the two inverses
-its caller holds, and ``pcrlb_from_theta_pi`` the bound J^-1.
+its caller holds.  The bound itself is J^-1, ``spd_inverse`` of J.
+
+``initial_fim`` starts the recursion at the precision of the model's prior,
+a ``pcrlb.model.GaussianBelief`` like every belief the engines take.
 
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
@@ -56,10 +59,9 @@ from typing import Optional
 import numpy as np
 
 from .linalg import spd_inverse, symmetrize
-from .model import GaussianPrior, SystemModel
-from .moments import (GaussianBelief, measurement_moment_map_derivatives,
-                      propagate_measurement_moments, propagate_state_moments,
-                      state_moment_map_derivatives)
+from .model import GaussianBelief, SystemModel
+from .moments import (measurement_moment_map_derivatives, propagate_measurement_moments,
+                      propagate_state_moments, state_moment_map_derivatives)
 
 __all__ = [
     "FimTriple",
@@ -72,7 +74,6 @@ __all__ = [
     "mean_cov_terms",
     "decompose_terms",
     "fim_via_decomposition",
-    "pcrlb_from_theta_pi",
     "bound_difference",
 ]
 
@@ -134,7 +135,7 @@ class FimState:
         return 0
 
 
-def initial_fim(prior: GaussianPrior) -> np.ndarray:
+def initial_fim(prior: GaussianBelief) -> np.ndarray:
     """J_0 for a Gaussian prior: the prior precision."""
     return spd_inverse(prior.cov)
 
@@ -313,12 +314,6 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
                     - d12.mT @ full_inv @ parts.spread_12
                     - (parts.spread_12.mT @ full_inv - parts.mean_12.mT @ shift) @ parts.mean_12)
     return FimState(j=theta + pi, theta=theta, pi=pi)
-
-
-def pcrlb_from_theta_pi(theta: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Bound (theta + pi)^-1 on the error covariance."""
-    theta = np.atleast_2d(np.asarray(theta, float))
-    return spd_inverse(symmetrize(theta + np.asarray(pi, float)))
 
 
 def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,

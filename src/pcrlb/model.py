@@ -6,6 +6,8 @@ Models have the form
     z_k = measure(k, x_k) + v_k,          v_k ~ N(0, R)
 
 with a Gaussian prior on x_0 and time-constant noise covariances Q and R.
+``GaussianBelief`` is the package's one Gaussian type: the prior is one, and
+so is every filter belief and every input of the bound engines.
 Time indices are explicit: the ``k`` passed to ``transition`` is the index of
 the state being produced, and the ``k`` passed to ``measure`` is the index of
 the state being observed.
@@ -29,10 +31,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import spd_inverse, symmetrize
+from .linalg import _check_square_symmetric, spd_inverse, symmetrize
 
 __all__ = [
-    "GaussianPrior",
+    "GaussianBelief",
     "SystemModel",
     "Trajectory",
     "fd_jacobian",
@@ -118,8 +120,15 @@ def fd_hessians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 @dataclass(frozen=True)
-class GaussianPrior:
-    """Gaussian prior on the initial state x_0."""
+class GaussianBelief:
+    """A Gaussian belief N(mean, cov) about a state, or a stack of them.
+
+    mean has shape (n,) and cov (n, n), or (..., n) and (..., n, n) for a
+    stack.  The covariance may be positive semidefinite (a zero covariance
+    encodes exact knowledge of the state), but never indefinite.  The prior
+    of a SystemModel is one such belief, which the model requires to be
+    positive definite.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -129,12 +138,26 @@ class GaussianPrior:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ValueError(f"prior cov shape {cov.shape} does not match mean {mean.shape}")
-        if not np.allclose(cov, cov.T):
-            raise ValueError("prior covariance must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) <= 0.0):
-            raise ValueError("prior covariance must be positive definite")
+        n = mean.shape[-1]
+        if cov.shape != mean.shape + (n,):
+            raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
+        _check_square_symmetric(cov, "belief covariance")
+        scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1), initial=0.0))
+        if np.any(np.linalg.eigvalsh(cov)[..., 0] < -1e-10 * scale):
+            raise ValueError("belief covariance must be positive semidefinite")
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[-1]
+
+
+def _unchecked(*values, cls=GaussianBelief):
+    """cls(*values) without the checks of the dataclass cls, for arrays known to pass them:
+    covariances that have just passed a Cholesky factorization (filters.regularize_cov),
+    slices and concatenations of such stacks and a checked prior, pf_step's weights."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -153,9 +176,10 @@ class SystemModel:
     (..., m, n), and the Hessian callables (..., n, n, n) and (..., m, n, n),
     entry [..., c, i, j] being the (i, j) second derivative of output c.
 
-    The noise covariances are time-constant.  Their precisions
-    ``process_precision`` and ``meas_precision`` are inverted on first use and
-    handed out read-only.
+    The prior is a GaussianBelief about x_0 whose covariance, like Q and R,
+    must be positive definite.  The noise covariances are time-constant.
+    Their precisions ``process_precision`` and ``meas_precision`` are
+    inverted on first use and handed out read-only.
     """
 
     state_dim: int
@@ -164,7 +188,7 @@ class SystemModel:
     measurement_fn: Callable[[int, np.ndarray], np.ndarray]
     process_cov: np.ndarray
     meas_cov: np.ndarray
-    prior: GaussianPrior
+    prior: GaussianBelief
     transition_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
     transition_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
     measurement_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
@@ -175,15 +199,14 @@ class SystemModel:
         self.process_cov = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
         self.meas_cov = np.atleast_2d(np.asarray(self.meas_cov, dtype=float))
         for label, cov, dim in (("process_cov", self.process_cov, self.state_dim),
-                                ("meas_cov", self.meas_cov, self.meas_dim)):
+                                ("meas_cov", self.meas_cov, self.meas_dim),
+                                ("prior cov", self.prior.cov, self.state_dim)):
             if cov.shape != (dim, dim):
                 raise ValueError(f"{label} shape {cov.shape}, expected ({dim}, {dim})")
             if not np.allclose(cov, cov.T):
                 raise ValueError(f"{label} must be symmetric")
             if np.any(np.linalg.eigvalsh(cov) <= 0.0):
                 raise ValueError(f"{label} must be positive definite")
-        if self.prior.mean.shape[0] != self.state_dim:
-            raise ValueError("prior dimension does not match state_dim")
 
     def _call(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
               x: np.ndarray) -> np.ndarray:
@@ -334,7 +357,7 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
     def h_hess(k: int, x: np.ndarray) -> np.ndarray:
         return np.full(x.shape + (1, 1), 0.1)
 
-    prior = GaussianPrior(mean=np.array([prior_mean]), cov=np.array([[prior_var]]))
+    prior = GaussianBelief(np.array([prior_mean]), np.array([[prior_var]]))
     return SystemModel(
         state_dim=1,
         meas_dim=1,
@@ -365,8 +388,7 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
         raise ValueError("a must be square")
     if h.shape != (m, n):
         raise ValueError(f"h shape {h.shape} incompatible with state dim {n}")
-    prior = GaussianPrior(mean=np.atleast_1d(np.asarray(prior_mean, dtype=float)),
-                          cov=np.atleast_2d(np.asarray(prior_cov, dtype=float)))
+    prior = GaussianBelief(prior_mean, prior_cov)
     return SystemModel(
         state_dim=n,
         meas_dim=m,

@@ -30,11 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_square_symmetric, symmetrize
-from .model import SystemModel, _JAC_STEP
+from .linalg import symmetrize
+# GaussianBelief lives in pcrlb.model; the name stays importable from here
+# because perfbench/run.py imports it from this module.
+from .model import GaussianBelief, SystemModel, _JAC_STEP
 
 __all__ = [
-    "GaussianBelief",
     "PropagatedMoments",
     "MomentMapDerivatives",
     "propagate_state_moments",
@@ -42,45 +43,6 @@ __all__ = [
     "state_moment_map_derivatives",
     "measurement_moment_map_derivatives",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianBelief:
-    """A Gaussian belief N(mean, cov) about a state, or a stack of them.
-
-    mean has shape (n,) and cov (n, n), or (..., n) and (..., n, n) for a
-    stack.  The covariance may be positive semidefinite (a zero covariance
-    encodes exact knowledge of the state), but never indefinite.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        n = mean.shape[-1]
-        if cov.shape != mean.shape + (n,):
-            raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
-        _check_square_symmetric(cov, "belief covariance")
-        scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1), initial=0.0))
-        if np.any(np.linalg.eigvalsh(cov)[..., 0] < -1e-10 * scale):
-            raise ValueError("belief covariance must be positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-
-def _unchecked(*values, cls=GaussianBelief):
-    """cls(*values) without the checks of the dataclass cls, for arrays known to pass them:
-    covariances that have just passed a Cholesky factorization (filters.regularize_cov),
-    slices and concatenations of such stacks and a checked prior, pf_step's weights."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrlb import DEFAULT_SEED, cli
+from pcrlb import DEFAULT_SEED, cli, experiment
 from pcrlb.cli import (CONFIG_REFERENCE, ConfigError, config_from_file, parse_config,
                        write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv, _write_csv)
 from pcrlb.experiment import ExperimentConfig, build_model, run_experiment
@@ -27,6 +27,8 @@ runs = 3
 
 [filters]
 particles = 40
+
+[bounds]
 """
 
 
@@ -311,6 +313,20 @@ def test_cmd_simulate_trajectory_shape(tmp_path):
         assert np.isfinite(float(cells[1]))
 
 
+def test_simulate_writes_run_0_trajectory_bit_for_bit(tmp_path):
+    """trajectory.csv holds the states that run 0 of the experiment samples."""
+    config_path = write(tmp_path, TINY)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out),
+                     "--quiet"]) == 0
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    written = np.array([[float(row[1])] for row in rows])  # k, x1, z1
+    config, _ = config_from_file(config_path)
+    block = experiment._filter_block(config, range(config.runs))
+    assert np.array_equal(written, block.states[0])
+    assert not np.array_equal(written, block.states[1])
+
+
 def test_config_error_exits_2(tmp_path):
     config_path = write(tmp_path, "[model]\nname = pendulum\n")
     assert cli.main(["run", "--config", str(config_path), "--quiet"]) == 2
@@ -325,6 +341,10 @@ def test_config_error_exits_2(tmp_path):
     ("filters", "ut_kappa = -1"),  # n + kappa = 0 on the scalar model
     ("filters", "ess_threshold = 7.5"),
     ("filters", "ess_threshold = 0"),
+    ("filters", "resample = never"),
+    ("experiment", "averaging = foo"),
+    ("bounds", "methods = ,"),
+    ("bounds", "estimators = ukf, ekf"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, section, line):
     """Values a run would trip over are rejected while the config is read."""

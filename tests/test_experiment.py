@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pcrlb import experiment
 from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
-from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief, GaussianPrior,
+from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    SystemModel, aggregate_bounds, build_model, derive_run_seed,
                    fim_recursion_step, gap_series, initial_fim, kalman_step,
                    mean_cov_terms, rmse_series, run_experiment, run_ukf,
@@ -162,7 +162,7 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
     edge = SystemModel(state_dim=1, meas_dim=1,
                        transition_fn=lambda k, x: np.where(np.abs(x) > 2.5, np.inf, 0.5 * x),
                        measurement_fn=lambda k, x: x, process_cov=[[1.0]], meas_cov=[[0.01]],
-                       prior=GaussianPrior([0.0], [[1.0]]),
+                       prior=GaussianBelief([0.0], [[1.0]]),
                        transition_jacobian_fn=lambda k, x: np.full(x.shape + (1,), 0.5),
                        transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
                        measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
@@ -379,6 +379,28 @@ def test_config_validation():
         ExperimentConfig(resample="never")
 
 
+@pytest.mark.parametrize("fields, key", [
+    ({"estimators": ()}, "estimators"),
+    ({"methods": ()}, "methods"),
+    ({"model_params": {"a": 0.5}}, "'a'"),
+    ({"model_name": "linear", "model_params": {"velocity": 1.0}}, "'velocity'"),
+    ({"max_failure_fraction": -1.0}, "max_failure_fraction"),
+    ({"max_failure_fraction": 1.5}, "max_failure_fraction"),
+    ({"max_failure_fraction": float("nan")}, "max_failure_fraction"),
+], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity",
+        "fraction-negative", "fraction-above-one", "fraction-nan"])
+def test_config_rejects_values_a_run_would_misuse(fields, key):
+    """Each value fails at construction, before any run starts, with a
+    ValueError naming its key."""
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**fields)
+
+
+def test_failure_fraction_bounds_are_allowed():
+    for fraction in (0.0, 1.0):
+        assert ExperimentConfig(max_failure_fraction=fraction).max_failure_fraction == fraction
+
+
 def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        build_model(ExperimentConfig(model_name="pendulum"))
+    with pytest.raises(ValueError, match="model_name 'pendulum'"):
+        ExperimentConfig(model_name="pendulum")

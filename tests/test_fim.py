@@ -9,7 +9,7 @@ from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
                    bound_difference, decompose_terms, fim_recursion_step,
                    fim_via_decomposition, initial_fim, kalman_step,
                    linear_gaussian_model, mean_cov_terms, mean_only_terms,
-                   pcrlb_from_theta_pi, spd_inverse, true_fim_terms_mc, ungm_model)
+                   spd_inverse, true_fim_terms_mc, ungm_model)
 from pcrlb.linalg import symmetrize
 
 from conftest import random_spd, random_stable_linear_model
@@ -311,22 +311,6 @@ def test_fim_via_decomposition_matches_direct_path():
         assert_allclose(state.theta + state.pi, state.j, rtol=1e-12, atol=1e-14)
 
 
-def test_pcrlb_from_theta_pi_hand_values():
-    bound = pcrlb_from_theta_pi(np.array([[1.0]]), np.array([[1.0]]))
-    assert_allclose(bound, [[0.5]], atol=1e-14)
-    bound0 = pcrlb_from_theta_pi(np.array([[1.0]]), np.zeros((1, 1)))
-    assert_allclose(bound0, [[1.0]], atol=1e-14)
-
-
-def test_pcrlb_from_theta_pi_random(rng):
-    for dim in (1, 2, 3, 4):
-        for _ in range(25):
-            theta = random_spd(rng, dim)
-            pi = random_spd(rng, dim)
-            bound = pcrlb_from_theta_pi(theta, pi)
-            assert_allclose(bound, np.linalg.inv(theta + pi), atol=1e-10)
-
-
 def test_bound_difference_hand_values():
     gap, _ = bound_difference(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.5]]))
     assert_allclose(gap, [[0.5]], atol=1e-14)
@@ -488,7 +472,7 @@ def test_stacked_bound_and_gap_with_a_singular_correction():
     pi = np.stack([np.eye(1), np.zeros((1, 1)), np.eye(1)])
     gap, _ = bound_difference(spd_inverse(theta), pi, spd_inverse(theta + pi))
     assert_allclose(gap[:, 0, 0], [0.5, 0.0, 0.5 - 1.0 / 3.0], atol=1e-14)
-    bound = pcrlb_from_theta_pi(theta, pi)
+    bound = spd_inverse(theta + pi)
     assert_allclose(bound[:, 0, 0], [0.5, 1.0, 1.0 / 3.0], atol=1e-14)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (GaussianPrior, fd_hessians, fd_jacobian, linear_gaussian_model,
+from pcrlb import (GaussianBelief, fd_hessians, fd_jacobian, linear_gaussian_model,
                    sample_trajectory, spd_inverse, ungm_model)
 
 from conftest import random_stable_linear_model
@@ -131,11 +131,18 @@ def test_hessians_symmetric():
 
 
 def test_prior_validation():
-    GaussianPrior(np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        GaussianPrior(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        GaussianPrior(np.zeros(2), np.eye(3))
+    """The prior is a GaussianBelief, and the model asks it to be positive
+    definite and of the state's dimension."""
+    eye = np.eye(2)
+    assert isinstance(linear_gaussian_model(eye, eye, eye, eye, np.zeros(2), eye).prior,
+                      GaussianBelief)
+    for prior_cov, message in ((np.diag([1.0, -1.0]), "semidefinite"),
+                               (np.ones((2, 2)), "prior cov must be positive definite"),
+                               (np.eye(3), "does not match")):
+        with pytest.raises(ValueError, match=message):
+            linear_gaussian_model(eye, eye, eye, eye, np.zeros(2), prior_cov)
+    with pytest.raises(ValueError, match="prior cov shape"):
+        linear_gaussian_model(eye, eye, eye, eye, np.zeros(3), np.eye(3))
 
 
 def test_sample_trajectory_shapes_and_determinism():

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from pcrlb import (GaussianBelief, SystemModel, linear_gaussian_model,
                    measurement_moment_map_derivatives, propagate_measurement_moments,
                    propagate_state_moments, state_moment_map_derivatives, ungm_model)
-from pcrlb.model import GaussianPrior
 
 from conftest import random_stable_linear_model
 
@@ -17,7 +16,7 @@ def scalar_square_model(q=1.0, r=1.0):
         transition_fn=lambda k, x: x * x,
         measurement_fn=lambda k, x: x,
         process_cov=np.array([[q]]), meas_cov=np.array([[r]]),
-        prior=GaussianPrior(np.zeros(1), np.eye(1)),
+        prior=GaussianBelief(np.zeros(1), np.eye(1)),
         transition_jacobian_fn=lambda k, x: (2.0 * x)[..., None],
         transition_hessian_fn=lambda k, x: np.full(x.shape + (1, 1), 2.0),
         measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
@@ -168,3 +167,10 @@ def test_belief_validation():
         GaussianBelief(np.zeros(1), np.array([[-1.0]]))
     with pytest.raises(ValueError):
         GaussianBelief(np.zeros(2), np.eye(3))
+
+
+def test_belief_is_importable_from_moments():
+    """perfbench imports GaussianBelief from pcrlb.moments; it is model's class."""
+    import pcrlb.model
+    import pcrlb.moments
+    assert pcrlb.moments.GaussianBelief is pcrlb.model.GaussianBelief
