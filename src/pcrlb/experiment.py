@@ -196,8 +196,10 @@ def build_model(config: ExperimentConfig) -> SystemModel:
 
 
 # A block of runs holds at most about this many particle values (block x N x n).
-# A particle-filter step has a fixed cost of about 0.5 ms per call, which
-# larger blocks pay less often; 2^17 is no faster and takes more memory.
+# A particle-filter step has a fixed cost of about 0.25 ms per call (three
+# clouds of ten particles), which larger blocks pay less often.  On pf-dense
+# (N = 20,000) 2^15, one run per block, is about 8% slower than 2^16, three;
+# 2^17, six, is within 2% of 2^16 and takes about 4 MiB more memory.
 _BLOCK_VALUES = 2 ** 16
 
 

@@ -9,15 +9,20 @@ Every routine takes leading run axes: a UKF belief may be a stack of beliefs
 ``run_ukf``/``run_pf`` take a stack of measurement sequences (..., T, m).  One
 step is then one batched numpy call per operation for all runs, and each
 element of a stack gets the bytes the single-run call gives it.  The particle
-filter's step works in place on its own buffers and resamples all its clouds
-in one exact O(N) ``systematic_resample`` call.  Every cloud's randomness
-comes from that run's own Generator, in the order of the single-run filter
-(prior cloud, then per step the process noise followed by the resampling
-uniform), so a run never depends on the rest of its stack.  A run of a stack
-whose own step fails is dropped with its error text while the others go on
-(``guarded_step``); a single-run call raises.  The beliefs and particle sets
-built inside skip the public constructors' checks: their covariances have just
-been factored and their weights normalized.
+filter's step works in place on its own buffers and makes only the arrays its
+result needs: scalar process noise is scaled in place (the one product of a
+1 x 1 matmul), equal incoming weights take one logarithm per cloud, and all
+clouds are resampled in one exact O(N) ``systematic_resample`` call whose
+drawn particles, when every cloud resamples, are the new clouds without a
+copy back.  A scalar particle filter factors only the prior and Q, once per
+call: a 1 x 1 covariance is tested by potrf's own comparison, m > 0.  Every
+cloud's randomness comes from that run's own Generator, in the order of the
+single-run filter (prior cloud, then per step the process noise followed by
+the resampling uniform), so a run never depends on the rest of its stack.  A
+run of a stack whose own step fails is dropped with its error text while the
+others go on (``guarded_step``); a single-run call raises.  The beliefs and
+particle sets built inside skip the public constructors' checks: their
+covariances have just been factored and their weights normalized.
 
 Both filters count their numeric health per run: covariance repairs by
 ``regularize_cov``, the package's only diagonal-jitter repair, and for the
@@ -189,10 +194,25 @@ class ParticleSet:
         return 1.0 / np.sum(self.weights ** 2, axis=-1)
 
 
+def _factors(cov: np.ndarray) -> bool:
+    """Whether every matrix of a finite stack passes a Cholesky factorization.
+
+    A 1 x 1 matrix is decided by potrf's own test, m > 0, in one comparison.
+    """
+    if cov.shape[-1] == 1:
+        return bool(np.all(cov > 0.0))
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.ndarray:
     """Return a Cholesky-factorable version of a symmetric covariance, or of each in a stack.
 
-    Symmetrizes and factors the stack in one batched call.  Only the elements
+    Symmetrizes the stack and tests it in one batched call: one comparison
+    for 1 x 1 matrices, else a Cholesky factorization.  Only the elements
     that fail go one by one up the jitter ladder: a diagonal jitter of
     1e-10 * trace(cov)/n, growing by decades while it stays within
     1e-4 * trace(cov)/n.  This is the package's only jitter repair, and each
@@ -209,11 +229,8 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
     cov = symmetrize(np.asarray(cov, dtype=float))
     if not np.all(np.isfinite(cov)):
         raise NumericError("filter covariance is not finite")
-    try:
-        np.linalg.cholesky(cov)
+    if _factors(cov):
         return cov
-    except np.linalg.LinAlgError:
-        pass
     cov = cov.copy()
     eye = np.eye(cov.shape[-1])
     for index in np.ndindex(cov.shape[:-2]):
@@ -222,14 +239,10 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
         if scale <= 0.0:
             scale = 1.0
         jitter = 0.0
-        while True:
-            try:
-                np.linalg.cholesky(element + jitter * eye)
-                break
-            except np.linalg.LinAlgError:
-                jitter = _REG_START * scale if jitter == 0.0 else jitter * 10.0
-                if jitter > _REG_STOP * scale:
-                    raise NumericError("filter covariance not repairable by jitter") from None
+        while not _factors(element + jitter * eye):
+            jitter = _REG_START * scale if jitter == 0.0 else jitter * 10.0
+            if jitter > _REG_STOP * scale:
+                raise NumericError("filter covariance not repairable by jitter")
         if jitter:
             cov[index] = element + jitter * eye
             if repairs is not None:
@@ -420,8 +433,7 @@ def particle_moments(states: np.ndarray, weights: np.ndarray,
     regularize_cov."""
     mean = (weights[..., None, :] @ states)[..., 0, :]
     dev = states - mean[..., None, :]
-    cov = symmetrize((dev * weights[..., None]).mT @ dev)
-    return _unchecked(mean, regularize_cov(cov, repairs))
+    return _unchecked(mean, regularize_cov((dev * weights[..., None]).mT @ dev, repairs))
 
 
 def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
@@ -436,6 +448,8 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
     N * 4.4e-16, so entries with N c_i - u within 1e-12 N of an integer are
     searched among the positions, and every index is the one a search gives.
     A negative weight is rejected: its count would land in the previous row.
+    Two arrays the size of the weights serve every pass: the estimates
+    N c - u, whose buffer then holds the counts, and the first positions.
 
     Returns:
         Integer indices (..., N) into each row's particles.
@@ -447,24 +461,29 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
     if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("resampling weights must be non-negative and normalized")
     n = weights.shape[-1]
-    cumulative = np.cumsum(weights.reshape(-1, n), axis=-1)
-    cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)  # guard rounding of the final edge
-    rows = cumulative.shape[0]
+    flat = weights.reshape(-1, n)
+    rows = flat.shape[0]
     u = np.broadcast_to(u, weights.shape[:-1]).reshape(rows, 1)
-    estimate = cumulative * n
+    work = np.empty((rows, n + 1))  # the estimates, then the counts of each row's N + 1 bins
+    estimate = np.cumsum(flat, axis=-1, out=work[:, :n])
+    np.maximum(estimate[:, -1], 1.0, out=estimate[:, -1])  # guard rounding of the final edge
+    estimate *= n
     estimate -= u
-    first = np.ceil(estimate)
+    first = np.ceil(estimate, out=np.empty(estimate.shape, np.intp), casting="unsafe")
     estimate -= first  # in (-1, 0]: near 0 or -1 where N c - u is near an integer
-    near = (estimate >= -1e-12 * n) | (estimate <= 1e-12 * n - 1.0)
-    del estimate  # its memory serves the integer counts below
+    estimate += 0.5  # near: |estimate + 1/2| >= 1/2 - 1e-12 N
+    near = np.abs(estimate, out=estimate) >= 0.5 - 1e-12 * n
     np.minimum(first, n, out=first)
     first += (n + 1) * np.arange(rows)[:, None]  # each row counts into its own N + 1 bins
-    first = first.astype(np.intp)
     for row in np.flatnonzero(near.any(axis=-1)):
+        cumulative = np.cumsum(flat[row])
+        cumulative[-1] = max(cumulative[-1], 1.0)
         positions = (np.arange(n) + u[row, 0]) / n
         first[row, near[row]] = (n + 1) * row + np.searchsorted(
-            positions, cumulative[row, near[row]], side="left")
-    passed = np.bincount(first.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+            positions, cumulative[near[row]], side="left")
+    passed = work.view(np.intp)
+    passed.fill(0)
+    np.add.at(passed.reshape(-1), first.reshape(-1), 1)
     index = np.cumsum(passed, axis=-1, out=passed)[:, :n]
     return np.minimum(index, n - 1, out=index).reshape(weights.shape)
 
@@ -480,7 +499,7 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
     factor = _cho_factor(cov)
     sol = _cho_solve(factor, columns.reshape(m, -1)).reshape(columns.shape)
     sol *= columns
-    quad = np.sum(sol, axis=0)
+    quad = sol[0] if m == 1 else np.sum(sol, axis=0)
     quad += 2.0 * float(np.sum(np.log(np.diag(factor))))  # log det
     quad += m * np.log(2.0 * np.pi)
     return np.multiply(quad, -0.5, out=quad)
@@ -512,21 +531,34 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
         (new particle set, FilterOutput with predicted and posterior beliefs
         and the step's health counts).
     """
+    return _pf_step(model, k, particles, z, _generators(seed), resample, ess_threshold,
+                    np.linalg.cholesky(model.process_cov))
+
+
+def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
+             generators: list, resample: str, ess_threshold: float, noise_chol: np.ndarray
+             ) -> tuple[ParticleSet, FilterOutput]:
+    """pf_step with one generator per cloud and the process noise's Cholesky factor."""
     if resample not in RESAMPLE_POLICIES:
         raise ValueError(f"unknown resample policy {resample!r}")
-    generators = _generators(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lead = particles.weights.shape[:-1]
-    n_particles = particles.states.shape[-2]
+    n_particles, n = particles.states.shape[-2:]
 
-    propagated = (_standard_normal(generators, lead, (n_particles, model.state_dim))
-                  @ np.linalg.cholesky(model.process_cov).T)
+    propagated = _standard_normal(generators, lead, (n_particles, n))
+    if n == 1:  # draws @ noise_chol.T is one product per draw: scale in place
+        propagated *= noise_chol[0, 0]
+    else:
+        propagated = propagated @ noise_chol.T
     propagated += model.transition(k, particles.states)
     repairs = np.zeros(lead, dtype=int)
     predicted = particle_moments(propagated, particles.weights, repairs)
 
     log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov)
-    log_w += np.log(particles.weights)
+    incoming = particles.weights
+    if np.all(incoming == incoming[..., :1]):  # equal, as resampling leaves them: one log per cloud
+        incoming = incoming[..., :1]
+    log_w += np.log(incoming)
     if not np.all(log_w < np.inf):  # NaN or +inf
         raise NumericError(f"non-finite particle log-weights at step {k}")
     log_w -= np.max(log_w, axis=-1, keepdims=True)
@@ -547,11 +579,17 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     if rows.size:
         # one call for all resampled clouds, each u from its own generator
         u = np.array([generators[row].random() for row in rows])
-        picks = systematic_resample(weights.reshape(-1, n_particles)[rows], u)
+        every = rows.size == resampled.size
+        flat = weights.reshape(-1, n_particles)
+        picks = systematic_resample(flat if every else flat[rows], u)
         picks += n_particles * rows[:, None]
-        propagated.reshape(-1, n_particles, model.state_dim)[rows] = np.take(
-            propagated.reshape(-1, model.state_dim), picks, axis=0, mode="clip")
-        weights[resampled] = 1.0 / n_particles
+        chosen = np.take(propagated.reshape(-1, n), picks, axis=0, mode="clip")
+        if every:  # the drawn particles are the new clouds
+            updated = _unchecked(chosen.reshape(propagated.shape), weights, cls=ParticleSet)
+            weights.fill(1.0 / n_particles)
+        else:
+            propagated.reshape(-1, n_particles, n)[rows] = chosen
+            weights[resampled] = 1.0 / n_particles
     health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
               "collapses": collapsed.astype(int), "min_ess": ess}
     return updated, FilterOutput(posterior=posterior, predicted=predicted, health=health)
@@ -570,10 +608,11 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     if stacked != isinstance(seed, list) or len(generators) != np.prod(np.shape(measurements)[:-2]):
         raise ValueError("seed must be a list with one seed per run for a stack of runs")
     particles = init_particles(model, n_particles, generators)
+    noise_chol = np.linalg.cholesky(model.process_cov)
 
     def step(k, idx, z, cloud):
-        updated, out = pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z,
-                               [generators[i] for i in idx], resample, ess_threshold)
+        updated, out = _pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z,
+                                [generators[i] for i in idx], resample, ess_threshold, noise_chol)
         return out, (updated.states, updated.weights)
 
     return _run_stack(model, measurements, step, (particles.states, particles.weights),

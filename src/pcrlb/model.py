@@ -336,11 +336,22 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
     """
 
     def f(k: int, x: np.ndarray) -> np.ndarray:
+        """0.5 * x + 25.0 * x / (1.0 + x * x) + drift, operation by operation, in two buffers."""
         drift = forcing_amplitude * np.cos(forcing_rate * (k - 1))
-        return 0.5 * x + 25.0 * x / (1.0 + x * x) + drift
+        out = np.multiply(x, x)
+        out += 1.0
+        growth = np.multiply(x, 25.0)
+        growth /= out
+        np.multiply(x, 0.5, out=out)
+        out += growth
+        out += drift
+        return out
 
     def h(k: int, x: np.ndarray) -> np.ndarray:
-        return x * x / 20.0
+        """x * x / 20.0 in one buffer."""
+        out = np.multiply(x, x)
+        out /= 20.0
+        return out
 
     # x has shape (..., 1); derivatives come out as (..., 1, 1) and (..., 1, 1, 1)
     def f_jac(k: int, x: np.ndarray) -> np.ndarray:

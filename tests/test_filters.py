@@ -416,6 +416,85 @@ def test_regularize_cov_repairs_only_failing_elements():
         regularize_cov(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def cholesky_ladder(cov):
+    """regularize_cov's ladder on a stack, with a np.linalg.cholesky trial of every element."""
+    out, repairs = cov.copy(), np.zeros(len(cov), dtype=int)
+    eye = np.eye(cov.shape[-1])
+    for i, element in enumerate(cov):
+        scale = float(np.trace(element)) / cov.shape[-1]
+        scale = scale if scale > 0.0 else 1.0
+        jitter = 0.0
+        while True:
+            try:
+                np.linalg.cholesky(element + jitter * eye)
+                break
+            except np.linalg.LinAlgError:
+                jitter = 1e-10 * scale if jitter == 0.0 else jitter * 10.0
+                if jitter > 1e-4 * scale:
+                    raise NumericError("filter covariance not repairable by jitter") from None
+        if jitter:
+            out[i], repairs[i] = element + jitter * eye, 1
+    return out, repairs
+
+
+def test_scalar_regularize_cov_decides_as_a_cholesky_trial():
+    """1 x 1 stacks are decided by m > 0, potrf's own test, not by a trial factorization."""
+    values = [0.0, -0.0, -1e-11, 5e-324, 2.5, 1e-300, 1e300, -2e-6]
+    for stack in (np.array(values), np.array(values[3:5]), np.array([-0.0])):
+        cov = stack[:, None, None]
+        repairs = np.zeros(len(cov), dtype=int)
+        got = regularize_cov(cov, repairs)
+        want, want_repairs = cholesky_ladder(cov)
+        assert got.tobytes() == want.tobytes()
+        assert repairs.tolist() == want_repairs.tolist()
+    assert repairs.tolist() == [1]
+    for value in (-3.0, -1.0):  # beyond the ladder's reach
+        with pytest.raises(NumericError, match="not repairable"):
+            cholesky_ladder(np.array([[[value]]]))
+        with pytest.raises(NumericError, match="not repairable"):
+            regularize_cov(np.array([[[2.0]], [[value]]]))
+
+
+@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
+def test_scalar_pf_factors_only_the_model_matrices(monkeypatch, resample):
+    """A scalar particle filter factors the prior and Q once each, never a stack,
+    also when its clouds degenerate and regularize_cov repairs them."""
+    _, measurements, seeds = stacked_setup("ungm", runs=3, horizon=10)
+    models = (ungm_model(), ungm_model(process_var=1e-300, prior_var=1e-300))
+    arguments = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: arguments.append(np.array(a)) or cholesky(a))
+    for model, repaired in zip(models, (False, True)):
+        arguments.clear()
+        out = run_pf(model, measurements, 200, seeds, resample=resample)
+        assert [a.tolist() for a in arguments] == [model.prior.cov.tolist(),
+                                                   model.process_cov.tolist()]
+        assert np.all(out.health["cov_repairs"] > 0) == repaired
+
+
+def test_scalar_process_noise_scales_as_the_matmul_bit_for_bit():
+    """For n = 1 the step scales its draws in place: draws * l + f(x) equals draws @ [[l]].T + f(x).
+
+    The product alone differs only in the sign of an exact zero (the matmul
+    adds its one product to +0.0), which adding a transition value that is
+    not -0.0, as the ungm transition never is, makes equal again.
+    """
+    model = ungm_model()
+    states = init_particles(model, 20000, [7, 8, 9]).states
+    draws = filters._standard_normal([np.random.default_rng(s) for s in range(3)], (3,),
+                                     (20000, 1))
+    draws[0, :4, 0] = [0.0, -0.0, 5e-324, -1e200]
+    states[0, :3, 0] = [0.0, -0.0, 1e-300]
+    for variance in (1.0, 1e-30, 0.3, 7.0, 1e20):
+        chol = np.linalg.cholesky(np.array([[variance]]))
+        scaled, product = draws * chol[0, 0], draws @ chol.T
+        assert np.array_equal(scaled, product)
+        for k in (1, 4):
+            moved = model.transition(k, states)
+            assert (scaled + moved).tobytes() == (product + moved).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_pf_collapse_counts_once_and_run_continues():

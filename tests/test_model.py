@@ -21,6 +21,24 @@ def test_ungm_measurement_values():
     assert_allclose(m.measure(3, np.array([0.0])), [0.0], rtol=0, atol=0)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_ungm_maps_equal_the_textbook_expressions_bit_for_bit(rng):
+    """The maps work in place on their own buffers, operation by operation as written."""
+    m = ungm_model()
+    grid = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 1e154, -1e154, 1.0, -1.0],
+                           rng.standard_normal(500) * 10.0 ** rng.uniform(-3.0, 3.0, 500)])
+    for x in (grid[:, None], grid.reshape(4, -1, 1)):
+        before = x.copy()
+        for k in (1, 2, 7, 50):
+            drift = 8.0 * np.cos(1.2 * (k - 1))
+            assert same_bits(m.transition(k, x), 0.5 * x + 25.0 * x / (1.0 + x * x) + drift)
+            assert same_bits(m.measure(k, x), x * x / 20.0)
+        assert same_bits(x, before)
+
+
 def test_ungm_defaults():
     m = ungm_model()
     assert m.state_dim == 1 and m.meas_dim == 1
