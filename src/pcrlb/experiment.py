@@ -27,12 +27,14 @@ no byte.  The bound engines then run in the calling process over the
 completed runs' beliefs, stacked in run-index order as (R, T, ...).  The
 step terms do not depend on J, so each estimator's mean-only and mean+cov
 terms come from one call over all runs and steps, and so do its gaps; only
-J is recursed one time step at a time, over all R runs at once.  A run whose
-own stack element fails, in sampling, a filter or a bound engine, is marked
-failed with that error (the first failing estimator in config order, see
-_bound_stage for the order within the bound engines) and left out of every
-aggregate; the other runs are unaffected.  Results are bit-identical for any
-worker count.
+J is recursed one time step at a time, over all R runs at once.  Each stage
+is guarded once (``_isolated``): when its stacked call raises, the runs are
+halved and each half rerun, so a run that fails on its own, in sampling, a
+filter or a bound engine, is marked failed with its first error (sampling,
+then the estimators in config order; see _bound_stage for the order within
+the bound engines) and left out of every aggregate.  A run's rows do not
+depend on the rest of its stack, so the other runs are unaffected.  Results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import RESAMPLE_POLICIES, UTParams, guarded_step, run_pf, run_ukf
+from .filters import RESAMPLE_POLICIES, UTParams, run_pf, run_ukf
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_step, fim_via_decomposition, initial_fim, mean_only_terms,
                   true_fim_terms_mc)
-from .linalg import spd_inverse
+from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, _unchecked, linear_gaussian_model,
                     sample_trajectory, ungm_model)
 
@@ -78,6 +80,8 @@ ALL_ESTIMATORS = ("ukf", "pf")
 AVERAGING_MODES = ("bounds", "fim")
 # the filter beliefs that may feed the state and the measurement channel
 EVAL_BELIEFS = ("posterior", "predicted")
+# Errors that fail one run rather than the whole experiment.
+RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
 
 
 class ExperimentError(RuntimeError):
@@ -212,6 +216,43 @@ def _blocks(config: ExperimentConfig, state_dim: int) -> list[range]:
             for start in range(0, config.runs, size)]
 
 
+def _isolated(compute, runs: np.ndarray, errors: dict) -> Optional[dict]:
+    """compute over a stack of runs, leaving out the runs that fail on their own.
+
+    compute(positions) takes positions into runs, the stack's run indices,
+    and returns a dict of arrays with one row per position.  When it raises
+    one of RUN_ERRORS, the positions are halved and each half computed anew;
+    a single run that still raises gets errors[its run index] set to its
+    error text and zero rows.  A run's rows do not depend on the rest of its
+    stack, so the rerun rows are the ones the whole stack would give.
+
+    Returns:
+        compute's dict over every run of the stack, or None when every run
+        failed.
+    """
+    pieces, pending = [], [np.arange(len(runs))]
+    while pending:
+        positions = pending.pop()
+        try:
+            pieces.append((positions, compute(positions)))
+        except RUN_ERRORS as exc:
+            if positions.size == 1:
+                errors[int(runs[positions[0]])] = f"{type(exc).__name__}: {exc}"
+            else:
+                half = positions.size // 2
+                pending += [positions[half:], positions[:half]]
+    if not pieces:
+        return None
+    if pieces[0][0].size == len(runs):
+        return pieces[0][1]
+    out = {key: np.zeros((len(runs),) + value.shape[1:], value.dtype)
+           for key, value in pieces[0][1].items()}
+    for positions, rows in pieces:
+        for key, value in rows.items():
+            out[key][positions] = value
+    return out
+
+
 @dataclass
 class _Block:
     """What filtering one block of runs produces, one row per run of the block.
@@ -219,13 +260,14 @@ class _Block:
     states (R, T+1, n) holds the sampled trajectories; posterior and
     predicted map each estimator to its GaussianBelief stack over steps 1..T,
     mean (R, T, n) and cov (R, T, n, n); health maps each estimator to its
-    per-run counters (see filters.FilterOutput).  errors maps the position
+    per-run counters (see filters.FilterOutput).  errors maps the run index
     of each failed run to its first error text, in the order sampling, then
-    the estimators in config order; the rows of failed runs are meaningless.
+    the estimators in config order; the rows of failed runs are zero.  When
+    every run failed, states is None and the dicts are empty.
     """
 
     indices: np.ndarray
-    states: np.ndarray
+    states: Optional[np.ndarray]
     posterior: dict
     predicted: dict
     health: dict
@@ -236,32 +278,37 @@ def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
     """Sample the block's trajectories, then run each estimator over the block."""
     model = build_model(config)
     seeds = [run_seeds(config.master_seed, i) for i in indices]
-    count, horizon, n = len(seeds), config.horizon, model.state_dim
-    states = np.zeros((count, horizon + 1, n))
-    measurements = np.zeros((count, horizon, model.meas_dim))
-    errors: dict = {}
 
-    def sample(idx):
-        trajectory = sample_trajectory(model, horizon, [seeds[i][0] for i in idx])
-        return trajectory.states, trajectory.measurements
+    def compute(positions):
+        picked = [seeds[p] for p in positions]
+        trajectory = sample_trajectory(model, config.horizon, [s for s, _ in picked])
+        rows = {"states": trajectory.states}
+        for estimator in config.estimators:
+            if estimator == "ukf":
+                out = run_ukf(model, trajectory.measurements, config.ut)
+            else:
+                out = run_pf(model, trajectory.measurements, config.particles,
+                             [s for _, s in picked], resample=config.resample,
+                             ess_threshold=config.ess_threshold)
+            for channel in EVAL_BELIEFS:
+                belief = getattr(out, channel)
+                rows[channel, estimator, "mean"], rows[channel, estimator, "cov"] = (
+                    belief.mean, belief.cov)
+            rows.update({("health", estimator, name): value
+                         for name, value in out.health.items()})
+        return rows
 
-    idx, rows = guarded_step(sample, np.ones(count, dtype=bool), errors)
+    block = _Block(np.asarray(indices), None, {}, {}, {}, {})
+    rows = _isolated(compute, block.indices, block.errors)
     if rows is not None:
-        states[idx], measurements[idx] = rows
-    block = _Block(np.asarray(indices), states, {}, {}, {}, errors)
-    for estimator in config.estimators:
-        # every run goes through every filter; a run keeps its first error
-        if estimator == "ukf":
-            out = run_ukf(model, measurements, config.ut)
-        else:
-            out = run_pf(model, measurements, config.particles,
-                         [pf_seed for _, pf_seed in seeds],
-                         resample=config.resample, ess_threshold=config.ess_threshold)
-        for position, error in out.errors.items():
-            errors.setdefault(position, error)
-        block.posterior[estimator] = out.posterior
-        block.predicted[estimator] = out.predicted
-        block.health[estimator] = out.health
+        block.states = rows.pop("states")
+        for (kind, estimator, name), value in rows.items():
+            if kind == "health":
+                block.health.setdefault(estimator, {})[name] = value
+        for estimator in config.estimators:
+            for channel in EVAL_BELIEFS:
+                getattr(block, channel)[estimator] = _unchecked(
+                    rows[channel, estimator, "mean"], rows[channel, estimator, "cov"])
     return block
 
 
@@ -298,8 +345,8 @@ def _fields(terms) -> tuple:
     return tuple(getattr(terms, f.name) for f in dataclasses.fields(terms))
 
 
-def _bound_stage(config: ExperimentConfig, model: SystemModel,
-                 posterior: dict, predicted: dict) -> tuple[dict, np.ndarray, dict]:
+def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
+                 errors: dict, posterior: dict, predicted: dict) -> Optional[dict]:
     """Run the per-run bound engines over the stack of runs.
 
     The step terms depend only on the beliefs at k-1 and k, never on J, so
@@ -311,103 +358,71 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel,
     direct gap theta^-1 - J^-1 and its violation flags then run once over
     the (R, T) theta, pi and J stacks.
 
-    A run whose own element fails in one of these passes is dropped with that
-    error and skips the rest.  Its error is the first in the order of the
-    passes, not of the time steps: per estimator (config order) the
+    The whole stage is one _isolated computation, so a run whose own element
+    fails is dropped with that error.  Its error is the first in the order
+    of the passes, not of the time steps: per estimator (config order) the
     mean-only terms, the mean-only recursion step by step, the mean+cov
     terms, the mean+cov recursion step by step, then the gaps.  So a run
     whose recursion would fail at step k1 while its terms fail at a later
     step k2 reports the terms' error.
 
     Args:
+        runs: the run index of each row of the belief stacks.
+        errors: where each failed run's error text is set, by run index.
         posterior, predicted: each estimator's belief stacks over the runs,
             mean (R, T, n) and cov (R, T, n, n).
 
     Returns:
-        (stacks, alive, errors).  stacks maps (quantity, estimator) to an
-        array with one row per given run: "mean_only" and "mean_cov"
-        information series, "pi" corrections (R, T, n, n), "gap_analytic"
-        and "gap_direct" gaps (R, T, n, n) and "gap_violation" flags
-        (R, T).  alive marks the runs that completed; the rows of the others
-        are meaningless.  errors maps the position of each failed run to its
-        error text.
+        stacks mapping (quantity, estimator) to an array with one row per
+        given run: "mean_only" and "mean_cov" information series, "pi"
+        corrections (R, T, n, n), "gap_analytic" and "gap_direct" gaps
+        (R, T, n, n) and "gap_violation" flags (R, T); the rows of failed
+        runs are zero.  None when every run failed.
     """
     horizon, n = config.horizon, model.state_dim
-    count = posterior[config.estimators[0]].mean.shape[0]
-    alive = np.ones(count, dtype=bool)
-    errors: dict = {}
-    stacks: dict = {}
     j0 = initial_fim(model.prior)
     steps = np.arange(1, horizon + 1)[:, None]
 
-    def over_runs(compute) -> Optional[list]:
-        """compute(idx) over the alive runs' whole series, each output with
-        one row per given run; None once no run is left."""
-        idx, rows = guarded_step(compute, alive, errors)
-        if rows is None:
-            return None
-        out = [np.zeros((count,) + row.shape[1:], row.dtype) for row in rows]
-        for full, row in zip(out, rows):
-            full[idx] = row
-        return out
-
-    def recurse(advance) -> Optional[list]:
-        """J over steps 1..T: advance(idx, j, k) gives (J_k, *more) for the
-        runs idx; returns the series of J and of each further output, one row
-        per given run; None once no run is left."""
+    def recurse(advance, count: int) -> list:
+        """J over steps 1..T: advance(j, k) gives (J_k, *more) for every run;
+        returns the series (R, T, ...) of J and of each further output."""
         j = np.broadcast_to(j0, (count, n, n)).copy()
-        out = None
+        rows = []
         for k in range(1, horizon + 1):
-            idx, rows = guarded_step(lambda idx: advance(idx, j[idx], k), alive, errors)
-            if rows is None:
-                return None
-            if out is None:
-                out = [np.zeros((count, horizon) + row.shape[1:], row.dtype) for row in rows]
-            for series, row in zip(out, rows):
-                series[idx, k - 1] = row
-            j[idx] = rows[0]
-        return out
+            rows.append(advance(j, k))
+            j = rows[-1][0]
+        return [np.stack(series, axis=1) for series in zip(*rows)]
 
-    for estimator in config.estimators:
-        state, meas = _engine_beliefs(config, model, posterior[estimator], predicted[estimator])
+    def compute(positions) -> dict:
+        stacks: dict = {}
+        for estimator in config.estimators:
+            state, meas = _engine_beliefs(config, model, *(
+                _unchecked(beliefs[estimator].mean[positions], beliefs[estimator].cov[positions])
+                for beliefs in (posterior, predicted)))
 
-        if "mean_only" in config.methods:
-            terms = over_runs(lambda idx: _fields(
-                mean_only_terms(model, steps, state.mean[idx], meas.mean[idx])))
-            fims = None if terms is None else recurse(lambda idx, j, k: (fim_recursion_step(
-                j, FimTriple(*(term[idx, k - 1] for term in terms))),))
-            if fims is None:
-                return stacks, alive, errors
-            stacks[("mean_only", estimator)] = fims[0]
+            if "mean_only" in config.methods:
+                terms = _fields(mean_only_terms(model, steps, state.mean, meas.mean))
+                stacks[("mean_only", estimator)], = recurse(lambda j, k: (fim_recursion_step(
+                    j, FimTriple(*(term[:, k - 1] for term in terms))),), positions.size)
 
-        if "mean_cov" in config.methods:
-            parts = over_runs(lambda idx: _fields(decompose_terms(
-                model, steps, _unchecked(state.mean[idx], state.cov[idx]),
-                _unchecked(meas.mean[idx], meas.cov[idx]))))
+            if "mean_cov" in config.methods:
+                parts = _fields(decompose_terms(model, steps, state, meas))
 
-            def advance(idx, j, k):
-                fim = fim_via_decomposition(
-                    j, DecomposedFim(*(part[idx, k - 1] for part in parts)))
-                return fim.j, fim.theta, fim.pi
+                def advance(j, k):
+                    fim = fim_via_decomposition(
+                        j, DecomposedFim(*(part[:, k - 1] for part in parts)))
+                    return fim.j, fim.theta, fim.pi
 
-            fims = None if parts is None else recurse(advance)
-            if fims is None:
-                return stacks, alive, errors
-            fim_j, theta, pi = fims
-
-            def gaps(idx):
-                theta_inv, j_inv = spd_inverse(theta[idx]), spd_inverse(fim_j[idx])
-                analytic, _ = bound_difference(theta_inv, pi[idx], j_inv)
+                fim_j, theta, pi = recurse(advance, positions.size)
+                theta_inv, j_inv = spd_inverse(theta), spd_inverse(fim_j)
+                analytic, _ = bound_difference(theta_inv, pi, j_inv)
                 direct = theta_inv - j_inv
-                return analytic, direct, _is_negative(direct)
+                names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
+                stacks.update({(name, estimator): value for name, value in
+                               zip(names, (fim_j, pi, analytic, direct, _is_negative(direct)))})
+        return stacks
 
-            gap = over_runs(gaps)
-            if gap is None:
-                return stacks, alive, errors
-            names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
-            stacks.update({(name, estimator): value
-                           for name, value in zip(names, (fim_j, pi, *gap))})
-    return stacks, alive, errors
+    return _isolated(compute, runs, errors)
 
 
 def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> np.ndarray:
@@ -519,6 +534,24 @@ def _summarize_health(health: dict, ok: np.ndarray) -> dict:
             for name, values in health.items()}
 
 
+def _failed_runs(config: ExperimentConfig, errors: dict) -> list:
+    """The failed runs as [(index, error), ...] in index order.
+
+    Raises:
+        ExperimentError: more than the allowed fraction of runs, or every
+            run, failed.
+    """
+    failed = sorted(errors.items())
+    if len(failed) > config.max_failure_fraction * config.runs:
+        details = "; ".join(f"run {i}: {e}" for i, e in failed[:5])
+        raise ExperimentError(
+            f"{len(failed)} of {config.runs} runs failed "
+            f"(threshold {config.max_failure_fraction:.0%}): {details}")
+    if len(failed) == config.runs:
+        raise ExperimentError("every run failed")
+    return failed
+
+
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run the full Monte Carlo experiment described by the config.
 
@@ -545,9 +578,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_filter_block_task, [(config, b) for b in blocks]))
 
-    errors = {int(part.indices[position]): error
-              for part in parts for position, error in part.errors.items()}
-    filtered = np.array([i not in errors for i in range(config.runs)])
+    errors = {index: error for part in parts for index, error in part.errors.items()}
+    parts = [part for part in parts if part.states is not None]
+    if not parts:
+        _failed_runs(config, errors)  # raises: every run failed
+    runs = np.concatenate([part.indices for part in parts])
+    filtered = np.array([i not in errors for i in runs])
     states = np.concatenate([part.states for part in parts])
     posterior, predicted, health = {}, {}, {}
     for estimator in config.estimators:
@@ -560,26 +596,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
                              for counter in parts[0].health[estimator]}
     lap("filtering")
 
-    stacks, alive = {}, None
+    stacks = None
     if filtered.any():
-        stacks, alive, bound_errors = _bound_stage(
-            config, model,
+        stacks = _bound_stage(
+            config, model, runs[filtered], errors,
             {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in posterior.items()},
             {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
-        kept = np.flatnonzero(filtered)
-        errors.update({int(kept[position]): error for position, error in bound_errors.items()})
     lap("bound_engines")
 
-    failed = sorted(errors.items())
-    if len(failed) > config.max_failure_fraction * config.runs:
-        details = "; ".join(f"run {i}: {e}" for i, e in failed[:5])
-        raise ExperimentError(
-            f"{len(failed)} of {config.runs} runs failed "
-            f"(threshold {config.max_failure_fraction:.0%}): {details}")
-    ok = np.array([i not in errors for i in range(config.runs)])
-    if not ok.any():
-        raise ExperimentError("every run failed")
-    run_stacks = {key: value[alive] for key, value in stacks.items()}
+    failed = _failed_runs(config, errors)
+    ok = np.array([i not in errors for i in runs])
+    run_stacks = {key: value[ok[filtered]] for key, value in stacks.items()}
 
     bounds: dict = {}
     if "true" in config.methods:

@@ -14,15 +14,16 @@ result needs: scalar process noise is scaled in place (the one product of a
 1 x 1 matmul), equal incoming weights take one logarithm per cloud, and all
 clouds are resampled in one exact O(N) ``systematic_resample`` call whose
 drawn particles, when every cloud resamples, are the new clouds without a
-copy back.  A scalar particle filter factors only the prior and Q, once per
-call: a 1 x 1 covariance is tested by potrf's own comparison, m > 0.  Every
-cloud's randomness comes from that run's own Generator, in the order of the
+copy back.  A stack of 1 x 1 covariances is factored by one square root
+behind potrf's own test, m > 0 (``_cholesky``), so a scalar particle filter
+runs LAPACK only on the prior and Q, once per call.  Every cloud's
+randomness comes from that run's own Generator, in the order of the
 single-run filter (prior cloud, then per step the process noise followed by
 the resampling uniform), so a run never depends on the rest of its stack.  A
-run of a stack whose own step fails is dropped with its error text while the
-others go on (``guarded_step``); a single-run call raises.  The beliefs and
-particle sets built inside skip the public constructors' checks: their
-covariances have just been factored and their weights normalized.
+stacked call raises the first error of any of its runs, as a single-run call
+does; the harness reruns the others without it (``pcrlb.experiment``).  The
+beliefs and particle sets built inside skip the public constructors' checks:
+their covariances have just been factored and their weights normalized.
 
 Both filters count their numeric health per run: covariance repairs by
 ``regularize_cov``, the package's only diagonal-jitter repair, and for the
@@ -72,56 +73,6 @@ _REG_STOP = 1e-4
 
 RESAMPLE_POLICIES = ("always", "adaptive")
 
-# Errors that fail one run of a stack rather than the whole stack.
-RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
-
-
-def error_text(exc: Exception) -> str:
-    """How a failed run's error is reported."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def guarded_step(step, alive: np.ndarray, errors: dict,
-                 generators: Optional[list] = None) -> tuple[np.ndarray, Optional[tuple]]:
-    """Run one step over the alive runs of a stack, dropping runs that fail alone.
-
-    step(idx) computes the step for the runs idx as one stack and returns a
-    tuple of arrays with one row per run.  When the batched call raises one
-    of RUN_ERRORS, every alive run is retried as a stack of one: a run that
-    raises again is marked failed (alive cleared, errors[position] set to its
-    error text), and the others keep their own rows, which do not depend on
-    the rest of the stack.  generators, one per position, are put back to
-    their state before the batched call ahead of the retries, so a retried
-    run draws what it drew in the batched call.
-
-    Returns:
-        (positions of the runs still alive, the step's outputs for them);
-        the outputs are None when no run is left.
-    """
-    idx = np.flatnonzero(alive)
-    if idx.size == 0:
-        return idx, None
-    saved = [generators[i].bit_generator.state for i in idx] if generators else []
-    try:
-        return idx, step(idx)
-    except RUN_ERRORS:
-        pass
-    for i, state in zip(idx, saved):
-        generators[i].bit_generator.state = state
-    kept, outputs = [], []
-    for position in idx:
-        try:
-            outputs.append(step(np.array([position])))
-        except RUN_ERRORS as exc:
-            alive[position] = False
-            errors[int(position)] = error_text(exc)
-        else:
-            kept.append(position)
-    if not kept:
-        return np.array([], dtype=int), None
-    return np.array(kept), tuple(np.concatenate(rows) for rows in zip(*outputs))
-
-
 @dataclass(frozen=True)
 class UTParams:
     """Unscented transform spread parameters.
@@ -154,15 +105,12 @@ class FilterOutput:
     leading shape): "cov_repairs" (covariances regularize_cov repaired),
     and for the particle filter "resamples", "collapses" (steps whose
     likelihoods all vanished) and "min_ess" (smallest effective sample
-    size).  errors maps the flat position of each run of a stack that failed
-    to its error text; the rows of a failed run are zero from the failing
-    step on.
+    size).
     """
 
     posterior: GaussianBelief
     predicted: GaussianBelief
     health: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         """Beliefs per channel: T for one run, R * T for a stack of R runs.
@@ -194,15 +142,23 @@ class ParticleSet:
         return 1.0 / np.sum(self.weights ** 2, axis=-1)
 
 
-def _factors(cov: np.ndarray) -> bool:
-    """Whether every matrix of a finite stack passes a Cholesky factorization.
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky of a stack, with 1 x 1 matrices factored by one square root.
 
-    A 1 x 1 matrix is decided by potrf's own test, m > 0, in one comparison.
+    A 1 x 1 stack raises LinAlgError where an element is not > 0 (0 and -0
+    included) and passes NaN through as NaN, as potrf does.
     """
-    if cov.shape[-1] == 1:
-        return bool(np.all(cov > 0.0))
+    if cov.shape[-1] != 1:
+        return np.linalg.cholesky(cov)
+    if np.any(cov <= 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(cov)
+
+
+def _factors(cov: np.ndarray) -> bool:
+    """Whether every matrix of a finite stack passes a Cholesky factorization."""
     try:
-        np.linalg.cholesky(cov)
+        _cholesky(cov)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -211,8 +167,8 @@ def _factors(cov: np.ndarray) -> bool:
 def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.ndarray:
     """Return a Cholesky-factorable version of a symmetric covariance, or of each in a stack.
 
-    Symmetrizes the stack and tests it in one batched call: one comparison
-    for 1 x 1 matrices, else a Cholesky factorization.  Only the elements
+    Symmetrizes the stack and tests it in one batched factorization, a
+    square root for 1 x 1 matrices (_cholesky).  Only the elements
     that fail go one by one up the jitter ladder: a diagonal jitter of
     1e-10 * trace(cov)/n, growing by decades while it stays within
     1e-4 * trace(cov)/n.  This is the package's only jitter repair, and each
@@ -266,7 +222,7 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
     spread = n + lam
     if spread <= 0.0:
         raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
-    wings = np.linalg.cholesky(symmetrize(cov) * spread).mT  # row i is column i
+    wings = _cholesky(symmetrize(cov) * spread).mT  # row i is column i
     center = mean[..., None, :]
     points = np.concatenate([center, center + wings, center - wings], axis=-2)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))
@@ -327,16 +283,15 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
 
 
 def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
-               health: dict, generators: Optional[list] = None) -> FilterOutput:
+               health: dict) -> FilterOutput:
     """Drive a filter over steps 1..T for one run or a stack of runs.
 
     measurements (..., T, m) are flattened to R runs (one run is a stack of
     one) and carry holds the filter's state with one row per run.
-    step(k, idx, z, carry_rows) filters the runs idx at time k and returns
-    (FilterOutput of the step, new carry rows).  health gives each counter's
-    value before the first step: over the steps, counts add up and
-    "min_ess" keeps the smallest.  A stack isolates failing runs with
-    guarded_step; one run raises.
+    step(k, z, carry) filters every run at time k and returns (FilterOutput
+    of the step, new carry).  health gives each counter's value before the
+    first step: over the steps, counts add up and "min_ess" keeps the
+    smallest.  The first error of any run is raised.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
@@ -345,34 +300,19 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
     series = [np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n)),
               np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n))]
     series += [np.full((count, horizon), start) for start in health.values()]
-    alive = np.ones(count, dtype=bool)
-    errors: dict = {}
     for k in range(1, horizon + 1):
-        def rows(idx):
-            rows_carry = carry if idx.size == count else tuple(c[idx] for c in carry)
-            out, new_carry = step(k, idx, z[idx, k - 1], rows_carry)
-            return (*new_carry, out.posterior.mean, out.posterior.cov, out.predicted.mean,
-                    out.predicted.cov, *(out.health[name] for name in health))
-        if lead:
-            idx, values = guarded_step(rows, alive, errors, generators)
-            if values is None:
-                break
-        else:
-            idx, values = np.arange(count), rows(np.arange(count))
-        if idx.size == count:
-            carry, idx = values[:len(carry)], slice(None)
-        else:
-            for state, value in zip(carry, values):
-                state[idx] = value
-        for array, value in zip(series, values[len(carry):]):
-            array[idx, k - 1] = value
+        out, carry = step(k, z[:, k - 1], carry)
+        values = (out.posterior.mean, out.posterior.cov, out.predicted.mean, out.predicted.cov,
+                  *(out.health[name] for name in health))
+        for array, value in zip(series, values):
+            array[:, k - 1] = value
     post_mean, post_cov, pred_mean, pred_cov = (
         array.reshape(lead + array.shape[1:]) for array in series[:4])
     totals = {name: (array.min(axis=1) if name == "min_ess" else array.sum(axis=1)).reshape(lead)
               for name, array in zip(health, series[4:])}
     return FilterOutput(posterior=_unchecked(post_mean, post_cov),
                         predicted=_unchecked(pred_mean, pred_cov),
-                        health=totals, errors=errors)
+                        health=totals)
 
 
 def run_ukf(model: SystemModel, measurements: np.ndarray,
@@ -384,7 +324,7 @@ def run_ukf(model: SystemModel, measurements: np.ndarray,
     carry = (np.broadcast_to(model.prior.mean, (count, n)).copy(),
              np.broadcast_to(model.prior.cov, (count, n, n)).copy())
 
-    def step(k, idx, z, belief):
+    def step(k, z, belief):
         out = ukf_step(model, k, _unchecked(*belief), z, params)
         return out, (out.posterior.mean, out.posterior.cov)
 
@@ -610,14 +550,13 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     particles = init_particles(model, n_particles, generators)
     noise_chol = np.linalg.cholesky(model.process_cov)
 
-    def step(k, idx, z, cloud):
-        updated, out = _pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z,
-                                [generators[i] for i in idx], resample, ess_threshold, noise_chol)
+    def step(k, z, cloud):
+        updated, out = _pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z, generators,
+                                resample, ess_threshold, noise_chol)
         return out, (updated.states, updated.weights)
 
     return _run_stack(model, measurements, step, (particles.states, particles.weights),
-                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf},
-                      generators)
+                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf})
 
 
 def kalman_step(a: np.ndarray, h: np.ndarray, q: np.ndarray, r: np.ndarray,

@@ -312,8 +312,8 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
 
     def skipped(config, indices):
         block = filters_only(config, indices)
-        for position in np.flatnonzero(block.indices == 2):
-            block.errors[int(position)] = "skipped"
+        if 2 in indices:
+            block.errors[2] = "skipped"
         return block
 
     monkeypatch.setattr(experiment, "_filter_block", diverged)
@@ -326,13 +326,117 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
     assert got.runs_used == want.runs_used == 3
     assert got.bounds.keys() == want.bounds.keys()
     for key in want.bounds:
-        assert_allclose(got.bounds[key], want.bounds[key], rtol=1e-12, atol=0)
+        assert np.array_equal(got.bounds[key], want.bounds[key])
     for est in want.rmse:
         assert np.array_equal(got.rmse[est], want.rmse[est])
         assert np.array_equal(got.gaps[est]["violations"], want.gaps[est]["violations"])
-        assert_allclose(got.gaps[est]["analytic"], want.gaps[est]["analytic"], rtol=1e-12)
+        assert np.array_equal(got.gaps[est]["analytic"], want.gaps[est]["analytic"])
     for key, stack in want.run_stacks.items():
-        assert got.run_stacks[key].shape == stack.shape == (3,) + stack.shape[1:]
+        assert stack.shape == (3,) + stack.shape[1:]
+        assert np.array_equal(got.run_stacks[key], stack)
+
+
+def nan_window_model(window: bool = True) -> SystemModel:
+    """x' = 0.9 x + w, z = x + v with unit variances; with window, the
+    measurement is NaN on 2 < x < 2.00002, where a particle now and then lands."""
+    def measure(k, x):
+        return np.where((x > 2.0) & (x < 2.00002), np.nan, x) if window else x
+
+    return SystemModel(state_dim=1, meas_dim=1, transition_fn=lambda k, x: 0.9 * x,
+                       measurement_fn=measure, process_cov=[[1.0]], meas_cov=[[1.0]],
+                       prior=GaussianBelief([0.0], [[1.0]]),
+                       transition_jacobian_fn=lambda k, x: np.full(x.shape + (1,), 0.9),
+                       transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
+                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
+                       measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
+
+
+def test_particle_filter_failures_drop_only_their_runs(monkeypatch):
+    """Runs whose particle filter fails inside a block of 40 are dropped with
+    their own errors; every other run keeps the bytes it has when the failing
+    runs are skipped."""
+    config = ExperimentConfig(runs=40, particles=1000, master_seed=3, max_failure_fraction=0.5)
+    failing = [10, 14, 16]
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
+    got = run_experiment(config)
+    assert got.failed_runs == [
+        (10, "NumericError: non-finite particle log-weights at step 5"),
+        (14, "NumericError: non-finite particle log-weights at step 33"),
+        (16, "NumericError: non-finite particle log-weights at step 21")]
+
+    filters_only = experiment._filter_block
+
+    def skipped(config, indices):
+        block = filters_only(config, indices)
+        block.errors.update({i: "skipped" for i in failing if i in indices})
+        return block
+
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model(False))
+    monkeypatch.setattr(experiment, "_filter_block", skipped)
+    want = run_experiment(config)
+    assert [index for index, _ in want.failed_runs] == failing
+    assert got.runs_used == want.runs_used == 37
+    assert got.run_stacks.keys() == want.run_stacks.keys()
+    for key, stack in want.run_stacks.items():
+        assert np.array_equal(got.run_stacks[key], stack)
+    for key in want.bounds:
+        assert np.array_equal(got.bounds[key], want.bounds[key])
+    assert got.filter_health == want.filter_health
+
+
+def test_a_block_whose_runs_all_fail_leaves_the_other_blocks(monkeypatch):
+    """At N = 20000 a block takes three runs: runs 0-2 form one block and run 3
+    another, which fails whole; with every run failing the experiment raises."""
+    config = ExperimentConfig(horizon=5, runs=4, particles=20000, methods=("true", "mean_only"),
+                              max_failure_fraction=1.0)
+    assert [list(block) for block in experiment._blocks(config, 1)] == [[0, 1, 2], [3]]
+    clean = run_experiment(config)
+    original = experiment.sample_trajectory
+
+    def failing(*runs):
+        bad = {experiment.run_seeds(config.master_seed, i)[0] for i in runs}
+
+        def sample(model, horizon, seeds):
+            if bad & set(seeds):
+                raise ValueError("trajectory contains non-finite values")
+            return original(model, horizon, seeds)
+        return sample
+
+    monkeypatch.setattr(experiment, "sample_trajectory", failing(3))
+    got = run_experiment(config)
+    assert got.failed_runs == [(3, "ValueError: trajectory contains non-finite values")]
+    for key, stack in got.run_stacks.items():
+        assert np.array_equal(stack, clean.run_stacks[key][:3])
+    monkeypatch.setattr(experiment, "sample_trajectory", failing(0, 1, 2, 3))
+    with pytest.raises(ExperimentError, match="every run failed"):
+        run_experiment(config)
+
+
+def test_isolated_reruns_without_the_failing_runs():
+    """The rows of the runs that do not fail equal the clean stacked call bit
+    for bit; the failing runs get their errors, by run index, and zero rows."""
+    rng = np.random.default_rng(6)
+    factors = rng.standard_normal((9, 3, 3))
+    matrices = factors @ factors.mT + np.eye(3)
+    runs = np.arange(20, 29)
+    clean = spd_inverse(matrices)
+    matrices[[0, -1], 1, 1] = np.nan
+
+    def compute(positions):
+        return {"inverse": spd_inverse(matrices[positions]), "run": runs[positions]}
+
+    errors = {}
+    rows = experiment._isolated(compute, runs, errors)
+    assert sorted(errors) == [20, 28]
+    assert set(errors.values()) == {"ValueError: m must be finite"}
+    assert np.array_equal(rows["inverse"][1:-1], clean[1:-1])
+    assert not rows["inverse"][[0, -1]].any()
+    assert rows["run"].tolist() == [0] + list(range(21, 28)) + [0]
+
+    matrices[:] = np.nan
+    errors = {}
+    assert experiment._isolated(compute, runs, errors) is None
+    assert sorted(errors) == runs.tolist()
 
 
 def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):

@@ -9,10 +9,8 @@ from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTPa
                    systematic_resample, ukf_step, ungm_model, unscented_transform)
 
 from pcrlb import filters
-from pcrlb.cli import kalman_series
+from pcrlb.cli import kalman_series, random_stable_linear_model
 from pcrlb.filters import RESAMPLE_POLICIES, _gaussian_loglik
-
-from conftest import random_stable_linear_model
 
 
 def test_kalman_step_hand_values():
@@ -329,7 +327,7 @@ def test_stacked_filters_match_single_runs_bit_for_bit(name, resample):
     pf = run_pf(model, measurements, 150, seeds, resample=resample, ess_threshold=0.6)
     assert ukf.posterior.mean.shape == (4, 25, model.state_dim)
     assert pf.posterior.cov.shape == (4, 25, model.state_dim, model.state_dim)
-    assert len(pf) == 4 * 25 and not ukf.errors and not pf.errors
+    assert len(pf) == 4 * 25
     for i in range(4):
         single = run_pf(model, measurements[i], 150, seeds[i], resample=resample,
                         ess_threshold=0.6)
@@ -377,23 +375,37 @@ def test_splitting_a_stack_into_blocks_gives_the_same_bytes(name):
                           np.concatenate([p.posterior.cov for p in ukf_parts]))
 
 
-def test_nan_measurement_fails_only_its_run():
+def test_nan_measurement_of_one_run_fails_the_stack_with_its_error():
+    """A stacked filter raises the error its failing run raises alone."""
     model, measurements, seeds = stacked_setup("ungm", runs=4)
-    clean_pf = run_pf(model, measurements, 100, seeds)
-    clean_ukf = run_ukf(model, measurements)
     measurements[2, 5] = np.nan  # the measurement of step 6
-    pf = run_pf(model, measurements, 100, seeds)
-    ukf = run_ukf(model, measurements)
-    assert pf.errors == {2: "NumericError: non-finite particle log-weights at step 6"}
+    for pf_input, pf_seed in ((measurements, seeds), (measurements[2], seeds[2])):
+        with pytest.raises(NumericError, match="^non-finite particle log-weights at step 6$"):
+            run_pf(model, pf_input, 100, pf_seed)
     # the UKF absorbs the NaN into its mean and fails on the next covariance
-    assert ukf.errors == {2: "NumericError: filter covariance is not finite"}
-    keep = [0, 1, 3]
-    for got, want in ((pf, clean_pf), (ukf, clean_ukf)):
-        assert np.array_equal(got.posterior.mean[keep], want.posterior.mean[keep])
-        assert np.array_equal(got.predicted.cov[keep], want.predicted.cov[keep])
-        assert np.array_equal(got.posterior.mean[2, :5], want.posterior.mean[2, :5])
-    with pytest.raises(NumericError, match="non-finite particle log-weights at step 6"):
-        run_pf(model, measurements[2], 100, seeds[2])
+    for ukf_input in (measurements, measurements[2]):
+        with pytest.raises(NumericError, match="^filter covariance is not finite$"):
+            run_ukf(model, ukf_input)
+
+
+def test_scalar_cholesky_matches_numpy_bit_for_bit():
+    """1 x 1 stacks are factored by a square root: the same bytes as
+    np.linalg.cholesky, and LinAlgError for the same elements."""
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, np.nan, 1e300, -1.0, np.inf, 1e-310]
+    spanning = 10.0 ** rng.uniform(-304.0, 304.0, 20000)
+    for values in [[v] for v in special] + [spanning, rng.uniform(0.0, 10.0, 1000),
+                                             np.append(spanning, -0.0)]:
+        cov = np.asarray(values, dtype=float)[:, None, None]
+        try:
+            want = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                filters._cholesky(cov)
+        else:
+            assert filters._cholesky(cov).tobytes() == want.tobytes()
+    matrix = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(filters._cholesky(matrix), np.linalg.cholesky(matrix))
 
 
 def test_regularize_cov_rejects_non_finite_covariance():
@@ -504,7 +516,6 @@ def test_pf_collapse_counts_once_and_run_continues():
         pf = run_pf(model, measurements, 50, seeds)
     assert pf.health["collapses"].tolist() == [0, 1]
     assert pf.health["resamples"].tolist() == [8, 8]
-    assert not pf.errors
     assert np.all(np.isfinite(pf.posterior.mean))
 
 

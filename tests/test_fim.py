@@ -12,7 +12,7 @@ from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
                    spd_inverse, true_fim_terms_mc, ungm_model)
 from pcrlb.linalg import symmetrize
 
-from conftest import random_spd, random_stable_linear_model
+from pcrlb.cli import random_spd, random_stable_linear_model
 
 # frozen large-sample value of E[f'(x)^2] for the default scalar benchmark
 # model under its prior, from a 1e7-sample run of an independent script

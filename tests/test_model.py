@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from pcrlb import (GaussianBelief, fd_hessians, fd_jacobian, linear_gaussian_model,
                    sample_trajectory, spd_inverse, ungm_model)
 
-from conftest import random_stable_linear_model
+from pcrlb.cli import random_stable_linear_model
 
 
 def test_ungm_transition_values():

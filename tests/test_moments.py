@@ -6,7 +6,7 @@ from pcrlb import (GaussianBelief, SystemModel, linear_gaussian_model,
                    measurement_moment_map_derivatives, propagate_measurement_moments,
                    propagate_state_moments, state_moment_map_derivatives, ungm_model)
 
-from conftest import random_stable_linear_model
+from pcrlb.cli import random_stable_linear_model
 
 
 def scalar_square_model(q=1.0, r=1.0):
