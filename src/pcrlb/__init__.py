@@ -18,8 +18,9 @@ from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalma
                       particle_moments, pf_step, regularize_cov, run_pf, run_ukf,
                       sigma_points, systematic_resample, ukf_step, unscented_transform)
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
-                  fim_recursion_step, fim_via_decomposition, initial_fim, mean_cov_terms,
-                  mean_only_terms, true_fim_terms_mc)
+                  fim_decomposition_series, fim_recursion_series, fim_recursion_step,
+                  fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
+                  true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, Trajectory, fd_hessians, fd_jacobian,
                     linear_gaussian_model, sample_trajectory, ungm_model)
@@ -51,6 +52,8 @@ __all__ = [
     "derive_run_seed",
     "fd_hessians",
     "fd_jacobian",
+    "fim_decomposition_series",
+    "fim_recursion_series",
     "fim_recursion_step",
     "fim_via_decomposition",
     "gap_series",

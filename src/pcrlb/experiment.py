@@ -26,9 +26,9 @@ filter draw only from the run's own Generators, so the block split changes
 no byte.  The bound engines then run in the calling process over the
 completed runs' beliefs, stacked in run-index order as (R, T, ...).  The
 step terms do not depend on J, so each estimator's mean-only and mean+cov
-terms come from one call over all runs and steps, and so do its gaps; only
-J is recursed one time step at a time, over all R runs at once.  Each stage
-is guarded once (``_isolated``): when its stacked call raises, the runs are
+terms come from one call over all runs and steps, and so do its recursions
+and its gaps, and the reference's terms and recursion.  Each stage is
+guarded once (``_isolated``): when its stacked call raises, the runs are
 halved and each half rerun, so a run that fails on its own, in sampling, a
 filter or a bound engine, is marked failed with its first error (sampling,
 then the estimators in config order; see _bound_stage for the order within
@@ -40,7 +40,6 @@ are bit-identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,9 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .filters import RESAMPLE_POLICIES, UTParams, run_pf, run_ukf
-from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
-                  fim_recursion_step, fim_via_decomposition, initial_fim, mean_only_terms,
-                  true_fim_terms_mc)
+from .fim import (bound_difference, decompose_terms, fim_decomposition_series,
+                  fim_recursion_series, initial_fim, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, _unchecked, linear_gaussian_model,
                     sample_trajectory, ungm_model)
@@ -340,20 +338,15 @@ def _engine_beliefs(config: ExperimentConfig, model: SystemModel, posterior: Gau
     return state, meas
 
 
-def _fields(terms) -> tuple:
-    """The arrays of a step-terms dataclass, in the order its constructor takes them."""
-    return tuple(getattr(terms, f.name) for f in dataclasses.fields(terms))
-
-
 def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
                  errors: dict, posterior: dict, predicted: dict) -> Optional[dict]:
     """Run the per-run bound engines over the stack of runs.
 
     The step terms depend only on the beliefs at k-1 and k, never on J, so
     per estimator mean_only_terms and decompose_terms each run once over the
-    whole (R, T) belief stack, with k = 1..T along the step axis.  Only J is
-    recursed one time step at a time (fim_recursion_step,
-    fim_via_decomposition), over every run's slice of those terms.  The
+    whole (R, T) belief stack, with k = 1..T along the step axis, and J is
+    recursed over those terms in one call (fim_recursion_series,
+    fim_decomposition_series), one time step at a time over all runs.  The
     closed-form gap (the product theta^-1 pi J^-1, bound_difference), the
     direct gap theta^-1 - J^-1 and its violation flags then run once over
     the (R, T) theta, pi and J stacks.
@@ -379,19 +372,8 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
         (R, T, n, n) and "gap_violation" flags (R, T); the rows of failed
         runs are zero.  None when every run failed.
     """
-    horizon, n = config.horizon, model.state_dim
     j0 = initial_fim(model.prior)
-    steps = np.arange(1, horizon + 1)[:, None]
-
-    def recurse(advance, count: int) -> list:
-        """J over steps 1..T: advance(j, k) gives (J_k, *more) for every run;
-        returns the series (R, T, ...) of J and of each further output."""
-        j = np.broadcast_to(j0, (count, n, n)).copy()
-        rows = []
-        for k in range(1, horizon + 1):
-            rows.append(advance(j, k))
-            j = rows[-1][0]
-        return [np.stack(series, axis=1) for series in zip(*rows)]
+    steps = np.arange(1, config.horizon + 1)[:, None]
 
     def compute(positions) -> dict:
         stacks: dict = {}
@@ -401,25 +383,17 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
                 for beliefs in (posterior, predicted)))
 
             if "mean_only" in config.methods:
-                terms = _fields(mean_only_terms(model, steps, state.mean, meas.mean))
-                stacks[("mean_only", estimator)], = recurse(lambda j, k: (fim_recursion_step(
-                    j, FimTriple(*(term[:, k - 1] for term in terms))),), positions.size)
+                stacks[("mean_only", estimator)] = fim_recursion_series(
+                    j0, mean_only_terms(model, steps, state.mean, meas.mean))
 
             if "mean_cov" in config.methods:
-                parts = _fields(decompose_terms(model, steps, state, meas))
-
-                def advance(j, k):
-                    fim = fim_via_decomposition(
-                        j, DecomposedFim(*(part[:, k - 1] for part in parts)))
-                    return fim.j, fim.theta, fim.pi
-
-                fim_j, theta, pi = recurse(advance, positions.size)
-                theta_inv, j_inv = spd_inverse(theta), spd_inverse(fim_j)
-                analytic, _ = bound_difference(theta_inv, pi, j_inv)
+                fim = fim_decomposition_series(j0, decompose_terms(model, steps, state, meas))
+                theta_inv, j_inv = spd_inverse(fim.theta), spd_inverse(fim.j)
+                analytic, _ = bound_difference(theta_inv, fim.pi, j_inv)
                 direct = theta_inv - j_inv
                 names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
                 stacks.update({(name, estimator): value for name, value in
-                               zip(names, (fim_j, pi, analytic, direct, _is_negative(direct)))})
+                               zip(names, (fim.j, fim.pi, analytic, direct, _is_negative(direct)))})
         return stacks
 
     return _isolated(compute, runs, errors)
@@ -436,15 +410,12 @@ def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> n
     """
     if len(states) == 0:
         raise ExperimentError("no trajectories available for the reference bound")
-    states = np.asarray(states, dtype=float)
-    n = model.state_dim
-    series = np.empty((horizon, n, n))
-    j = initial_fim(model.prior)
-    for k in range(1, horizon + 1):
-        terms = true_fim_terms_mc(model, k, states[:, k - 1, :], states[:, k, :])
-        j = fim_recursion_step(j, terms)
-        series[k - 1] = j
-    return series
+    # (T+1, R, n): each step's R states contiguous, so each mean over them
+    # sums in the order of a single step's (R, n) call
+    states = np.ascontiguousarray(np.swapaxes(np.asarray(states, dtype=float), 0, 1))
+    steps = np.arange(1, horizon + 1)[:, None, None]
+    terms = true_fim_terms_mc(model, steps, states[:horizon], states[1:horizon + 1])
+    return fim_recursion_series(initial_fim(model.prior), terms)
 
 
 def rmse_series(true_states: np.ndarray, estimates: np.ndarray) -> np.ndarray:

@@ -42,13 +42,16 @@ a ``pcrlb.model.GaussianBelief`` like every belief the engines take.
 
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
-shape, computed for the whole stack in one batched pass.  The point and
-Taylor engines (``mean_only_terms``, ``mean_cov_terms``, ``decompose_terms``)
-also take the time index k as an integer array (..., 1) broadcast against the
-stack, as ``pcrlb.model`` describes: the maps and their derivatives are
-evaluated at each element's own k, and the time-constant noise precisions
-are shared, so the terms of every step of a (R, T, n) stack of beliefs come
-from one call; none of them depends on J.
+shape, computed for the whole stack in one batched pass (``true_fim_terms_mc``
+averages states (..., R, n) over R).  The term engines also take the time
+index k as an integer array broadcast against the stack, as ``pcrlb.model``
+describes ((..., 1) for beliefs (R, T, n), (T, 1, 1) for states (T, R, n)):
+the maps and their derivatives are evaluated at each element's own k, and the
+time-constant noise precisions are shared, so the terms of every step come
+from one call; none of them depends on J.  ``fim_recursion_series`` and
+``fim_decomposition_series`` run the recursion over such terms (..., T, n, n)
+along the step axis in one call per chain, with the arithmetic and the checks
+of the one-step calls.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import spd_inverse, symmetrize
+from .linalg import _check_finite, _spd_inverse, spd_inverse, symmetrize
 from .model import GaussianBelief, SystemModel
 from .moments import (measurement_moment_map_derivatives, propagate_measurement_moments,
                       propagate_state_moments, state_moment_map_derivatives)
@@ -69,11 +72,13 @@ __all__ = [
     "FimState",
     "initial_fim",
     "fim_recursion_step",
+    "fim_recursion_series",
     "true_fim_terms_mc",
     "mean_only_terms",
     "mean_cov_terms",
     "decompose_terms",
     "fim_via_decomposition",
+    "fim_decomposition_series",
     "bound_difference",
 ]
 
@@ -101,7 +106,7 @@ class DecomposedFim:
     mean_* are the blocks the mean-only engine produces at the belief means;
     spread_* are the mean+cov blocks minus those, i.e. everything the belief
     covariance adds.  Block sums mean_* + spread_* reproduce the mean+cov
-    terms up to rounding.
+    terms up to rounding.  The 11 and 22 blocks are symmetrized on construction.
     """
 
     mean_11: np.ndarray
@@ -110,6 +115,10 @@ class DecomposedFim:
     spread_11: np.ndarray
     spread_12: np.ndarray
     spread_22: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("mean_11", "mean_22", "spread_11", "spread_22"):
+            object.__setattr__(self, name, symmetrize(np.asarray(getattr(self, name), float)))
 
     def d11(self) -> np.ndarray:
         return self.mean_11 + self.spread_11
@@ -140,41 +149,62 @@ def initial_fim(prior: GaussianBelief) -> np.ndarray:
     return spd_inverse(prior.cov)
 
 
+def _series(step, j0: np.ndarray, terms: tuple) -> list:
+    """Run step(j_prev, *terms at step k) -> (J_k, *more) over the step axis -3
+    of the terms from J_0; each output comes back stacked, (..., T, n, n)."""
+    rows = [(symmetrize(np.atleast_2d(np.asarray(j0, float))),)]
+    for k in range(terms[0].shape[-3]):
+        rows.append(step(rows[-1][0], *(term[..., k, :, :] for term in terms)))
+    return [np.stack(series, axis=-3) for series in zip(*rows[1:])]
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """spd_inverse of j_prev + d11 without the symmetry test: both terms are symmetric."""
+    return _spd_inverse(_check_finite(m, "m"))
+
+
+def _recursion_step(j_prev, d11, d12, d22) -> tuple[np.ndarray]:
+    return (symmetrize(d22 - d12.mT @ _inverse(j_prev + d11) @ d12),)
+
+
 def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
     """Advance the information matrix (or a stack of them) by one step."""
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    inner = spd_inverse(j_prev + terms.d11)
-    return symmetrize(terms.d22 - terms.d12.mT @ inner @ terms.d12)
+    return _recursion_step(j_prev, terms.d11, terms.d12, terms.d22)[0]
 
 
-def true_fim_terms_mc(model: SystemModel, k: int, states_prev: np.ndarray,
+def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
+    """J_1..J_T from J_0 and terms (..., T, n, n): fim_recursion_step over axis -3."""
+    return _series(_recursion_step, j0, (terms.d11, terms.d12, terms.d22))[0]
+
+
+def true_fim_terms_mc(model: SystemModel, k, states_prev: np.ndarray,
                       states_new: np.ndarray) -> FimTriple:
     """Monte Carlo step terms for advancing onto time k.
 
     Args:
         model: the system model.
-        k: target time of the step (uses transition(k, .) and measure(k, .)).
-        states_prev: true states at time k-1, shape (R, n).
-        states_new: true states at time k, shape (R, n).
+        k: target time of the step (uses transition(k, .) and measure(k, .));
+            an int or an integer array (..., 1, 1), one per step of a stack.
+        states_prev: true states at time k-1, shape (..., R, n).
+        states_new: true states at time k, shape (..., R, n).
 
     Returns:
-        FimTriple with the expectations replaced by sample means over the R
-        trajectories.
+        FimTriple (..., n, n) of the sample means over the R trajectories.
     """
     states_prev = np.atleast_2d(np.asarray(states_prev, float))
     states_new = np.atleast_2d(np.asarray(states_new, float))
     if states_prev.shape != states_new.shape:
         raise ValueError("states_prev and states_new must have matching shapes")
-    if states_prev.shape[0] < 1:
+    if states_prev.shape[-2] < 1:
         raise ValueError("at least one trajectory sample is required")
     q_inv = model.process_precision
     r_inv = model.meas_precision
     f_jac = model.transition_jacobian(k, states_prev)
     h_jac = model.measurement_jacobian(k, states_new)
-    f_bar = f_jac.mean(axis=0)
-    return FimTriple(d11=(f_jac.mT @ q_inv @ f_jac).mean(axis=0),
-                     d12=-f_bar.T @ q_inv,
-                     d22=q_inv + (h_jac.mT @ r_inv @ h_jac).mean(axis=0))
+    return FimTriple(d11=(f_jac.mT @ q_inv @ f_jac).mean(axis=-3),
+                     d12=-f_jac.mean(axis=-3).mT @ q_inv,
+                     d22=q_inv + (h_jac.mT @ r_inv @ h_jac).mean(axis=-3))
 
 
 def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
@@ -286,6 +316,23 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                          spread_22=full.d22 - point.d22)
 
 
+def _decomposed_step(j_prev, mean_11, mean_12, mean_22, spread_11, spread_12, spread_22,
+                     d11, d12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    anchor_inv = _inverse(j_prev + mean_11)
+    theta = symmetrize(mean_22 - mean_12.mT @ anchor_inv @ mean_12)
+    full_inv = _inverse(j_prev + d11)
+    # (j_prev + d11)^-1 = anchor^-1 - shift
+    shift = anchor_inv @ spread_11 @ full_inv
+    pi = symmetrize(spread_22 - d12.mT @ full_inv @ spread_12
+                    - (spread_12.mT @ full_inv - mean_12.mT @ shift) @ mean_12)
+    return theta + pi, theta, pi
+
+
+def _decomposed_terms(parts: DecomposedFim) -> tuple:
+    return (parts.mean_11, parts.mean_12, parts.mean_22, parts.spread_11, parts.spread_12,
+            parts.spread_22, parts.d11(), parts.d12())
+
+
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     """Advance the information matrix through the decomposed form.
 
@@ -303,17 +350,12 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
         FimState with j, theta and pi.
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    anchor_inv = spd_inverse(symmetrize(j_prev + parts.mean_11))
-    theta = symmetrize(parts.mean_22 - parts.mean_12.mT @ anchor_inv @ parts.mean_12)
+    return FimState(*_decomposed_step(j_prev, *_decomposed_terms(parts)))
 
-    d12 = parts.d12()
-    full_inv = spd_inverse(symmetrize(j_prev + parts.d11()))
-    # (j_prev + d11)^-1 = anchor^-1 - shift
-    shift = anchor_inv @ parts.spread_11 @ full_inv
-    pi = symmetrize(parts.spread_22
-                    - d12.mT @ full_inv @ parts.spread_12
-                    - (parts.spread_12.mT @ full_inv - parts.mean_12.mT @ shift) @ parts.mean_12)
-    return FimState(j=theta + pi, theta=theta, pi=pi)
+
+def fim_decomposition_series(j0: np.ndarray, parts: DecomposedFim) -> FimState:
+    """j, theta, pi (..., T, n, n) from J_0: fim_via_decomposition over axis -3."""
+    return FimState(*_series(_decomposed_step, j0, _decomposed_terms(parts)))
 
 
 def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,

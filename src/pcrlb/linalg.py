@@ -30,16 +30,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.mT)
 
 
+def _check_finite(m: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
+    return m
+
+
 def _check_square_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must be finite")
-    # np.allclose(m, m', atol=1e-8 * scale) with one scale per matrix
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0))
-    if not np.all(np.abs(m - m.mT) <= 1e-8 * scale + 1e-5 * np.abs(m.mT)):
-        raise ValueError(f"{name} must be symmetric")
+    _check_finite(m, name)
+    if m.shape[-1] > 1:  # a 1 x 1 matrix is its own transpose
+        # np.allclose(m, m', atol=1e-8 * scale) with one scale per matrix
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0))
+        if not np.all(np.abs(m - m.mT) <= 1e-8 * scale + 1e-5 * np.abs(m.mT)):
+            raise ValueError(f"{name} must be symmetric")
     return m
 
 
@@ -92,8 +98,9 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
 
     m is factored once, and a factorization that runs to completion is the
     test of positive definiteness.  A single matrix is inverted through that
-    Cholesky factor (_cholesky_inverse), a stack, once every element has
-    factored in one batched call, by one batched LU inverse.
+    Cholesky factor (_cholesky_inverse), a stack of 1 x 1 matrices as 1 / m
+    behind potrf's own test, m > 0 (the bytes of np.linalg.inv), and a larger
+    stack, once every element has factored in one call, by one LU inverse.
 
     Args:
         m: symmetric positive definite matrix, shape (n, n), or a stack of
@@ -107,10 +114,16 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
         NumericError: an element does not factor; the text names the
             smallest eigenvalue of the stack.
     """
-    m = _check_square_symmetric(m, "m")
+    return _spd_inverse(_check_square_symmetric(m, "m"))
+
+
+def _spd_inverse(m: np.ndarray) -> np.ndarray:
+    """spd_inverse of a finite, symmetric float matrix or stack, which it does not check."""
     try:
         if m.ndim == 2:
             return _cholesky_inverse(m)
+        if m.shape[-1] == 1 and (m > 0.0).all():
+            return symmetrize(1.0 / m)
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         eigmin = float(np.linalg.eigvalsh(m).min())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -11,7 +12,8 @@ from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    SystemModel, aggregate_bounds, build_model, derive_run_seed,
                    fim_recursion_step, gap_series, initial_fim, kalman_step,
                    mean_cov_terms, rmse_series, run_experiment, run_ukf,
-                   sample_trajectory, spd_inverse, true_bound_series)
+                   sample_trajectory, spd_inverse, true_bound_series, true_fim_terms_mc)
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 LINEAR_PARAMS = {"a": 0.9, "h": 1.0, "process_var": 0.6, "meas_var": 0.8,
                  "prior_mean": 0.0, "prior_var": 2.0}
@@ -440,11 +442,12 @@ def test_isolated_reruns_without_the_failing_runs():
 
 
 def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
-    """Every step's mean-only terms, mean+cov terms and closed-form gaps come
-    from one call per estimator over the stack of runs and steps; only the
-    recursion for J goes step by step."""
+    """Every step's mean-only terms, mean+cov terms, recursions and
+    closed-form gaps come from one call per estimator over the stack of runs
+    and steps, and the reference's terms and recursion from one call each."""
     calls = {}
-    for name in ("mean_only_terms", "decompose_terms", "bound_difference"):
+    for name in ("mean_only_terms", "decompose_terms", "bound_difference", "true_fim_terms_mc",
+                 "fim_recursion_series", "fim_decomposition_series"):
         def counted(*args, _name=name, _engine=getattr(experiment, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _engine(*args, **kwargs)
@@ -453,7 +456,46 @@ def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
     result = run_experiment(config)
     assert result.runs_used == 3
     once = len(config.estimators)
-    assert calls == {"mean_only_terms": once, "decompose_terms": once, "bound_difference": once}
+    assert calls == {"mean_only_terms": once, "decompose_terms": once, "bound_difference": once,
+                     "true_fim_terms_mc": 1, "fim_recursion_series": once + 1,
+                     "fim_decomposition_series": once}
+
+
+def per_step_reference(model, states, horizon):
+    """The reference series one step at a time, from each step's (R, n) slices."""
+    j, series = initial_fim(model.prior), []
+    for k in range(1, horizon + 1):
+        j = fim_recursion_step(j, true_fim_terms_mc(model, k, states[:, k - 1], states[:, k]))
+        series.append(j)
+    return np.stack(series)
+
+
+@pytest.mark.parametrize("runs", [7, 8, 9, 20, 100])
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_true_bound_series_equals_the_per_step_loop_bit_for_bit(name, runs):
+    """From R = 8 on, numpy sums the R samples of a step pairwise, so a
+    layout whose step means reduce over another axis order moves the ungm
+    reference by an ulp; the golden configs (R = 6) cannot see that."""
+    config = GOLDEN_CONFIGS[name]
+    model = build_model(config)
+    states = sample_trajectory(model, config.horizon, list(range(runs))).states
+    assert np.array_equal(true_bound_series(model, states, config.horizon),
+                          per_step_reference(model, states, config.horizon))
+
+
+# SHA-256 of the CSVs of ExperimentConfig(runs=20) (ungm, T = 50, N = 1000,
+# default seed), captured with numpy 2.4.6 on x86-64 Linux.  A change that
+# moves a byte fails here; a different numpy, BLAS or libm may move them too.
+PINNED_SHA256 = {
+    "rmse.csv": "63f8e4a6423ee4008a8cf9e0f871cf82f211279ec89a5f1b3a8f6430e25cb042",
+    "bounds.csv": "334094de82f11e179af380f22b08e979874f25fdc89344819eabfb5713b1c3dd",
+    "gap.csv": "0c7a3c15d640dc4e485a3d87a3e01c92630bf4b730a89a93d28b6edbcdb6459f",
+}
+
+
+def test_ungm_outputs_keep_their_pinned_bytes(tmp_path):
+    files = write_outputs(run_experiment(ExperimentConfig(runs=20)), tmp_path / "out")
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == PINNED_SHA256
 
 
 def test_true_bound_series_requires_trajectories():

@@ -6,10 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
-                   bound_difference, decompose_terms, fim_recursion_step,
-                   fim_via_decomposition, initial_fim, kalman_step,
-                   linear_gaussian_model, mean_cov_terms, mean_only_terms,
-                   spd_inverse, true_fim_terms_mc, ungm_model)
+                   bound_difference, decompose_terms, fim_decomposition_series,
+                   fim_recursion_series, fim_recursion_step, fim_via_decomposition,
+                   initial_fim, kalman_step, linear_gaussian_model, mean_cov_terms,
+                   mean_only_terms, sample_trajectory, spd_inverse, true_fim_terms_mc,
+                   ungm_model)
 from pcrlb.linalg import symmetrize
 
 from pcrlb.cli import random_spd, random_stable_linear_model
@@ -97,6 +98,22 @@ def test_true_terms_large_sample_matches_frozen_value():
     samples = rng.normal(0.0, np.sqrt(20.0), size=(100000, 1))
     terms = true_fim_terms_mc(model, 1, samples, samples)
     assert abs(terms.d11[0, 0] - UNGM_D11_PRIOR) / UNGM_D11_PRIOR < 0.01
+
+
+def test_stacked_true_terms_equal_per_step_calls_bit_for_bit(rng):
+    """One true_fim_terms_mc call over (T, R, n) states with k = 1..T as
+    (T, 1, 1) gives, step by step, the bytes of the per-step (R, n) calls;
+    ungm's measurement Jacobian and the 2-D linear model's matrix path both
+    reduce over the sample axis, not the step axis."""
+    horizon = 5
+    for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 2), 9)):
+        states = rng.standard_normal((horizon + 1, count, model.state_dim)) * 3.0
+        steps = np.arange(1, horizon + 1)[:, None, None]
+        stacked = true_fim_terms_mc(model, steps, states[:-1], states[1:])
+        for k in range(1, horizon + 1):
+            one = true_fim_terms_mc(model, k, states[k - 1], states[k])
+            for name in ("d11", "d12", "d22"):
+                assert np.array_equal(getattr(stacked, name)[k - 1], getattr(one, name)), (k, name)
 
 
 def test_true_terms_validation():
@@ -484,3 +501,93 @@ def test_spd_inverse_repairs_nothing():
                 np.stack([np.eye(2), np.diag([1.0, -1.0])])):
         with pytest.raises(NumericError, match="min eigenvalue"):
             spd_inverse(bad)
+
+
+def chained(j0, terms):
+    """J series by chaining the public one-step call over axis -3 of the terms."""
+    j, rows = j0, []
+    for k in range(terms.d11.shape[-3]):
+        j = fim_recursion_step(j, FimTriple(*(t[..., k, :, :] for t in dataclasses.astuple(terms))))
+        rows.append(j)
+    return np.stack(rows, axis=-3)
+
+
+def chained_decomposed(j0, parts):
+    """j, theta and pi by chaining fim_via_decomposition over axis -3."""
+    j, rows = j0, []
+    for k in range(parts.mean_11.shape[-3]):
+        state = fim_via_decomposition(
+            j, DecomposedFim(*(p[..., k, :, :] for p in dataclasses.astuple(parts))))
+        j = state.j
+        rows.append((state.j, state.theta, state.pi))
+    return [np.stack(series, axis=-3) for series in zip(*rows)]
+
+
+def belief_terms(rng, model, count, horizon):
+    """Mean-only and decomposed terms over a random (count, horizon) belief stack."""
+    n = model.state_dim
+
+    def cov():
+        return np.array([[random_spd(rng, n, shift=0.5) for _ in range(horizon)]
+                         for _ in range(count)])
+
+    prev = GaussianBelief(rng.uniform(-3.0, 3.0, (count, horizon, n)), cov())
+    new = GaussianBelief(rng.uniform(-3.0, 3.0, (count, horizon, n)), cov())
+    steps = np.arange(1, horizon + 1)[:, None]
+    return (mean_only_terms(model, steps, prev.mean, new.mean),
+            decompose_terms(model, steps, prev, new))
+
+
+def test_series_equal_chained_one_step_calls_bit_for_bit(rng):
+    """Both series forms give the bytes of chaining the one-step calls: on a
+    stack of runs for n = 1 (R = 20) and n = 4 (R = 10), and on the
+    reference's single (T, n, n) chain, which keeps the Cholesky inverse."""
+    horizon = 12
+    for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 4), 10)):
+        j0 = initial_fim(model.prior)
+        point, parts = belief_terms(rng, model, count, horizon)
+        series = fim_recursion_series(j0, point)
+        assert series.shape == (count, horizon) + j0.shape
+        assert np.array_equal(series, chained(j0, point))
+        state = fim_decomposition_series(j0, parts)
+        for got, want in zip((state.j, state.theta, state.pi), chained_decomposed(j0, parts)):
+            assert np.array_equal(got, want)
+
+        states = sample_trajectory(model, horizon, list(range(count))).states.swapaxes(0, 1)
+        reference = true_fim_terms_mc(model, np.arange(1, horizon + 1)[:, None, None],
+                                      np.ascontiguousarray(states[:-1]),
+                                      np.ascontiguousarray(states[1:]))
+        assert np.array_equal(fim_recursion_series(j0, reference), chained(j0, reference))
+
+
+def test_series_failures_raise_what_the_chained_steps_raise(rng):
+    """An element that stops being positive definite at step k, or turns
+    non-finite, fails the series with the exception type and text of the
+    chained one-step calls."""
+    horizon, k = 8, 5
+    for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 4), 10)):
+        j0 = initial_fim(model.prior)
+        point, parts = belief_terms(rng, model, count, horizon)
+        indefinite = point.d11.copy()
+        indefinite[3, k] -= 1e6 * np.eye(model.state_dim)
+        spread = parts.spread_11.copy()
+        spread[3, k] -= 1e6 * np.eye(model.state_dim)
+        non_finite = point.d22.copy()
+        non_finite[3, k, 0, 0] = np.nan
+        cases = [
+            (NumericError, fim_recursion_series, chained,
+             dataclasses.replace(point, d11=indefinite)),
+            (NumericError, fim_decomposition_series, chained_decomposed,
+             dataclasses.replace(parts, spread_11=spread)),
+            (ValueError, fim_recursion_series, chained,
+             dataclasses.replace(point, d22=non_finite)),
+            (ValueError, fim_decomposition_series, chained_decomposed,
+             dataclasses.replace(parts, mean_22=non_finite)),
+        ]
+        for error, series, chain, terms in cases:
+            with pytest.raises(error) as want:
+                chain(j0, terms)
+            with pytest.raises(error) as got:
+                series(j0, terms)
+            assert str(got.value) == str(want.value)
+            assert type(got.value) is type(want.value)

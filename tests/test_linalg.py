@@ -1,16 +1,18 @@
-"""The Cholesky inverse of 1 x 1 matrices against LAPACK potrf/potrs, byte for byte.
+"""The inverses of 1 x 1 matrices against LAPACK and numpy, byte for byte.
 
-The n = 1 inverse is computed by numpy as (1/sqrt(m))**2.  It equals the
-LAPACK result only as long as the BLAS triangular solve inside potrs
-multiplies by the reciprocal of the factor, so the comparison is made against
-the LAPACK of the machine that runs the test.
+A single 1 x 1 matrix is inverted through its Cholesky factor, computed by
+numpy as (1/sqrt(m))**2.  It equals the LAPACK potrf/potrs result only as
+long as the BLAS triangular solve inside potrs multiplies by the reciprocal
+of the factor, so the comparison is made against the LAPACK of the machine
+that runs the test.  A stack of 1 x 1 matrices is inverted as 1 / m, which
+is compared with the np.linalg.inv of the same machine.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pcrlb import spd_inverse
+from pcrlb import NumericError, spd_inverse
 from pcrlb.linalg import _cholesky_inverse
 
 POTRF, POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
@@ -49,3 +51,31 @@ def test_scalar_inverse_error_texts():
         with pytest.raises(np.linalg.LinAlgError,
                            match="1-th leading minor of the array is not positive definite"):
             _cholesky_inverse(np.array([[[2.0]], [[bad]]]))
+
+
+def test_scalar_stack_inverse_matches_numpy_inv_bit_for_bit(rng):
+    """spd_inverse of a (..., 1, 1) stack gives the symmetrized np.linalg.inv
+    of each element, over the whole positive range, subnormals included."""
+    values = np.concatenate([
+        [5e-324, 1e-310, 1e-308, 7e-309, 1e300, 1.7e308, np.finfo(float).max],
+        np.exp(rng.uniform(np.log(5e-324), np.log(1.7e308), 20_000))])
+    for stack in (values.reshape(-1, 1, 1), values[:20_000].reshape(40, 500, 1, 1)):
+        inverse = np.linalg.inv(stack)
+        with np.errstate(over="ignore"):  # 1/5e-324 overflows to inf, as in np.linalg.inv
+            assert np.array_equal(spd_inverse(stack), 0.5 * (inverse + inverse.mT))
+
+
+@pytest.mark.parametrize("bad, error, text", [
+    (0.0, NumericError, "matrix is not positive definite: min eigenvalue 0.000e+00"),
+    (-0.0, NumericError, "matrix is not positive definite: min eigenvalue -0.000e+00"),
+    (-1.0, NumericError, "matrix is not positive definite: min eigenvalue -1.000e+00"),
+    (-1e-300, NumericError, "matrix is not positive definite: min eigenvalue -1.000e-300"),
+    (np.nan, ValueError, "m must be finite"),
+    (np.inf, ValueError, "m must be finite"),
+    (-np.inf, ValueError, "m must be finite"),
+])
+def test_scalar_stack_inverse_error_texts(bad, error, text):
+    for m in (np.array([[[2.0]], [[bad]]]), np.array([[bad]])):
+        with pytest.raises(error) as raised:
+            spd_inverse(m)
+        assert type(raised.value) is error and str(raised.value) == text
