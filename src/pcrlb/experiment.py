@@ -13,36 +13,38 @@ the configured estimators, and produces:
   direct gap loses positive semidefiniteness,
 * per-step RMSE per estimator.
 
-The work runs in two stages.  First the runs are filtered in blocks
-(``_filter_block``), mapped over a process pool when ``workers`` > 1: each
-block samples its runs' trajectories in one stacked call, then runs each
-estimator once over the block's stack of measurement sequences, and returns
-(R, T, n) mean and (R, T, n, n) covariance stacks.  A block holds about
-2^16 particle values (block x N x n), so at N = 1000 one block takes 65 runs
-and at N = 20000 three, and there are at least ``workers`` blocks.  Every
-run is a pure function of (config, run index): run seeds come from a
-splitmix64 avalanche of the master seed, and the sampler and the particle
-filter draw only from the run's own Generators, so the block split changes
-no byte.  The bound engines then run in the calling process over the
-completed runs' beliefs, stacked in run-index order as (R, T, ...).  The
-step terms do not depend on J, so each estimator's mean-only and mean+cov
+The work runs in two stages, and both keep their per-run data in one run
+table: a dict of arrays with one row per run in run-index order, keyed
+"states", ("mean", channel, estimator), ("cov", channel, estimator) and
+("health", estimator, counter), and (quantity, estimator) for the bound
+engines' stacks.  First the runs are filtered in blocks (``_filter_block``),
+mapped over a process pool when ``workers`` > 1: each block samples its runs'
+trajectories in one stacked call, then runs each estimator once over the
+block's stack of measurement sequences.  A block holds about 2^16 particle
+values (block x N x n), so at N = 1000 one block takes 65 runs and at
+N = 20000 three, and there are at least ``workers`` blocks.  Every run is a
+pure function of (config, run index): run seeds come from a splitmix64
+avalanche of the master seed, and the sampler and the particle filter draw
+only from the run's own Generators, so the block split changes no byte.  The
+bound engines then run in the calling process over the blocks' joined table.
+The step terms do not depend on J, so each estimator's mean-only and mean+cov
 terms come from one call over all runs and steps, and so do its recursions
-and its gaps, and the reference's terms and recursion.  Each stage is
-guarded once (``_isolated``): when its stacked call raises, the runs are
-halved and each half rerun, so a run that fails on its own, in sampling, a
-filter or a bound engine, is marked failed with its first error (sampling,
-then the estimators in config order; see _bound_stage for the order within
-the bound engines) and left out of every aggregate.  A run's rows do not
-depend on the rest of its stack, so the other runs are unaffected.  Results
-are bit-identical for any worker count.
+and its gaps, and the reference's terms and recursion.  Each stage is guarded
+once (``_isolated``): when its stacked call raises, the runs are halved and
+each half rerun, so a run that fails on its own, in sampling, a filter or a
+bound engine, is marked failed with its first error (sampling, then the
+estimators in config order; see _bound_stage for the order within the bound
+engines) and has no rows from then on.  A run's rows do not depend on the
+rest of its stack, so the other runs are unaffected.  Results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -91,8 +93,10 @@ def derive_run_seed(master_seed: int, index: int) -> int:
 
     splitmix64-style avalanche of (master_seed, index): the input is the
     master seed advanced by (index + 1) golden-ratio increments, then mixed.
-    Distinct indices under one master always map to distinct seeds.
+    Distinct indices under one master always map to distinct seeds.  index
+    may be any integer type, numpy's included; a float raises TypeError.
     """
+    index = operator.index(index)
     if index < 0:
         raise ValueError("index must be non-negative")
     z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
@@ -214,19 +218,30 @@ def _blocks(config: ExperimentConfig, state_dim: int) -> list[range]:
             for start in range(0, config.runs, size)]
 
 
-def _isolated(compute, runs: np.ndarray, errors: dict) -> Optional[dict]:
+def _rows(tables: list) -> dict:
+    """Run tables with the same keys, joined row by row in the given order; a
+    single table is returned as is."""
+    if len(tables) == 1:
+        return tables[0]
+    return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
+
+
+def _isolated(compute, runs: np.ndarray, errors: dict) -> tuple[np.ndarray, dict]:
     """compute over a stack of runs, leaving out the runs that fail on their own.
 
     compute(positions) takes positions into runs, the stack's run indices,
-    and returns a dict of arrays with one row per position.  When it raises
-    one of RUN_ERRORS, the positions are halved and each half computed anew;
-    a single run that still raises gets errors[its run index] set to its
-    error text and zero rows.  A run's rows do not depend on the rest of its
-    stack, so the rerun rows are the ones the whole stack would give.
+    and returns a run table: a dict of arrays with one row per position.
+    When it raises one of RUN_ERRORS, the positions are halved and each half
+    computed anew; a single run that still raises gets errors[its run index]
+    set to its error text and no rows.  A run's rows do not depend on the
+    rest of its stack, so the rerun rows are the ones the whole stack would
+    give.  The lower half is computed first, so the pieces come in ascending
+    position order.
 
     Returns:
-        compute's dict over every run of the stack, or None when every run
-        failed.
+        (kept, table): the ascending positions of the runs that did not fail,
+        and compute's table over them, one row per kept position; an empty
+        table when every run failed.
     """
     pieces, pending = [], [np.arange(len(runs))]
     while pending:
@@ -240,47 +255,30 @@ def _isolated(compute, runs: np.ndarray, errors: dict) -> Optional[dict]:
                 half = positions.size // 2
                 pending += [positions[half:], positions[:half]]
     if not pieces:
-        return None
-    if pieces[0][0].size == len(runs):
-        return pieces[0][1]
-    out = {key: np.zeros((len(runs),) + value.shape[1:], value.dtype)
-           for key, value in pieces[0][1].items()}
-    for positions, rows in pieces:
-        for key, value in rows.items():
-            out[key][positions] = value
-    return out
+        return np.arange(0), {}
+    return (np.concatenate([positions for positions, _ in pieces]),
+            _rows([table for _, table in pieces]))
 
 
-@dataclass
-class _Block:
-    """What filtering one block of runs produces, one row per run of the block.
+def _filter_block(config: ExperimentConfig, indices: range) -> tuple[np.ndarray, dict, dict]:
+    """Sample the block's trajectories, then run each estimator over the block.
 
-    states (R, T+1, n) holds the sampled trajectories; posterior and
-    predicted map each estimator to its GaussianBelief stack over steps 1..T,
-    mean (R, T, n) and cov (R, T, n, n); health maps each estimator to its
-    per-run counters (see filters.FilterOutput).  errors maps the run index
-    of each failed run to its first error text, in the order sampling, then
-    the estimators in config order; the rows of failed runs are zero.  When
-    every run failed, states is None and the dicts are empty.
+    Returns:
+        (runs, table, errors): the ascending indices of the block's runs
+        that did not fail; their run table, keyed "states" (R, T+1, n),
+        ("mean", channel, estimator) (R, T, n) and ("cov", channel,
+        estimator) (R, T, n, n) for each channel of EVAL_BELIEFS, and
+        ("health", estimator, counter) (R,) (see filters.FilterOutput); and
+        the first error text of each failed run, which has no rows, by run
+        index, in the order sampling, then the estimators in config order.
     """
-
-    indices: np.ndarray
-    states: Optional[np.ndarray]
-    posterior: dict
-    predicted: dict
-    health: dict
-    errors: dict
-
-
-def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
-    """Sample the block's trajectories, then run each estimator over the block."""
     model = build_model(config)
     seeds = [run_seeds(config.master_seed, i) for i in indices]
 
     def compute(positions):
         picked = [seeds[p] for p in positions]
         trajectory = sample_trajectory(model, config.horizon, [s for s, _ in picked])
-        rows = {"states": trajectory.states}
+        table = {"states": trajectory.states}
         for estimator in config.estimators:
             if estimator == "ukf":
                 out = run_ukf(model, trajectory.measurements, config.ut)
@@ -288,30 +286,15 @@ def _filter_block(config: ExperimentConfig, indices: range) -> _Block:
                 out = run_pf(model, trajectory.measurements, config.particles,
                              [s for _, s in picked], resample=config.resample,
                              ess_threshold=config.ess_threshold)
-            for channel in EVAL_BELIEFS:
-                belief = getattr(out, channel)
-                rows[channel, estimator, "mean"], rows[channel, estimator, "cov"] = (
-                    belief.mean, belief.cov)
-            rows.update({("health", estimator, name): value
-                         for name, value in out.health.items()})
-        return rows
+            table.update({(kind, channel, estimator): getattr(getattr(out, channel), kind)
+                          for channel in EVAL_BELIEFS for kind in ("mean", "cov")})
+            table.update({("health", estimator, name): value
+                          for name, value in out.health.items()})
+        return table
 
-    block = _Block(np.asarray(indices), None, {}, {}, {}, {})
-    rows = _isolated(compute, block.indices, block.errors)
-    if rows is not None:
-        block.states = rows.pop("states")
-        for (kind, estimator, name), value in rows.items():
-            if kind == "health":
-                block.health.setdefault(estimator, {})[name] = value
-        for estimator in config.estimators:
-            for channel in EVAL_BELIEFS:
-                getattr(block, channel)[estimator] = _unchecked(
-                    rows[channel, estimator, "mean"], rows[channel, estimator, "cov"])
-    return block
-
-
-def _filter_block_task(payload: tuple[ExperimentConfig, range]) -> _Block:
-    return _filter_block(*payload)
+    runs, errors = np.asarray(indices), {}
+    kept, table = _isolated(compute, runs, errors)
+    return runs[kept], table, errors
 
 
 def _is_negative(matrix: np.ndarray) -> np.ndarray:
@@ -320,26 +303,27 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def _engine_beliefs(config: ExperimentConfig, model: SystemModel, posterior: GaussianBelief,
-                    predicted: GaussianBelief) -> tuple[GaussianBelief, GaussianBelief]:
-    """Beliefs feeding the step onto time k, stacked (R, T, ...) with row k-1.
+def _engine_beliefs(config: ExperimentConfig, model: SystemModel, table: dict, estimator: str,
+                    positions: np.ndarray) -> tuple[GaussianBelief, GaussianBelief]:
+    """Beliefs feeding the step onto time k, from the estimator's rows of the
+    run table at positions, stacked (R, T, ...) with row k-1.
 
     The state channel takes the belief about time k-1 (the prior at k = 1);
     the measurement channel takes the belief about time k.
     """
-    chosen = posterior if config.state_eval == "posterior" else predicted
-    count, n = chosen.mean.shape[0], model.state_dim
+    def channel(name):
+        return (table["mean", name, estimator][positions], table["cov", name, estimator][positions])
+
+    mean, cov = channel(config.state_eval)
+    count, n = len(positions), model.state_dim
     state = _unchecked(
-        np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)),
-                        chosen.mean[:, :-1]], axis=1),
-        np.concatenate([np.broadcast_to(model.prior.cov, (count, 1, n, n)),
-                        chosen.cov[:, :-1]], axis=1))
-    meas = predicted if config.meas_eval == "predicted" else posterior
-    return state, meas
+        np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)), mean[:, :-1]], axis=1),
+        np.concatenate([np.broadcast_to(model.prior.cov, (count, 1, n, n)), cov[:, :-1]], axis=1))
+    return state, _unchecked(*channel(config.meas_eval))
 
 
 def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
-                 errors: dict, posterior: dict, predicted: dict) -> Optional[dict]:
+                 errors: dict, table: dict) -> tuple[np.ndarray, dict]:
     """Run the per-run bound engines over the stack of runs.
 
     The step terms depend only on the beliefs at k-1 and k, never on J, so
@@ -360,17 +344,16 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     step k2 reports the terms' error.
 
     Args:
-        runs: the run index of each row of the belief stacks.
+        runs: the run index of each row of the table.
         errors: where each failed run's error text is set, by run index.
-        posterior, predicted: each estimator's belief stacks over the runs,
-            mean (R, T, n) and cov (R, T, n, n).
+        table: the filtered runs' run table (see _filter_block).
 
     Returns:
-        stacks mapping (quantity, estimator) to an array with one row per
-        given run: "mean_only" and "mean_cov" information series, "pi"
-        corrections (R, T, n, n), "gap_analytic" and "gap_direct" gaps
-        (R, T, n, n) and "gap_violation" flags (R, T); the rows of failed
-        runs are zero.  None when every run failed.
+        (kept, stacks): the ascending positions into runs of the runs that
+        did not fail, and their run table keyed (quantity, estimator):
+        "mean_only" and "mean_cov" information series, "pi" corrections
+        and "gap_analytic" and "gap_direct" gaps (R, T, n, n), and
+        "gap_violation" flags (R, T).
     """
     j0 = initial_fim(model.prior)
     steps = np.arange(1, config.horizon + 1)[:, None]
@@ -378,9 +361,7 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     def compute(positions) -> dict:
         stacks: dict = {}
         for estimator in config.estimators:
-            state, meas = _engine_beliefs(config, model, *(
-                _unchecked(beliefs[estimator].mean[positions], beliefs[estimator].cov[positions])
-                for beliefs in (posterior, predicted)))
+            state, meas = _engine_beliefs(config, model, table, estimator, positions)
 
             if "mean_only" in config.methods:
                 stacks[("mean_only", estimator)] = fim_recursion_series(
@@ -498,11 +479,11 @@ class AggregateResult:
         return self.config.horizon
 
 
-def _summarize_health(health: dict, ok: np.ndarray) -> dict:
-    """One estimator's filter counters over the completed runs: counts summed,
+def _summarize_health(table: dict, estimator: str) -> dict:
+    """One estimator's filter counters over the table's runs: counts summed,
     the smallest effective sample size kept."""
-    return {name: float(values[ok].min()) if name == "min_ess" else int(values[ok].sum())
-            for name, values in health.items()}
+    return {key[2]: float(values.min()) if key[2] == "min_ess" else int(values.sum())
+            for key, values in table.items() if key[:2] == ("health", estimator)}
 
 
 def _failed_runs(config: ExperimentConfig, errors: dict) -> list:
@@ -547,41 +528,24 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         parts = [_filter_block(config, block) for block in blocks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_filter_block_task, [(config, b) for b in blocks]))
+            parts = list(pool.map(_filter_block, [config] * len(blocks), blocks))
 
-    errors = {index: error for part in parts for index, error in part.errors.items()}
-    parts = [part for part in parts if part.states is not None]
-    if not parts:
+    errors = {index: error for _, _, part in parts for index, error in part.items()}
+    runs = np.concatenate([part[0] for part in parts])
+    if not runs.size:
         _failed_runs(config, errors)  # raises: every run failed
-    runs = np.concatenate([part.indices for part in parts])
-    filtered = np.array([i not in errors for i in runs])
-    states = np.concatenate([part.states for part in parts])
-    posterior, predicted, health = {}, {}, {}
-    for estimator in config.estimators:
-        for channel, name in ((posterior, "posterior"), (predicted, "predicted")):
-            beliefs = [getattr(part, name)[estimator] for part in parts]
-            channel[estimator] = _unchecked(np.concatenate([b.mean for b in beliefs]),
-                                            np.concatenate([b.cov for b in beliefs]))
-        health[estimator] = {counter: np.concatenate([part.health[estimator][counter]
-                                                      for part in parts])
-                             for counter in parts[0].health[estimator]}
+    table = _rows([part[1] for part in parts if part[1]])
     lap("filtering")
 
-    stacks = None
-    if filtered.any():
-        stacks = _bound_stage(
-            config, model, runs[filtered], errors,
-            {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in posterior.items()},
-            {e: _unchecked(b.mean[filtered], b.cov[filtered]) for e, b in predicted.items()})
+    kept, run_stacks = _bound_stage(config, model, runs, errors, table)
     lap("bound_engines")
 
     failed = _failed_runs(config, errors)
-    ok = np.array([i not in errors for i in runs])
-    run_stacks = {key: value[ok[filtered]] for key, value in stacks.items()}
+    table = {key: value[kept] for key, value in table.items()}
 
     bounds: dict = {}
     if "true" in config.methods:
-        true_fims = true_bound_series(model, states[ok], config.horizon)
+        true_fims = true_bound_series(model, table["states"], config.horizon)
         bounds[("true", None)] = spd_inverse(true_fims)
     lap("reference")
     for method in ("mean_only", "mean_cov"):
@@ -591,7 +555,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
             bounds[(method, estimator)] = aggregate_bounds(run_stacks[(method, estimator)],
                                                            config.averaging)
 
-    rmse = {estimator: rmse_series(states[ok], posterior[estimator].mean[ok])
+    rmse = {estimator: rmse_series(table["states"], table["mean", "posterior", estimator])
             for estimator in config.estimators}
 
     gaps = {}
@@ -603,6 +567,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     lap("aggregation")
 
     return AggregateResult(config=config, bounds=bounds, rmse=rmse, gaps=gaps,
-                           filter_health={e: _summarize_health(h, ok) for e, h in health.items()},
-                           runs_used=int(ok.sum()), failed_runs=failed, run_stacks=run_stacks,
+                           filter_health={e: _summarize_health(table, e)
+                                          for e in config.estimators},
+                           runs_used=len(kept), failed_runs=failed, run_stacks=run_stacks,
                            stage_seconds=stage_seconds)

@@ -322,9 +322,10 @@ def test_simulate_writes_run_0_trajectory_bit_for_bit(tmp_path):
     rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
     written = np.array([[float(row[1])] for row in rows])  # k, x1, z1
     config, _ = config_from_file(config_path)
-    block = experiment._filter_block(config, range(config.runs))
-    assert np.array_equal(written, block.states[0])
-    assert not np.array_equal(written, block.states[1])
+    runs, table, _ = experiment._filter_block(config, range(config.runs))
+    assert runs.tolist() == list(range(config.runs))
+    assert np.array_equal(written, table["states"][0])
+    assert not np.array_equal(written, table["states"][1])
 
 
 def test_config_error_exits_2(tmp_path):

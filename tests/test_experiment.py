@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -172,12 +174,12 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
     config = ExperimentConfig(horizon=10, runs=4, master_seed=4, estimators=("ukf",),
                               methods=("true",), max_failure_fraction=0.5)
     monkeypatch.setattr(experiment, "build_model", lambda config: edge)
-    block = experiment._filter_block(config, range(4))
-    assert block.errors == {2: "ValueError: trajectory contains non-finite values"}
-    assert not block.states[2].any()
-    for i in (0, 1, 3):
+    runs, table, errors = experiment._filter_block(config, range(4))
+    assert errors == {2: "ValueError: trajectory contains non-finite values"}
+    assert runs.tolist() == [0, 1, 3]
+    for i, states in zip(runs, table["states"]):
         seed = derive_run_seed(derive_run_seed(config.master_seed, i), 0)
-        assert np.array_equal(block.states[i], sample_trajectory(edge, 10, seed).states)
+        assert np.array_equal(states, sample_trajectory(edge, 10, seed).states)
     result = run_experiment(config)
     assert result.failed_runs == [(2, "ValueError: trajectory contains non-finite values")]
     assert result.runs_used == 3
@@ -208,6 +210,19 @@ def test_derive_run_seed_properties():
     assert derive_run_seed(9, 3) == a
     with pytest.raises(ValueError):
         derive_run_seed(1, -1)
+
+
+def test_derive_run_seed_takes_numpy_integer_indices():
+    """Run indices held in numpy arrays give the int seed of the Python index,
+    without overflow warnings; a float index is not an index."""
+    want = derive_run_seed(5, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for index in (np.int64(3), np.int32(3), np.uint64(3)):
+            got = derive_run_seed(5, index)
+            assert type(got) is int and got == want
+    with pytest.raises(TypeError):
+        derive_run_seed(5, 3.0)
 
 
 def test_rmse_series_hand_values():
@@ -300,27 +315,10 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
     left out of every aggregate; the other runs' results do not change."""
     config = ExperimentConfig(model_name="ungm", horizon=8, runs=4, particles=50,
                               max_failure_fraction=0.5)
-    filters_only = experiment._filter_block
-
-    def diverged(config, indices):
-        block = filters_only(config, indices)
-        for position in np.flatnonzero(block.indices == 2):
-            # the UKF estimate of run 2 blows up at step 3
-            post = block.posterior["ukf"]
-            mean = post.mean.copy()
-            mean[position, 2] = 1e200
-            block.posterior["ukf"] = GaussianBelief(mean, post.cov)
-        return block
-
-    def skipped(config, indices):
-        block = filters_only(config, indices)
-        if 2 in indices:
-            block.errors[2] = "skipped"
-        return block
-
-    monkeypatch.setattr(experiment, "_filter_block", diverged)
+    set_ukf_mean(monkeypatch, 2, 1e200)  # the UKF estimate of run 2 blows up at step 3
     got = run_experiment(config)
-    monkeypatch.setattr(experiment, "_filter_block", skipped)
+    monkeypatch.undo()
+    skip_runs(monkeypatch, [2])
     want = run_experiment(config)
 
     assert [index for index, _ in got.failed_runs] == [2]
@@ -338,6 +336,33 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
         assert np.array_equal(got.run_stacks[key], stack)
 
 
+def skip_runs(monkeypatch, skipped):
+    """Make _filter_block fail the given runs as "skipped", with no rows."""
+    filters_only = experiment._filter_block
+
+    def skipping(config, indices):
+        runs, table, errors = filters_only(config, indices)
+        keep = ~np.isin(runs, skipped)
+        errors.update({i: "skipped" for i in skipped if i in indices})
+        return runs[keep], {key: value[keep] for key, value in table.items()}, errors
+
+    monkeypatch.setattr(experiment, "_filter_block", skipping)
+
+
+def set_ukf_mean(monkeypatch, run, value):
+    """Make _filter_block set the run's posterior UKF mean at step 3 to value."""
+    filters_only = experiment._filter_block
+
+    def diverged(config, indices):
+        runs, table, errors = filters_only(config, indices)
+        key = ("mean", "posterior", "ukf")
+        table[key] = table[key].copy()
+        table[key][runs == run, 2] = value
+        return runs, table, errors
+
+    monkeypatch.setattr(experiment, "_filter_block", diverged)
+
+
 def nan_window_model(window: bool = True) -> SystemModel:
     """x' = 0.9 x + w, z = x + v with unit variances; with window, the
     measurement is NaN on 2 < x < 2.00002, where a particle now and then lands."""
@@ -353,37 +378,66 @@ def nan_window_model(window: bool = True) -> SystemModel:
                        measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
 
 
+# The particle filter fails runs 10, 14 and 16 of this config on nan_window_model().
+FAILURE_CONFIG = ExperimentConfig(runs=40, particles=1000, master_seed=3,
+                                  max_failure_fraction=0.5)
+FAILURE_RUNS = [(10, "NumericError: non-finite particle log-weights at step 5"),
+                (14, "NumericError: non-finite particle log-weights at step 33"),
+                (16, "NumericError: non-finite particle log-weights at step 21")]
+
+
+def assert_same_runs(got, want):
+    """Equal run stacks, bounds and filter health, bit for bit."""
+    assert got.run_stacks.keys() == want.run_stacks.keys()
+    for key, stack in want.run_stacks.items():
+        assert np.array_equal(got.run_stacks[key], stack)
+    assert got.bounds.keys() == want.bounds.keys()
+    for key in want.bounds:
+        assert np.array_equal(got.bounds[key], want.bounds[key])
+    assert got.filter_health == want.filter_health
+
+
 def test_particle_filter_failures_drop_only_their_runs(monkeypatch):
     """Runs whose particle filter fails inside a block of 40 are dropped with
     their own errors; every other run keeps the bytes it has when the failing
     runs are skipped."""
-    config = ExperimentConfig(runs=40, particles=1000, master_seed=3, max_failure_fraction=0.5)
-    failing = [10, 14, 16]
     monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
-    got = run_experiment(config)
-    assert got.failed_runs == [
-        (10, "NumericError: non-finite particle log-weights at step 5"),
-        (14, "NumericError: non-finite particle log-weights at step 33"),
-        (16, "NumericError: non-finite particle log-weights at step 21")]
-
-    filters_only = experiment._filter_block
-
-    def skipped(config, indices):
-        block = filters_only(config, indices)
-        block.errors.update({i: "skipped" for i in failing if i in indices})
-        return block
+    got = run_experiment(FAILURE_CONFIG)
+    assert got.failed_runs == FAILURE_RUNS
 
     monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model(False))
-    monkeypatch.setattr(experiment, "_filter_block", skipped)
-    want = run_experiment(config)
-    assert [index for index, _ in want.failed_runs] == failing
+    skip_runs(monkeypatch, [10, 14, 16])
+    want = run_experiment(FAILURE_CONFIG)
+    assert [index for index, _ in want.failed_runs] == [10, 14, 16]
     assert got.runs_used == want.runs_used == 37
-    assert got.run_stacks.keys() == want.run_stacks.keys()
-    for key, stack in want.run_stacks.items():
-        assert np.array_equal(got.run_stacks[key], stack)
-    for key in want.bounds:
-        assert np.array_equal(got.bounds[key], want.bounds[key])
-    assert got.filter_health == want.filter_health
+    assert_same_runs(got, want)
+
+
+def test_filter_and_bound_failures_in_one_experiment(monkeypatch):
+    """Runs failing in filtering and a run failing in the bound stage are all
+    dropped, each with its own stage's error; the rest keep the bytes they
+    have when those four runs are skipped.  The model is linear, so its
+    Jacobians ignore a diverged mean, but not a NaN one."""
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
+    set_ukf_mean(monkeypatch, 12, np.nan)
+    got = run_experiment(FAILURE_CONFIG)
+    assert got.failed_runs == sorted(FAILURE_RUNS + [(12, "ValueError: m must be finite")])
+    assert got.runs_used == FAILURE_CONFIG.runs - 4
+
+    monkeypatch.undo()
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model(False))
+    skip_runs(monkeypatch, [10, 12, 14, 16])
+    assert_same_runs(got, run_experiment(FAILURE_CONFIG))
+
+
+def test_failing_runs_give_the_same_results_on_two_workers(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the workers see the patched model only when the pool forks")
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
+    serial = run_experiment(FAILURE_CONFIG)
+    pooled = run_experiment(dataclasses.replace(FAILURE_CONFIG, workers=2))
+    assert pooled.failed_runs == serial.failed_runs == FAILURE_RUNS
+    assert_same_runs(pooled, serial)
 
 
 def test_a_block_whose_runs_all_fail_leaves_the_other_blocks(monkeypatch):
@@ -415,30 +469,32 @@ def test_a_block_whose_runs_all_fail_leaves_the_other_blocks(monkeypatch):
 
 
 def test_isolated_reruns_without_the_failing_runs():
-    """The rows of the runs that do not fail equal the clean stacked call bit
-    for bit; the failing runs get their errors, by run index, and zero rows."""
-    rng = np.random.default_rng(6)
-    factors = rng.standard_normal((9, 3, 3))
-    matrices = factors @ factors.mT + np.eye(3)
-    runs = np.arange(20, 29)
-    clean = spd_inverse(matrices)
-    matrices[[0, -1], 1, 1] = np.nan
+    """The kept positions ascend and their rows equal the clean stacked call
+    bit for bit; the failing runs get their errors, by run index, and are
+    not kept: failures at the ends, inside, at every odd position, in a stack
+    of one run and everywhere."""
+    for count, failing in ((9, [0, 8]), (9, [3, 5]), (9, [1, 3, 5, 7]), (1, []), (1, [0]),
+                           (9, list(range(9)))):
+        rng = np.random.default_rng(6)
+        factors = rng.standard_normal((count, 3, 3))
+        matrices = factors @ factors.mT + np.eye(3)
+        runs = np.arange(20, 20 + count)
+        clean = spd_inverse(matrices)
+        matrices[failing, 1, 1] = np.nan
 
-    def compute(positions):
-        return {"inverse": spd_inverse(matrices[positions]), "run": runs[positions]}
+        def compute(positions):
+            return {"inverse": spd_inverse(matrices[positions]), "run": runs[positions]}
 
-    errors = {}
-    rows = experiment._isolated(compute, runs, errors)
-    assert sorted(errors) == [20, 28]
-    assert set(errors.values()) == {"ValueError: m must be finite"}
-    assert np.array_equal(rows["inverse"][1:-1], clean[1:-1])
-    assert not rows["inverse"][[0, -1]].any()
-    assert rows["run"].tolist() == [0] + list(range(21, 28)) + [0]
-
-    matrices[:] = np.nan
-    errors = {}
-    assert experiment._isolated(compute, runs, errors) is None
-    assert sorted(errors) == runs.tolist()
+        errors = {}
+        kept, rows = experiment._isolated(compute, runs, errors)
+        assert sorted(errors) == runs[failing].tolist()
+        assert set(errors.values()) <= {"ValueError: m must be finite"}
+        assert kept.tolist() == [p for p in range(count) if p not in failing]
+        if kept.size:
+            assert np.array_equal(rows["inverse"], clean[kept])
+            assert rows["run"].tolist() == runs[kept].tolist()
+        else:
+            assert rows == {}
 
 
 def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
@@ -492,10 +548,26 @@ PINNED_SHA256 = {
     "gap.csv": "0c7a3c15d640dc4e485a3d87a3e01c92630bf4b730a89a93d28b6edbcdb6459f",
 }
 
+# The same for FAILURE_CONFIG on nan_window_model(), which fails runs 10, 14
+# and 16 in the particle filter: a change to how failed runs are left out that
+# moves a byte fails here.
+PINNED_FAILURE_SHA256 = {
+    "rmse.csv": "14e78a8b0c1bf0c36c4910c4ce676b5212395bafe99cb6615458e7e9e2444e39",
+    "bounds.csv": "78aec87da7172ae625ea5c5ea36a3b541260f0c8abca58dbed14619da254def6",
+    "gap.csv": "0c092d523beb040a009166651a8c5a76ab366f10a2b6d81743e74eaa8c411fba",
+}
 
-def test_ungm_outputs_keep_their_pinned_bytes(tmp_path):
-    files = write_outputs(run_experiment(ExperimentConfig(runs=20)), tmp_path / "out")
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == PINNED_SHA256
+
+def test_ungm_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch):
+    def digests(result, name):
+        files = write_outputs(result, tmp_path / name)
+        return {file: hashlib.sha256(data).hexdigest() for file, data in files.items()}
+
+    assert digests(run_experiment(ExperimentConfig(runs=20)), "default") == PINNED_SHA256
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
+    failing = run_experiment(FAILURE_CONFIG)
+    assert failing.failed_runs == FAILURE_RUNS
+    assert digests(failing, "failing") == PINNED_FAILURE_SHA256
 
 
 def test_true_bound_series_requires_trajectories():
