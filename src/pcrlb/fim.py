@@ -5,22 +5,21 @@ the information matrix follows the recursion
 
     J_k = D22 - D12' (J_{k-1} + D11)^-1 D12,        J_0 = P_0^-1
 
-with step terms, for additive Gaussian noise,
+with step terms, for additive Gaussian noise, the expectations
 
     D11 = E[F' Q^-1 F]      F: transition Jacobian at the time-(k-1) state
     D12 = -E[F'] Q^-1
     D22 = Q^-1 + E[H' R^-1 H]   H: measurement Jacobian at the time-k state.
 
-Three engines build the step terms:
+``_expected_terms`` takes them as equally weighted means over nodes (F at
+nodes for time k-1, H at nodes for time k).  The engines differ in the measure:
 
-* ``true_fim_terms_mc``: expectations as Monte Carlo averages over true
-  trajectories (the reference bound).
-* ``mean_only_terms``: single-point evaluation at filter state estimates.
-* ``mean_cov_terms``: single-point evaluation where the transition and
-  measurement densities are replaced by Gaussians whose mean and covariance
-  come from second-order Taylor propagation of the filter belief; the D terms
-  are then the Gaussian information quadratic forms in the moment-map
-  derivatives plus trace curvature terms.
+* ``true_fim_terms_mc``: R equally weighted true states (the reference bound).
+* ``mean_only_terms``: a point mass at each filter estimate, one node.
+* ``mean_cov_terms``: today no expectation but Gaussian fits to the two
+  densities by second-order Taylor propagation of the filter belief, whose
+  covariance inflates the noise; the D terms are the Gaussian information
+  quadratic forms in the moment-map derivatives plus trace curvature terms.
 
 ``decompose_terms`` splits each mean+cov term into the mean-only part plus a
 covariance-induced correction: the mean-only terms at the belief means, and
@@ -178,6 +177,17 @@ def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
     return _series(_recursion_step, j0, (terms.d11, terms.d12, terms.d22))[0]
 
 
+def _expected_terms(model: SystemModel, k, nodes_prev, nodes_new) -> FimTriple:
+    """The step terms as equally weighted means over the nodes (..., M, n) on axis
+    -2: F at nodes_prev (time k-1), H at nodes_new; k an int or array (..., 1, 1)."""
+    q_inv = model.process_precision
+    f_jac = model.transition_jacobian(k, nodes_prev)
+    h_jac = model.measurement_jacobian(k, nodes_new)
+    return FimTriple(d11=(f_jac.mT @ q_inv @ f_jac).mean(axis=-3),
+                     d12=-f_jac.mean(axis=-3).mT @ q_inv,
+                     d22=q_inv + (h_jac.mT @ model.meas_precision @ h_jac).mean(axis=-3))
+
+
 def true_fim_terms_mc(model: SystemModel, k, states_prev: np.ndarray,
                       states_new: np.ndarray) -> FimTriple:
     """Monte Carlo step terms for advancing onto time k.
@@ -198,13 +208,7 @@ def true_fim_terms_mc(model: SystemModel, k, states_prev: np.ndarray,
         raise ValueError("states_prev and states_new must have matching shapes")
     if states_prev.shape[-2] < 1:
         raise ValueError("at least one trajectory sample is required")
-    q_inv = model.process_precision
-    r_inv = model.meas_precision
-    f_jac = model.transition_jacobian(k, states_prev)
-    h_jac = model.measurement_jacobian(k, states_new)
-    return FimTriple(d11=(f_jac.mT @ q_inv @ f_jac).mean(axis=-3),
-                     d12=-f_jac.mean(axis=-3).mT @ q_inv,
-                     d22=q_inv + (h_jac.mT @ r_inv @ h_jac).mean(axis=-3))
+    return _expected_terms(model, k, states_prev, states_new)
 
 
 def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
@@ -221,19 +225,14 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
             omitted, the noise-free transition of x_prev is used.
 
     Returns:
-        FimTriple of the point-evaluated terms.
+        FimTriple of the point-evaluated terms: _expected_terms on one node
+        per estimate, whose mean over the length-1 node axis is exact.
     """
     x_prev = np.atleast_1d(np.asarray(x_prev, float))
-    if x_new is None:
-        x_new = model.transition(k, x_prev)
-    x_new = np.atleast_1d(np.asarray(x_new, float))
-    q_inv = model.process_precision
-    r_inv = model.meas_precision
-    f_jac = model.transition_jacobian(k, x_prev)
-    h_jac = model.measurement_jacobian(k, x_new)
-    return FimTriple(d11=f_jac.mT @ q_inv @ f_jac,
-                     d12=-f_jac.mT @ q_inv,
-                     d22=q_inv + h_jac.mT @ r_inv @ h_jac)
+    x_new = (model.transition(k, x_prev) if x_new is None
+             else np.atleast_1d(np.asarray(x_new, float)))
+    k = np.asarray(k)[..., None] if np.ndim(k) else k
+    return _expected_terms(model, k, x_prev[..., None, :], x_new[..., None, :])
 
 
 def _meas_belief(model: SystemModel, k, state_belief: GaussianBelief,

@@ -557,6 +557,15 @@ PINNED_FAILURE_SHA256 = {
     "gap.csv": "0c092d523beb040a009166651a8c5a76ab366f10a2b6d81743e74eaa8c411fba",
 }
 
+# The same for GOLDEN_CONFIGS["linear2d"], the matrix path, captured with
+# numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux: its 2 x 2 Cholesky solves
+# (potrs) run on scipy's OpenBLAS, so a different scipy may move them too.
+PINNED_LINEAR2D_SHA256 = {
+    "rmse.csv": "1c62b5f996b7c5915e44dcbbd37a67a4a3c0eed89d66b6d34bfd39658f0f3473",
+    "bounds.csv": "4a3e9f55098b263f711ab6dca3a5a4f6e5bb74f512602a2fba0adefbc18942ad",
+    "gap.csv": "e5d7e7d206b3913900fb1d8164705698c349971f04c9a33b5199ad17cd29346d",
+}
+
 
 def test_ungm_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch):
     def digests(result, name):
@@ -568,6 +577,12 @@ def test_ungm_outputs_keep_their_pinned_bytes(tmp_path, monkeypatch):
     failing = run_experiment(FAILURE_CONFIG)
     assert failing.failed_runs == FAILURE_RUNS
     assert digests(failing, "failing") == PINNED_FAILURE_SHA256
+
+
+def test_linear2d_outputs_keep_their_pinned_bytes(tmp_path):
+    files = write_outputs(run_experiment(GOLDEN_CONFIGS["linear2d"]), tmp_path / "linear2d")
+    digests = {file: hashlib.sha256(data).hexdigest() for file, data in files.items()}
+    assert digests == PINNED_LINEAR2D_SHA256
 
 
 def test_true_bound_series_requires_trajectories():

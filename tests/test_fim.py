@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError,
+from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError, SystemModel,
                    bound_difference, decompose_terms, fim_decomposition_series,
                    fim_recursion_series, fim_recursion_step, fim_via_decomposition,
                    initial_fim, kalman_step, linear_gaussian_model, mean_cov_terms,
@@ -81,15 +81,21 @@ def test_true_terms_constant_for_linear_model(rng):
     assert_allclose(terms.d22, q_inv + h.T @ r_inv @ h, atol=1e-12)
 
 
-def test_true_terms_single_sample_equals_mean_only():
-    model = ungm_model()
-    x_prev = np.array([1.7])
-    x_new = np.array([-0.4])
-    mc = true_fim_terms_mc(model, 2, x_prev[None, :], x_new[None, :])
-    point = mean_only_terms(model, 2, x_prev, x_new)
-    assert_allclose(mc.d11, point.d11, rtol=1e-12)
-    assert_allclose(mc.d12, point.d12, rtol=1e-12)
-    assert_allclose(mc.d22, point.d22, rtol=1e-12)
+def test_true_terms_single_sample_equals_mean_only(rng):
+    """A single sample is a point mass: the reference on one node per point
+    gives the mean-only bytes, for one point and for an (R, T) stack of
+    points with k = 1..T, on ungm and on a 4-D linear model's matrix path."""
+    runs, horizon = 3, 5
+    steps = np.arange(1, horizon + 1)[:, None]
+    for model in (ungm_model(), random_stable_linear_model(rng, 4)):
+        n = model.state_dim
+        stack = rng.standard_normal((2, runs, horizon, n)) * 3.0
+        for k, k_nodes, x_prev, x_new in ((2, 2, stack[0, 0, 0], stack[1, 0, 0]),
+                                          (steps, steps[..., None], stack[0], stack[1])):
+            mc = true_fim_terms_mc(model, k_nodes, x_prev[..., None, :], x_new[..., None, :])
+            point = mean_only_terms(model, k, x_prev, x_new)
+            for name in ("d11", "d12", "d22"):
+                assert np.array_equal(getattr(mc, name), getattr(point, name)), (n, name)
 
 
 def test_true_terms_large_sample_matches_frozen_value():
@@ -114,6 +120,63 @@ def test_stacked_true_terms_equal_per_step_calls_bit_for_bit(rng):
             one = true_fim_terms_mc(model, k, states[k - 1], states[k])
             for name in ("d11", "d12", "d22"):
                 assert np.array_equal(getattr(stacked, name)[k - 1], getattr(one, name)), (k, name)
+
+
+def ungm_pair_model():
+    """Two independent ungm components as one 2-D model: block-diagonal
+    Jacobians and Hessians, Q = I, R = 5I, P_0 = 20I."""
+    one = ungm_model()
+
+    def diagonal(fn, order):
+        """The derivative stack of order 1 or 2 with each component's scalar
+        derivative at [..., i, i] or [..., i, i, i] and zeros elsewhere."""
+        def derivative(k, x):
+            out = np.zeros(x.shape + (2,) * order)
+            for i in range(2):
+                out[(..., i) + (i,) * order] = fn(k, x[..., i:i + 1])[(..., 0) + (0,) * order]
+            return out
+        return derivative
+
+    return SystemModel(
+        state_dim=2, meas_dim=2, transition_fn=one.transition_fn,
+        measurement_fn=one.measurement_fn, process_cov=np.eye(2), meas_cov=5.0 * np.eye(2),
+        prior=GaussianBelief(np.zeros(2), 20.0 * np.eye(2)),
+        transition_jacobian_fn=diagonal(one.transition_jacobian_fn, 1),
+        transition_hessian_fn=diagonal(one.transition_hessian_fn, 2),
+        measurement_jacobian_fn=diagonal(one.measurement_jacobian_fn, 1),
+        measurement_hessian_fn=diagonal(one.measurement_hessian_fn, 2), name="ungm2")
+
+
+def test_engines_on_two_independent_ungm_components(rng):
+    """On a 2-D model made of two independent ungm components, each diagonal
+    block of the mean-only terms is the scalar engine's term on that
+    component, and every off-diagonal block is exactly zero.  The reference
+    sums (R, 2, 2) stacks where the scalar one sums (R, 1, 1) stacks, in
+    another order, so its blocks agree within 1e-15 of the mean magnitude of
+    the summands: the term itself for d11 and d22, the mean |F| for d12,
+    whose mean of F may cancel."""
+    horizon, runs = 6, 11
+    pair, scalar = ungm_pair_model(), ungm_model()
+    states = rng.standard_normal((horizon + 1, runs, 2)) * 4.0
+    steps = np.arange(1, horizon + 1)[:, None, None]
+    point = mean_only_terms(pair, steps, states[:-1], states[1:])
+    reference = true_fim_terms_mc(pair, steps, states[:-1], states[1:])
+    for i in range(2):
+        prev, new = states[:-1, :, i:i + 1], states[1:, :, i:i + 1]
+        point_one = mean_only_terms(scalar, steps, prev, new)
+        reference_one = true_fim_terms_mc(scalar, steps, prev, new)
+        f_magnitude = np.abs(scalar.transition_jacobian(steps, prev)).mean(axis=-3)
+        for name in ("d11", "d12", "d22"):
+            assert np.array_equal(getattr(point, name)[..., i:i + 1, i:i + 1],
+                                  getattr(point_one, name)), (i, name)
+            one = getattr(reference_one, name)
+            scale = f_magnitude if name == "d12" else np.abs(one)
+            error = np.abs(getattr(reference, name)[..., i:i + 1, i:i + 1] - one)
+            assert np.all(error <= 1e-15 * scale), (i, name)
+    for terms in (point, reference):
+        for name in ("d11", "d12", "d22"):
+            block = getattr(terms, name)
+            assert np.all(block[..., 0, 1] == 0.0) and np.all(block[..., 1, 0] == 0.0), name
 
 
 def test_true_terms_validation():
