@@ -6,7 +6,9 @@ the configured estimators, and produces:
 * the reference bound from Monte Carlo expectations over the same trajectory
   ensemble (paired design),
 * the mean-only and mean+cov approximate bounds per estimator, recursed from
-  each run's filter beliefs,
+  each run's filter beliefs: the step onto time k takes F at the posterior
+  about time k-1 (the prior at k = 1) and H at the predicted belief about
+  time k, the mean-only engine at their means,
 * per-step gap series between the two approximations, evaluated both through
   the closed-form product theta^-1 pi J^-1 and by direct subtraction of the
   two inverses on a shared information state, plus counts of steps where the
@@ -78,8 +80,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 ALL_METHODS = ("true", "mean_only", "mean_cov")
 ALL_ESTIMATORS = ("ukf", "pf")
 AVERAGING_MODES = ("bounds", "fim")
-# the filter beliefs that may feed the state and the measurement channel
-EVAL_BELIEFS = ("posterior", "predicted")
 # Errors that fail one run rather than the whole experiment.
 RUN_ERRORS = (NumericError, np.linalg.LinAlgError, ValueError)
 
@@ -131,8 +131,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ALL_METHODS
     estimators: tuple[str, ...] = ALL_ESTIMATORS
     averaging: str = "bounds"
-    state_eval: str = "posterior"
-    meas_eval: str = "predicted"
     resample: str = "always"
     ess_threshold: float = 0.5
     max_failure_fraction: float = 0.1
@@ -144,7 +142,6 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
-                             ("state_eval", EVAL_BELIEFS), ("meas_eval", EVAL_BELIEFS),
                              ("resample", RESAMPLE_POLICIES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}; allowed: {allowed}")
@@ -155,6 +152,8 @@ class ExperimentConfig:
             unknown = set(chosen) - set(allowed)
             if unknown:
                 raise ValueError(f"unknown {key} {sorted(unknown)}; allowed: {allowed}")
+            if len(set(chosen)) < len(chosen):
+                raise ValueError(f"{key} must not repeat an entry, got {chosen}")
         unknown = set(self.model_params) - set(_MODEL_KEYS[self.model_name])
         if unknown:
             raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
@@ -267,8 +266,8 @@ def _filter_block(config: ExperimentConfig, indices: range) -> tuple[np.ndarray,
         (runs, table, errors): the ascending indices of the block's runs
         that did not fail; their run table, keyed "states" (R, T+1, n),
         ("mean", channel, estimator) (R, T, n) and ("cov", channel,
-        estimator) (R, T, n, n) for each channel of EVAL_BELIEFS, and
-        ("health", estimator, counter) (R,) (see filters.FilterOutput); and
+        estimator) (R, T, n, n) for the channels "posterior" and "predicted",
+        and ("health", estimator, counter) (R,) (see filters.FilterOutput); and
         the first error text of each failed run, which has no rows, by run
         index, in the order sampling, then the estimators in config order.
     """
@@ -287,7 +286,8 @@ def _filter_block(config: ExperimentConfig, indices: range) -> tuple[np.ndarray,
                              [s for _, s in picked], resample=config.resample,
                              ess_threshold=config.ess_threshold)
             table.update({(kind, channel, estimator): getattr(getattr(out, channel), kind)
-                          for channel in EVAL_BELIEFS for kind in ("mean", "cov")})
+                          for channel in ("posterior", "predicted")
+                          for kind in ("mean", "cov")})
             table.update({("health", estimator, name): value
                           for name, value in out.health.items()})
         return table
@@ -303,23 +303,25 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def _engine_beliefs(config: ExperimentConfig, model: SystemModel, table: dict, estimator: str,
+def _engine_beliefs(model: SystemModel, table: dict, estimator: str,
                     positions: np.ndarray) -> tuple[GaussianBelief, GaussianBelief]:
     """Beliefs feeding the step onto time k, from the estimator's rows of the
     run table at positions, stacked (R, T, ...) with row k-1.
 
-    The state channel takes the belief about time k-1 (the prior at k = 1);
-    the measurement channel takes the belief about time k.
+    This is the one place that decides which filter belief feeds each
+    channel.  The state channel (F) takes the posterior about time k-1, the
+    prior at k = 1; the measurement channel (H) takes the predicted belief
+    about time k, before the measurement z_k enters it.
     """
     def channel(name):
         return (table["mean", name, estimator][positions], table["cov", name, estimator][positions])
 
-    mean, cov = channel(config.state_eval)
+    mean, cov = channel("posterior")
     count, n = len(positions), model.state_dim
     state = _unchecked(
         np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)), mean[:, :-1]], axis=1),
         np.concatenate([np.broadcast_to(model.prior.cov, (count, 1, n, n)), cov[:, :-1]], axis=1))
-    return state, _unchecked(*channel(config.meas_eval))
+    return state, _unchecked(*channel("predicted"))
 
 
 def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
@@ -361,7 +363,7 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     def compute(positions) -> dict:
         stacks: dict = {}
         for estimator in config.estimators:
-            state, meas = _engine_beliefs(config, model, table, estimator, positions)
+            state, meas = _engine_beliefs(model, table, estimator, positions)
 
             if "mean_only" in config.methods:
                 stacks[("mean_only", estimator)] = fim_recursion_series(

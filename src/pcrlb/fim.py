@@ -12,7 +12,10 @@ with step terms, for additive Gaussian noise, the expectations
     D22 = Q^-1 + E[H' R^-1 H]   H: measurement Jacobian at the time-k state.
 
 ``_expected_terms`` takes them as equally weighted means over nodes (F at
-nodes for time k-1, H at nodes for time k).  The engines differ in the measure:
+nodes for time k-1, H at nodes for time k).  Each engine takes the beliefs or
+states its caller gives it for the two times and supplies none of its own;
+the experiment harness decides which filter beliefs those are.  The engines
+differ in the measure:
 
 * ``true_fim_terms_mc``: R equally weighted true states (the reference bound).
 * ``mean_only_terms``: a point mass at each filter estimate, one node.
@@ -56,7 +59,6 @@ of the one-step calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -212,7 +214,7 @@ def true_fim_terms_mc(model: SystemModel, k, states_prev: np.ndarray,
 
 
 def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
-                    x_new: Optional[np.ndarray] = None) -> FimTriple:
+                    x_new: np.ndarray) -> FimTriple:
     """Step terms with expectations collapsed onto point estimates.
 
     Args:
@@ -221,28 +223,17 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
             giving each element of the stack its own.
         x_prev: state estimate at time k-1 (transition Jacobian point),
             shape (..., n).
-        x_new: state estimate at time k (measurement Jacobian point); when
-            omitted, the noise-free transition of x_prev is used.
+        x_new: state estimate at time k (measurement Jacobian point),
+            shape (..., n).
 
     Returns:
         FimTriple of the point-evaluated terms: _expected_terms on one node
         per estimate, whose mean over the length-1 node axis is exact.
     """
     x_prev = np.atleast_1d(np.asarray(x_prev, float))
-    x_new = (model.transition(k, x_prev) if x_new is None
-             else np.atleast_1d(np.asarray(x_new, float)))
+    x_new = np.atleast_1d(np.asarray(x_new, float))
     k = np.asarray(k)[..., None] if np.ndim(k) else k
     return _expected_terms(model, k, x_prev[..., None, :], x_new[..., None, :])
-
-
-def _meas_belief(model: SystemModel, k, state_belief: GaussianBelief,
-                 meas_belief: Optional[GaussianBelief]) -> GaussianBelief:
-    """The measurement channel's belief: meas_belief, or by default the state
-    belief propagated onto time k."""
-    if meas_belief is not None:
-        return meas_belief
-    moments = propagate_state_moments(model, k, state_belief)
-    return GaussianBelief(moments.mean, moments.cov)
 
 
 def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
@@ -255,7 +246,7 @@ def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
 
 
 def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
-                   meas_belief: Optional[GaussianBelief] = None) -> FimTriple:
+                   meas_belief: GaussianBelief) -> FimTriple:
     """Step terms from the Gaussian densities fitted by Taylor propagation.
 
     Each conditional density is replaced by a Gaussian whose mean and
@@ -267,13 +258,11 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
         model: the system model.
         k: target time of the step, an int or an integer array (..., 1).
         state_belief: belief about the state at time k-1 (state channel).
-        meas_belief: belief about the state at time k feeding the measurement
-            channel; defaults to the propagated state belief.
+        meas_belief: belief about the state at time k (measurement channel).
 
     Returns:
         FimTriple of the mean+cov terms.
     """
-    meas_belief = _meas_belief(model, k, state_belief, meas_belief)
     px_inv = spd_inverse(propagate_state_moments(model, k, state_belief).cov)
     pz_inv = spd_inverse(propagate_measurement_moments(model, k, meas_belief).cov)
     state_derivs = state_moment_map_derivatives(model, k, state_belief)
@@ -288,7 +277,7 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
 
 
 def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
-                    meas_belief: Optional[GaussianBelief] = None) -> DecomposedFim:
+                    meas_belief: GaussianBelief) -> DecomposedFim:
     """Split the mean+cov step terms into mean-only blocks plus corrections.
 
     The mean_* blocks are mean_only_terms at the two beliefs' means; each
@@ -300,14 +289,12 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
         model: the system model.
         k: target time of the step, an int or an integer array (..., 1).
         state_belief: belief about the state at time k-1.
-        meas_belief: belief about the state at time k for the measurement
-            channel; defaults to the propagated state belief.
+        meas_belief: belief about the state at time k (measurement channel).
 
     Returns:
         DecomposedFim whose block sums equal mean_cov_terms on the same
         beliefs up to rounding.
     """
-    meas_belief = _meas_belief(model, k, state_belief, meas_belief)
     point = mean_only_terms(model, k, state_belief.mean, meas_belief.mean)
     full = mean_cov_terms(model, k, state_belief, meas_belief)
     return DecomposedFim(mean_11=point.d11, mean_12=point.d12, mean_22=point.d22,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,18 +49,15 @@ _JAC_STEP = _EPS ** (1.0 / 3.0)
 _HESS_STEP = _EPS ** 0.25
 
 
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: Optional[float] = None) -> np.ndarray:
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector map.
 
-    Per-coordinate steps are ``step`` if given, else cbrt(eps) * max(1, |x_i|),
-    the usual balance between truncation and rounding error for first
-    derivatives.
+    Per-coordinate steps are cbrt(eps) * max(1, |x_i|), the usual balance
+    between truncation and rounding error for first derivatives.
 
     Args:
         fn: map from shape (n,) to shape (m,).
         x: evaluation point, shape (n,).
-        step: optional fixed step overriding the relative policy.
 
     Returns:
         Jacobian matrix, shape (m, n).
@@ -69,7 +66,7 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     f0 = np.asarray(fn(x), dtype=float)
     jac = np.empty((f0.shape[0], x.shape[0]))
     for i in range(x.shape[0]):
-        h = step if step is not None else _JAC_STEP * max(1.0, abs(x[i]))
+        h = _JAC_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -78,8 +75,7 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return jac
 
 
-def fd_hessians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: Optional[float] = None) -> np.ndarray:
+def fd_hessians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Hessians of each output component of a vector map.
 
     Steps scale with the fourth root of machine epsilon, appropriate for
@@ -88,7 +84,6 @@ def fd_hessians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     Args:
         fn: map from shape (n,) to shape (m,).
         x: evaluation point, shape (n,).
-        step: optional fixed step overriding the relative policy.
 
     Returns:
         Stacked Hessians, shape (m, n, n); entry [c, i, j] is the (i, j)
@@ -98,8 +93,7 @@ def fd_hessians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     n = x.shape[0]
     f0 = np.asarray(fn(x), dtype=float)
     m = f0.shape[0]
-    h = np.array([step if step is not None else _HESS_STEP * max(1.0, abs(x[i]))
-                  for i in range(n)])
+    h = np.array([_HESS_STEP * max(1.0, abs(x[i])) for i in range(n)])
     hess = np.empty((m, n, n))
 
     def _at(*bumps: tuple[int, float]) -> np.ndarray:
@@ -193,7 +187,6 @@ class SystemModel:
     transition_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
     measurement_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
     measurement_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
-    name: str = ""
 
     def __post_init__(self) -> None:
         self.process_cov = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
@@ -321,8 +314,7 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
 
 
 def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
-               prior_mean: float = 0.0, prior_var: float = 20.0,
-               forcing_amplitude: float = 8.0, forcing_rate: float = 1.2) -> SystemModel:
+               prior_mean: float = 0.0, prior_var: float = 20.0) -> SystemModel:
     """Scalar univariate nonlinear growth model.
 
     Dynamics and measurement:
@@ -337,7 +329,7 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
 
     def f(k: int, x: np.ndarray) -> np.ndarray:
         """0.5 * x + 25.0 * x / (1.0 + x * x) + drift, operation by operation, in two buffers."""
-        drift = forcing_amplitude * np.cos(forcing_rate * (k - 1))
+        drift = 8.0 * np.cos(1.2 * (k - 1))
         out = np.multiply(x, x)
         out += 1.0
         growth = np.multiply(x, 25.0)
@@ -381,12 +373,10 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         transition_hessian_fn=f_hess,
         measurement_jacobian_fn=h_jac,
         measurement_hessian_fn=h_hess,
-        name="ungm",
     )
 
 
-def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
-                          name: str = "linear") -> SystemModel:
+def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov) -> SystemModel:
     """Linear time-invariant Gaussian model x_k = A x_{k-1} + w, z_k = H x_k + v.
 
     Accepts scalars or matrices; scalars build the 1-D model.
@@ -412,5 +402,4 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov,
         transition_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (n, n, n)),
         measurement_jacobian_fn=lambda k, x: np.broadcast_to(h, x.shape[:-1] + h.shape),
         measurement_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (m, n, n)),
-        name=name,
     )

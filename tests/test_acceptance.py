@@ -64,7 +64,11 @@ def scalar_series(result, key):
 
 
 def test_criterion_1_kalman_oracle(report):
-    """All three bound engines reproduce the Kalman posterior covariance."""
+    """All three bound engines reproduce the Kalman posterior covariance.
+
+    mean_cov is fed the Kalman means with zero covariances, so this checks it
+    only at the point-mass limit, where it equals mean_only; it is not checked
+    at the belief covariances the harness feeds it."""
     worst = cli.kalman_oracle_deviation(np.random.default_rng(20240817),
                                         dims=(1,) * 5 + (2,) * 5, horizon=50)
     report(1, "kalman-oracle", worst <= 1e-8, f"max deviation {worst:.2e}")

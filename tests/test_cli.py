@@ -92,10 +92,19 @@ def test_config_comments_and_blanks(tmp_path):
     assert parse_config(path)["model"]["name"] == "ungm"
 
 
-def test_unknown_key_names_key_and_line(tmp_path):
-    path = write(tmp_path, "[model]\nname = ungm\nvelocity = 3\n")
-    with pytest.raises(ConfigError, match=r"3.*velocity|velocity.*3"):
+@pytest.mark.parametrize("section, line", [
+    ("model", "velocity = 3"),
+    # the filter beliefs feeding the bounds are fixed, so these keys are gone
+    ("filters", "state_eval = posterior"),
+    ("filters", "meas_eval = predicted"),
+])
+def test_unknown_key_names_key_and_line(tmp_path, section, line):
+    path = write(tmp_path, f"[model]\nname = ungm\n[{section}]\n{line}\n")
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf":4: unknown key '{key}' in section \[{section}\]"):
         parse_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
 
 
 def test_duplicate_key_names_key_and_line(tmp_path):
@@ -346,6 +355,7 @@ def test_config_error_exits_2(tmp_path):
     ("experiment", "averaging = foo"),
     ("bounds", "methods = ,"),
     ("bounds", "estimators = ukf, ekf"),
+    ("bounds", "estimators = pf, pf"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, section, line):
     """Values a run would trip over are rejected while the config is read."""

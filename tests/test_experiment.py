@@ -606,8 +606,6 @@ def test_config_validation():
         ExperimentConfig(methods=("true", "bogus"))
     with pytest.raises(ValueError):
         ExperimentConfig(estimators=("ekf",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(state_eval="prior")
     with pytest.raises(ValueError, match="resample 'never'"):
         ExperimentConfig(resample="never")
 
@@ -620,8 +618,11 @@ def test_config_validation():
     ({"max_failure_fraction": -1.0}, "max_failure_fraction"),
     ({"max_failure_fraction": 1.5}, "max_failure_fraction"),
     ({"max_failure_fraction": float("nan")}, "max_failure_fraction"),
+    ({"estimators": ("pf", "pf")}, "estimators"),
+    ({"methods": ("true", "true")}, "methods"),
 ], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity",
-        "fraction-negative", "fraction-above-one", "fraction-nan"])
+        "fraction-negative", "fraction-above-one", "fraction-nan",
+        "repeated-estimator", "repeated-method"])
 def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""

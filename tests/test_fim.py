@@ -13,7 +13,7 @@ from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError, Syste
                    ungm_model)
 from pcrlb.linalg import symmetrize
 
-from pcrlb.cli import random_spd, random_stable_linear_model
+from pcrlb.cli import random_spd, random_stable_linear_model, taylor_predicted
 
 # frozen large-sample value of E[f'(x)^2] for the default scalar benchmark
 # model under its prior, from a 1e7-sample run of an independent script
@@ -60,7 +60,7 @@ def test_recursion_tracks_kalman_covariance(rng):
         a = model.transition_jacobian(1, x)
         h = model.measurement_jacobian(1, x)
         for k in range(1, 51):
-            j = fim_recursion_step(j, mean_only_terms(model, k, x))
+            j = fim_recursion_step(j, mean_only_terms(model, k, x, model.transition(k, x)))
             out = kalman_step(a, h, model.process_cov, model.meas_cov,
                               belief, np.zeros(dim))
             belief = out.posterior
@@ -144,7 +144,7 @@ def ungm_pair_model():
         transition_jacobian_fn=diagonal(one.transition_jacobian_fn, 1),
         transition_hessian_fn=diagonal(one.transition_hessian_fn, 2),
         measurement_jacobian_fn=diagonal(one.measurement_jacobian_fn, 1),
-        measurement_hessian_fn=diagonal(one.measurement_hessian_fn, 2), name="ungm2")
+        measurement_hessian_fn=diagonal(one.measurement_hessian_fn, 2))
 
 
 def test_engines_on_two_independent_ungm_components(rng):
@@ -188,7 +188,7 @@ def test_true_terms_validation():
 
 
 def test_mean_only_linear_hand_values():
-    terms = mean_only_terms(unit_linear_model(), 1, np.zeros(1))
+    terms = mean_only_terms(unit_linear_model(), 1, np.zeros(1), np.zeros(1))
     assert_allclose(terms.d11, [[1.0]])
     assert_allclose(terms.d12, [[-1.0]])
     assert_allclose(terms.d22, [[2.0]])
@@ -203,9 +203,11 @@ def test_mean_only_ungm_hand_values():
 
 
 def test_mean_cov_linear_hand_values():
-    """Unit scalar model with belief variance 1: information is damped."""
+    """Unit scalar model with belief variance 1, predicted variance 1 + 1 = 2:
+    information is damped."""
     terms = mean_cov_terms(unit_linear_model(), 1,
-                           GaussianBelief(np.zeros(1), np.ones((1, 1))))
+                           GaussianBelief(np.zeros(1), np.ones((1, 1))),
+                           GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
     assert_allclose(terms.d11, [[0.5]], atol=1e-12)
     assert_allclose(terms.d12, [[-0.5]], atol=1e-12)
     # state precision 1/2 plus measurement term 1/(2+1)
@@ -274,7 +276,8 @@ def test_mean_cov_matches_independent_oracle():
     points = [(0.0, 1.0)] + [(rng.uniform(-20, 20), rng.uniform(0.1, 10.0))
                              for _ in range(25)]
     for x, p in points:
-        got = mean_cov_terms(model, 2, GaussianBelief(np.array([x]), np.array([[p]])))
+        belief = GaussianBelief(np.array([x]), np.array([[p]]))
+        got = mean_cov_terms(model, 2, belief, taylor_predicted(model, 2, belief))
         d11, d12, d22 = scalar_mean_cov_oracle(model, 2, x, p)
         assert_allclose(got.d11[0, 0], d11, rtol=1e-4)
         assert_allclose(got.d12[0, 0], d12, rtol=1e-4)
@@ -283,7 +286,8 @@ def test_mean_cov_matches_independent_oracle():
 
 def test_decompose_linear_hand_values():
     parts = decompose_terms(unit_linear_model(), 1,
-                            GaussianBelief(np.zeros(1), np.ones((1, 1))))
+                            GaussianBelief(np.zeros(1), np.ones((1, 1))),
+                            GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
     assert_allclose(parts.spread_11, [[-0.5]], atol=1e-12)
     assert_allclose(parts.mean_11, [[1.0]], atol=1e-12)
     assert_allclose(parts.d11(), [[0.5]], atol=1e-12)
@@ -322,8 +326,9 @@ def test_decompose_block_sums_match_full_terms():
     for _ in range(100):
         belief = GaussianBelief(np.array([rng.uniform(-25, 25)]),
                                 np.array([[rng.uniform(0.1, 30.0)]]))
-        parts = decompose_terms(model, 3, belief)
-        full = mean_cov_terms(model, 3, belief)
+        predicted = taylor_predicted(model, 3, belief)
+        parts = decompose_terms(model, 3, belief, predicted)
+        full = mean_cov_terms(model, 3, belief, predicted)
         assert_allclose(parts.d11(), full.d11, rtol=1e-8, atol=1e-12)
         assert_allclose(parts.d12(), full.d12, rtol=1e-8, atol=1e-12)
         assert_allclose(parts.d22(), full.d22, rtol=1e-8, atol=1e-12)
@@ -357,10 +362,11 @@ def test_decompose_block_sums_match_full_terms():
 def test_fim_via_decomposition_linear_hand_values():
     model = unit_linear_model()
     belief = GaussianBelief(np.zeros(1), np.ones((1, 1)))
-    parts = decompose_terms(model, 1, belief)
+    predicted = GaussianBelief(np.zeros(1), np.full((1, 1), 2.0))
+    parts = decompose_terms(model, 1, belief, predicted)
     state = fim_via_decomposition(np.array([[1.0]]), parts)
     assert_allclose(state.theta, [[1.5]], atol=1e-12)
-    direct = fim_recursion_step(np.array([[1.0]]), mean_cov_terms(model, 1, belief))
+    direct = fim_recursion_step(np.array([[1.0]]), mean_cov_terms(model, 1, belief, predicted))
     assert_allclose(state.j, direct, atol=1e-10)
     assert_allclose(state.pi, state.j - state.theta, atol=1e-10)
     assert_allclose(state.pi, [[-5.0 / 6.0]], atol=1e-10)
@@ -385,8 +391,9 @@ def test_fim_via_decomposition_matches_direct_path():
         belief = GaussianBelief(np.array([rng.uniform(-15, 15)]),
                                 np.array([[rng.uniform(0.2, 20.0)]]))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        state = fim_via_decomposition(j_prev, decompose_terms(model, 2, belief))
-        direct = fim_recursion_step(j_prev, mean_cov_terms(model, 2, belief))
+        predicted = taylor_predicted(model, 2, belief)
+        state = fim_via_decomposition(j_prev, decompose_terms(model, 2, belief, predicted))
+        direct = fim_recursion_step(j_prev, mean_cov_terms(model, 2, belief, predicted))
         assert_allclose(state.j, direct, rtol=1e-8, atol=1e-12)
         assert_allclose(state.theta + state.pi, state.j, rtol=1e-12, atol=1e-14)
 
@@ -423,7 +430,8 @@ def test_bound_difference_matches_exact_rational_gap():
                                 np.array([[rng.uniform(0.1, 30.0)]]))
         k = int(rng.integers(1, 51))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        state = fim_via_decomposition(j_prev, decompose_terms(model, k, belief))
+        parts = decompose_terms(model, k, belief, taylor_predicted(model, k, belief))
+        state = fim_via_decomposition(j_prev, parts)
         gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
         theta, pi = Fraction(state.theta[0, 0]), Fraction(state.pi[0, 0])
         exact = 1 / theta - 1 / (theta + pi)
@@ -468,7 +476,8 @@ def test_returned_fims_symmetric_psd():
     x = np.array([0.0])
     for k in range(1, 30):
         belief = GaussianBelief(x, np.array([[rng.uniform(0.5, 5.0)]]))
-        j = fim_recursion_step(j, mean_cov_terms(model, k, belief))
+        j = fim_recursion_step(j, mean_cov_terms(model, k, belief,
+                                                 taylor_predicted(model, k, belief)))
         assert_allclose(j, j.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(spd_inverse(j)) > -1e-12)
         x = np.array([rng.uniform(-10, 10)])
