@@ -3,11 +3,11 @@
 The package computes the recursive error lower bound for a discrete-time
 state-space model with additive Gaussian noise three ways: a Monte-Carlo
 reference over sampled trajectories, a cheap approximation evaluated at a
-single point estimate, and a covariance-aware approximation built from
-second-order moment propagation.  The difference between the two
-approximations has a closed form, exposed alongside the recursions, and an
-experiment driver compares everything against sigma-point and particle
-filters on a standard scalar benchmark.
+single point estimate, and a covariance-aware approximation that averages
+over the filter belief with the third-degree cubature rule.  The difference
+between the two approximations has a closed form, exposed alongside the
+recursions, and an experiment driver compares everything against
+sigma-point and particle filters on a standard scalar benchmark.
 """
 
 from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateResult,

@@ -419,28 +419,24 @@ def kalman_oracle_deviation(rng: np.random.Generator, dims, horizon: int) -> flo
     from the Kalman posterior covariance, over one random stable linear model
     per entry of dims, each run for horizon steps.
 
-    Every engine is fed the Kalman means at the harness's alignment (the
-    posterior about k-1, the predicted mean about k); mean_cov is fed them
-    with zero covariances, so this checks it only at the point-mass limit,
-    not at the beliefs the harness gives it."""
+    Every engine is fed the Kalman filter's beliefs at the harness's
+    alignment: the posterior about k-1 (the prior at k = 1) and the predicted
+    belief about k, means and, for mean_cov, covariances."""
     worst = 0.0
     for dim in dims:
         model = random_stable_linear_model(rng, dim)
         trajectory = sample_trajectory(model, horizon, int(rng.integers(2**32)))
-        zero = np.zeros((dim, dim))
         j_true = j_mean = j_cov = initial_fim(model.prior)
-        prev_mean = model.prior.mean
+        prev = model.prior
         for k, out in enumerate(kalman_series(model, trajectory.measurements), start=1):
             j_true = fim_recursion_step(j_true, true_fim_terms_mc(
-                model, k, prev_mean[None, :], out.posterior.mean[None, :]))
+                model, k, prev.mean[None, :], out.posterior.mean[None, :]))
             j_mean = fim_recursion_step(j_mean, mean_only_terms(
-                model, k, prev_mean, out.predicted.mean))
-            j_cov = fim_recursion_step(j_cov, mean_cov_terms(
-                model, k, GaussianBelief(prev_mean, zero),
-                GaussianBelief(out.predicted.mean, zero)))
+                model, k, prev.mean, out.predicted.mean))
+            j_cov = fim_recursion_step(j_cov, mean_cov_terms(model, k, prev, out.predicted))
             for j in (j_true, j_mean, j_cov):
                 worst = max(worst, float(np.abs(spd_inverse(j) - out.posterior.cov).max()))
-            prev_mean = out.posterior.mean
+            prev = out.posterior
     return worst
 
 

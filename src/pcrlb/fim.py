@@ -19,10 +19,10 @@ differ in the measure:
 
 * ``true_fim_terms_mc``: R equally weighted true states (the reference bound).
 * ``mean_only_terms``: a point mass at each filter estimate, one node.
-* ``mean_cov_terms``: today no expectation but Gaussian fits to the two
-  densities by second-order Taylor propagation of the filter belief, whose
-  covariance inflates the noise; the D terms are the Gaussian information
-  quadratic forms in the moment-map derivatives plus trace curvature terms.
+* ``mean_cov_terms``: each filter belief N(m, P) as the third-degree cubature
+  rule, 2n equally weighted nodes m +- sqrt(n) S e_i with S S' = P, the
+  derivative-free form of the second-order Taylor expectation over the
+  belief.
 
 ``decompose_terms`` splits each mean+cov term into the mean-only part plus a
 covariance-induced correction: the mean-only terms at the belief means, and
@@ -64,8 +64,6 @@ import numpy as np
 
 from .linalg import _check_finite, _spd_inverse, spd_inverse, symmetrize
 from .model import GaussianBelief, SystemModel
-from .moments import (measurement_moment_map_derivatives, propagate_measurement_moments,
-                      propagate_state_moments, state_moment_map_derivatives)
 
 __all__ = [
     "FimTriple",
@@ -236,23 +234,27 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
     return _expected_terms(model, k, x_prev[..., None, :], x_new[..., None, :])
 
 
-def _trace_gram(precision: np.ndarray, dcov: np.ndarray) -> np.ndarray:
-    """Matrix with entries 0.5 tr(P^-1 dcov_i P^-1 dcov_j).
-
-    precision has shape (..., m, m) and dcov (..., n_in, m, m).
-    """
-    prods = precision[..., None, :, :] @ dcov
-    return 0.5 * np.einsum("...iab,...jba->...ij", prods, prods)
+def _cubature_nodes(belief: GaussianBelief) -> np.ndarray:
+    """The 2n nodes mean +- sqrt(n) S e_i of each belief, (..., 2n, n), with
+    S = V sqrt(max(w, 0)) from P = V diag(w) V': S S' = P for any PSD P, a
+    rounding-negative eigenvalue is no spread, and a 1 x 1 P gives sqrt(P)."""
+    eigs, vectors = np.linalg.eigh(belief.cov)
+    root = vectors * np.sqrt(np.maximum(eigs, 0.0))[..., None, :]
+    wings = np.sqrt(belief.dim) * root.mT  # row i is sqrt(n) S e_i
+    center = belief.mean[..., None, :]
+    return np.concatenate([center + wings, center - wings], axis=-2)
 
 
 def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
                    meas_belief: GaussianBelief) -> FimTriple:
-    """Step terms from the Gaussian densities fitted by Taylor propagation.
+    """Step terms as expectations over the two filter beliefs.
 
-    Each conditional density is replaced by a Gaussian whose mean and
-    covariance are functions of the conditioning point (belief covariance
-    frozen); the information blocks are then the standard Gaussian quadratic
-    forms in the moment-map derivatives plus the covariance trace terms.
+    Each belief N(m, P) is taken as the third-degree cubature rule
+    (Arasaratnam & Haykin, IEEE TAC 54(6), 2009), the 2n nodes
+    m +- sqrt(n) S e_i with S S' = P, each of weight 1/(2n): the unscented
+    transform with alpha = 1, beta = kappa = 0 without its zero-weight
+    centre.  In one dimension 0.5 [g(m + s) + g(m - s)] = g(m) + 0.5 g'' s^2
+    + O(s^4) with s^2 = P, the second-order Taylor expectation.
 
     Args:
         model: the system model.
@@ -263,17 +265,9 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
     Returns:
         FimTriple of the mean+cov terms.
     """
-    px_inv = spd_inverse(propagate_state_moments(model, k, state_belief).cov)
-    pz_inv = spd_inverse(propagate_measurement_moments(model, k, meas_belief).cov)
-    state_derivs = state_moment_map_derivatives(model, k, state_belief)
-    meas_derivs = measurement_moment_map_derivatives(model, k, meas_belief)
-    dmean_x = state_derivs.dmean
-    dmean_z = meas_derivs.dmean
-    d11 = symmetrize(dmean_x.mT @ px_inv @ dmean_x + _trace_gram(px_inv, state_derivs.dcov))
-    d12 = -dmean_x.mT @ px_inv
-    d22 = symmetrize(px_inv + dmean_z.mT @ pz_inv @ dmean_z
-                     + _trace_gram(pz_inv, meas_derivs.dcov))
-    return FimTriple(d11=d11, d12=d12, d22=d22)
+    k = np.asarray(k)[..., None] if np.ndim(k) else k
+    return _expected_terms(model, k, _cubature_nodes(state_belief),
+                           _cubature_nodes(meas_belief))
 
 
 def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,

@@ -10,8 +10,10 @@ applied to the transition map (producing state moments at time k from a
 belief at k-1) and the measurement map (producing measurement moments at
 time k from a belief at k).
 
-The FIM engines also need derivatives of these moment maps with respect to
-the conditioning point, holding the belief covariance frozen.  Those involve
+No bound engine or pipeline stage calls this module; the benchmark in
+``perfbench/`` traces it by name, and ``pcrlb.cli.taylor_predicted`` builds
+check inputs with it.  The derivatives of these moment maps with respect to
+the conditioning point hold the belief covariance frozen.  Those involve
 third derivatives of the underlying map, which the model interface does not
 expose, so they are obtained by central finite differences of the moment maps
 themselves; the mean derivative reuses the model's analytic Jacobian for its

@@ -12,8 +12,8 @@ from pcrlb import experiment
 from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    SystemModel, aggregate_bounds, build_model, derive_run_seed,
-                   fim_recursion_step, gap_series, initial_fim, kalman_step,
-                   mean_cov_terms, rmse_series, run_experiment, run_ukf,
+                   fim_recursion_series, fim_recursion_step, gap_series, initial_fim,
+                   kalman_step, mean_cov_terms, rmse_series, run_experiment, run_ukf,
                    sample_trajectory, spd_inverse, true_bound_series, true_fim_terms_mc)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -365,14 +365,15 @@ def set_ukf_mean(monkeypatch, run, value):
 
 def nan_window_model(window: bool = True) -> SystemModel:
     """x' = 0.9 x + w, z = x + v with unit variances; with window, the
-    measurement is NaN on 2 < x < 2.00002, where a particle now and then lands."""
+    measurement is NaN on 2 < x < 2.00002, where a particle now and then lands.
+    The transition Jacobian is 0.9 at every finite x and NaN at a NaN x."""
     def measure(k, x):
         return np.where((x > 2.0) & (x < 2.00002), np.nan, x) if window else x
 
     return SystemModel(state_dim=1, meas_dim=1, transition_fn=lambda k, x: 0.9 * x,
                        measurement_fn=measure, process_cov=[[1.0]], meas_cov=[[1.0]],
                        prior=GaussianBelief([0.0], [[1.0]]),
-                       transition_jacobian_fn=lambda k, x: np.full(x.shape + (1,), 0.9),
+                       transition_jacobian_fn=lambda k, x: 0.9 + 0.0 * x[..., None],
                        transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
                        measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
                        measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
@@ -544,8 +545,8 @@ def test_true_bound_series_equals_the_per_step_loop_bit_for_bit(name, runs):
 # moves a byte fails here; a different numpy, BLAS or libm may move them too.
 PINNED_SHA256 = {
     "rmse.csv": "63f8e4a6423ee4008a8cf9e0f871cf82f211279ec89a5f1b3a8f6430e25cb042",
-    "bounds.csv": "334094de82f11e179af380f22b08e979874f25fdc89344819eabfb5713b1c3dd",
-    "gap.csv": "0c7a3c15d640dc4e485a3d87a3e01c92630bf4b730a89a93d28b6edbcdb6459f",
+    "bounds.csv": "bbe04c743b080069405807184e77b0aaf8b5b027dbf96dba8f4d51221ef673e0",
+    "gap.csv": "afb8d3f976bb484d0d9b62196f0893dc6e02bb8734c898aaa0d546257b86fde9",
 }
 
 # The same for FAILURE_CONFIG on nan_window_model(), which fails runs 10, 14
@@ -553,8 +554,8 @@ PINNED_SHA256 = {
 # moves a byte fails here.
 PINNED_FAILURE_SHA256 = {
     "rmse.csv": "14e78a8b0c1bf0c36c4910c4ce676b5212395bafe99cb6615458e7e9e2444e39",
-    "bounds.csv": "78aec87da7172ae625ea5c5ea36a3b541260f0c8abca58dbed14619da254def6",
-    "gap.csv": "0c092d523beb040a009166651a8c5a76ab366f10a2b6d81743e74eaa8c411fba",
+    "bounds.csv": "46b1fc207de2f5188c45a607d9e61f0c59913531034a71614dbb0e0718a32554",
+    "gap.csv": "3a638c7410950db2d37d80571e92d4495010fa8d84c07ef51048b86ff606df1a",
 }
 
 # The same for GOLDEN_CONFIGS["linear2d"], the matrix path, captured with
@@ -562,8 +563,8 @@ PINNED_FAILURE_SHA256 = {
 # (potrs) run on scipy's OpenBLAS, so a different scipy may move them too.
 PINNED_LINEAR2D_SHA256 = {
     "rmse.csv": "1c62b5f996b7c5915e44dcbbd37a67a4a3c0eed89d66b6d34bfd39658f0f3473",
-    "bounds.csv": "4a3e9f55098b263f711ab6dca3a5a4f6e5bb74f512602a2fba0adefbc18942ad",
-    "gap.csv": "e5d7e7d206b3913900fb1d8164705698c349971f04c9a33b5199ad17cd29346d",
+    "bounds.csv": "be880ea1762ed7492a94cd8a28779ae2aa0a1e365ca4f0d21c1073d306c25a20",
+    "gap.csv": "64ba0731060b0d080384290a4a112abaabc6cfe46d23ff6855d33d0d37c85e6a",
 }
 
 
@@ -583,6 +584,24 @@ def test_linear2d_outputs_keep_their_pinned_bytes(tmp_path):
     files = write_outputs(run_experiment(GOLDEN_CONFIGS["linear2d"]), tmp_path / "linear2d")
     digests = {file: hashlib.sha256(data).hexdigest() for file, data in files.items()}
     assert digests == PINNED_LINEAR2D_SHA256
+
+
+def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
+    """On the default benchmark (R = 20) the pipeline's mean+cov series,
+    J = theta + pi from fim_decomposition_series, equals the direct
+    recursion over mean_cov_terms on the same filter beliefs to 1e-12
+    relative: the split adds no cancellation that the bound can see."""
+    config = ExperimentConfig(runs=20)
+    model = build_model(config)
+    result = run_experiment(config)
+    runs, table, _ = experiment._filter_block(config, range(config.runs))
+    steps = np.arange(1, config.horizon + 1)[:, None]
+    for estimator in config.estimators:
+        state, meas = experiment._engine_beliefs(model, table, estimator, np.arange(len(runs)))
+        direct = fim_recursion_series(initial_fim(model.prior),
+                                      mean_cov_terms(model, steps, state, meas))
+        got = result.run_stacks[("mean_cov", estimator)]
+        assert np.all(np.abs(got - direct) <= 1e-12 * np.abs(direct)), estimator
 
 
 def test_true_bound_series_requires_trajectories():

@@ -11,6 +11,7 @@ from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError, Syste
                    initial_fim, kalman_step, linear_gaussian_model, mean_cov_terms,
                    mean_only_terms, sample_trajectory, spd_inverse, true_fim_terms_mc,
                    ungm_model)
+from pcrlb import fim
 from pcrlb.linalg import symmetrize
 
 from pcrlb.cli import random_spd, random_stable_linear_model, taylor_predicted
@@ -154,26 +155,41 @@ def test_engines_on_two_independent_ungm_components(rng):
     sums (R, 2, 2) stacks where the scalar one sums (R, 1, 1) stacks, in
     another order, so its blocks agree within 1e-15 of the mean magnitude of
     the summands: the term itself for d11 and d22, the mean |F| for d12,
-    whose mean of F may cancel."""
+    whose mean of F may cancel.  On block-diagonal beliefs the mean+cov
+    blocks are the scalar model's terms on the rule's marginal nodes: the
+    four 2-D nodes m +- sqrt(2) S e_i put m + sqrt(2) s, m, m - sqrt(2) s, m
+    on each component, summed in the order its eigenvalue takes, so they
+    agree to the same tolerance."""
     horizon, runs = 6, 11
     pair, scalar = ungm_pair_model(), ungm_model()
     states = rng.standard_normal((horizon + 1, runs, 2)) * 4.0
+    variances = rng.uniform(0.1, 30.0, (horizon + 1, runs, 2))
+    covs = variances[..., None] * np.eye(2)
     steps = np.arange(1, horizon + 1)[:, None, None]
     point = mean_only_terms(pair, steps, states[:-1], states[1:])
     reference = true_fim_terms_mc(pair, steps, states[:-1], states[1:])
+    full = mean_cov_terms(pair, steps, GaussianBelief(states[:-1], covs[:-1]),
+                          GaussianBelief(states[1:], covs[1:]))
     for i in range(2):
         prev, new = states[:-1, :, i:i + 1], states[1:, :, i:i + 1]
+        wing = np.sqrt(2.0) * np.sqrt(variances[..., i:i + 1])
+        mean = states[..., i:i + 1]
+        nodes = np.stack([mean + wing, mean, mean - wing, mean], axis=-2)
         point_one = mean_only_terms(scalar, steps, prev, new)
         reference_one = true_fim_terms_mc(scalar, steps, prev, new)
-        f_magnitude = np.abs(scalar.transition_jacobian(steps, prev)).mean(axis=-3)
+        full_one = true_fim_terms_mc(scalar, steps[..., None], nodes[:-1], nodes[1:])
+        magnitudes = (np.abs(scalar.transition_jacobian(steps, prev)).mean(axis=-3),
+                      np.abs(scalar.transition_jacobian(steps[..., None], nodes[:-1])).mean(axis=-3))
         for name in ("d11", "d12", "d22"):
             assert np.array_equal(getattr(point, name)[..., i:i + 1, i:i + 1],
                                   getattr(point_one, name)), (i, name)
-            one = getattr(reference_one, name)
-            scale = f_magnitude if name == "d12" else np.abs(one)
-            error = np.abs(getattr(reference, name)[..., i:i + 1, i:i + 1] - one)
-            assert np.all(error <= 1e-15 * scale), (i, name)
-    for terms in (point, reference):
+            for terms, one, f_magnitude in ((reference, reference_one, magnitudes[0]),
+                                            (full, full_one, magnitudes[1])):
+                one = getattr(one, name)
+                scale = f_magnitude if name == "d12" else np.abs(one)
+                error = np.abs(getattr(terms, name)[..., i:i + 1, i:i + 1] - one)
+                assert np.all(error <= 1e-15 * scale), (i, name)
+    for terms in (point, reference, full):
         for name in ("d11", "d12", "d22"):
             block = getattr(terms, name)
             assert np.all(block[..., 0, 1] == 0.0) and np.all(block[..., 1, 0] == 0.0), name
@@ -203,19 +219,21 @@ def test_mean_only_ungm_hand_values():
 
 
 def test_mean_cov_linear_hand_values():
-    """Unit scalar model with belief variance 1, predicted variance 1 + 1 = 2:
-    information is damped."""
+    """Unit scalar model with belief variances 1 and 2: the Jacobians are
+    constant, so the expectations are the point terms, undamped."""
     terms = mean_cov_terms(unit_linear_model(), 1,
                            GaussianBelief(np.zeros(1), np.ones((1, 1))),
                            GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
-    assert_allclose(terms.d11, [[0.5]], atol=1e-12)
-    assert_allclose(terms.d12, [[-0.5]], atol=1e-12)
-    # state precision 1/2 plus measurement term 1/(2+1)
-    assert_allclose(terms.d22, [[5.0 / 6.0]], atol=1e-12)
+    assert_allclose(terms.d11, [[1.0]], atol=1e-12)
+    assert_allclose(terms.d12, [[-1.0]], atol=1e-12)
+    # state precision 1 plus measurement term 1
+    assert_allclose(terms.d22, [[2.0]], atol=1e-12)
 
 
 def test_mean_cov_tight_belief_recovers_mean_only(rng):
-    """Zero belief covariance on both channels collapses onto the point terms."""
+    """Zero belief covariance on both channels collapses onto the point
+    terms: every node is the mean, so for n = 1 the mean of the two equal
+    nodes' terms has the point terms' bytes."""
     for dim in (1, 2):
         model = random_stable_linear_model(rng, dim)
         x = rng.standard_normal(dim)
@@ -225,72 +243,90 @@ def test_mean_cov_tight_belief_recovers_mean_only(rng):
         meas = GaussianBelief(meas_point, zero)
         got = mean_cov_terms(model, 1, state, meas)
         want = mean_only_terms(model, 1, x, meas_point)
-        assert_allclose(got.d11, want.d11, atol=1e-8)
-        assert_allclose(got.d12, want.d12, atol=1e-8)
-        assert_allclose(got.d22, want.d22, atol=1e-8)
+        for name in ("d11", "d12", "d22"):
+            if dim == 1:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            else:
+                assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-15, atol=1e-15)
 
 
-def scalar_mean_cov_oracle(model, k, x, p, y=None, pz=None):
-    """Independent scalar implementation: closed-form moment maps plus
-    central differences of their first arguments."""
-    q = model.process_cov[0, 0]
-    r = model.meas_cov[0, 0]
+def test_cubature_nodes_carry_the_belief_mean_and_covariance(rng):
+    """The 2n equally weighted nodes have the belief's mean and covariance,
+    for n = 1 to 4, on a stack holding a singular covariance: S S' = P."""
+    for dim in (1, 2, 3, 4):
+        covs = np.stack([random_spd(rng, dim, shift=0.5) for _ in range(3)])
+        basis = rng.standard_normal((dim, 1))
+        covs[1] = basis @ basis.T
+        belief = GaussianBelief(rng.standard_normal((3, dim)), covs)
+        nodes = fim._cubature_nodes(belief)
+        assert nodes.shape == (3, 2 * dim, dim)
+        spread = nodes - belief.mean[:, None, :]
+        assert_allclose(spread.mean(axis=-2), 0.0, atol=1e-14)
+        assert_allclose(spread.mT @ spread / (2 * dim), covs, rtol=1e-13, atol=1e-13)
 
-    def state_mean(t):
-        return model.transition(k, np.array([t]))[0] + 0.5 * model.transition_hessians(
-            k, np.array([t]))[0][0, 0] * p
 
-    def state_cov(t):
-        g = model.transition_jacobian(k, np.array([t]))[0, 0]
-        s = model.transition_hessians(k, np.array([t]))[0][0, 0]
-        return g * g * p + 0.5 * s * s * p * p + q
+def test_mean_cov_takes_a_rounding_negative_eigenvalue():
+    """A covariance with an eigenvalue of -1e-12 of its scale, which
+    GaussianBelief admits as positive semidefinite, spreads no node along
+    that direction and gives finite terms."""
+    model = ungm_pair_model()
+    basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    cov = basis @ np.diag([-1e-12 * 8.0, 8.0]) @ basis.T
+    belief = GaussianBelief(np.array([1.0, -2.0]), cov)
+    terms = mean_cov_terms(model, 3, belief, belief)
+    for name in ("d11", "d12", "d22"):
+        assert np.all(np.isfinite(getattr(terms, name))), name
+    scalar = mean_cov_terms(ungm_model(), 3, GaussianBelief(np.ones(1), np.full((1, 1), -1e-12)),
+                            GaussianBelief(np.ones(1), np.zeros((1, 1))))
+    assert np.array_equal(scalar.d11, mean_only_terms(ungm_model(), 3, np.ones(1), np.ones(1)).d11)
 
-    if y is None:
-        y, pz = state_mean(x), state_cov(x)
 
-    def meas_mean(t):
-        return model.measure(k, np.array([t]))[0] + 0.5 * model.measurement_hessians(
-            k, np.array([t]))[0][0, 0] * pz
+def scalar_mean_cov_oracle(x, p, y, pz):
+    """The ungm terms (q = 1, r = 5) under the two-node rule, written out:
+    the means of f'^2 / q and f' / q at x +- sqrt(p), and of h'^2 / r at
+    y +- sqrt(pz), with f'(t) = 1/2 + 25 (1 - t^2) / (1 + t^2)^2 and
+    h'(t) = t / 10."""
+    q, r = 1.0, 5.0
 
-    def meas_cov(t):
-        g = model.measurement_jacobian(k, np.array([t]))[0, 0]
-        s = model.measurement_hessians(k, np.array([t]))[0][0, 0]
-        return g * g * pz + 0.5 * s * s * pz * pz + r
+    def f_slope(t):
+        return 0.5 + 25.0 * (1.0 - t * t) / (1.0 + t * t) ** 2
 
-    def diff(fn, t, h=1e-6):
-        return (fn(t + h) - fn(t - h)) / (2.0 * h)
+    def h_slope(t):
+        return t / 10.0
 
-    px = state_cov(x)
-    pzz = meas_cov(y)
-    dm_x, dp_x = diff(state_mean, x), diff(state_cov, x)
-    dm_z, dp_z = diff(meas_mean, y), diff(meas_cov, y)
-    d11 = dm_x ** 2 / px + 0.5 * (dp_x / px) ** 2
-    d12 = -dm_x / px
-    d22 = 1.0 / px + dm_z ** 2 / pzz + 0.5 * (dp_z / pzz) ** 2
+    fp, fm = f_slope(x + np.sqrt(p)), f_slope(x - np.sqrt(p))
+    hp, hm = h_slope(y + np.sqrt(pz)), h_slope(y - np.sqrt(pz))
+    d11 = 0.5 * (fp * fp + fm * fm) / q
+    d12 = -0.5 * (fp + fm) / q
+    d22 = 1.0 / q + 0.5 * (hp * hp + hm * hm) / r
     return d11, d12, d22
 
 
 def test_mean_cov_matches_independent_oracle():
     model = ungm_model()
     rng = np.random.default_rng(99)
-    points = [(0.0, 1.0)] + [(rng.uniform(-20, 20), rng.uniform(0.1, 10.0))
-                             for _ in range(25)]
-    for x, p in points:
-        belief = GaussianBelief(np.array([x]), np.array([[p]]))
-        got = mean_cov_terms(model, 2, belief, taylor_predicted(model, 2, belief))
-        d11, d12, d22 = scalar_mean_cov_oracle(model, 2, x, p)
-        assert_allclose(got.d11[0, 0], d11, rtol=1e-4)
-        assert_allclose(got.d12[0, 0], d12, rtol=1e-4)
-        assert_allclose(got.d22[0, 0], d22, rtol=1e-4)
+    points = [(0.0, 1.0, 0.0, 1.0)] + [(rng.uniform(-20, 20), rng.uniform(0.1, 10.0),
+                                        rng.uniform(-20, 20), rng.uniform(0.1, 30.0))
+                                       for _ in range(25)]
+    for x, p, y, pz in points:
+        got = mean_cov_terms(model, 2, GaussianBelief(np.array([x]), np.array([[p]])),
+                             GaussianBelief(np.array([y]), np.array([[pz]])))
+        d11, d12, d22 = scalar_mean_cov_oracle(x, p, y, pz)
+        assert_allclose(got.d11[0, 0], d11, rtol=1e-13)
+        assert_allclose(got.d12[0, 0], d12, rtol=1e-13)
+        assert_allclose(got.d22[0, 0], d22, rtol=1e-13)
 
 
 def test_decompose_linear_hand_values():
+    """On a linear model the belief spread changes no term: every spread
+    block is 0."""
     parts = decompose_terms(unit_linear_model(), 1,
                             GaussianBelief(np.zeros(1), np.ones((1, 1))),
                             GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
-    assert_allclose(parts.spread_11, [[-0.5]], atol=1e-12)
+    for spread in (parts.spread_11, parts.spread_12, parts.spread_22):
+        assert_allclose(spread, [[0.0]], atol=1e-12)
     assert_allclose(parts.mean_11, [[1.0]], atol=1e-12)
-    assert_allclose(parts.d11(), [[0.5]], atol=1e-12)
+    assert_allclose(parts.d11(), [[1.0]], atol=1e-12)
 
 
 def test_decompose_zero_spread_limit(rng):
@@ -369,7 +405,7 @@ def test_fim_via_decomposition_linear_hand_values():
     direct = fim_recursion_step(np.array([[1.0]]), mean_cov_terms(model, 1, belief, predicted))
     assert_allclose(state.j, direct, atol=1e-10)
     assert_allclose(state.pi, state.j - state.theta, atol=1e-10)
-    assert_allclose(state.pi, [[-5.0 / 6.0]], atol=1e-10)
+    assert_allclose(state.pi, [[0.0]], atol=1e-10)
     assert not state.pi_fallback
 
 
@@ -486,9 +522,9 @@ def test_returned_fims_symmetric_psd():
 def test_stacked_engines_match_pointwise(rng):
     """An engine given a stack returns, element by element, what it returns
     for that element alone.  A stack is inverted by LU rather than Cholesky,
-    so the two agree to rounding; pi and the gap are small differences of
-    larger terms inside the theta/pi split (up to 1e-9 relative per entry
-    seen on these inputs), hence the tolerance of j, pi and the gap."""
+    so the two agree to rounding; the theta/pi split amplifies that rounding
+    in j, pi and the gap (up to 2e-13 relative per entry seen over 20 seeds
+    of these inputs), hence their tolerance."""
     count, k = 6, 3
     for model, dim in ((ungm_model(), 1), (random_stable_linear_model(rng, 2), 2)):
         x_prev = rng.uniform(-5.0, 5.0, size=(count, dim))
@@ -516,12 +552,12 @@ def test_stacked_engines_match_pointwise(rng):
                 assert_allclose(getattr(full, name)[i], getattr(one_full, name), rtol=1e-12)
             assert_allclose(inverse[i], spd_inverse(j_prev[i]), rtol=1e-12)
             assert_allclose(state.theta[i], one_state.theta, rtol=1e-12)
-            assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-8)
-            assert_allclose(state.j[i], one_state.j, rtol=1e-5)
-            assert_allclose(state.pi[i], one_state.pi, rtol=1e-5)
+            assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-12)
+            assert_allclose(state.j[i], one_state.j, rtol=1e-11)
+            assert_allclose(state.pi[i], one_state.pi, rtol=1e-11)
             one_gap, _ = bound_difference(spd_inverse(one_state.theta), one_state.pi,
                                           spd_inverse(one_state.j))
-            assert_allclose(gap[i], one_gap, rtol=1e-5)
+            assert_allclose(gap[i], one_gap, rtol=1e-11)
 
 
 def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):

@@ -9,12 +9,10 @@ and are compared column by column at the tolerances below:
 
 * rmse.csv byte-identical: the filters are the same code;
 * the ``true`` and ``meanonly_*`` bounds within rtol 1e-12;
-* the ``meancov_*`` bounds and every gap.csv column within rtol 1e-5.  The
-  golden values of these columns came from an earlier Pi formula that
-  inverted spread_11 and amplified a one-ulp change of an inverse about
-  1e9-fold; today's product form differs from them by up to ~5e-7 relative
-  on ungm.  They are to be re-captured, and the tolerance tightened, when
-  the mean+cov step terms themselves next change;
+* the ``meancov_*`` bounds and every gap.csv column within rtol 1e-12.
+  These columns, and the gap-ordering counts of meta.json, were re-captured
+  when the mean+cov step terms became cubature expectations over the filter
+  beliefs; the other columns and counts kept their text;
 * the meta.json counts (runs used, failed runs, gap-ordering violations)
   exactly.
 """
@@ -75,14 +73,13 @@ def test_outputs_match_golden(name, tmp_path):
     want = read_columns(golden / "bounds.csv")
     assert list(got) == list(want)
     for column in want:
-        rtol = 1e-5 if column.startswith("meancov") else 1e-12
-        assert_allclose(got[column], want[column], rtol=rtol, atol=0, err_msg=column)
+        assert_allclose(got[column], want[column], rtol=1e-12, atol=0, err_msg=column)
 
     got = read_columns(tmp_path / "gap.csv")
     want = read_columns(golden / "gap.csv")
     assert list(got) == list(want)
     for column in want:
-        assert_allclose(got[column], want[column], rtol=1e-5, atol=0, err_msg=column)
+        assert_allclose(got[column], want[column], rtol=1e-12, atol=0, err_msg=column)
 
     got = json.loads((tmp_path / "meta.json").read_text())
     want = json.loads((golden / "meta.json").read_text())
