@@ -4,9 +4,10 @@ The package computes the recursive error lower bound for a discrete-time
 state-space model with additive Gaussian noise three ways: a Monte-Carlo
 reference over sampled trajectories, a cheap approximation evaluated at a
 single point estimate, and a covariance-aware approximation that averages
-over the filter belief with the third-degree cubature rule.  The difference
-between the two approximations has a closed form, exposed alongside the
-recursions, and an experiment driver compares everything against
+over the filter belief with the third-degree cubature rule.  All three run
+one information recursion over their own terms; the difference between the
+two approximations has a closed form from a split of each step of the
+covariance-aware chain, and an experiment driver compares everything against
 sigma-point and particle filters on a standard scalar benchmark.
 """
 
@@ -18,9 +19,8 @@ from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalma
                       particle_moments, pf_step, regularize_cov, run_pf, run_ukf,
                       sigma_points, systematic_resample, ukf_step, unscented_transform)
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
-                  fim_decomposition_series, fim_recursion_series, fim_recursion_step,
-                  fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
-                  true_fim_terms_mc)
+                  fim_recursion_series, fim_recursion_step, fim_via_decomposition,
+                  initial_fim, mean_cov_terms, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, Trajectory, fd_hessians, fd_jacobian,
                     linear_gaussian_model, sample_trajectory, ungm_model)
@@ -52,7 +52,6 @@ __all__ = [
     "derive_run_seed",
     "fd_hessians",
     "fd_jacobian",
-    "fim_decomposition_series",
     "fim_recursion_series",
     "fim_recursion_step",
     "fim_via_decomposition",

@@ -34,14 +34,13 @@ import numpy as np
 from .experiment import (_MODEL_KEYS, ALL_ESTIMATORS, AggregateResult, ExperimentConfig,
                          ExperimentError, build_model, derive_run_seed, run_experiment,
                          run_seeds)
-from .filters import FilterOutput, UTParams, kalman_step, run_ukf
+from .filters import FilterOutput, UTParams, kalman_step, run_ukf, unscented_transform
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
                   true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, linear_gaussian_model, sample_trajectory,
                     ungm_model)
-from .moments import propagate_state_moments
 
 __all__ = ["main", "parse_config", "ConfigError", "CONFIG_REFERENCE"]
 
@@ -440,11 +439,12 @@ def kalman_oracle_deviation(rng: np.random.Generator, dims, horizon: int) -> flo
     return worst
 
 
-def taylor_predicted(model: SystemModel, k, belief: GaussianBelief) -> GaussianBelief:
-    """The belief about the state at time k from a belief about time k-1, by
-    second-order Taylor propagation through the transition."""
-    moments = propagate_state_moments(model, k, belief)
-    return GaussianBelief(moments.mean, moments.cov)
+def unscented_predicted(model: SystemModel, k, belief: GaussianBelief) -> GaussianBelief:
+    """The belief about the state at time k from a belief about time k-1: the
+    unscented transform through the transition, plus the process noise."""
+    mean, cov, _ = unscented_transform(lambda x: model.transition(k, x), belief,
+                                       model.process_cov)
+    return GaussianBelief(mean, cov)
 
 
 def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
@@ -454,19 +454,21 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[float, float]:
     """Worst relative deviations over random ungm beliefs and steps: of the
     decomposed blocks re-summed from the direct mean+cov terms, and of the
-    decomposed recursion from the direct one, as (blocks, recursion).  The
-    measurement channel takes the state belief's Taylor prediction."""
+    split step theta + pi from the direct recursion step, as (blocks,
+    recursion).  The measurement channel takes the state belief's unscented
+    prediction."""
     model = ungm_model()
     worst_block = worst_path = 0.0
     for _ in range(trials):
         belief = GaussianBelief(np.array([rng.uniform(-25.0, 25.0)]),
                                 np.array([[rng.uniform(0.1, 30.0)]]))
         k = int(rng.integers(1, 51))
-        predicted = taylor_predicted(model, k, belief)
+        predicted = unscented_predicted(model, k, belief)
         parts = decompose_terms(model, k, belief, predicted)
         full = mean_cov_terms(model, k, belief, predicted)
-        for got, want in ((parts.d11(), full.d11), (parts.d12(), full.d12),
-                          (parts.d22(), full.d22)):
+        for got, want in ((parts.mean_11 + parts.spread_11, full.d11),
+                          (parts.mean_12 + parts.spread_12, full.d12),
+                          (parts.mean_22 + parts.spread_22, full.d22)):
             worst_block = max(worst_block, _relative_deviation(got, want))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
         worst_path = max(worst_path, _relative_deviation(
@@ -519,7 +521,9 @@ def _check_ukf_matches_kalman() -> None:
 def _check_zero_spread_limit() -> None:
     belief = GaussianBelief(np.array([1.0]), np.zeros((1, 1)))
     model = ungm_model()
-    predicted = taylor_predicted(model, 1, belief)
+    # the unscented prediction of a belief without spread, whose zero
+    # covariance has no Cholesky factor: every sigma point sits at m
+    predicted = GaussianBelief(model.transition(1, belief.mean), model.process_cov)
     full = mean_cov_terms(model, 1, belief, predicted)
     point = mean_only_terms(model, 1, belief.mean, predicted.mean)
     _within(float(np.abs(full.d11 - point.d11).max()), 1e-8)

@@ -9,10 +9,11 @@ the configured estimators, and produces:
   each run's filter beliefs: the step onto time k takes F at the posterior
   about time k-1 (the prior at k = 1) and H at the predicted belief about
   time k, the mean-only engine at their means,
-* per-step gap series between the two approximations, evaluated both through
-  the closed-form product theta^-1 pi J^-1 and by direct subtraction of the
-  two inverses on a shared information state, plus counts of steps where the
-  direct gap loses positive semidefiniteness,
+* per-step gap series between the two approximations, from the theta/pi
+  split of each step of the mean+cov chain, evaluated both through the
+  closed-form product theta^-1 pi J^-1 and by direct subtraction of the two
+  inverses, plus counts of steps where the direct gap loses positive
+  semidefiniteness,
 * per-step RMSE per estimator.
 
 The work runs in two stages, and both keep their per-run data in one run
@@ -30,15 +31,15 @@ avalanche of the master seed, and the sampler and the particle filter draw
 only from the run's own Generators, so the block split changes no byte.  The
 bound engines then run in the calling process over the blocks' joined table.
 The step terms do not depend on J, so each estimator's mean-only and mean+cov
-terms come from one call over all runs and steps, and so do its recursions
-and its gaps, and the reference's terms and recursion.  Each stage is guarded
-once (``_isolated``): when its stacked call raises, the runs are halved and
-each half rerun, so a run that fails on its own, in sampling, a filter or a
-bound engine, is marked failed with its first error (sampling, then the
-estimators in config order; see _bound_stage for the order within the bound
-engines) and has no rows from then on.  A run's rows do not depend on the
-rest of its stack, so the other runs are unaffected.  Results are
-bit-identical for any worker count.
+terms come from one call over all runs and steps, and so do its recursions,
+the theta/pi split of its mean+cov chain and its gaps, and the reference's
+terms and recursion.  Each stage is guarded once (``_isolated``): when its
+stacked call raises, the runs are halved and each half rerun, so a run that
+fails on its own, in sampling, a filter or a bound engine, is marked failed
+with its first error (sampling, then the estimators in config order; see
+_bound_stage for the order within the bound engines) and has no rows from
+then on.  A run's rows do not depend on the rest of its stack, so the other
+runs are unaffected.  Results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import RESAMPLE_POLICIES, UTParams, run_pf, run_ukf
-from .fim import (bound_difference, decompose_terms, fim_decomposition_series,
-                  fim_recursion_series, initial_fim, mean_only_terms, true_fim_terms_mc)
+from .fim import (bound_difference, decompose_terms, fim_recursion_series,
+                  fim_via_decomposition, initial_fim, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, _unchecked, linear_gaussian_model,
                     sample_trajectory, ungm_model)
@@ -138,9 +139,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        for key in ("horizon", "runs", "particles", "workers"):
-            if getattr(self, key) < 1:
+        for key in ("horizon", "runs", "particles", "workers", "master_seed"):
+            try:
+                object.__setattr__(self, key, operator.index(getattr(self, key)))
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
+            if key != "master_seed" and getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        floats = {f"ut_{name}": getattr(self.ut, name) for name in ("alpha", "beta", "kappa")}
+        for key, value in {**floats, **self.model_params}.items():
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} must be finite, got {value}")
         for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
                              ("resample", RESAMPLE_POLICIES)):
             if getattr(self, key) not in allowed:
@@ -329,21 +338,24 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     """Run the per-run bound engines over the stack of runs.
 
     The step terms depend only on the beliefs at k-1 and k, never on J, so
-    per estimator mean_only_terms and decompose_terms each run once over the
-    whole (R, T) belief stack, with k = 1..T along the step axis, and J is
-    recursed over those terms in one call (fim_recursion_series,
-    fim_decomposition_series), one time step at a time over all runs.  The
-    closed-form gap (the product theta^-1 pi J^-1, bound_difference), the
-    direct gap theta^-1 - J^-1 and its violation flags then run once over
-    the (R, T) theta, pi and J stacks.
+    per estimator mean_only_terms and decompose_terms (which carries the
+    mean+cov terms) each run once over the whole (R, T) belief stack, with
+    k = 1..T along the step axis, and each bound is fim_recursion_series
+    over its own terms, stepping all runs at once.  One
+    fim_via_decomposition call then splits every step of the mean+cov
+    chain, each from its J_{k-1}, and the closed-form gap theta^-1 pi
+    (theta + pi)^-1 (bound_difference), the direct gap theta^-1 -
+    (theta + pi)^-1 and its violation flags run once over the (R, T)
+    stacks: the split's own sum theta + pi, J_k up to rounding, makes the
+    closed form an identity.
 
     The whole stage is one _isolated computation, so a run whose own element
     fails is dropped with that error.  Its error is the first in the order
     of the passes, not of the time steps: per estimator (config order) the
     mean-only terms, the mean-only recursion step by step, the mean+cov
-    terms, the mean+cov recursion step by step, then the gaps.  So a run
-    whose recursion would fail at step k1 while its terms fail at a later
-    step k2 reports the terms' error.
+    terms, the mean+cov recursion step by step, the split, then the gaps.
+    So a run whose recursion would fail at step k1 while its terms fail at
+    a later step k2 reports the terms' error.
 
     Args:
         runs: the run index of each row of the table.
@@ -370,13 +382,17 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
                     j0, mean_only_terms(model, steps, state.mean, meas.mean))
 
             if "mean_cov" in config.methods:
-                fim = fim_decomposition_series(j0, decompose_terms(model, steps, state, meas))
-                theta_inv, j_inv = spd_inverse(fim.theta), spd_inverse(fim.j)
-                analytic, _ = bound_difference(theta_inv, fim.pi, j_inv)
+                parts = decompose_terms(model, steps, state, meas)
+                j = fim_recursion_series(j0, parts.full)
+                j_prev = np.concatenate(
+                    [np.broadcast_to(j0, (len(positions), 1) + j0.shape), j[:, :-1]], axis=1)
+                split = fim_via_decomposition(j_prev, parts)
+                theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
+                analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
                 direct = theta_inv - j_inv
                 names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
                 stacks.update({(name, estimator): value for name, value in
-                               zip(names, (fim.j, fim.pi, analytic, direct, _is_negative(direct)))})
+                               zip(names, (j, split.pi, analytic, direct, _is_negative(direct)))})
         return stacks
 
     return _isolated(compute, runs, errors)

@@ -26,16 +26,20 @@ differ in the measure:
 
 ``decompose_terms`` splits each mean+cov term into the mean-only part plus a
 covariance-induced correction: the mean-only terms at the belief means, and
-the spread, which is the mean+cov terms minus those point terms.
-``fim_via_decomposition`` rebuilds the recursion from that split as
-J = theta + pi, where theta is the mean-only update and pi collects every
-covariance correction.  The difference of two inverses in pi and in the gap
-between the two approximate bounds is evaluated with the product identity
+the spread, which is the mean+cov terms minus those point terms; the split
+carries the mean+cov terms it was made from.  There is one recursion: the
+mean+cov bound is ``fim_recursion_series`` over the mean+cov terms, as the
+other two bounds are over theirs.  ``fim_via_decomposition`` analyses a step
+of such a chain from J_{k-1} and the split: theta, the mean-only update of
+J_{k-1}, and pi, every covariance correction, with theta + pi = J_k up to
+rounding; given J_{k-1} for every step it splits a whole chain in one call.
+The difference of two inverses in pi and in the gap between the two
+approximate bounds is evaluated with the product identity
 
     A^-1 - (A + S)^-1 = A^-1 S (A + S)^-1
 
 (Henderson & Searle, SIAM Review 23(1), 1981), so nothing beyond the
-inverses the recursion already holds is inverted and S may be singular:
+inverses the step already holds is inverted and S may be singular:
 ``bound_difference`` gives the gap theta^-1 pi J^-1 from the two inverses
 its caller holds.  The bound itself is J^-1, ``spd_inverse`` of J.
 
@@ -50,10 +54,9 @@ index k as an integer array broadcast against the stack, as ``pcrlb.model``
 describes ((..., 1) for beliefs (R, T, n), (T, 1, 1) for states (T, R, n)):
 the maps and their derivatives are evaluated at each element's own k, and the
 time-constant noise precisions are shared, so the terms of every step come
-from one call; none of them depends on J.  ``fim_recursion_series`` and
-``fim_decomposition_series`` run the recursion over such terms (..., T, n, n)
-along the step axis in one call per chain, with the arithmetic and the checks
-of the one-step calls.
+from one call; none of them depends on J.  ``fim_recursion_series`` runs the
+recursion over such terms (..., T, n, n) along the step axis in one call per
+chain, with the arithmetic and the checks of the one-step call.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ __all__ = [
     "mean_cov_terms",
     "decompose_terms",
     "fim_via_decomposition",
-    "fim_decomposition_series",
     "bound_difference",
 ]
 
@@ -102,10 +104,10 @@ class FimTriple:
 class DecomposedFim:
     """Mean+cov step terms split into mean-only blocks plus corrections.
 
-    mean_* are the blocks the mean-only engine produces at the belief means;
-    spread_* are the mean+cov blocks minus those, i.e. everything the belief
-    covariance adds.  Block sums mean_* + spread_* reproduce the mean+cov
-    terms up to rounding.  The 11 and 22 blocks are symmetrized on construction.
+    full is the mean+cov triple the split was made from; mean_* are the
+    blocks the mean-only engine produces at the belief means; spread_* are
+    full's blocks minus those, i.e. everything the belief covariance adds.
+    Block sums mean_* + spread_* reproduce full up to rounding.
     """
 
     mean_11: np.ndarray
@@ -114,24 +116,12 @@ class DecomposedFim:
     spread_11: np.ndarray
     spread_12: np.ndarray
     spread_22: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("mean_11", "mean_22", "spread_11", "spread_22"):
-            object.__setattr__(self, name, symmetrize(np.asarray(getattr(self, name), float)))
-
-    def d11(self) -> np.ndarray:
-        return self.mean_11 + self.spread_11
-
-    def d12(self) -> np.ndarray:
-        return self.mean_12 + self.spread_12
-
-    def d22(self) -> np.ndarray:
-        return self.mean_22 + self.spread_22
+    full: FimTriple
 
 
 @dataclass(frozen=True)
 class FimState:
-    """Information state after one decomposed recursion step: j = theta + pi."""
+    """Information state of one step split as j = theta + pi."""
 
     j: np.ndarray
     theta: np.ndarray
@@ -139,7 +129,8 @@ class FimState:
 
     @property
     def pi_fallback(self) -> int:
-        # always 0; read only by perfbench/tracing.py's fim_via_decomposition note
+        # always 0: pi needs no fallback.  perfbench/tracing.py reads it on
+        # every traced fim_via_decomposition call, so it stays.
         return 0
 
 
@@ -148,33 +139,29 @@ def initial_fim(prior: GaussianBelief) -> np.ndarray:
     return spd_inverse(prior.cov)
 
 
-def _series(step, j0: np.ndarray, terms: tuple) -> list:
-    """Run step(j_prev, *terms at step k) -> (J_k, *more) over the step axis -3
-    of the terms from J_0; each output comes back stacked, (..., T, n, n)."""
-    rows = [(symmetrize(np.atleast_2d(np.asarray(j0, float))),)]
-    for k in range(terms[0].shape[-3]):
-        rows.append(step(rows[-1][0], *(term[..., k, :, :] for term in terms)))
-    return [np.stack(series, axis=-3) for series in zip(*rows[1:])]
-
-
 def _inverse(m: np.ndarray) -> np.ndarray:
     """spd_inverse of j_prev + d11 without the symmetry test: both terms are symmetric."""
     return _spd_inverse(_check_finite(m, "m"))
 
 
-def _recursion_step(j_prev, d11, d12, d22) -> tuple[np.ndarray]:
-    return (symmetrize(d22 - d12.mT @ _inverse(j_prev + d11) @ d12),)
+def _recursion_step(j_prev, d11, d12, d22) -> np.ndarray:
+    return symmetrize(d22 - d12.mT @ _inverse(j_prev + d11) @ d12)
 
 
 def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
     """Advance the information matrix (or a stack of them) by one step."""
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    return _recursion_step(j_prev, terms.d11, terms.d12, terms.d22)[0]
+    return _recursion_step(j_prev, terms.d11, terms.d12, terms.d22)
 
 
 def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
     """J_1..J_T from J_0 and terms (..., T, n, n): fim_recursion_step over axis -3."""
-    return _series(_recursion_step, j0, (terms.d11, terms.d12, terms.d22))[0]
+    j, series = symmetrize(np.atleast_2d(np.asarray(j0, float))), []
+    for k in range(terms.d11.shape[-3]):
+        j = _recursion_step(j, terms.d11[..., k, :, :], terms.d12[..., k, :, :],
+                            terms.d22[..., k, :, :])
+        series.append(j)
+    return np.stack(series, axis=-3)
 
 
 def _expected_terms(model: SystemModel, k, nodes_prev, nodes_new) -> FimTriple:
@@ -286,41 +273,27 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
         meas_belief: belief about the state at time k (measurement channel).
 
     Returns:
-        DecomposedFim whose block sums equal mean_cov_terms on the same
-        beliefs up to rounding.
+        DecomposedFim carrying mean_cov_terms on the same beliefs as full,
+        whose block sums equal full up to rounding.
     """
     point = mean_only_terms(model, k, state_belief.mean, meas_belief.mean)
     full = mean_cov_terms(model, k, state_belief, meas_belief)
     return DecomposedFim(mean_11=point.d11, mean_12=point.d12, mean_22=point.d22,
                          spread_11=full.d11 - point.d11, spread_12=full.d12 - point.d12,
-                         spread_22=full.d22 - point.d22)
-
-
-def _decomposed_step(j_prev, mean_11, mean_12, mean_22, spread_11, spread_12, spread_22,
-                     d11, d12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    anchor_inv = _inverse(j_prev + mean_11)
-    theta = symmetrize(mean_22 - mean_12.mT @ anchor_inv @ mean_12)
-    full_inv = _inverse(j_prev + d11)
-    # (j_prev + d11)^-1 = anchor^-1 - shift
-    shift = anchor_inv @ spread_11 @ full_inv
-    pi = symmetrize(spread_22 - d12.mT @ full_inv @ spread_12
-                    - (spread_12.mT @ full_inv - mean_12.mT @ shift) @ mean_12)
-    return theta + pi, theta, pi
-
-
-def _decomposed_terms(parts: DecomposedFim) -> tuple:
-    return (parts.mean_11, parts.mean_12, parts.mean_22, parts.spread_11, parts.spread_12,
-            parts.spread_22, parts.d11(), parts.d12())
+                         spread_22=full.d22 - point.d22, full=full)
 
 
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
-    """Advance the information matrix through the decomposed form.
+    """Split the recursion step from j_prev over the decomposed terms.
 
     Computes theta (the mean-only update of j_prev) and pi (the total
-    covariance-induced correction) so that j = theta + pi.  pi needs
+    covariance-induced correction) so that j = theta + pi is the step
+    fim_recursion_step takes over parts.full, up to rounding.  pi needs
     anchor^-1 - (anchor + spread_11)^-1 with anchor = j_prev + mean_11, which
     is the product anchor^-1 spread_11 (j_prev + d11)^-1 of two inverses the
-    step computes anyway, for any spread_11, singular ones included.
+    step computes anyway, for any spread_11, singular ones included.  Every
+    element of a stack is split on its own, so j_prev (R, T, n, n) holding
+    J_0..J_{T-1} of a chain splits all its steps in one call.
 
     Args:
         j_prev: previous information matrix, shape (..., n, n).
@@ -330,12 +303,15 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
         FimState with j, theta and pi.
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    return FimState(*_decomposed_step(j_prev, *_decomposed_terms(parts)))
-
-
-def fim_decomposition_series(j0: np.ndarray, parts: DecomposedFim) -> FimState:
-    """j, theta, pi (..., T, n, n) from J_0: fim_via_decomposition over axis -3."""
-    return FimState(*_series(_decomposed_step, j0, _decomposed_terms(parts)))
+    mean_12, spread_12 = parts.mean_12, parts.spread_12
+    anchor_inv = _inverse(j_prev + parts.mean_11)
+    theta = symmetrize(parts.mean_22 - mean_12.mT @ anchor_inv @ mean_12)
+    full_inv = _inverse(j_prev + parts.full.d11)
+    # (j_prev + d11)^-1 = anchor^-1 - shift
+    shift = anchor_inv @ parts.spread_11 @ full_inv
+    pi = symmetrize(parts.spread_22 - parts.full.d12.mT @ full_inv @ spread_12
+                    - (spread_12.mT @ full_inv - mean_12.mT @ shift) @ mean_12)
+    return FimState(theta + pi, theta, pi)
 
 
 def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,
@@ -353,7 +329,7 @@ def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,
         j_inv: (theta + pi)^-1, shape (..., n, n).
 
     Returns:
-        (gap matrix, 0).  The 0 is read only by perfbench/tracing.py's
-        bound_difference note.
+        (gap matrix, 0).  The 0 counts fallbacks, of which there are none;
+        perfbench/tracing.py reads it on every traced call, so it stays.
     """
     return symmetrize(theta_inv @ pi @ j_inv), 0

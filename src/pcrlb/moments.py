@@ -10,9 +10,9 @@ applied to the transition map (producing state moments at time k from a
 belief at k-1) and the measurement map (producing measurement moments at
 time k from a belief at k).
 
-No bound engine or pipeline stage calls this module; the benchmark in
-``perfbench/`` traces it by name, and ``pcrlb.cli.taylor_predicted`` builds
-check inputs with it.  The derivatives of these moment maps with respect to
+No bound engine, pipeline stage or check calls this module; the benchmark
+in ``perfbench/`` imports ``GaussianBelief`` from it and traces its
+functions by name.  The derivatives of these moment maps with respect to
 the conditioning point hold the belief covariance frozen.  Those involve
 third derivatives of the underlying map, which the model interface does not
 expose, so they are obtained by central finite differences of the moment maps

@@ -75,7 +75,7 @@ def test_criterion_1_kalman_oracle(report):
 
 
 def test_criterion_2_decomposition_identities(report):
-    """Split blocks re-sum to the full terms; split recursion matches direct."""
+    """Split blocks re-sum to the full terms; a split step sums to the direct step."""
     worst_block, worst_path = cli.decomposition_deviation(
         np.random.default_rng(20240818), trials=100)
     ok = worst_block <= 1e-8 and worst_path <= 1e-8

@@ -356,6 +356,13 @@ def test_config_error_exits_2(tmp_path):
     ("bounds", "methods = ,"),
     ("bounds", "estimators = ukf, ekf"),
     ("bounds", "estimators = pf, pf"),
+    ("filters", "ut_beta = nan"),
+    ("filters", "ut_beta = -inf"),
+    ("filters", "ut_alpha = inf"),
+    ("filters", "ut_kappa = inf"),
+    ("model", "process_var = inf"),
+    ("model", "prior_mean = nan"),
+    ("experiment", "workers = 1.5"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, section, line):
     """Values a run would trip over are rejected while the config is read."""

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import experiment
+from pcrlb import experiment, fim
 from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
-                   SystemModel, aggregate_bounds, build_model, derive_run_seed,
-                   fim_recursion_series, fim_recursion_step, gap_series, initial_fim,
+                   SystemModel, UTParams, aggregate_bounds, build_model, decompose_terms,
+                   derive_run_seed, fim_recursion_series, fim_recursion_step,
+                   fim_via_decomposition, gap_series, initial_fim,
                    kalman_step, mean_cov_terms, rmse_series, run_experiment, run_ukf,
                    sample_trajectory, spd_inverse, true_bound_series, true_fim_terms_mc)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -499,23 +500,32 @@ def test_isolated_reruns_without_the_failing_runs():
 
 
 def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
-    """Every step's mean-only terms, mean+cov terms, recursions and
-    closed-form gaps come from one call per estimator over the stack of runs
-    and steps, and the reference's terms and recursion from one call each."""
+    """Every step's mean-only terms, mean+cov terms, recursions, theta/pi
+    split and closed-form gaps come from one call per estimator over the
+    stack of runs and steps, and the reference's terms and recursion from
+    one call each.  The three bounds share the one recursion, and the
+    mean+cov terms are evaluated once per estimator (counted in pcrlb.fim,
+    where decompose_terms looks them up)."""
     calls = {}
-    for name in ("mean_only_terms", "decompose_terms", "bound_difference", "true_fim_terms_mc",
-                 "fim_recursion_series", "fim_decomposition_series"):
-        def counted(*args, _name=name, _engine=getattr(experiment, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def count(module, name):
+        def counted(*args, _engine=getattr(module, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
             return _engine(*args, **kwargs)
-        monkeypatch.setattr(experiment, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("mean_only_terms", "decompose_terms", "fim_via_decomposition",
+                 "bound_difference", "true_fim_terms_mc", "fim_recursion_series"):
+        count(experiment, name)
+    count(fim, "mean_cov_terms")
     config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
     result = run_experiment(config)
     assert result.runs_used == 3
     once = len(config.estimators)
-    assert calls == {"mean_only_terms": once, "decompose_terms": once, "bound_difference": once,
-                     "true_fim_terms_mc": 1, "fim_recursion_series": once + 1,
-                     "fim_decomposition_series": once}
+    assert calls == {"mean_only_terms": once, "decompose_terms": once, "mean_cov_terms": once,
+                     "fim_via_decomposition": once, "bound_difference": once,
+                     "true_fim_terms_mc": 1, "fim_recursion_series": 2 * once + 1}
+    assert not hasattr(fim, "fim_decomposition_series")
 
 
 def per_step_reference(model, states, horizon):
@@ -545,8 +555,8 @@ def test_true_bound_series_equals_the_per_step_loop_bit_for_bit(name, runs):
 # moves a byte fails here; a different numpy, BLAS or libm may move them too.
 PINNED_SHA256 = {
     "rmse.csv": "63f8e4a6423ee4008a8cf9e0f871cf82f211279ec89a5f1b3a8f6430e25cb042",
-    "bounds.csv": "bbe04c743b080069405807184e77b0aaf8b5b027dbf96dba8f4d51221ef673e0",
-    "gap.csv": "afb8d3f976bb484d0d9b62196f0893dc6e02bb8734c898aaa0d546257b86fde9",
+    "bounds.csv": "c0981dc7d7cedcd2988d4e366a768e55c9ec8f4d40ae540dc4544bbe783ee8dc",
+    "gap.csv": "1ef5cbb293fb4782d773034143adf6bd9c9cb3c4244a72b91f73fc28def80d0b",
 }
 
 # The same for FAILURE_CONFIG on nan_window_model(), which fails runs 10, 14
@@ -587,10 +597,11 @@ def test_linear2d_outputs_keep_their_pinned_bytes(tmp_path):
 
 
 def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
-    """On the default benchmark (R = 20) the pipeline's mean+cov series,
-    J = theta + pi from fim_decomposition_series, equals the direct
-    recursion over mean_cov_terms on the same filter beliefs to 1e-12
-    relative: the split adds no cancellation that the bound can see."""
+    """On the default benchmark (R = 20) the pipeline's mean+cov series is
+    the direct recursion over mean_cov_terms on the same filter beliefs, bit
+    for bit, and the split of each of its steps sums to it, theta + pi = J
+    to 1e-12 relative: the split adds no cancellation that the bound can
+    see."""
     config = ExperimentConfig(runs=20)
     model = build_model(config)
     result = run_experiment(config)
@@ -600,8 +611,12 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
         state, meas = experiment._engine_beliefs(model, table, estimator, np.arange(len(runs)))
         direct = fim_recursion_series(initial_fim(model.prior),
                                       mean_cov_terms(model, steps, state, meas))
-        got = result.run_stacks[("mean_cov", estimator)]
-        assert np.all(np.abs(got - direct) <= 1e-12 * np.abs(direct)), estimator
+        assert np.array_equal(result.run_stacks[("mean_cov", estimator)], direct), estimator
+        j_prev = np.concatenate([np.broadcast_to(initial_fim(model.prior), (len(runs), 1, 1, 1)),
+                                 direct[:, :-1]], axis=1)
+        split = fim_via_decomposition(j_prev, decompose_terms(model, steps, state, meas))
+        assert np.array_equal(result.run_stacks[("pi", estimator)], split.pi), estimator
+        assert np.all(np.abs(split.theta + split.pi - direct) <= 1e-12 * np.abs(direct)), estimator
 
 
 def test_true_bound_series_requires_trajectories():
@@ -639,9 +654,21 @@ def test_config_validation():
     ({"max_failure_fraction": float("nan")}, "max_failure_fraction"),
     ({"estimators": ("pf", "pf")}, "estimators"),
     ({"methods": ("true", "true")}, "methods"),
+    ({"ut": UTParams(beta=float("nan"))}, "ut_beta"),
+    ({"ut": UTParams(beta=-np.inf)}, "ut_beta"),
+    ({"ut": UTParams(alpha=np.inf)}, "ut_alpha"),
+    ({"ut": UTParams(kappa=np.inf)}, "ut_kappa"),
+    ({"model_params": {"process_var": np.inf}}, "process_var"),
+    ({"model_params": {"prior_mean": float("nan")}}, "prior_mean"),
+    ({"runs": 2.5}, "runs"),
+    ({"horizon": 3.5}, "horizon"),
+    ({"particles": 10.5}, "particles"),
+    ({"workers": 1.5}, "workers"),
 ], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity",
         "fraction-negative", "fraction-above-one", "fraction-nan",
-        "repeated-estimator", "repeated-method"])
+        "repeated-estimator", "repeated-method", "ut-beta-nan", "ut-beta-neg-inf",
+        "ut-alpha-inf", "ut-kappa-inf", "process-var-inf", "prior-mean-nan",
+        "runs-float", "horizon-float", "particles-float", "workers-float"])
 def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (DecomposedFim, FimTriple, GaussianBelief, NumericError, SystemModel,
-                   bound_difference, decompose_terms, fim_decomposition_series,
-                   fim_recursion_series, fim_recursion_step, fim_via_decomposition,
-                   initial_fim, kalman_step, linear_gaussian_model, mean_cov_terms,
-                   mean_only_terms, sample_trajectory, spd_inverse, true_fim_terms_mc,
-                   ungm_model)
+from pcrlb import (FimTriple, GaussianBelief, NumericError, SystemModel, bound_difference,
+                   decompose_terms, fim_recursion_series, fim_recursion_step,
+                   fim_via_decomposition, initial_fim, kalman_step, linear_gaussian_model,
+                   mean_cov_terms, mean_only_terms, sample_trajectory, spd_inverse,
+                   true_fim_terms_mc, ungm_model)
 from pcrlb import fim
 from pcrlb.linalg import symmetrize
 
-from pcrlb.cli import random_spd, random_stable_linear_model, taylor_predicted
+from pcrlb.cli import random_spd, random_stable_linear_model, unscented_predicted
 
 # frozen large-sample value of E[f'(x)^2] for the default scalar benchmark
 # model under its prior, from a 1e7-sample run of an independent script
@@ -326,7 +325,7 @@ def test_decompose_linear_hand_values():
     for spread in (parts.spread_11, parts.spread_12, parts.spread_22):
         assert_allclose(spread, [[0.0]], atol=1e-12)
     assert_allclose(parts.mean_11, [[1.0]], atol=1e-12)
-    assert_allclose(parts.d11(), [[1.0]], atol=1e-12)
+    assert_allclose(parts.full.d11, [[1.0]], atol=1e-12)
 
 
 def test_decompose_zero_spread_limit(rng):
@@ -356,18 +355,23 @@ def test_decompose_zero_spread_limit(rng):
         assert np.all(np.abs(spread) <= 1e-15 * np.abs(mean))
 
 
+def block_sums(parts, full):
+    """(mean_* + spread_*, the full term) for the three blocks."""
+    return [(getattr(parts, f"mean_{b}") + getattr(parts, f"spread_{b}"), getattr(full, f"d{b}"))
+            for b in ("11", "12", "22")]
+
+
 def test_decompose_block_sums_match_full_terms():
     model = ungm_model()
     rng = np.random.default_rng(7)
     for _ in range(100):
         belief = GaussianBelief(np.array([rng.uniform(-25, 25)]),
                                 np.array([[rng.uniform(0.1, 30.0)]]))
-        predicted = taylor_predicted(model, 3, belief)
+        predicted = unscented_predicted(model, 3, belief)
         parts = decompose_terms(model, 3, belief, predicted)
         full = mean_cov_terms(model, 3, belief, predicted)
-        assert_allclose(parts.d11(), full.d11, rtol=1e-8, atol=1e-12)
-        assert_allclose(parts.d12(), full.d12, rtol=1e-8, atol=1e-12)
-        assert_allclose(parts.d22(), full.d22, rtol=1e-8, atol=1e-12)
+        for got, want in block_sums(parts, full):
+            assert_allclose(got, want, rtol=1e-8, atol=1e-12)
 
     # 4-D linear models and beliefs with eigenvalues 1e-9..10: the spread
     # blocks are small differences, and the block sums and the recursion
@@ -387,8 +391,7 @@ def test_decompose_block_sums_match_full_terms():
         meas = GaussianBelief(rng.standard_normal(4), ill_conditioned_cov())
         parts = decompose_terms(model, 1, state, meas)
         full = mean_cov_terms(model, 1, state, meas)
-        for got, want in ((parts.d11(), full.d11), (parts.d12(), full.d12),
-                          (parts.d22(), full.d22)):
+        for got, want in block_sums(parts, full):
             assert relative(got, want) <= 1e-13
         j_prev = random_spd(rng, 4)
         assert relative(fim_via_decomposition(j_prev, parts).j,
@@ -427,7 +430,7 @@ def test_fim_via_decomposition_matches_direct_path():
         belief = GaussianBelief(np.array([rng.uniform(-15, 15)]),
                                 np.array([[rng.uniform(0.2, 20.0)]]))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        predicted = taylor_predicted(model, 2, belief)
+        predicted = unscented_predicted(model, 2, belief)
         state = fim_via_decomposition(j_prev, decompose_terms(model, 2, belief, predicted))
         direct = fim_recursion_step(j_prev, mean_cov_terms(model, 2, belief, predicted))
         assert_allclose(state.j, direct, rtol=1e-8, atol=1e-12)
@@ -466,7 +469,7 @@ def test_bound_difference_matches_exact_rational_gap():
                                 np.array([[rng.uniform(0.1, 30.0)]]))
         k = int(rng.integers(1, 51))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        parts = decompose_terms(model, k, belief, taylor_predicted(model, k, belief))
+        parts = decompose_terms(model, k, belief, unscented_predicted(model, k, belief))
         state = fim_via_decomposition(j_prev, parts)
         gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
         theta, pi = Fraction(state.theta[0, 0]), Fraction(state.pi[0, 0])
@@ -513,7 +516,7 @@ def test_returned_fims_symmetric_psd():
     for k in range(1, 30):
         belief = GaussianBelief(x, np.array([[rng.uniform(0.5, 5.0)]]))
         j = fim_recursion_step(j, mean_cov_terms(model, k, belief,
-                                                 taylor_predicted(model, k, belief)))
+                                                 unscented_predicted(model, k, belief)))
         assert_allclose(j, j.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(spd_inverse(j)) > -1e-12)
         x = np.array([rng.uniform(-10, 10)])
@@ -552,7 +555,7 @@ def test_stacked_engines_match_pointwise(rng):
                 assert_allclose(getattr(full, name)[i], getattr(one_full, name), rtol=1e-12)
             assert_allclose(inverse[i], spd_inverse(j_prev[i]), rtol=1e-12)
             assert_allclose(state.theta[i], one_state.theta, rtol=1e-12)
-            assert_allclose(parts.d11()[i], one_parts.d11(), rtol=1e-12)
+            assert_allclose(parts.full.d11[i], one_parts.full.d11, rtol=1e-12)
             assert_allclose(state.j[i], one_state.j, rtol=1e-11)
             assert_allclose(state.pi[i], one_state.pi, rtol=1e-11)
             one_gap, _ = bound_difference(spd_inverse(one_state.theta), one_state.pi,
@@ -584,10 +587,12 @@ def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
             one_point = mean_only_terms(model, k, x_prev[:, k - 1], x_new[:, k - 1])
             one_full = mean_cov_terms(model, k, one_prev, one_new)
             one_parts = decompose_terms(model, k, one_prev, one_new)
-            for terms, one in ((point, one_point), (full, one_full), (parts, one_parts)):
+            for terms, one in ((point, one_point), (full, one_full), (parts, one_parts),
+                               (parts.full, one_parts.full)):
                 for field in dataclasses.fields(terms):
-                    got = getattr(terms, field.name)[:, k - 1]
-                    assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
+                    if field.name != "full":
+                        got = getattr(terms, field.name)[:, k - 1]
+                        assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
 
 
 def test_stacked_bound_and_gap_with_a_singular_correction():
@@ -620,19 +625,8 @@ def chained(j0, terms):
     return np.stack(rows, axis=-3)
 
 
-def chained_decomposed(j0, parts):
-    """j, theta and pi by chaining fim_via_decomposition over axis -3."""
-    j, rows = j0, []
-    for k in range(parts.mean_11.shape[-3]):
-        state = fim_via_decomposition(
-            j, DecomposedFim(*(p[..., k, :, :] for p in dataclasses.astuple(parts))))
-        j = state.j
-        rows.append((state.j, state.theta, state.pi))
-    return [np.stack(series, axis=-3) for series in zip(*rows)]
-
-
-def belief_terms(rng, model, count, horizon):
-    """Mean-only and decomposed terms over a random (count, horizon) belief stack."""
+def belief_stack(rng, model, count, horizon):
+    """Random state and measurement beliefs (count, horizon, ...) and the steps k."""
     n = model.state_dim
 
     def cov():
@@ -641,25 +635,28 @@ def belief_terms(rng, model, count, horizon):
 
     prev = GaussianBelief(rng.uniform(-3.0, 3.0, (count, horizon, n)), cov())
     new = GaussianBelief(rng.uniform(-3.0, 3.0, (count, horizon, n)), cov())
-    steps = np.arange(1, horizon + 1)[:, None]
+    return prev, new, np.arange(1, horizon + 1)[:, None]
+
+
+def belief_terms(rng, model, count, horizon):
+    """Mean-only and mean+cov terms over a random (count, horizon) belief stack."""
+    prev, new, steps = belief_stack(rng, model, count, horizon)
     return (mean_only_terms(model, steps, prev.mean, new.mean),
-            decompose_terms(model, steps, prev, new))
+            mean_cov_terms(model, steps, prev, new))
 
 
 def test_series_equal_chained_one_step_calls_bit_for_bit(rng):
-    """Both series forms give the bytes of chaining the one-step calls: on a
-    stack of runs for n = 1 (R = 20) and n = 4 (R = 10), and on the
-    reference's single (T, n, n) chain, which keeps the Cholesky inverse."""
+    """The series gives the bytes of chaining the one-step calls: over the
+    point and the mean+cov terms of a stack of runs for n = 1 (R = 20) and
+    n = 4 (R = 10), and on the reference's single (T, n, n) chain, which
+    keeps the Cholesky inverse."""
     horizon = 12
     for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 4), 10)):
         j0 = initial_fim(model.prior)
-        point, parts = belief_terms(rng, model, count, horizon)
-        series = fim_recursion_series(j0, point)
-        assert series.shape == (count, horizon) + j0.shape
-        assert np.array_equal(series, chained(j0, point))
-        state = fim_decomposition_series(j0, parts)
-        for got, want in zip((state.j, state.theta, state.pi), chained_decomposed(j0, parts)):
-            assert np.array_equal(got, want)
+        for terms in belief_terms(rng, model, count, horizon):
+            series = fim_recursion_series(j0, terms)
+            assert series.shape == (count, horizon) + j0.shape
+            assert np.array_equal(series, chained(j0, terms))
 
         states = sample_trajectory(model, horizon, list(range(count))).states.swapaxes(0, 1)
         reference = true_fim_terms_mc(model, np.arange(1, horizon + 1)[:, None, None],
@@ -675,27 +672,40 @@ def test_series_failures_raise_what_the_chained_steps_raise(rng):
     horizon, k = 8, 5
     for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 4), 10)):
         j0 = initial_fim(model.prior)
-        point, parts = belief_terms(rng, model, count, horizon)
+        point, _ = belief_terms(rng, model, count, horizon)
         indefinite = point.d11.copy()
         indefinite[3, k] -= 1e6 * np.eye(model.state_dim)
-        spread = parts.spread_11.copy()
-        spread[3, k] -= 1e6 * np.eye(model.state_dim)
         non_finite = point.d22.copy()
         non_finite[3, k, 0, 0] = np.nan
-        cases = [
-            (NumericError, fim_recursion_series, chained,
-             dataclasses.replace(point, d11=indefinite)),
-            (NumericError, fim_decomposition_series, chained_decomposed,
-             dataclasses.replace(parts, spread_11=spread)),
-            (ValueError, fim_recursion_series, chained,
-             dataclasses.replace(point, d22=non_finite)),
-            (ValueError, fim_decomposition_series, chained_decomposed,
-             dataclasses.replace(parts, mean_22=non_finite)),
-        ]
-        for error, series, chain, terms in cases:
+        cases = [(NumericError, dataclasses.replace(point, d11=indefinite)),
+                 (ValueError, dataclasses.replace(point, d22=non_finite))]
+        for error, terms in cases:
             with pytest.raises(error) as want:
-                chain(j0, terms)
+                chained(j0, terms)
             with pytest.raises(error) as got:
-                series(j0, terms)
+                fim_recursion_series(j0, terms)
             assert str(got.value) == str(want.value)
             assert type(got.value) is type(want.value)
+
+
+def test_split_of_a_chain_equals_per_step_calls_bit_for_bit(rng):
+    """fim_via_decomposition over an (R, T) stack, each step from its own
+    J_{k-1} of the mean+cov chain, gives the bytes of the per-step calls on
+    the (R,) slices, for n = 1 (R = 20) and n = 4 (R = 10); and theta + pi
+    is the chain's J_k to 1e-12 relative."""
+    horizon = 12
+    for model, count in ((ungm_model(), 20), (random_stable_linear_model(rng, 4), 10)):
+        n = model.state_dim
+        j0 = initial_fim(model.prior)
+        prev, new, steps = belief_stack(rng, model, count, horizon)
+        parts = decompose_terms(model, steps, prev, new)
+        j = fim_recursion_series(j0, parts.full)
+        j_prev = np.concatenate([np.broadcast_to(j0, (count, 1, n, n)), j[:, :-1]], axis=1)
+        split = fim_via_decomposition(j_prev, parts)
+        for k in range(1, horizon + 1):
+            one = fim_via_decomposition(j_prev[:, k - 1], decompose_terms(
+                model, k, GaussianBelief(prev.mean[:, k - 1], prev.cov[:, k - 1]),
+                GaussianBelief(new.mean[:, k - 1], new.cov[:, k - 1])))
+            for name in ("j", "theta", "pi"):
+                assert np.array_equal(getattr(split, name)[:, k - 1], getattr(one, name)), name
+        assert np.all(np.abs(split.j - j) <= 1e-12 * np.abs(j).max(axis=(-2, -1), keepdims=True))
