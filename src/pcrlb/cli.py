@@ -103,7 +103,8 @@ CONFIG_REFERENCE = """\
 [model]
 name = ungm            # ungm | linear
 process_var = 1.0      # process noise variance
-meas_var = 5.0         # measurement noise variance
+meas_var = 5.0         # measurement noise variance, ungm default;
+                       # linear model defaults to 1.0
 prior_mean = 0.0
 prior_var = 20.0       # ungm default; linear model defaults to 1.0
 # a = 0.9              # linear model only: state coefficient
@@ -453,10 +454,10 @@ def _relative_deviation(got: np.ndarray, want: np.ndarray) -> float:
 
 def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[float, float]:
     """Worst relative deviations over random ungm beliefs and steps: of the
-    decomposed blocks re-summed from the direct mean+cov terms, and of the
-    split step theta + pi from the direct recursion step, as (blocks,
-    recursion).  The measurement channel takes the state belief's unscented
-    prediction."""
+    decomposition's point and full triples from mean_only_terms and
+    mean_cov_terms on the same beliefs, and of the split step theta + pi from
+    the direct recursion step, as (blocks, recursion).  The measurement
+    channel takes the state belief's unscented prediction."""
     model = ungm_model()
     worst_block = worst_path = 0.0
     for _ in range(trials):
@@ -465,11 +466,11 @@ def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[floa
         k = int(rng.integers(1, 51))
         predicted = unscented_predicted(model, k, belief)
         parts = decompose_terms(model, k, belief, predicted)
+        point = mean_only_terms(model, k, belief.mean, predicted.mean)
         full = mean_cov_terms(model, k, belief, predicted)
-        for got, want in ((parts.mean_11 + parts.spread_11, full.d11),
-                          (parts.mean_12 + parts.spread_12, full.d12),
-                          (parts.mean_22 + parts.spread_22, full.d22)):
-            worst_block = max(worst_block, _relative_deviation(got, want))
+        for got, want in ((parts.point, point), (parts.full, full)):
+            worst_block = max(worst_block, *map(_relative_deviation, dataclasses.astuple(got),
+                                                 dataclasses.astuple(want)))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
         worst_path = max(worst_path, _relative_deviation(
             fim_via_decomposition(j_prev, parts).j, fim_recursion_step(j_prev, full)))
@@ -524,9 +525,8 @@ def _check_zero_spread_limit() -> None:
     # the unscented prediction of a belief without spread, whose zero
     # covariance has no Cholesky factor: every sigma point sits at m
     predicted = GaussianBelief(model.transition(1, belief.mean), model.process_cov)
-    full = mean_cov_terms(model, 1, belief, predicted)
-    point = mean_only_terms(model, 1, belief.mean, predicted.mean)
-    _within(float(np.abs(full.d11 - point.d11).max()), 1e-8)
+    parts = decompose_terms(model, 1, belief, predicted)
+    _within(float(np.abs(parts.full.d11 - parts.point.d11).max()), 1e-8)
 
 
 def _check_seed_derivation() -> None:

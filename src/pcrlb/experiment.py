@@ -137,8 +137,6 @@ class ExperimentConfig:
     max_failure_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
         for key in ("horizon", "runs", "particles", "workers", "master_seed"):
             try:
                 object.__setattr__(self, key, operator.index(getattr(self, key)))
@@ -146,16 +144,16 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
             if key != "master_seed" and getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
-        floats = {f"ut_{name}": getattr(self.ut, name) for name in ("alpha", "beta", "kappa")}
-        for key, value in {**floats, **self.model_params}.items():
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"{key} must be finite, got {value}")
         for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
                              ("resample", RESAMPLE_POLICIES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}; allowed: {allowed}")
         for key, allowed in (("methods", ALL_METHODS), ("estimators", ALL_ESTIMATORS)):
-            chosen = getattr(self, key)
+            value = getattr(self, key)
+            chosen = tuple(value) if np.iterable(value) and not isinstance(value, str) else None
+            if chosen is None or not all(isinstance(name, str) for name in chosen):
+                raise ValueError(f"{key} must be a sequence of names, got {value!r}")
+            object.__setattr__(self, key, chosen)
             if not chosen:
                 raise ValueError(f"{key} must not be empty")
             unknown = set(chosen) - set(allowed)
@@ -167,15 +165,30 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
                              f"{self.model_name!r}")
+        # the model's values may be matrices on the linear model; ut_kappa None is 3 - n
+        scalars = {"ess_threshold": self.ess_threshold,
+                   "max_failure_fraction": self.max_failure_fraction,
+                   **{f"ut_{name}": getattr(self.ut, name) for name in ("alpha", "beta", "kappa")}}
+        if self.ut.kappa is None:
+            del scalars["ut_kappa"]
+        for key, value in {**scalars, **self.model_params}.items():
+            try:
+                array = np.asarray(value)
+            except ValueError:  # a ragged nesting
+                array = np.asarray(None)
+            scalar = key in scalars or self.model_name == "ungm"
+            if array.dtype.kind not in "iuf" or (scalar and array.ndim):
+                kind = "a number" if scalar else "a number or a matrix of numbers"
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key in ("process_var", "meas_var", "prior_var") and array.ndim == 0 and array <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
         if not 0.0 < self.ess_threshold <= 1.0:
             raise ValueError(f"ess_threshold must lie in (0, 1], got {self.ess_threshold}")
         if not 0.0 <= self.max_failure_fraction <= 1.0:
             raise ValueError(
                 f"max_failure_fraction must lie in [0, 1], got {self.max_failure_fraction}")
-        for key in ("process_var", "meas_var", "prior_var"):
-            value = self.model_params.get(key)
-            if value is not None and np.ndim(value) == 0 and not value > 0.0:
-                raise ValueError(f"{key} must be positive, got {value}")
         model = build_model(self)  # checks shapes and positive definiteness
         if "ukf" in self.estimators:
             n = model.state_dim
@@ -338,24 +351,24 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     """Run the per-run bound engines over the stack of runs.
 
     The step terms depend only on the beliefs at k-1 and k, never on J, so
-    per estimator mean_only_terms and decompose_terms (which carries the
-    mean+cov terms) each run once over the whole (R, T) belief stack, with
-    k = 1..T along the step axis, and each bound is fim_recursion_series
-    over its own terms, stepping all runs at once.  One
-    fim_via_decomposition call then splits every step of the mean+cov
-    chain, each from its J_{k-1}, and the closed-form gap theta^-1 pi
-    (theta + pi)^-1 (bound_difference), the direct gap theta^-1 -
-    (theta + pi)^-1 and its violation flags run once over the (R, T)
-    stacks: the split's own sum theta + pi, J_k up to rounding, makes the
-    closed form an identity.
+    per estimator each term triple is evaluated once over the whole (R, T)
+    belief stack, k = 1..T along the step axis: decompose_terms gives the
+    point and full triples when mean_cov runs, mean_only_terms the point
+    one otherwise.  Each bound is fim_recursion_series over its own terms,
+    stepping all runs at once.  One fim_via_decomposition call then splits
+    every step of the mean+cov chain, each from its J_{k-1}, and the
+    closed-form gap theta^-1 pi (theta + pi)^-1 (bound_difference), the
+    direct gap theta^-1 - (theta + pi)^-1 and its violation flags run once
+    over the (R, T) stacks: the split's own sum theta + pi, J_k up to
+    rounding, makes the closed form an identity.
 
     The whole stage is one _isolated computation, so a run whose own element
     fails is dropped with that error.  Its error is the first in the order
     of the passes, not of the time steps: per estimator (config order) the
-    mean-only terms, the mean-only recursion step by step, the mean+cov
-    terms, the mean+cov recursion step by step, the split, then the gaps.
-    So a run whose recursion would fail at step k1 while its terms fail at
-    a later step k2 reports the terms' error.
+    terms (mean-only, then mean+cov when mean_cov runs), the mean-only
+    recursion step by step, the mean+cov recursion step by step, the split,
+    then the gaps.  So a run whose recursion would fail at step k1 while its
+    terms fail at a later step k2 reports the terms' error.
 
     Args:
         runs: the run index of each row of the table.
@@ -377,12 +390,15 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
         for estimator in config.estimators:
             state, meas = _engine_beliefs(model, table, estimator, positions)
 
-            if "mean_only" in config.methods:
-                stacks[("mean_only", estimator)] = fim_recursion_series(
-                    j0, mean_only_terms(model, steps, state.mean, meas.mean))
+            parts = (decompose_terms(model, steps, state, meas)
+                     if "mean_cov" in config.methods else None)
 
-            if "mean_cov" in config.methods:
-                parts = decompose_terms(model, steps, state, meas)
+            if "mean_only" in config.methods:
+                point = (parts.point if parts is not None
+                         else mean_only_terms(model, steps, state.mean, meas.mean))
+                stacks[("mean_only", estimator)] = fim_recursion_series(j0, point)
+
+            if parts is not None:
                 j = fim_recursion_series(j0, parts.full)
                 j_prev = np.concatenate(
                     [np.broadcast_to(j0, (len(positions), 1) + j0.shape), j[:, :-1]], axis=1)

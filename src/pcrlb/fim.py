@@ -24,15 +24,14 @@ differ in the measure:
   derivative-free form of the second-order Taylor expectation over the
   belief.
 
-``decompose_terms`` splits each mean+cov term into the mean-only part plus a
-covariance-induced correction: the mean-only terms at the belief means, and
-the spread, which is the mean+cov terms minus those point terms; the split
-carries the mean+cov terms it was made from.  There is one recursion: the
-mean+cov bound is ``fim_recursion_series`` over the mean+cov terms, as the
-other two bounds are over theirs.  ``fim_via_decomposition`` analyses a step
-of such a chain from J_{k-1} and the split: theta, the mean-only update of
-J_{k-1}, and pi, every covariance correction, with theta + pi = J_k up to
-rounding; given J_{k-1} for every step it splits a whole chain in one call.
+``decompose_terms`` gives the two term triples of the same beliefs: point,
+the mean-only terms at the belief means, and full, the mean+cov terms; the
+spread full - point is everything the belief covariance adds.  There is one
+recursion: each bound is ``fim_recursion_series`` over its own terms, the
+mean+cov bound over full.  ``fim_via_decomposition`` analyses a step of that
+chain from J_{k-1} and the pair: theta, the mean-only update of J_{k-1}, and
+pi, every covariance correction, with theta + pi = J_k up to rounding; given
+J_{k-1} for every step it splits a whole chain in one call.
 The difference of two inverses in pi and in the gap between the two
 approximate bounds is evaluated with the product identity
 
@@ -102,20 +101,11 @@ class FimTriple:
 
 @dataclass(frozen=True)
 class DecomposedFim:
-    """Mean+cov step terms split into mean-only blocks plus corrections.
+    """The two term triples of one set of beliefs: point, the mean-only terms
+    at the belief means, and full, the mean+cov terms.  full - point, block
+    by block, is everything the belief covariance adds."""
 
-    full is the mean+cov triple the split was made from; mean_* are the
-    blocks the mean-only engine produces at the belief means; spread_* are
-    full's blocks minus those, i.e. everything the belief covariance adds.
-    Block sums mean_* + spread_* reproduce full up to rounding.
-    """
-
-    mean_11: np.ndarray
-    mean_12: np.ndarray
-    mean_22: np.ndarray
-    spread_11: np.ndarray
-    spread_12: np.ndarray
-    spread_22: np.ndarray
+    point: FimTriple
     full: FimTriple
 
 
@@ -259,12 +249,7 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
 
 def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                     meas_belief: GaussianBelief) -> DecomposedFim:
-    """Split the mean+cov step terms into mean-only blocks plus corrections.
-
-    The mean_* blocks are mean_only_terms at the two beliefs' means; each
-    spread_* block is the mean+cov term minus its point term.  Both are
-    symmetric where the term is: FimTriple symmetrizes d11 and d22, and the
-    difference of two symmetric matrices is symmetric.
+    """The point and full term triples of the same two beliefs.
 
     Args:
         model: the system model.
@@ -273,44 +258,42 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
         meas_belief: belief about the state at time k (measurement channel).
 
     Returns:
-        DecomposedFim carrying mean_cov_terms on the same beliefs as full,
-        whose block sums equal full up to rounding.
+        DecomposedFim(mean_only_terms at the means, mean_cov_terms).
     """
-    point = mean_only_terms(model, k, state_belief.mean, meas_belief.mean)
-    full = mean_cov_terms(model, k, state_belief, meas_belief)
-    return DecomposedFim(mean_11=point.d11, mean_12=point.d12, mean_22=point.d22,
-                         spread_11=full.d11 - point.d11, spread_12=full.d12 - point.d12,
-                         spread_22=full.d22 - point.d22, full=full)
+    return DecomposedFim(mean_only_terms(model, k, state_belief.mean, meas_belief.mean),
+                         mean_cov_terms(model, k, state_belief, meas_belief))
 
 
 def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
-    """Split the recursion step from j_prev over the decomposed terms.
+    """Split the recursion step from j_prev over the point and full terms.
 
-    Computes theta (the mean-only update of j_prev) and pi (the total
-    covariance-induced correction) so that j = theta + pi is the step
-    fim_recursion_step takes over parts.full, up to rounding.  pi needs
-    anchor^-1 - (anchor + spread_11)^-1 with anchor = j_prev + mean_11, which
-    is the product anchor^-1 spread_11 (j_prev + d11)^-1 of two inverses the
-    step computes anyway, for any spread_11, singular ones included.  Every
+    Computes theta (the mean-only update of j_prev over parts.point) and pi
+    (the total covariance-induced correction) so that j = theta + pi is the
+    step fim_recursion_step takes over parts.full, up to rounding.  With
+    spread_XY = full.dXY - point.dXY, pi needs anchor^-1 - (anchor +
+    spread_11)^-1 with anchor = j_prev + point.d11, which is the product
+    anchor^-1 spread_11 (j_prev + full.d11)^-1 of two inverses the step
+    computes anyway, for any spread_11, singular ones included.  Every
     element of a stack is split on its own, so j_prev (R, T, n, n) holding
     J_0..J_{T-1} of a chain splits all its steps in one call.
 
     Args:
         j_prev: previous information matrix, shape (..., n, n).
-        parts: decomposed step terms.
+        parts: the point and full step terms.
 
     Returns:
         FimState with j, theta and pi.
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    mean_12, spread_12 = parts.mean_12, parts.spread_12
-    anchor_inv = _inverse(j_prev + parts.mean_11)
-    theta = symmetrize(parts.mean_22 - mean_12.mT @ anchor_inv @ mean_12)
-    full_inv = _inverse(j_prev + parts.full.d11)
+    point, full = parts.point, parts.full
+    spread_12 = full.d12 - point.d12
+    anchor_inv = _inverse(j_prev + point.d11)
+    theta = symmetrize(point.d22 - point.d12.mT @ anchor_inv @ point.d12)
+    full_inv = _inverse(j_prev + full.d11)
     # (j_prev + d11)^-1 = anchor^-1 - shift
-    shift = anchor_inv @ parts.spread_11 @ full_inv
-    pi = symmetrize(parts.spread_22 - parts.full.d12.mT @ full_inv @ spread_12
-                    - (spread_12.mT @ full_inv - mean_12.mT @ shift) @ mean_12)
+    shift = anchor_inv @ (full.d11 - point.d11) @ full_inv
+    pi = symmetrize((full.d22 - point.d22) - full.d12.mT @ full_inv @ spread_12
+                    - (spread_12.mT @ full_inv - point.d12.mT @ shift) @ point.d12)
     return FimState(theta + pi, theta, pi)
 
 

@@ -140,6 +140,20 @@ def test_config_reference_restates_the_defaults(tmp_path):
     assert CONFIG_REFERENCE[CONFIG_REFERENCE.index("[model]"):] == block
 
 
+def test_linear_model_defaults_from_a_config_file(tmp_path):
+    """A file naming only the linear model builds A = 0.9, H = 1,
+    Q = R = P0 = 1 and m0 = 0: the linear defaults that CONFIG_REFERENCE
+    annotates beside the ungm ones."""
+    config, _ = config_from_file(write(tmp_path, "[model]\nname = linear\n"))
+    model = build_model(config)
+    x = np.zeros((1, 1))
+    assert np.array_equal(model.transition_jacobian(1, x), [[[0.9]]])
+    assert np.array_equal(model.measurement_jacobian(1, x), [[[1.0]]])
+    for cov in (model.process_cov, model.meas_cov, model.prior.cov):
+        assert np.array_equal(cov, [[1.0]])
+    assert np.array_equal(model.prior.mean, [0.0])
+
+
 def test_unknown_section(tmp_path):
     path = write(tmp_path, "[turbo]\nx = 1\n")
     with pytest.raises(ConfigError, match="turbo"):

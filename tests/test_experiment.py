@@ -504,8 +504,9 @@ def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
     split and closed-form gaps come from one call per estimator over the
     stack of runs and steps, and the reference's terms and recursion from
     one call each.  The three bounds share the one recursion, and the
-    mean+cov terms are evaluated once per estimator (counted in pcrlb.fim,
-    where decompose_terms looks them up)."""
+    mean-only and mean+cov terms are each evaluated once per estimator
+    (counted in pcrlb.experiment and in pcrlb.fim, where decompose_terms
+    looks them up)."""
     calls = {}
 
     def count(module, name):
@@ -517,14 +518,22 @@ def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
     for name in ("mean_only_terms", "decompose_terms", "fim_via_decomposition",
                  "bound_difference", "true_fim_terms_mc", "fim_recursion_series"):
         count(experiment, name)
+    # each patched name calls the unpatched engine, so nothing counts twice
+    count(fim, "mean_only_terms")
     count(fim, "mean_cov_terms")
     config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
     result = run_experiment(config)
     assert result.runs_used == 3
     once = len(config.estimators)
+    # with mean_cov run, the mean-only chain takes decompose_terms' point triple
     assert calls == {"mean_only_terms": once, "decompose_terms": once, "mean_cov_terms": once,
                      "fim_via_decomposition": once, "bound_difference": once,
                      "true_fim_terms_mc": 1, "fim_recursion_series": 2 * once + 1}
+
+    calls.clear()
+    run_experiment(dataclasses.replace(config, methods=("true", "mean_only")))
+    assert calls == {"mean_only_terms": once, "true_fim_terms_mc": 1,
+                     "fim_recursion_series": once + 1}
     assert not hasattr(fim, "fim_decomposition_series")
 
 
@@ -673,6 +682,24 @@ def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""
     with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"methods": "true"}, "methods"),
+    ({"estimators": "pf"}, "estimators"),
+    ({"model_params": {"process_var": "x"}}, "process_var"),
+    ({"model_name": "linear", "model_params": {"a": "x"}}, "a"),
+    ({"model_params": {"process_var": None}}, "process_var"),
+    ({"model_params": {"process_var": [[2.0]]}}, "process_var"),
+    ({"ess_threshold": "0.5"}, "ess_threshold"),
+], ids=["methods-string", "estimators-string", "process-var-string", "linear-a-string",
+        "process-var-none", "ungm-process-var-matrix", "ess-threshold-string"])
+def test_config_rejects_values_of_the_wrong_type(fields, key):
+    """A value of the wrong type, as a config built in Python can hold, fails
+    at construction with a ValueError naming its key, not with an error from
+    deeper in the package."""
+    with pytest.raises(ValueError, match=f"^{key} must be "):
         ExperimentConfig(**fields)
 
 

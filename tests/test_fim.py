@@ -316,15 +316,40 @@ def test_mean_cov_matches_independent_oracle():
         assert_allclose(got.d22[0, 0], d22, rtol=1e-13)
 
 
+def spreads(parts):
+    """The spread blocks full - point, (d11, d12, d22): what the belief
+    covariance adds to each term."""
+    return [full - point for full, point in
+            zip(dataclasses.astuple(parts.full), dataclasses.astuple(parts.point))]
+
+
+def test_decompose_terms_are_the_engines_terms_bit_for_bit(rng):
+    """decompose_terms' point and full triples are mean_only_terms at the
+    beliefs' means and mean_cov_terms on the beliefs, bit for bit: on an
+    (R, T) ungm stack with k = 1..T along the step axis and on a 4-D linear
+    model."""
+    ungm, linear = ungm_model(), random_stable_linear_model(rng, 4)
+    cases = [(ungm, *belief_stack(rng, ungm, 3, 5)),
+             (linear, GaussianBelief(rng.standard_normal(4), random_spd(rng, 4)),
+              GaussianBelief(rng.standard_normal(4), random_spd(rng, 4)), 2)]
+    for model, prev, new, k in cases:
+        parts = decompose_terms(model, k, prev, new)
+        assert [field.name for field in dataclasses.fields(parts)] == ["point", "full"]
+        for got, want in ((parts.point, mean_only_terms(model, k, prev.mean, new.mean)),
+                          (parts.full, mean_cov_terms(model, k, prev, new))):
+            for block, expected in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+                assert np.array_equal(block, expected)
+
+
 def test_decompose_linear_hand_values():
     """On a linear model the belief spread changes no term: every spread
     block is 0."""
     parts = decompose_terms(unit_linear_model(), 1,
                             GaussianBelief(np.zeros(1), np.ones((1, 1))),
                             GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
-    for spread in (parts.spread_11, parts.spread_12, parts.spread_22):
+    for spread in spreads(parts):
         assert_allclose(spread, [[0.0]], atol=1e-12)
-    assert_allclose(parts.mean_11, [[1.0]], atol=1e-12)
+    assert_allclose(parts.point.d11, [[1.0]], atol=1e-12)
     assert_allclose(parts.full.d11, [[1.0]], atol=1e-12)
 
 
@@ -336,12 +361,10 @@ def test_decompose_zero_spread_limit(rng):
     parts = decompose_terms(model, 1, GaussianBelief(x, zero),
                             GaussianBelief(meas_point, zero))
     point = mean_only_terms(model, 1, x, meas_point)
-    for got, want in ((parts.mean_11, point.d11), (parts.mean_12, point.d12),
-                      (parts.mean_22, point.d22)):
+    for got, want in zip(dataclasses.astuple(parts.point), dataclasses.astuple(point)):
         assert_allclose(got, want, atol=1e-10)
-    assert_allclose(parts.spread_11, zero, atol=1e-10)
-    assert_allclose(parts.spread_12, zero, atol=1e-10)
-    assert_allclose(parts.spread_22, zero, atol=1e-10)
+    for spread in spreads(parts):
+        assert_allclose(spread, zero, atol=1e-10)
 
     # a stack of zero-covariance ungm beliefs, each at its own step
     model = ungm_model()
@@ -350,15 +373,14 @@ def test_decompose_zero_spread_limit(rng):
     zeros = np.zeros((50, 1, 1))
     parts = decompose_terms(model, steps, GaussianBelief(x, zeros),
                             GaussianBelief(model.transition(steps, x), zeros))
-    for spread, mean in ((parts.spread_11, parts.mean_11), (parts.spread_12, parts.mean_12),
-                         (parts.spread_22, parts.mean_22)):
-        assert np.all(np.abs(spread) <= 1e-15 * np.abs(mean))
+    for spread, point in zip(spreads(parts), dataclasses.astuple(parts.point)):
+        assert np.all(np.abs(spread) <= 1e-15 * np.abs(point))
 
 
 def block_sums(parts, full):
-    """(mean_* + spread_*, the full term) for the three blocks."""
-    return [(getattr(parts, f"mean_{b}") + getattr(parts, f"spread_{b}"), getattr(full, f"d{b}"))
-            for b in ("11", "12", "22")]
+    """(point + spread, the full term) for the three blocks."""
+    return [(point + spread, want) for point, spread, want in
+            zip(dataclasses.astuple(parts.point), spreads(parts), dataclasses.astuple(full))]
 
 
 def test_decompose_block_sums_match_full_terms():
@@ -587,12 +609,11 @@ def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
             one_point = mean_only_terms(model, k, x_prev[:, k - 1], x_new[:, k - 1])
             one_full = mean_cov_terms(model, k, one_prev, one_new)
             one_parts = decompose_terms(model, k, one_prev, one_new)
-            for terms, one in ((point, one_point), (full, one_full), (parts, one_parts),
-                               (parts.full, one_parts.full)):
+            for terms, one in ((point, one_point), (full, one_full),
+                               (parts.point, one_parts.point), (parts.full, one_parts.full)):
                 for field in dataclasses.fields(terms):
-                    if field.name != "full":
-                        got = getattr(terms, field.name)[:, k - 1]
-                        assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
+                    got = getattr(terms, field.name)[:, k - 1]
+                    assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
 
 
 def test_stacked_bound_and_gap_with_a_singular_correction():
