@@ -29,11 +29,14 @@ N = 20000 three, and there are at least ``workers`` blocks.  Every run is a
 pure function of (config, run index): run seeds come from a splitmix64
 avalanche of the master seed, and the sampler and the particle filter draw
 only from the run's own Generators, so the block split changes no byte.  The
-bound engines then run in the calling process over the blocks' joined table.
-The step terms do not depend on J, so each estimator's mean-only and mean+cov
-terms come from one call over all runs and steps, and so do its recursions,
-the theta/pi split of its mean+cov chain and its gaps, and the reference's
-terms and recursion.  Each stage is guarded once (``_isolated``): when its
+bound engines then run in the calling process over the blocks' joined table,
+with every estimator's beliefs stacked (E, R, T, ...).  The step terms do not
+depend on J, so the mean-only and the mean+cov terms each come from one call
+over all estimators, runs and steps; one recursion steps both approximate
+chains of every estimator and run at once, stacked on a leading chain axis;
+the theta/pi split of the mean+cov chains and the gaps are one call each over
+(E, R, T); and the reference's terms and recursion are one call each.  Each
+stage is guarded once (``_isolated``): when its
 stacked call raises, the runs are halved and each half rerun, so a run that
 fails on its own, in sampling, a filter or a bound engine, is marked failed
 with its first error (sampling, then the estimators in config order; see
@@ -44,6 +47,7 @@ runs are unaffected.  Results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import collections.abc
 import concurrent.futures
 import operator
 import time
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import RESAMPLE_POLICIES, UTParams, run_pf, run_ukf
-from .fim import (bound_difference, decompose_terms, fim_recursion_series,
+from .fim import (FimTriple, bound_difference, decompose_terms, fim_recursion_series,
                   fim_via_decomposition, initial_fim, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, _unchecked, linear_gaussian_model,
@@ -161,6 +165,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {key} {sorted(unknown)}; allowed: {allowed}")
             if len(set(chosen)) < len(chosen):
                 raise ValueError(f"{key} must not repeat an entry, got {chosen}")
+        if not isinstance(self.model_params, collections.abc.Mapping):
+            raise ValueError(f"model_params must be a mapping of model keys to values, "
+                             f"got {self.model_params!r}")
         unknown = set(self.model_params) - set(_MODEL_KEYS[self.model_name])
         if unknown:
             raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
@@ -325,10 +332,11 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def _engine_beliefs(model: SystemModel, table: dict, estimator: str,
+def _engine_beliefs(model: SystemModel, table: dict, estimators: tuple[str, ...],
                     positions: np.ndarray) -> tuple[GaussianBelief, GaussianBelief]:
-    """Beliefs feeding the step onto time k, from the estimator's rows of the
-    run table at positions, stacked (R, T, ...) with row k-1.
+    """Beliefs feeding the step onto time k, from the estimators' rows of the
+    run table at positions, stacked (E, R, T, ...) in the order of
+    estimators, with row k-1.
 
     This is the one place that decides which filter belief feeds each
     channel.  The state channel (F) takes the posterior about time k-1, the
@@ -336,13 +344,16 @@ def _engine_beliefs(model: SystemModel, table: dict, estimator: str,
     about time k, before the measurement z_k enters it.
     """
     def channel(name):
-        return (table["mean", name, estimator][positions], table["cov", name, estimator][positions])
+        return [np.stack([table[kind, name, estimator][positions] for estimator in estimators])
+                for kind in ("mean", "cov")]
 
     mean, cov = channel("posterior")
-    count, n = len(positions), model.state_dim
+    first = (len(estimators), len(positions), 1)
     state = _unchecked(
-        np.concatenate([np.broadcast_to(model.prior.mean, (count, 1, n)), mean[:, :-1]], axis=1),
-        np.concatenate([np.broadcast_to(model.prior.cov, (count, 1, n, n)), cov[:, :-1]], axis=1))
+        np.concatenate([np.broadcast_to(model.prior.mean, first + model.prior.mean.shape),
+                        mean[..., :-1, :]], axis=-2),
+        np.concatenate([np.broadcast_to(model.prior.cov, first + model.prior.cov.shape),
+                        cov[..., :-1, :, :]], axis=-3))
     return state, _unchecked(*channel("predicted"))
 
 
@@ -350,25 +361,35 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
                  errors: dict, table: dict) -> tuple[np.ndarray, dict]:
     """Run the per-run bound engines over the stack of runs.
 
-    The step terms depend only on the beliefs at k-1 and k, never on J, so
-    per estimator each term triple is evaluated once over the whole (R, T)
-    belief stack, k = 1..T along the step axis: decompose_terms gives the
-    point and full triples when mean_cov runs, mean_only_terms the point
-    one otherwise.  Each bound is fim_recursion_series over its own terms,
-    stepping all runs at once.  One fim_via_decomposition call then splits
-    every step of the mean+cov chain, each from its J_{k-1}, and the
-    closed-form gap theta^-1 pi (theta + pi)^-1 (bound_difference), the
-    direct gap theta^-1 - (theta + pi)^-1 and its violation flags run once
-    over the (R, T) stacks: the split's own sum theta + pi, J_k up to
-    rounding, makes the closed form an identity.
+    The estimators' beliefs are stacked (E, R, T, ...), and the step terms
+    depend only on the beliefs at k-1 and k, never on J, so each term triple
+    is evaluated once for every estimator, run and step, k = 1..T along the
+    step axis: decompose_terms gives the point and full triples when
+    mean_cov runs, mean_only_terms the point one otherwise.  The triples the
+    approximate chains run on (point for mean_only, full for mean_cov) are
+    stacked on a leading chain axis, so one fim_recursion_series call steps
+    every chain of every estimator and run at once, (C, E, R, T, n, n).  One
+    fim_via_decomposition call then splits every step of the mean+cov
+    chains, each from its J_{k-1}, and the closed-form gap theta^-1 pi
+    (theta + pi)^-1 (bound_difference), the direct gap theta^-1 -
+    (theta + pi)^-1 and its violation flags run once over the (E, R, T)
+    stacks: the split's own sum theta + pi, J_k up to rounding, makes the
+    closed form an identity.  Every element is computed on its own, so an
+    estimator's or chain's rows are the ones it gets when run alone.
 
     The whole stage is one _isolated computation, so a run whose own element
     fails is dropped with that error.  Its error is the first in the order
-    of the passes, not of the time steps: per estimator (config order) the
-    terms (mean-only, then mean+cov when mean_cov runs), the mean-only
-    recursion step by step, the mean+cov recursion step by step, the split,
-    then the gaps.  So a run whose recursion would fail at step k1 while its
-    terms fail at a later step k2 reports the terms' error.
+    of the passes: the terms for all estimators (mean-only, then mean+cov
+    when mean_cov runs), the recursion step by step over all chains, the
+    split, then the gaps; within a pass no estimator or chain comes first.
+    So a run whose recursion would fail at step k1 while its terms fail at
+    a later step k2 reports the terms' error, and a run that fails in two
+    estimators or chains reports the earlier pass or step, whichever
+    estimator or chain it is in.  The text is the one the failing element
+    gives on its own, with one exception: a NumericError names the smallest
+    eigenvalue of the stack that failed to factor, which holds every chain
+    and estimator of the run, so where two of them fail in the same call it
+    names the smaller of their two eigenvalues.
 
     Args:
         runs: the run index of each row of the table.
@@ -380,35 +401,43 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
         did not fail, and their run table keyed (quantity, estimator):
         "mean_only" and "mean_cov" information series, "pi" corrections
         and "gap_analytic" and "gap_direct" gaps (R, T, n, n), and
-        "gap_violation" flags (R, T).
+        "gap_violation" flags (R, T), each the estimator's row of its
+        quantity's stack over estimators.
     """
     j0 = initial_fim(model.prior)
     steps = np.arange(1, config.horizon + 1)[:, None]
+    estimators = config.estimators
+    chains = [method for method in ("mean_only", "mean_cov") if method in config.methods]
+    if not chains:
+        return np.arange(len(runs)), {}
+
+    def rows(name: str, stack: np.ndarray) -> dict:
+        return {(name, estimator): stack[e] for e, estimator in enumerate(estimators)}
 
     def compute(positions) -> dict:
+        state, meas = _engine_beliefs(model, table, estimators, positions)
+        if "mean_cov" in chains:
+            parts = decompose_terms(model, steps, state, meas)
+            terms = {"mean_only": parts.point, "mean_cov": parts.full}
+        else:
+            terms = {"mean_only": mean_only_terms(model, steps, state.mean, meas.mean)}
+        series = fim_recursion_series(j0, FimTriple(
+            *(np.stack([getattr(terms[chain], block) for chain in chains])
+              for block in ("d11", "d12", "d22"))))
         stacks: dict = {}
-        for estimator in config.estimators:
-            state, meas = _engine_beliefs(model, table, estimator, positions)
-
-            parts = (decompose_terms(model, steps, state, meas)
-                     if "mean_cov" in config.methods else None)
-
-            if "mean_only" in config.methods:
-                point = (parts.point if parts is not None
-                         else mean_only_terms(model, steps, state.mean, meas.mean))
-                stacks[("mean_only", estimator)] = fim_recursion_series(j0, point)
-
-            if parts is not None:
-                j = fim_recursion_series(j0, parts.full)
-                j_prev = np.concatenate(
-                    [np.broadcast_to(j0, (len(positions), 1) + j0.shape), j[:, :-1]], axis=1)
-                split = fim_via_decomposition(j_prev, parts)
-                theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
-                analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
-                direct = theta_inv - j_inv
-                names = ("mean_cov", "pi", "gap_analytic", "gap_direct", "gap_violation")
-                stacks.update({(name, estimator): value for name, value in
-                               zip(names, (j, split.pi, analytic, direct, _is_negative(direct)))})
+        for chain, chain_series in zip(chains, series):
+            stacks |= rows(chain, chain_series)
+        if "mean_cov" in chains:
+            j = series[-1]  # the mean+cov chain comes last
+            j_prev = np.concatenate(
+                [np.broadcast_to(j0, j.shape[:2] + (1,) + j0.shape), j[..., :-1, :, :]], axis=-3)
+            split = fim_via_decomposition(j_prev, parts)
+            theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
+            analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
+            direct = theta_inv - j_inv
+            for name, stack in zip(("pi", "gap_analytic", "gap_direct", "gap_violation"),
+                                   (split.pi, analytic, direct, _is_negative(direct))):
+                stacks |= rows(name, stack)
         return stacks
 
     return _isolated(compute, runs, errors)

@@ -54,8 +54,10 @@ describes ((..., 1) for beliefs (R, T, n), (T, 1, 1) for states (T, R, n)):
 the maps and their derivatives are evaluated at each element's own k, and the
 time-constant noise precisions are shared, so the terms of every step come
 from one call; none of them depends on J.  ``fim_recursion_series`` runs the
-recursion over such terms (..., T, n, n) along the step axis in one call per
-chain, with the arithmetic and the checks of the one-step call.
+recursion over such terms (..., T, n, n) along the step axis, with the
+arithmetic and the checks of the one-step call; every leading axis is a batch
+axis, so chains stacked on one more leading axis, (C, ..., T, n, n), all step
+in one call.
 """
 
 from __future__ import annotations
@@ -145,7 +147,14 @@ def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
 
 
 def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
-    """J_1..J_T from J_0 and terms (..., T, n, n): fim_recursion_step over axis -3."""
+    """J_1..J_T from J_0 and terms (..., T, n, n): fim_recursion_step over axis -3.
+
+    Each step is one call over every leading axis, and every element recurses
+    on its own, so a stack of independent chains, on any leading axes (chain,
+    estimator, run), steps in T calls and gives each chain the bytes it gets
+    alone.  A failing element raises what its step raises: a NumericError names
+    the smallest eigenvalue of that step's whole stack.
+    """
     j, series = symmetrize(np.atleast_2d(np.asarray(j0, float))), []
     for k in range(terms.d11.shape[-3]):
         j = _recursion_step(j, terms.d11[..., k, :, :], terms.d12[..., k, :, :],

@@ -309,14 +309,14 @@ def test_gap_series_agreement_on_experiment():
         assert np.all(np.abs(a - d) <= 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_bound_failure_drops_only_its_run(monkeypatch):
-    """A run whose own bound computation fails is dropped with its error and
-    left out of every aggregate; the other runs' results do not change."""
+def check_bound_failure_drops_only_its_run(monkeypatch, estimator):
+    """Run 2's posterior mean of the estimator blows up at step 3, so only
+    that estimator's chains fail for it: the run is dropped with the error
+    text it had when each estimator recursed on its own, and every other
+    run keeps the bytes it has when run 2 is skipped."""
     config = ExperimentConfig(model_name="ungm", horizon=8, runs=4, particles=50,
                               max_failure_fraction=0.5)
-    set_ukf_mean(monkeypatch, 2, 1e200)  # the UKF estimate of run 2 blows up at step 3
+    set_posterior_mean(monkeypatch, estimator, 2, 1e200)
     got = run_experiment(config)
     monkeypatch.undo()
     skip_runs(monkeypatch, [2])
@@ -337,6 +337,23 @@ def test_bound_failure_drops_only_its_run(monkeypatch):
         assert np.array_equal(got.run_stacks[key], stack)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_bound_failure_drops_only_its_run(monkeypatch):
+    """A run whose own bound computation fails is dropped with its error and
+    left out of every aggregate; the other runs' results do not change."""
+    check_bound_failure_drops_only_its_run(monkeypatch, "ukf")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_bound_failure_in_the_pf_chains_drops_only_its_run(monkeypatch):
+    """The same for a run that fails only in the PF's chains, which share
+    their stacks with the UKF's: the UKF's elements of run 2 neither hide
+    the failure nor change its text."""
+    check_bound_failure_drops_only_its_run(monkeypatch, "pf")
+
+
 def skip_runs(monkeypatch, skipped):
     """Make _filter_block fail the given runs as "skipped", with no rows."""
     filters_only = experiment._filter_block
@@ -350,13 +367,14 @@ def skip_runs(monkeypatch, skipped):
     monkeypatch.setattr(experiment, "_filter_block", skipping)
 
 
-def set_ukf_mean(monkeypatch, run, value):
-    """Make _filter_block set the run's posterior UKF mean at step 3 to value."""
+def set_posterior_mean(monkeypatch, estimator, run, value):
+    """Make _filter_block set the run's posterior mean of the estimator at
+    step 3 to value."""
     filters_only = experiment._filter_block
 
     def diverged(config, indices):
         runs, table, errors = filters_only(config, indices)
-        key = ("mean", "posterior", "ukf")
+        key = ("mean", "posterior", estimator)
         table[key] = table[key].copy()
         table[key][runs == run, 2] = value
         return runs, table, errors
@@ -421,7 +439,7 @@ def test_filter_and_bound_failures_in_one_experiment(monkeypatch):
     have when those four runs are skipped.  The model is linear, so its
     Jacobians ignore a diverged mean, but not a NaN one."""
     monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
-    set_ukf_mean(monkeypatch, 12, np.nan)
+    set_posterior_mean(monkeypatch, "ukf", 12, np.nan)
     got = run_experiment(FAILURE_CONFIG)
     assert got.failed_runs == sorted(FAILURE_RUNS + [(12, "ValueError: m must be finite")])
     assert got.runs_used == FAILURE_CONFIG.runs - 4
@@ -499,14 +517,14 @@ def test_isolated_reruns_without_the_failing_runs():
             assert rows == {}
 
 
-def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
-    """Every step's mean-only terms, mean+cov terms, recursions, theta/pi
-    split and closed-form gaps come from one call per estimator over the
-    stack of runs and steps, and the reference's terms and recursion from
-    one call each.  The three bounds share the one recursion, and the
-    mean-only and mean+cov terms are each evaluated once per estimator
-    (counted in pcrlb.experiment and in pcrlb.fim, where decompose_terms
-    looks them up)."""
+def test_bound_stage_computes_terms_and_gaps_once_per_stage(monkeypatch):
+    """Every step's mean-only terms, mean+cov terms, theta/pi split and
+    closed-form gaps come from one call over the stack of estimators, runs
+    and steps, both approximate chains from one recursion over that stack,
+    and the reference's terms and recursion from one call each.  The
+    mean-only and mean+cov terms are each evaluated once per stage (counted
+    in pcrlb.experiment and in pcrlb.fim, where decompose_terms looks them
+    up)."""
     calls = {}
 
     def count(module, name):
@@ -522,19 +540,58 @@ def test_bound_stage_computes_terms_and_gaps_once_per_estimator(monkeypatch):
     count(fim, "mean_only_terms")
     count(fim, "mean_cov_terms")
     config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
+    assert config.estimators == ("ukf", "pf")
     result = run_experiment(config)
     assert result.runs_used == 3
-    once = len(config.estimators)
-    # with mean_cov run, the mean-only chain takes decompose_terms' point triple
-    assert calls == {"mean_only_terms": once, "decompose_terms": once, "mean_cov_terms": once,
-                     "fim_via_decomposition": once, "bound_difference": once,
-                     "true_fim_terms_mc": 1, "fim_recursion_series": 2 * once + 1}
+    # with mean_cov run, the mean-only chain takes decompose_terms' point triple;
+    # fim_recursion_series runs the stacked chains and the reference
+    assert calls == {"mean_only_terms": 1, "decompose_terms": 1, "mean_cov_terms": 1,
+                     "fim_via_decomposition": 1, "bound_difference": 1,
+                     "true_fim_terms_mc": 1, "fim_recursion_series": 2}
 
     calls.clear()
     run_experiment(dataclasses.replace(config, methods=("true", "mean_only")))
-    assert calls == {"mean_only_terms": once, "true_fim_terms_mc": 1,
-                     "fim_recursion_series": once + 1}
+    assert calls == {"mean_only_terms": 1, "true_fim_terms_mc": 1, "fim_recursion_series": 2}
+
+    calls.clear()
+    run_experiment(dataclasses.replace(config, methods=("true",)))
+    assert calls == {"true_fim_terms_mc": 1, "fim_recursion_series": 1}
     assert not hasattr(fim, "fim_decomposition_series")
+
+
+@pytest.mark.parametrize("methods", [("true",), ("true", "mean_only"), ("true", "mean_cov"),
+                                     ("mean_only", "mean_cov")],
+                         ids=["true", "true-mean_only", "true-mean_cov", "mean_only-mean_cov"])
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_stacking_never_mixes_estimators_or_chains(name, methods):
+    """Each estimator's run stacks, bounds, gaps, RMSE and filter health from
+    an experiment with both estimators equal, bit for bit, those of the
+    estimator run alone with the reference and one approximate chain at a
+    time: the stacked engines act on every estimator and chain on its own."""
+    config = dataclasses.replace(GOLDEN_CONFIGS[name], methods=methods)
+    both = run_experiment(dataclasses.replace(config, estimators=("ukf", "pf")))
+    chains = [method for method in methods if method != "true"]
+    assert both.gaps.keys() == ({"ukf", "pf"} if "mean_cov" in chains else set())
+    for estimator in ("ukf", "pf"):
+        stacks, bounds = {}, {}
+        for chain in chains or [None]:
+            alone = run_experiment(dataclasses.replace(
+                config, estimators=(estimator,), methods=("true",) + ((chain,) if chain else ())))
+            assert alone.runs_used == both.runs_used == config.runs
+            stacks |= alone.run_stacks
+            bounds |= alone.bounds
+            assert np.array_equal(both.rmse[estimator], alone.rmse[estimator])
+            assert both.filter_health[estimator] == alone.filter_health[estimator]
+            for quantity, gap in alone.gaps.get(estimator, {}).items():
+                assert np.array_equal(both.gaps[estimator][quantity], gap)
+        if "true" not in methods:
+            del bounds[("true", None)]
+        assert stacks.keys() == {key for key in both.run_stacks if key[1] == estimator}
+        for key, stack in stacks.items():
+            assert np.array_equal(both.run_stacks[key], stack), key
+        assert bounds.keys() == {key for key in both.bounds if key[1] in (estimator, None)}
+        for key, bound in bounds.items():
+            assert np.array_equal(both.bounds[key], bound), key
 
 
 def per_step_reference(model, states, horizon):
@@ -617,15 +674,17 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
     runs, table, _ = experiment._filter_block(config, range(config.runs))
     steps = np.arange(1, config.horizon + 1)[:, None]
     for estimator in config.estimators:
-        state, meas = experiment._engine_beliefs(model, table, estimator, np.arange(len(runs)))
+        # (1, R, T, ...): the estimator's beliefs stacked alone
+        state, meas = experiment._engine_beliefs(model, table, (estimator,), np.arange(len(runs)))
         direct = fim_recursion_series(initial_fim(model.prior),
-                                      mean_cov_terms(model, steps, state, meas))
+                                      mean_cov_terms(model, steps, state, meas))[0]
         assert np.array_equal(result.run_stacks[("mean_cov", estimator)], direct), estimator
         j_prev = np.concatenate([np.broadcast_to(initial_fim(model.prior), (len(runs), 1, 1, 1)),
                                  direct[:, :-1]], axis=1)
         split = fim_via_decomposition(j_prev, decompose_terms(model, steps, state, meas))
-        assert np.array_equal(result.run_stacks[("pi", estimator)], split.pi), estimator
-        assert np.all(np.abs(split.theta + split.pi - direct) <= 1e-12 * np.abs(direct)), estimator
+        theta, pi = split.theta[0], split.pi[0]
+        assert np.array_equal(result.run_stacks[("pi", estimator)], pi), estimator
+        assert np.all(np.abs(theta + pi - direct) <= 1e-12 * np.abs(direct)), estimator
 
 
 def test_true_bound_series_requires_trajectories():
@@ -673,11 +732,15 @@ def test_config_validation():
     ({"horizon": 3.5}, "horizon"),
     ({"particles": 10.5}, "particles"),
     ({"workers": 1.5}, "workers"),
+    ({"model_params": None}, "model_params"),
+    ({"model_params": [("process_var", 2.0)]}, "model_params"),
+    ({"model_params": "process_var"}, "model_params"),
 ], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity",
         "fraction-negative", "fraction-above-one", "fraction-nan",
         "repeated-estimator", "repeated-method", "ut-beta-nan", "ut-beta-neg-inf",
         "ut-alpha-inf", "ut-kappa-inf", "process-var-inf", "prior-mean-nan",
-        "runs-float", "horizon-float", "particles-float", "workers-float"])
+        "runs-float", "horizon-float", "particles-float", "workers-float",
+        "model-params-none", "model-params-pairs", "model-params-string"])
 def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""
