@@ -370,7 +370,8 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     stacked on a leading chain axis, so one fim_recursion_series call steps
     every chain of every estimator and run at once, (C, E, R, T, n, n).  One
     fim_via_decomposition call then splits every step of the mean+cov
-    chains, each from its J_{k-1}, and the closed-form gap theta^-1 pi
+    chains, each from its J_{k-1} and the (J_{k-1} + full.d11)^-1 the
+    recursion formed there, and the closed-form gap theta^-1 pi
     (theta + pi)^-1 (bound_difference), the direct gap theta^-1 -
     (theta + pi)^-1 and its violation flags run once over the (E, R, T)
     stacks: the split's own sum theta + pi, J_k up to rounding, makes the
@@ -421,9 +422,9 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
             terms = {"mean_only": parts.point, "mean_cov": parts.full}
         else:
             terms = {"mean_only": mean_only_terms(model, steps, state.mean, meas.mean)}
-        series = fim_recursion_series(j0, FimTriple(
+        series, inverses = fim_recursion_series(j0, FimTriple(
             *(np.stack([getattr(terms[chain], block) for chain in chains])
-              for block in ("d11", "d12", "d22"))))
+              for block in ("d11", "d12", "d22"))), inverses=True)
         stacks: dict = {}
         for chain, chain_series in zip(chains, series):
             stacks |= rows(chain, chain_series)
@@ -431,7 +432,7 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
             j = series[-1]  # the mean+cov chain comes last
             j_prev = np.concatenate(
                 [np.broadcast_to(j0, j.shape[:2] + (1,) + j0.shape), j[..., :-1, :, :]], axis=-3)
-            split = fim_via_decomposition(j_prev, parts)
+            split = fim_via_decomposition(j_prev, parts, full_inv=inverses[-1])
             theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
             analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
             direct = theta_inv - j_inv

@@ -16,7 +16,12 @@ clouds are resampled in one exact O(N) ``systematic_resample`` call whose
 drawn particles, when every cloud resamples, are the new clouds without a
 copy back.  A stack of 1 x 1 covariances is factored by one square root
 behind potrf's own test, m > 0 (``_cholesky``), so a scalar particle filter
-runs LAPACK only on the prior and Q, once per call.  Every cloud's
+runs LAPACK only on the prior and Q, once per call.  What every step would
+repeat with the same inputs is formed once per run: ``run_pf`` factors Q and
+R and forms R's log-determinant once per call, and the sigma-point spread and
+weights are built once per (n, ``UTParams``) and cached read-only
+(``_ut_weights``); the per-step tests call the ndarray reductions
+(``x.all()``), which skip the ``np.all`` wrappers' dispatch.  Every cloud's
 randomness comes from that run's own Generator, in the order of the
 single-run filter (prior cloud, then per step the process noise followed by
 the resampling uniform), so a run never depends on the rest of its stack.  A
@@ -38,6 +43,7 @@ numpy Generator, so every routine is reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -150,7 +156,7 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
     """
     if cov.shape[-1] != 1:
         return np.linalg.cholesky(cov)
-    if np.any(cov <= 0.0):
+    if (cov <= 0.0).any():
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     return np.sqrt(cov)
 
@@ -183,7 +189,7 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
         NumericError: a covariance is not finite, or not repairable.
     """
     cov = symmetrize(np.asarray(cov, dtype=float))
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise NumericError("filter covariance is not finite")
     if _factors(cov):
         return cov
@@ -206,6 +212,25 @@ def regularize_cov(cov: np.ndarray, repairs: Optional[np.ndarray] = None) -> np.
     return cov
 
 
+@functools.cache
+def _ut_weights(n: int, params: UTParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """The spread n + lambda and the read-only mean and covariance weights of
+    n-dimensional sigma points, built once per (n, params).  A non-positive
+    spread raises ValueError, and since a raising call is not cached, it
+    raises on every call."""
+    kappa = params.resolved_kappa(n)
+    lam = params.alpha ** 2 * (n + kappa) - n
+    spread = n + lam
+    if spread <= 0.0:
+        raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))
+    wc = wm.copy()
+    wm[0] = lam / spread
+    wc[0] = lam / spread + (1.0 - params.alpha ** 2 + params.beta)
+    wm.flags.writeable = wc.flags.writeable = False
+    return spread, wm, wc
+
+
 def sigma_points(mean: np.ndarray, cov: np.ndarray,
                  params: UTParams = UTParams()) -> SigmaPointSet:
     """Scaled symmetric sigma points for N(mean, cov), or for each of a stack.
@@ -216,19 +241,10 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = mean.shape[-1]
-    kappa = params.resolved_kappa(n)
-    lam = params.alpha ** 2 * (n + kappa) - n
-    spread = n + lam
-    if spread <= 0.0:
-        raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
+    spread, wm, wc = _ut_weights(mean.shape[-1], params)
     wings = _cholesky(symmetrize(cov) * spread).mT  # row i is column i
     center = mean[..., None, :]
     points = np.concatenate([center, center + wings, center - wings], axis=-2)
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))
-    wc = wm.copy()
-    wm[0] = lam / spread
-    wc[0] = lam / spread + (1.0 - params.alpha ** 2 + params.beta)
     return SigmaPointSet(points=points, mean_weights=wm, cov_weights=wc)
 
 
@@ -396,9 +412,9 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=float)
     u = np.asarray(u, dtype=float)
-    if not np.all((0.0 <= u) & (u < 1.0)):
+    if not ((0.0 <= u) & (u < 1.0)).all():
         raise ValueError("u must lie in [0, 1)")
-    if not (np.all(weights >= 0.0) and np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9)):
+    if not ((weights >= 0.0).all() and (np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9).all()):
         raise ValueError("resampling weights must be non-negative and normalized")
     n = weights.shape[-1]
     flat = weights.reshape(-1, n)
@@ -428,20 +444,29 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
     return np.minimum(index, n - 1, out=index).reshape(weights.shape)
 
 
-def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _loglik_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """What the log density of N(0, cov) needs of cov: its potrf factor, its
+    log determinant and m log(2 pi)."""
+    factor = _cho_factor(cov)
+    return factor, 2.0 * float(np.sum(np.log(np.diag(factor)))), cov.shape[0] * np.log(2.0 * np.pi)
+
+
+def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] = None
+                     ) -> np.ndarray:
     """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N).
 
-    Bad residuals propagate to the log-weights, where pf_step raises a
-    NumericError.
+    terms is _loglik_terms(cov), which a caller evaluating the same cov at
+    every step computes once; left out, it is computed here.  Bad residuals
+    propagate to the log-weights, where pf_step raises a NumericError.
     """
     m = cov.shape[0]
+    factor, log_det, log_2pi = _loglik_terms(cov) if terms is None else terms
     columns = np.moveaxis(resid, -1, 0)  # (m, ..., N): one solve for every run
-    factor = _cho_factor(cov)
     sol = _cho_solve(factor, columns.reshape(m, -1)).reshape(columns.shape)
     sol *= columns
     quad = sol[0] if m == 1 else np.sum(sol, axis=0)
-    quad += 2.0 * float(np.sum(np.log(np.diag(factor))))  # log det
-    quad += m * np.log(2.0 * np.pi)
+    quad += log_det
+    quad += log_2pi
     return np.multiply(quad, -0.5, out=quad)
 
 
@@ -472,13 +497,14 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
         and the step's health counts).
     """
     return _pf_step(model, k, particles, z, _generators(seed), resample, ess_threshold,
-                    np.linalg.cholesky(model.process_cov))
+                    np.linalg.cholesky(model.process_cov), _loglik_terms(model.meas_cov))
 
 
 def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
-             generators: list, resample: str, ess_threshold: float, noise_chol: np.ndarray
-             ) -> tuple[ParticleSet, FilterOutput]:
-    """pf_step with one generator per cloud and the process noise's Cholesky factor."""
+             generators: list, resample: str, ess_threshold: float, noise_chol: np.ndarray,
+             loglik_terms: tuple) -> tuple[ParticleSet, FilterOutput]:
+    """pf_step with one generator per cloud, the process noise's Cholesky
+    factor and _loglik_terms of the measurement noise."""
     if resample not in RESAMPLE_POLICIES:
         raise ValueError(f"unknown resample policy {resample!r}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -494,19 +520,20 @@ def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     repairs = np.zeros(lead, dtype=int)
     predicted = particle_moments(propagated, particles.weights, repairs)
 
-    log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov)
+    log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov,
+                             loglik_terms)
     incoming = particles.weights
-    if np.all(incoming == incoming[..., :1]):  # equal, as resampling leaves them: one log per cloud
+    if (incoming == incoming[..., :1]).all():  # equal, as resampling leaves them: one log per cloud
         incoming = incoming[..., :1]
     log_w += np.log(incoming)
-    if not np.all(log_w < np.inf):  # NaN or +inf
+    if not (log_w < np.inf).all():  # NaN or +inf
         raise NumericError(f"non-finite particle log-weights at step {k}")
-    log_w -= np.max(log_w, axis=-1, keepdims=True)
+    log_w -= log_w.max(axis=-1, keepdims=True)
     weights = np.exp(log_w, out=log_w)
     total = weights.sum(axis=-1, keepdims=True)
     collapsed = ~((total > 0.0) & np.isfinite(total))[..., 0]
     weights /= total
-    if np.any(collapsed):
+    if collapsed.any():
         warnings.warn(f"all particle likelihoods vanished at step {k}; "
                       "falling back to uniform weights", RuntimeWarning)
         weights[collapsed] = 1.0 / n_particles
@@ -549,10 +576,11 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
         raise ValueError("seed must be a list with one seed per run for a stack of runs")
     particles = init_particles(model, n_particles, generators)
     noise_chol = np.linalg.cholesky(model.process_cov)
+    loglik_terms = _loglik_terms(model.meas_cov)
 
     def step(k, z, cloud):
         updated, out = _pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z, generators,
-                                resample, ess_threshold, noise_chol)
+                                resample, ess_threshold, noise_chol, loglik_terms)
         return out, (updated.states, updated.weights)
 
     return _run_stack(model, measurements, step, (particles.states, particles.weights),

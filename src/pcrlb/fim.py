@@ -31,7 +31,8 @@ recursion: each bound is ``fim_recursion_series`` over its own terms, the
 mean+cov bound over full.  ``fim_via_decomposition`` analyses a step of that
 chain from J_{k-1} and the pair: theta, the mean-only update of J_{k-1}, and
 pi, every covariance correction, with theta + pi = J_k up to rounding; given
-J_{k-1} for every step it splits a whole chain in one call.
+J_{k-1} for every step it splits a whole chain in one call, and given the
+inverses the chain's recursion formed it reuses them.
 The difference of two inverses in pi and in the gap between the two
 approximate bounds is evaluated with the product identity
 
@@ -136,17 +137,19 @@ def _inverse(m: np.ndarray) -> np.ndarray:
     return _spd_inverse(_check_finite(m, "m"))
 
 
-def _recursion_step(j_prev, d11, d12, d22) -> np.ndarray:
-    return symmetrize(d22 - d12.mT @ _inverse(j_prev + d11) @ d12)
+def _recursion_step(j_prev, d11, d12, d22) -> tuple[np.ndarray, np.ndarray]:
+    """(J_k, (j_prev + d11)^-1): the step and the inverse it forms."""
+    inverse = _inverse(j_prev + d11)
+    return symmetrize(d22 - d12.mT @ inverse @ d12), inverse
 
 
 def fim_recursion_step(j_prev: np.ndarray, terms: FimTriple) -> np.ndarray:
     """Advance the information matrix (or a stack of them) by one step."""
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    return _recursion_step(j_prev, terms.d11, terms.d12, terms.d22)
+    return _recursion_step(j_prev, terms.d11, terms.d12, terms.d22)[0]
 
 
-def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
+def fim_recursion_series(j0: np.ndarray, terms: FimTriple, inverses: bool = False):
     """J_1..J_T from J_0 and terms (..., T, n, n): fim_recursion_step over axis -3.
 
     Each step is one call over every leading axis, and every element recurses
@@ -154,13 +157,19 @@ def fim_recursion_series(j0: np.ndarray, terms: FimTriple) -> np.ndarray:
     estimator, run), steps in T calls and gives each chain the bytes it gets
     alone.  A failing element raises what its step raises: a NumericError names
     the smallest eigenvalue of that step's whole stack.
+
+    With inverses, returns (series, the inverses (J_{k-1} + D11_k)^-1 of every
+    step, (..., T, n, n)): the series is the same, and the inverses are the
+    ones fim_via_decomposition needs of the same chain (its full_inv).
     """
-    j, series = symmetrize(np.atleast_2d(np.asarray(j0, float))), []
+    j, series, formed = symmetrize(np.atleast_2d(np.asarray(j0, float))), [], []
     for k in range(terms.d11.shape[-3]):
-        j = _recursion_step(j, terms.d11[..., k, :, :], terms.d12[..., k, :, :],
-                            terms.d22[..., k, :, :])
+        j, inverse = _recursion_step(j, terms.d11[..., k, :, :], terms.d12[..., k, :, :],
+                                     terms.d22[..., k, :, :])
         series.append(j)
-    return np.stack(series, axis=-3)
+        formed.append(inverse)
+    series = np.stack(series, axis=-3)
+    return (series, np.stack(formed, axis=-3)) if inverses else series
 
 
 def _expected_terms(model: SystemModel, k, nodes_prev, nodes_new) -> FimTriple:
@@ -273,7 +282,8 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
                          mean_cov_terms(model, k, state_belief, meas_belief))
 
 
-def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
+def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
+                          full_inv: np.ndarray | None = None) -> FimState:
     """Split the recursion step from j_prev over the point and full terms.
 
     Computes theta (the mean-only update of j_prev over parts.point) and pi
@@ -284,11 +294,16 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     anchor^-1 spread_11 (j_prev + full.d11)^-1 of two inverses the step
     computes anyway, for any spread_11, singular ones included.  Every
     element of a stack is split on its own, so j_prev (R, T, n, n) holding
-    J_0..J_{T-1} of a chain splits all its steps in one call.
+    J_0..J_{T-1} of a chain splits all its steps in one call.  The recursion
+    over parts.full has already inverted j_prev + full.d11 at every step
+    (fim_recursion_series with inverses), so a caller holding those
+    inverses passes them and the split inverts only the anchor.
 
     Args:
         j_prev: previous information matrix, shape (..., n, n).
         parts: the point and full step terms.
+        full_inv: optionally (j_prev + full.d11)^-1 as the recursion formed
+            it from the same bytes; computed here when left out.
 
     Returns:
         FimState with j, theta and pi.
@@ -298,7 +313,8 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim) -> FimState:
     spread_12 = full.d12 - point.d12
     anchor_inv = _inverse(j_prev + point.d11)
     theta = symmetrize(point.d22 - point.d12.mT @ anchor_inv @ point.d12)
-    full_inv = _inverse(j_prev + full.d11)
+    if full_inv is None:
+        full_inv = _inverse(j_prev + full.d11)
     # (j_prev + d11)^-1 = anchor^-1 - shift
     shift = anchor_inv @ (full.d11 - point.d11) @ full_inv
     pi = symmetrize((full.d22 - point.d22) - full.d12.mT @ full_inv @ spread_12

@@ -59,7 +59,7 @@ def _lapack() -> tuple:
 def _cho_factor(m: np.ndarray) -> np.ndarray:
     """potrf's lower factor (upper triangle not zeroed); for 1 x 1 elements sqrt(m)."""
     if m.shape[-1] == 1:
-        factor, info = np.sqrt(np.abs(m)), int(not np.all(m > 0.0))
+        factor, info = np.sqrt(np.abs(m)), int(not (m > 0.0).all())
     else:
         factor, info = _lapack()[0](m, lower=1, clean=0)
     if info > 0:
@@ -82,7 +82,7 @@ def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
     Each element gets the bytes of LAPACK potrf/potrs, as in scipy's cho_solve:
     1 x 1 elements in one vector operation, (1/sqrt(m))**2, larger ones singly.
     """
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
     if m.shape[-1] == 1:
         return symmetrize(_cho_solve(_cho_factor(m), 1.0))

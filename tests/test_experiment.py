@@ -774,3 +774,18 @@ def test_failure_fraction_bounds_are_allowed():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError, match="model_name 'pendulum'"):
         ExperimentConfig(model_name="pendulum")
+
+
+def test_bound_stage_inverts_each_step_once_and_the_anchor_once(monkeypatch):
+    """The recursion inverts J_{k-1} + D11 once per step for every chain, and
+    the split reuses the mean+cov chain's inverses, inverting only its
+    anchor: T + 1 calls of fim._inverse in the bound stage."""
+    config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
+    model = experiment.build_model(config)
+    runs, table, _ = experiment._filter_block(config, range(config.runs))
+    inverse, calls = fim._inverse, []
+    monkeypatch.setattr(fim, "_inverse", lambda m: calls.append(m.shape) or inverse(m))
+    kept, stacks = experiment._bound_stage(config, model, runs, {}, table)
+    assert kept.tolist() == [0, 1, 2]
+    assert len(calls) == config.horizon + 1
+    assert ("gap_analytic", "pf") in stacks

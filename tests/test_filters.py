@@ -545,6 +545,62 @@ def test_scalar_loglik_matches_cho_solve_bit_for_bit(rng):
         assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
 
 
+@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_run_pf_factors_the_measurement_noise_once(monkeypatch, name, resample):
+    """R is factored once per run_pf call, not once per step, and the
+    likelihoods keep their bytes."""
+    model, measurements, seeds = stacked_setup(name, runs=3, horizon=12)
+    want = run_pf(model, measurements, 60, seeds, resample=resample)
+    factor, calls = filters._cho_factor, []
+    monkeypatch.setattr(filters, "_cho_factor", lambda m: calls.append(m.shape) or factor(m))
+    got = run_pf(model, measurements, 60, seeds, resample=resample)
+    assert calls == [model.meas_cov.shape]
+    assert_same_output(got, want)
+
+
+def ut_weights_formula(n, params):
+    """The sigma-point spread and weights, written out."""
+    lam = params.alpha ** 2 * (n + params.resolved_kappa(n)) - n
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (n + lam)
+    wc[0] = lam / (n + lam) + (1.0 - params.alpha ** 2 + params.beta)
+    return wm, wc
+
+
+@pytest.mark.parametrize("params", [UTParams(), UTParams(alpha=0.5, beta=2.0, kappa=1.0)])
+def test_ut_weights_are_cached_read_only_and_exact(params):
+    for n in (1, 2, 4):
+        first = sigma_points(np.zeros(n), np.eye(n), params)
+        again = sigma_points(np.ones((3, n)), 2.0 * np.eye(n), params)
+        wm, wc = ut_weights_formula(n, params)
+        for got in (first, again):
+            assert np.array_equal(got.mean_weights, wm)
+            assert np.array_equal(got.cov_weights, wc)
+        assert again.mean_weights is first.mean_weights
+        for weights in (first.mean_weights, first.cov_weights):
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+
+def test_a_non_positive_spread_raises_on_every_call():
+    params = UTParams(alpha=1.0, kappa=-1.0)  # n + lambda = 0 at n = 1
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-positive spread"):
+            sigma_points(np.zeros(1), np.eye(1), params)
+
+
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_stacked_ukf_under_non_default_params_matches_single_runs(name):
+    params = UTParams(alpha=0.5, beta=2.0, kappa=1.0)
+    model, measurements, _ = stacked_setup(name, runs=3)
+    ukf = run_ukf(model, measurements, params)
+    for i in range(3):
+        assert_same_output(row_of(ukf, i), run_ukf(model, measurements[i], params))
+
+
 def test_nan_residual_raises_in_pf_step():
     model = ungm_model()
     cloud = init_particles(model, 30, [5, 6])

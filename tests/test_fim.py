@@ -730,3 +730,26 @@ def test_split_of_a_chain_equals_per_step_calls_bit_for_bit(rng):
             for name in ("j", "theta", "pi"):
                 assert np.array_equal(getattr(split, name)[:, k - 1], getattr(one, name)), name
         assert np.all(np.abs(split.j - j) <= 1e-12 * np.abs(j).max(axis=(-2, -1), keepdims=True))
+
+
+def test_split_reads_the_recursions_inverses_bit_for_bit(rng):
+    """fim_recursion_series hands back the (J_{k-1} + D11)^-1 it forms, with
+    the same series as without them, and the split given those inverses
+    equals the split that computes them: on an (E, R, T) ungm stack and a
+    4-D linear model."""
+    ungm, linear = ungm_model(), random_stable_linear_model(rng, 4)
+    for model, lead in ((ungm, (2, 3)), (linear, (3,))):
+        prev, new, steps = belief_stack(rng, model, int(np.prod(lead)), 5)
+        prev, new = (GaussianBelief(b.mean.reshape(lead + b.mean.shape[1:]),
+                                    b.cov.reshape(lead + b.cov.shape[1:])) for b in (prev, new))
+        parts = decompose_terms(model, steps, prev, new)
+        j0 = initial_fim(model.prior)
+        series, inverses = fim_recursion_series(j0, parts.full, inverses=True)
+        assert np.array_equal(series, fim_recursion_series(j0, parts.full))
+        assert inverses.shape == series.shape
+        j_prev = np.concatenate([np.broadcast_to(j0, lead + (1,) + j0.shape),
+                                 series[..., :-1, :, :]], axis=-3)
+        given = fim_via_decomposition(j_prev, parts, full_inv=inverses)
+        computed = fim_via_decomposition(j_prev, parts)
+        for name in ("j", "theta", "pi"):
+            assert np.array_equal(getattr(given, name), getattr(computed, name))
