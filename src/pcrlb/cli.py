@@ -258,6 +258,14 @@ def write_gap_csv(path: Path, result: AggregateResult) -> None:
     _write_series(path, result.horizon, columns)
 
 
+def _json_value(value):
+    """A numpy array or scalar, such as a model matrix of a config built in
+    Python, as the nested lists and numbers it holds."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_meta(path: Path, config: ExperimentConfig, output: dict,
                result: Optional[AggregateResult] = None, **extra) -> None:
     meta = {
@@ -273,7 +281,7 @@ def write_meta(path: Path, config: ExperimentConfig, output: dict,
         meta["filter_health"] = result.filter_health
         meta["stage_seconds"] = {stage: "stage_seconds" for stage in result.stage_seconds}
     meta.update(extra)
-    text = json.dumps(meta, indent=2, sort_keys=True)
+    text = json.dumps(meta, indent=2, sort_keys=True, default=_json_value)
     if result is not None:
         # fixed-width numbers, so that the file's size does not vary with the timings
         for stage, seconds in result.stage_seconds.items():

@@ -16,33 +16,27 @@ the configured estimators, and produces:
   semidefiniteness,
 * per-step RMSE per estimator.
 
-The work runs in two stages, and both keep their per-run data in one run
-table: a dict of arrays with one row per run in run-index order, keyed
-"states", ("mean", channel, estimator), ("cov", channel, estimator) and
-("health", estimator, counter), and (quantity, estimator) for the bound
-engines' stacks.  First the runs are filtered in blocks (``_filter_block``),
-mapped over a process pool when ``workers`` > 1: each block samples its runs'
-trajectories in one stacked call, then runs each estimator once over the
-block's stack of measurement sequences.  A block holds about 2^16 particle
-values (block x N x n), so at N = 1000 one block takes 65 runs and at
+The runs are split into consecutive blocks, mapped over a process pool when
+``workers`` > 1, and each block does all of its runs' work in one guarded pass
+(``_run_block``): it samples the block's trajectories in one stacked call, runs
+each estimator once over the block's stack of measurement sequences, then runs
+the bound engines over those filter outputs.  A block holds about 2^16
+particle values (block x N x n), so at N = 1000 one block takes 65 runs and at
 N = 20000 three, and there are at least ``workers`` blocks.  Every run is a
 pure function of (config, run index): run seeds come from a splitmix64
-avalanche of the master seed, and the sampler and the particle filter draw
-only from the run's own Generators, so the block split changes no byte.  The
-bound engines then run in the calling process over the blocks' joined table,
-with every estimator's beliefs stacked (E, R, T, ...).  The step terms do not
-depend on J, so the mean-only and the mean+cov terms each come from one call
-over all estimators, runs and steps; one recursion steps both approximate
-chains of every estimator and run at once, stacked on a leading chain axis;
-the theta/pi split of the mean+cov chains and the gaps are one call each over
-(E, R, T); and the reference's terms and recursion are one call each.  Each
-stage is guarded once (``_isolated``): when its
-stacked call raises, the runs are halved and each half rerun, so a run that
-fails on its own, in sampling, a filter or a bound engine, is marked failed
-with its first error (sampling, then the estimators in config order; see
-_bound_stage for the order within the bound engines) and has no rows from
-then on.  A run's rows do not depend on the rest of its stack, so the other
-runs are unaffected.  Results are bit-identical for any worker count.
+avalanche of the master seed, the sampler and the particle filter draw only
+from the run's own Generators, and every bound element is computed on its
+own, so the block split changes no byte.  A block returns a run table: a dict
+of arrays with one row per completed run in run-index order, keyed "states",
+("mean", estimator) for the posterior means, ("health", estimator, counter),
+and (quantity, estimator) for the bound engines' stacks.  The pass is guarded
+once (``_isolated``): when its stacked call raises, the runs are halved and
+each half rerun, so a run that fails on its own, in sampling, a filter or a
+bound engine, is marked failed with its first error (sampling, then the
+estimators in config order, then the bound passes; see _bound_rows) and has
+no rows.  The calling process joins the blocks' tables and runs only what
+needs every trajectory at once, the reference bound, and the aggregation.
+Results are bit-identical for any worker count and block split.
 """
 
 from __future__ import annotations
@@ -142,10 +136,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for key in ("horizon", "runs", "particles", "workers", "master_seed"):
-            try:
-                object.__setattr__(self, key, operator.index(getattr(self, key)))
+            value = getattr(self, key)
+            try:  # operator.index takes a bool as 0 or 1; no count or seed is a bool
+                object.__setattr__(self, key, operator.index(None if isinstance(value, bool)
+                                                             else value))
             except TypeError:
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}") from None
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
             if key != "master_seed" and getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
@@ -172,6 +168,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
                              f"{self.model_name!r}")
+        if not isinstance(self.ut, UTParams):
+            raise ValueError(f"ut must be a UTParams, got {self.ut!r}")
         # the model's values may be matrices on the linear model; ut_kappa None is 3 - n
         scalars = {"ess_threshold": self.ess_threshold,
                    "max_failure_fraction": self.max_failure_fraction,
@@ -254,7 +252,7 @@ def _rows(tables: list) -> dict:
     return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
 
 
-def _isolated(compute, runs: np.ndarray, errors: dict) -> tuple[np.ndarray, dict]:
+def _isolated(compute, runs: np.ndarray, errors: dict) -> dict:
     """compute over a stack of runs, leaving out the runs that fail on their own.
 
     compute(positions) takes positions into runs, the stack's run indices,
@@ -267,63 +265,66 @@ def _isolated(compute, runs: np.ndarray, errors: dict) -> tuple[np.ndarray, dict
     position order.
 
     Returns:
-        (kept, table): the ascending positions of the runs that did not fail,
-        and compute's table over them, one row per kept position; an empty
-        table when every run failed.
+        compute's table over the runs that did not fail, one row per run in
+        ascending position order; an empty table when every run failed.
     """
     pieces, pending = [], [np.arange(len(runs))]
     while pending:
         positions = pending.pop()
         try:
-            pieces.append((positions, compute(positions)))
+            pieces.append(compute(positions))
         except RUN_ERRORS as exc:
             if positions.size == 1:
                 errors[int(runs[positions[0]])] = f"{type(exc).__name__}: {exc}"
             else:
                 half = positions.size // 2
                 pending += [positions[half:], positions[:half]]
-    if not pieces:
-        return np.arange(0), {}
-    return (np.concatenate([positions for positions, _ in pieces]),
-            _rows([table for _, table in pieces]))
+    return _rows(pieces) if pieces else {}
 
 
-def _filter_block(config: ExperimentConfig, indices: range) -> tuple[np.ndarray, dict, dict]:
-    """Sample the block's trajectories, then run each estimator over the block.
+def _run_block(config: ExperimentConfig, indices: range) -> tuple[dict, dict, dict]:
+    """Sample the block's trajectories in one stacked call, run each estimator
+    once over them, then _bound_rows over the estimators' outputs.
 
     Returns:
-        (runs, table, errors): the ascending indices of the block's runs
-        that did not fail; their run table, keyed "states" (R, T+1, n),
-        ("mean", channel, estimator) (R, T, n) and ("cov", channel,
-        estimator) (R, T, n, n) for the channels "posterior" and "predicted",
-        and ("health", estimator, counter) (R,) (see filters.FilterOutput); and
-        the first error text of each failed run, which has no rows, by run
-        index, in the order sampling, then the estimators in config order.
+        (table, errors, seconds): the completed runs' table, keyed "states"
+        (R, T+1, n), ("mean", estimator) (R, T, n) for the posterior means,
+        ("health", estimator, counter) (R,) (see filters.FilterOutput) and
+        _bound_rows' (quantity, estimator) stacks; each failed run's first
+        error text by run index; and the seconds spent in "filtering" and
+        in "bound_engines", summed over every guarded computation.
     """
     model = build_model(config)
     seeds = [run_seeds(config.master_seed, i) for i in indices]
+    seconds = {"filtering": 0.0, "bound_engines": 0.0}
 
     def compute(positions):
         picked = [seeds[p] for p in positions]
-        trajectory = sample_trajectory(model, config.horizon, [s for s, _ in picked])
-        table = {"states": trajectory.states}
-        for estimator in config.estimators:
-            if estimator == "ukf":
-                out = run_ukf(model, trajectory.measurements, config.ut)
-            else:
-                out = run_pf(model, trajectory.measurements, config.particles,
-                             [s for _, s in picked], resample=config.resample,
-                             ess_threshold=config.ess_threshold)
-            table.update({(kind, channel, estimator): getattr(getattr(out, channel), kind)
-                          for channel in ("posterior", "predicted")
-                          for kind in ("mean", "cov")})
-            table.update({("health", estimator, name): value
-                          for name, value in out.health.items()})
-        return table
+        start = time.perf_counter()
+        try:
+            trajectory = sample_trajectory(model, config.horizon, [s for s, _ in picked])
+            table, outputs = {"states": trajectory.states}, []
+            for estimator in config.estimators:
+                if estimator == "ukf":
+                    out = run_ukf(model, trajectory.measurements, config.ut)
+                else:
+                    out = run_pf(model, trajectory.measurements, config.particles,
+                                 [s for _, s in picked], resample=config.resample,
+                                 ess_threshold=config.ess_threshold)
+                outputs.append(out)
+                table["mean", estimator] = out.posterior.mean
+                table.update({("health", estimator, name): value
+                              for name, value in out.health.items()})
+        finally:
+            filtered = time.perf_counter()
+            seconds["filtering"] += filtered - start
+        try:
+            return table | _bound_rows(config, model, outputs)
+        finally:
+            seconds["bound_engines"] += time.perf_counter() - filtered
 
-    runs, errors = np.asarray(indices), {}
-    kept, table = _isolated(compute, runs, errors)
-    return runs[kept], table, errors
+    errors: dict = {}
+    return _isolated(compute, np.asarray(indices), errors), errors, seconds
 
 
 def _is_negative(matrix: np.ndarray) -> np.ndarray:
@@ -332,11 +333,10 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
 
 
-def _engine_beliefs(model: SystemModel, table: dict, estimators: tuple[str, ...],
-                    positions: np.ndarray) -> tuple[GaussianBelief, GaussianBelief]:
-    """Beliefs feeding the step onto time k, from the estimators' rows of the
-    run table at positions, stacked (E, R, T, ...) in the order of
-    estimators, with row k-1.
+def _engine_beliefs(model: SystemModel, outputs: list) -> tuple[GaussianBelief, GaussianBelief]:
+    """Beliefs feeding the step onto time k, from the estimators' filter
+    outputs over a stack of runs, stacked (E, R, T, ...) in the order of
+    outputs, with row k-1.
 
     This is the one place that decides which filter belief feeds each
     channel.  The state channel (F) takes the posterior about time k-1, the
@@ -344,11 +344,11 @@ def _engine_beliefs(model: SystemModel, table: dict, estimators: tuple[str, ...]
     about time k, before the measurement z_k enters it.
     """
     def channel(name):
-        return [np.stack([table[kind, name, estimator][positions] for estimator in estimators])
+        return [np.stack([getattr(getattr(out, name), kind) for out in outputs])
                 for kind in ("mean", "cov")]
 
     mean, cov = channel("posterior")
-    first = (len(estimators), len(positions), 1)
+    first = mean.shape[:2] + (1,)
     state = _unchecked(
         np.concatenate([np.broadcast_to(model.prior.mean, first + model.prior.mean.shape),
                         mean[..., :-1, :]], axis=-2),
@@ -357,9 +357,8 @@ def _engine_beliefs(model: SystemModel, table: dict, estimators: tuple[str, ...]
     return state, _unchecked(*channel("predicted"))
 
 
-def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
-                 errors: dict, table: dict) -> tuple[np.ndarray, dict]:
-    """Run the per-run bound engines over the stack of runs.
+def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> dict:
+    """Run the per-run bound engines over the estimators' filter outputs.
 
     The estimators' beliefs are stacked (E, R, T, ...), and the step terms
     depend only on the beliefs at k-1 and k, never on J, so each term triple
@@ -376,9 +375,10 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     (theta + pi)^-1 and its violation flags run once over the (E, R, T)
     stacks: the split's own sum theta + pi, J_k up to rounding, makes the
     closed form an identity.  Every element is computed on its own, so an
-    estimator's or chain's rows are the ones it gets when run alone.
+    estimator's or chain's rows are the ones it gets when run alone, and a
+    run's rows do not depend on the other runs of its block.
 
-    The whole stage is one _isolated computation, so a run whose own element
+    This runs inside _run_block's guarded pass, so a run whose own element
     fails is dropped with that error.  Its error is the first in the order
     of the passes: the terms for all estimators (mean-only, then mean+cov
     when mean_cov runs), the recursion step by step over all chains, the
@@ -393,55 +393,44 @@ def _bound_stage(config: ExperimentConfig, model: SystemModel, runs: np.ndarray,
     names the smaller of their two eigenvalues.
 
     Args:
-        runs: the run index of each row of the table.
-        errors: where each failed run's error text is set, by run index.
-        table: the filtered runs' run table (see _filter_block).
+        outputs: each estimator's FilterOutput over the stack of runs,
+            (R, T, ...), in config order.
 
     Returns:
-        (kept, stacks): the ascending positions into runs of the runs that
-        did not fail, and their run table keyed (quantity, estimator):
-        "mean_only" and "mean_cov" information series, "pi" corrections
-        and "gap_analytic" and "gap_direct" gaps (R, T, n, n), and
-        "gap_violation" flags (R, T), each the estimator's row of its
-        quantity's stack over estimators.
+        The runs' table keyed (quantity, estimator): "mean_only" and
+        "mean_cov" information series, "pi" corrections and "gap_analytic"
+        and "gap_direct" gaps (R, T, n, n), and "gap_violation" flags (R, T),
+        each the estimator's row of its quantity's stack over estimators;
+        empty when no approximate chain runs.
     """
-    j0 = initial_fim(model.prior)
-    steps = np.arange(1, config.horizon + 1)[:, None]
     estimators = config.estimators
     chains = [method for method in ("mean_only", "mean_cov") if method in config.methods]
     if not chains:
-        return np.arange(len(runs)), {}
-
-    def rows(name: str, stack: np.ndarray) -> dict:
-        return {(name, estimator): stack[e] for e, estimator in enumerate(estimators)}
-
-    def compute(positions) -> dict:
-        state, meas = _engine_beliefs(model, table, estimators, positions)
-        if "mean_cov" in chains:
-            parts = decompose_terms(model, steps, state, meas)
-            terms = {"mean_only": parts.point, "mean_cov": parts.full}
-        else:
-            terms = {"mean_only": mean_only_terms(model, steps, state.mean, meas.mean)}
-        series, inverses = fim_recursion_series(j0, FimTriple(
-            *(np.stack([getattr(terms[chain], block) for chain in chains])
-              for block in ("d11", "d12", "d22"))), inverses=True)
-        stacks: dict = {}
-        for chain, chain_series in zip(chains, series):
-            stacks |= rows(chain, chain_series)
-        if "mean_cov" in chains:
-            j = series[-1]  # the mean+cov chain comes last
-            j_prev = np.concatenate(
-                [np.broadcast_to(j0, j.shape[:2] + (1,) + j0.shape), j[..., :-1, :, :]], axis=-3)
-            split = fim_via_decomposition(j_prev, parts, full_inv=inverses[-1])
-            theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
-            analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
-            direct = theta_inv - j_inv
-            for name, stack in zip(("pi", "gap_analytic", "gap_direct", "gap_violation"),
-                                   (split.pi, analytic, direct, _is_negative(direct))):
-                stacks |= rows(name, stack)
-        return stacks
-
-    return _isolated(compute, runs, errors)
+        return {}
+    j0 = initial_fim(model.prior)
+    steps = np.arange(1, config.horizon + 1)[:, None]
+    state, meas = _engine_beliefs(model, outputs)
+    if "mean_cov" in chains:
+        parts = decompose_terms(model, steps, state, meas)
+        terms = {"mean_only": parts.point, "mean_cov": parts.full}
+    else:
+        terms = {"mean_only": mean_only_terms(model, steps, state.mean, meas.mean)}
+    series, inverses = fim_recursion_series(j0, FimTriple(
+        *(np.stack([getattr(terms[chain], block) for chain in chains])
+          for block in ("d11", "d12", "d22"))), inverses=True)
+    named = dict(zip(chains, series))
+    if "mean_cov" in chains:
+        j = series[-1]  # the mean+cov chain comes last
+        j_prev = np.concatenate(
+            [np.broadcast_to(j0, j.shape[:2] + (1,) + j0.shape), j[..., :-1, :, :]], axis=-3)
+        split = fim_via_decomposition(j_prev, parts, full_inv=inverses[-1])
+        theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
+        analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
+        direct = theta_inv - j_inv
+        named |= {"pi": split.pi, "gap_analytic": analytic, "gap_direct": direct,
+                  "gap_violation": _is_negative(direct)}
+    return {(name, estimator): stack[e] for name, stack in named.items()
+            for e, estimator in enumerate(estimators)}
 
 
 def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> np.ndarray:
@@ -535,8 +524,8 @@ class AggregateResult:
     filter_health: dict          # estimator -> counter -> value, see _summarize_health
     runs_used: int
     failed_runs: list            # [(index, error), ...]
-    run_stacks: dict             # per-run series of the completed runs, see _bound_stage
-    stage_seconds: dict          # stage -> wall seconds, see run_experiment
+    run_stacks: dict             # per-run series of the completed runs, see _bound_rows
+    stage_seconds: dict          # stage -> seconds, see run_experiment
 
     @property
     def horizon(self) -> int:
@@ -571,67 +560,47 @@ def _failed_runs(config: ExperimentConfig, errors: dict) -> list:
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run the full Monte Carlo experiment described by the config.
 
-    The result's stage_seconds holds the wall seconds of its four stages:
-    "filtering" (sampling and filtering the blocks and stacking their
-    outputs), "bound_engines" (the mean-only and mean+cov engines over the
-    stack of runs), "reference" (the reference bound) and "aggregation"
-    (bounds, RMSE, gaps and counters over the completed runs).
+    The result's stage_seconds holds the seconds of its four stages:
+    "filtering" (sampling and filtering) and "bound_engines" (the mean-only
+    and mean+cov engines) sum the blocks' seconds in each part, over the
+    worker processes when ``workers`` > 1 and over every guarded
+    computation, those that raised included; "reference" (the reference
+    bound) and "aggregation" (bounds, RMSE, gaps and counters over the
+    completed runs) are wall seconds in the calling process.
     """
-    clock = time.perf_counter()
-    stage_seconds: dict = {}
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        stage_seconds[stage] = now - clock
-        clock = now
-
     model = build_model(config)
     blocks = _blocks(config, model.state_dim)
     if config.workers == 1:
-        parts = [_filter_block(config, block) for block in blocks]
+        parts = [_run_block(config, block) for block in blocks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_filter_block, [config] * len(blocks), blocks))
+            parts = list(pool.map(_run_block, [config] * len(blocks), blocks))
+    failed = _failed_runs(config, {index: error for _, errors, _ in parts
+                                   for index, error in errors.items()})
+    table = _rows([part[0] for part in parts if part[0]])
+    stage_seconds = {stage: sum(part[2][stage] for part in parts)
+                     for stage in ("filtering", "bound_engines")}
 
-    errors = {index: error for _, _, part in parts for index, error in part.items()}
-    runs = np.concatenate([part[0] for part in parts])
-    if not runs.size:
-        _failed_runs(config, errors)  # raises: every run failed
-    table = _rows([part[1] for part in parts if part[1]])
-    lap("filtering")
-
-    kept, run_stacks = _bound_stage(config, model, runs, errors, table)
-    lap("bound_engines")
-
-    failed = _failed_runs(config, errors)
-    table = {key: value[kept] for key, value in table.items()}
-
+    clock = time.perf_counter()
     bounds: dict = {}
     if "true" in config.methods:
-        true_fims = true_bound_series(model, table["states"], config.horizon)
-        bounds[("true", None)] = spd_inverse(true_fims)
-    lap("reference")
-    for method in ("mean_only", "mean_cov"):
-        if method not in config.methods:
-            continue
-        for estimator in config.estimators:
-            bounds[(method, estimator)] = aggregate_bounds(run_stacks[(method, estimator)],
-                                                           config.averaging)
+        bounds["true", None] = spd_inverse(true_bound_series(model, table["states"], config.horizon))
+    stage_seconds["reference"] = (lap := time.perf_counter()) - clock
 
-    rmse = {estimator: rmse_series(table["states"], table["mean", "posterior", estimator])
+    states = table.pop("states")
+    rmse = {estimator: rmse_series(states, table.pop(("mean", estimator)))
             for estimator in config.estimators}
-
-    gaps = {}
-    if "mean_cov" in config.methods:
-        for estimator in config.estimators:
-            analytic, direct, violations = gap_series(run_stacks, estimator)
-            gaps[estimator] = {"analytic": analytic, "direct": direct,
-                               "violations": violations}
-    lap("aggregation")
+    health = {estimator: _summarize_health(table, estimator) for estimator in config.estimators}
+    run_stacks = {key: value for key, value in table.items() if key[0] != "health"}
+    bounds |= {(method, estimator): aggregate_bounds(run_stacks[method, estimator],
+                                                     config.averaging)
+               for method in ("mean_only", "mean_cov") if method in config.methods
+               for estimator in config.estimators}
+    gaps = {estimator: dict(zip(("analytic", "direct", "violations"),
+                                gap_series(run_stacks, estimator)))
+            for estimator in config.estimators if "mean_cov" in config.methods}
+    stage_seconds["aggregation"] = time.perf_counter() - lap
 
     return AggregateResult(config=config, bounds=bounds, rmse=rmse, gaps=gaps,
-                           filter_health={e: _summarize_health(table, e)
-                                          for e in config.estimators},
-                           runs_used=len(kept), failed_runs=failed, run_stacks=run_stacks,
-                           stage_seconds=stage_seconds)
+                           filter_health=health, runs_used=len(states), failed_runs=failed,
+                           run_stacks=run_stacks, stage_seconds=stage_seconds)

@@ -13,6 +13,7 @@ from pcrlb import DEFAULT_SEED, cli, experiment
 from pcrlb.cli import (CONFIG_REFERENCE, ConfigError, config_from_file, parse_config,
                        write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv, _write_csv)
 from pcrlb.experiment import ExperimentConfig, build_model, run_experiment
+from pcrlb.filters import UTParams
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -281,6 +282,25 @@ def test_meta_size_does_not_depend_on_stage_timings(tmp_path):
     assert len(sizes) == 1
 
 
+def test_meta_writes_array_model_params_as_nested_lists(tmp_path):
+    """A linear config built in Python with numpy matrices is written as the
+    nested lists that perfbench's linear_params hands over, and the written
+    config reads back as one that gives the same results."""
+    params = {"a": np.array([[0.9, 0.1], [0.0, 0.8]]), "h": np.eye(2),
+              "process_var": np.diag([0.6, 0.5]), "meas_var": np.array([[0.8, 0.1], [0.1, 0.7]]),
+              "prior_mean": np.array([0.5, -1.0]), "prior_var": 2.0 * np.eye(2)}
+    config = ExperimentConfig(model_name="linear", model_params=params, horizon=4, runs=2,
+                              particles=30)
+    result = run_experiment(config)
+    write_meta(tmp_path / "meta.json", config, {}, result)
+    written = json.loads((tmp_path / "meta.json").read_text())["config"]
+    assert written["model_params"] == {key: value.tolist() for key, value in params.items()}
+    again = run_experiment(ExperimentConfig(**{**written, "ut": UTParams(**written["ut"])}))
+    assert again.bounds.keys() == result.bounds.keys()
+    for key, bound in result.bounds.items():
+        assert np.array_equal(again.bounds[key], bound)
+
+
 def test_cmd_run_is_deterministic(tmp_path):
     config_path = write(tmp_path, TINY)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -345,8 +365,8 @@ def test_simulate_writes_run_0_trajectory_bit_for_bit(tmp_path):
     rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
     written = np.array([[float(row[1])] for row in rows])  # k, x1, z1
     config, _ = config_from_file(config_path)
-    runs, table, _ = experiment._filter_block(config, range(config.runs))
-    assert runs.tolist() == list(range(config.runs))
+    table, errors, _ = experiment._run_block(config, range(config.runs))
+    assert not errors and len(table["states"]) == config.runs
     assert np.array_equal(written, table["states"][0])
     assert not np.array_equal(written, table["states"][1])
 

@@ -114,14 +114,26 @@ def write_outputs(result, outdir):
     return {name: (outdir / name).read_bytes() for name in ("rmse.csv", "bounds.csv", "gap.csv")}
 
 
-def test_blocks_over_three_workers_give_the_same_csv_bytes(tmp_path):
-    base = dict(model_name="ungm", horizon=10, runs=7, particles=60, master_seed=11)
+def test_blocks_over_three_workers_give_the_same_csv_bytes(tmp_path, monkeypatch):
+    """Blocks on three processes, and one run per block, give the CSV bytes,
+    run stacks, bounds, failed runs and filter health of one block of every
+    run: each block bounds its own runs, and a run's rows do not depend on
+    the rest of its block.  On a 7-run ungm config and the golden configs."""
+    base = ExperimentConfig(model_name="ungm", horizon=10, runs=7, particles=60, master_seed=11)
     # three blocks (3 + 3 + 1 runs) on three processes against one block of 7
-    assert [len(b) for b in experiment._blocks(ExperimentConfig(**base, workers=3), 1)] == [3, 3, 1]
-    serial = run_experiment(ExperimentConfig(**base, workers=1))
-    pooled = run_experiment(ExperimentConfig(**base, workers=3))
-    assert write_outputs(serial, tmp_path / "serial") == write_outputs(pooled, tmp_path / "pooled")
-    assert serial.filter_health == pooled.filter_health
+    assert [len(b) for b in experiment._blocks(dataclasses.replace(base, workers=3), 1)] == [3, 3, 1]
+    for name, config in {"base": base, **GOLDEN_CONFIGS}.items():
+        serial = run_experiment(config)
+        pooled = run_experiment(dataclasses.replace(config, workers=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_BLOCK_VALUES", 1)
+            assert len(experiment._blocks(config, build_model(config).state_dim)) == config.runs
+            single = run_experiment(config)
+        want = write_outputs(serial, tmp_path / f"{name}-serial")
+        for split, got in (("pooled", pooled), ("single", single)):
+            assert write_outputs(got, tmp_path / f"{name}-{split}") == want, (name, split)
+            assert_same_runs(got, serial)
+            assert got.failed_runs == serial.failed_runs
 
 
 def test_block_size_follows_the_particle_budget():
@@ -175,10 +187,10 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
     config = ExperimentConfig(horizon=10, runs=4, master_seed=4, estimators=("ukf",),
                               methods=("true",), max_failure_fraction=0.5)
     monkeypatch.setattr(experiment, "build_model", lambda config: edge)
-    runs, table, errors = experiment._filter_block(config, range(4))
+    table, errors, _ = experiment._run_block(config, range(4))
     assert errors == {2: "ValueError: trajectory contains non-finite values"}
-    assert runs.tolist() == [0, 1, 3]
-    for i, states in zip(runs, table["states"]):
+    assert len(table["states"]) == 3
+    for i, states in zip([0, 1, 3], table["states"]):
         seed = derive_run_seed(derive_run_seed(config.master_seed, i), 0)
         assert np.array_equal(states, sample_trajectory(edge, 10, seed).states)
     result = run_experiment(config)
@@ -316,7 +328,7 @@ def check_bound_failure_drops_only_its_run(monkeypatch, estimator):
     run keeps the bytes it has when run 2 is skipped."""
     config = ExperimentConfig(model_name="ungm", horizon=8, runs=4, particles=50,
                               max_failure_fraction=0.5)
-    set_posterior_mean(monkeypatch, estimator, 2, 1e200)
+    set_posterior_mean(monkeypatch, config, estimator, 2, 1e200)
     got = run_experiment(config)
     monkeypatch.undo()
     skip_runs(monkeypatch, [2])
@@ -355,31 +367,39 @@ def test_bound_failure_in_the_pf_chains_drops_only_its_run(monkeypatch):
 
 
 def skip_runs(monkeypatch, skipped):
-    """Make _filter_block fail the given runs as "skipped", with no rows."""
-    filters_only = experiment._filter_block
+    """Make _run_block fail the given runs as "skipped", with no rows."""
+    run_block = experiment._run_block
 
     def skipping(config, indices):
-        runs, table, errors = filters_only(config, indices)
+        table, errors, seconds = run_block(config, indices)
+        runs = [i for i in indices if i not in errors]
         keep = ~np.isin(runs, skipped)
         errors.update({i: "skipped" for i in skipped if i in indices})
-        return runs[keep], {key: value[keep] for key, value in table.items()}, errors
+        return {key: value[keep] for key, value in table.items()}, errors, seconds
 
-    monkeypatch.setattr(experiment, "_filter_block", skipping)
+    monkeypatch.setattr(experiment, "_run_block", skipping)
 
 
-def set_posterior_mean(monkeypatch, estimator, run, value):
-    """Make _filter_block set the run's posterior mean of the estimator at
-    step 3 to value."""
-    filters_only = experiment._filter_block
+def set_posterior_mean(monkeypatch, config, estimator, run, value):
+    """Make the estimator's filter set the run's posterior mean at step 3 to
+    value, before the bound engines read it.  The sampler's seeds tell which
+    row of the stack the run is, if any."""
+    target, stack = experiment.run_seeds(config.master_seed, run)[0], []
+    sample, name = experiment.sample_trajectory, f"run_{estimator}"
+    run_filter = getattr(experiment, name)
 
-    def diverged(config, indices):
-        runs, table, errors = filters_only(config, indices)
-        key = ("mean", "posterior", estimator)
-        table[key] = table[key].copy()
-        table[key][runs == run, 2] = value
-        return runs, table, errors
+    def sampling(model, horizon, seeds):
+        stack[:] = seeds
+        return sample(model, horizon, seeds)
 
-    monkeypatch.setattr(experiment, "_filter_block", diverged)
+    def diverged(*args, **kwargs):
+        out = run_filter(*args, **kwargs)
+        if target in stack:
+            out.posterior.mean[stack.index(target), 2] = value
+        return out
+
+    monkeypatch.setattr(experiment, "sample_trajectory", sampling)
+    monkeypatch.setattr(experiment, name, diverged)
 
 
 def nan_window_model(window: bool = True) -> SystemModel:
@@ -439,7 +459,7 @@ def test_filter_and_bound_failures_in_one_experiment(monkeypatch):
     have when those four runs are skipped.  The model is linear, so its
     Jacobians ignore a diverged mean, but not a NaN one."""
     monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
-    set_posterior_mean(monkeypatch, "ukf", 12, np.nan)
+    set_posterior_mean(monkeypatch, FAILURE_CONFIG, "ukf", 12, np.nan)
     got = run_experiment(FAILURE_CONFIG)
     assert got.failed_runs == sorted(FAILURE_RUNS + [(12, "ValueError: m must be finite")])
     assert got.runs_used == FAILURE_CONFIG.runs - 4
@@ -489,7 +509,7 @@ def test_a_block_whose_runs_all_fail_leaves_the_other_blocks(monkeypatch):
 
 
 def test_isolated_reruns_without_the_failing_runs():
-    """The kept positions ascend and their rows equal the clean stacked call
+    """The kept runs' rows ascend and equal the clean stacked call
     bit for bit; the failing runs get their errors, by run index, and are
     not kept: failures at the ends, inside, at every odd position, in a stack
     of one run and everywhere."""
@@ -506,11 +526,12 @@ def test_isolated_reruns_without_the_failing_runs():
             return {"inverse": spd_inverse(matrices[positions]), "run": runs[positions]}
 
         errors = {}
-        kept, rows = experiment._isolated(compute, runs, errors)
+        rows = experiment._isolated(compute, runs, errors)
         assert sorted(errors) == runs[failing].tolist()
         assert set(errors.values()) <= {"ValueError: m must be finite"}
-        assert kept.tolist() == [p for p in range(count) if p not in failing]
-        if kept.size:
+        # the rows' run column names the kept runs, in ascending position order
+        kept = [p for p in range(count) if p not in failing]
+        if kept:
             assert np.array_equal(rows["inverse"], clean[kept])
             assert rows["run"].tolist() == runs[kept].tolist()
         else:
@@ -519,12 +540,12 @@ def test_isolated_reruns_without_the_failing_runs():
 
 def test_bound_stage_computes_terms_and_gaps_once_per_stage(monkeypatch):
     """Every step's mean-only terms, mean+cov terms, theta/pi split and
-    closed-form gaps come from one call over the stack of estimators, runs
-    and steps, both approximate chains from one recursion over that stack,
-    and the reference's terms and recursion from one call each.  The
-    mean-only and mean+cov terms are each evaluated once per stage (counted
-    in pcrlb.experiment and in pcrlb.fim, where decompose_terms looks them
-    up)."""
+    closed-form gaps come from one call over a block's stack of estimators,
+    runs and steps, both approximate chains from one recursion over that
+    stack, and the reference's terms and recursion from one call each over
+    all runs.  The mean-only and mean+cov terms are each evaluated once per
+    block (counted in pcrlb.experiment and in pcrlb.fim, where
+    decompose_terms looks them up)."""
     calls = {}
 
     def count(module, name):
@@ -556,6 +577,15 @@ def test_bound_stage_computes_terms_and_gaps_once_per_stage(monkeypatch):
     calls.clear()
     run_experiment(dataclasses.replace(config, methods=("true",)))
     assert calls == {"true_fim_terms_mc": 1, "fim_recursion_series": 1}
+
+    # two blocks, of three runs and one: each block's engines run once
+    two_blocks = dataclasses.replace(config, runs=4, particles=20000)
+    assert [len(block) for block in experiment._blocks(two_blocks, 1)] == [3, 1]
+    calls.clear()
+    assert run_experiment(two_blocks).runs_used == 4
+    assert calls == {"mean_only_terms": 2, "decompose_terms": 2, "mean_cov_terms": 2,
+                     "fim_via_decomposition": 2, "bound_difference": 2,
+                     "true_fim_terms_mc": 1, "fim_recursion_series": 3}
     assert not hasattr(fim, "fim_decomposition_series")
 
 
@@ -662,7 +692,7 @@ def test_linear2d_outputs_keep_their_pinned_bytes(tmp_path):
     assert digests == PINNED_LINEAR2D_SHA256
 
 
-def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
+def test_theta_plus_pi_equals_the_direct_mean_cov_chain(monkeypatch):
     """On the default benchmark (R = 20) the pipeline's mean+cov series is
     the direct recursion over mean_cov_terms on the same filter beliefs, bit
     for bit, and the split of each of its steps sums to it, theta + pi = J
@@ -670,16 +700,23 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain():
     see."""
     config = ExperimentConfig(runs=20)
     model = build_model(config)
+    outputs = {}
+    for estimator in config.estimators:
+        def kept(*args, _filter=getattr(experiment, f"run_{estimator}"), _name=estimator,
+                 **kwargs):
+            outputs[_name] = _filter(*args, **kwargs)
+            return outputs[_name]
+        monkeypatch.setattr(experiment, f"run_{estimator}", kept)
     result = run_experiment(config)
-    runs, table, _ = experiment._filter_block(config, range(config.runs))
+    assert experiment._blocks(config, 1) == [range(config.runs)]  # one call of each filter
     steps = np.arange(1, config.horizon + 1)[:, None]
     for estimator in config.estimators:
         # (1, R, T, ...): the estimator's beliefs stacked alone
-        state, meas = experiment._engine_beliefs(model, table, (estimator,), np.arange(len(runs)))
+        state, meas = experiment._engine_beliefs(model, [outputs[estimator]])
         direct = fim_recursion_series(initial_fim(model.prior),
                                       mean_cov_terms(model, steps, state, meas))[0]
         assert np.array_equal(result.run_stacks[("mean_cov", estimator)], direct), estimator
-        j_prev = np.concatenate([np.broadcast_to(initial_fim(model.prior), (len(runs), 1, 1, 1)),
+        j_prev = np.concatenate([np.broadcast_to(initial_fim(model.prior), (config.runs, 1, 1, 1)),
                                  direct[:, :-1]], axis=1)
         split = fim_via_decomposition(j_prev, decompose_terms(model, steps, state, meas))
         theta, pi = split.theta[0], split.pi[0]
@@ -756,8 +793,15 @@ def test_config_rejects_values_a_run_would_misuse(fields, key):
     ({"model_params": {"process_var": None}}, "process_var"),
     ({"model_params": {"process_var": [[2.0]]}}, "process_var"),
     ({"ess_threshold": "0.5"}, "ess_threshold"),
+    ({"ut": None}, "ut"),
+    ({"horizon": True}, "horizon"),
+    ({"runs": True}, "runs"),
+    ({"particles": True}, "particles"),
+    ({"workers": True}, "workers"),
+    ({"master_seed": False}, "master_seed"),
 ], ids=["methods-string", "estimators-string", "process-var-string", "linear-a-string",
-        "process-var-none", "ungm-process-var-matrix", "ess-threshold-string"])
+        "process-var-none", "ungm-process-var-matrix", "ess-threshold-string", "ut-none",
+        "horizon-bool", "runs-bool", "particles-bool", "workers-bool", "master-seed-bool"])
 def test_config_rejects_values_of_the_wrong_type(fields, key):
     """A value of the wrong type, as a config built in Python can hold, fails
     at construction with a ValueError naming its key, not with an error from
@@ -781,11 +825,10 @@ def test_bound_stage_inverts_each_step_once_and_the_anchor_once(monkeypatch):
     the split reuses the mean+cov chain's inverses, inverting only its
     anchor: T + 1 calls of fim._inverse in the bound stage."""
     config = ExperimentConfig(model_name="ungm", horizon=6, runs=3, particles=50)
-    model = experiment.build_model(config)
-    runs, table, _ = experiment._filter_block(config, range(config.runs))
     inverse, calls = fim._inverse, []
     monkeypatch.setattr(fim, "_inverse", lambda m: calls.append(m.shape) or inverse(m))
-    kept, stacks = experiment._bound_stage(config, model, runs, {}, table)
-    assert kept.tolist() == [0, 1, 2]
+    # a block runs no reference, and the filters call no fim._inverse
+    table, errors, _ = experiment._run_block(config, range(config.runs))
+    assert not errors and len(table["states"]) == 3
     assert len(calls) == config.horizon + 1
-    assert ("gap_analytic", "pf") in stacks
+    assert ("gap_analytic", "pf") in table
