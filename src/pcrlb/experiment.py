@@ -16,8 +16,9 @@ the configured estimators, and produces:
   semidefiniteness,
 * per-step RMSE per estimator.
 
-The runs are split into consecutive blocks, mapped over a process pool when
-``workers`` > 1, and each block does all of its runs' work in one guarded pass
+The runs are split into consecutive blocks, mapped over a process pool of
+``workers`` processes, but no more than there are blocks, when ``workers`` > 1,
+and each block does all of its runs' work in one guarded pass
 (``_run_block``): it samples the block's trajectories in one stacked call, runs
 each estimator once over the block's stack of measurement sequences, then runs
 the bound engines over those filter outputs.  A block holds about 2^16
@@ -42,7 +43,6 @@ Results are bit-identical for any worker count and block split.
 from __future__ import annotations
 
 import collections.abc
-import concurrent.futures
 import operator
 import time
 from dataclasses import dataclass, field
@@ -572,8 +572,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     blocks = _blocks(config, model.state_dim)
     if config.workers == 1:
         parts = [_run_block(config, block) for block in blocks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+    else:  # imported here, so a one-process run never loads it; no process without a block
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(min(config.workers, len(blocks))) as pool:
             parts = list(pool.map(_run_block, [config] * len(blocks), blocks))
     failed = _failed_runs(config, {index: error for _, errors, _ in parts
                                    for index, error in errors.items()})

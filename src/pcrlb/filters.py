@@ -15,16 +15,17 @@ result needs: scalar process noise is scaled in place (the one product of a
 clouds are resampled in one exact O(N) ``systematic_resample`` call whose
 drawn particles, when every cloud resamples, are the new clouds without a
 copy back.  A stack of 1 x 1 covariances is factored by one square root
-behind potrf's own test, m > 0 (``_cholesky``), so a scalar particle filter
-runs LAPACK only on the prior and Q, once per call.  What every step would
-repeat with the same inputs is formed once per run: ``run_pf`` factors Q and
-R and forms R's log-determinant once per call, and the sigma-point spread and
-weights are built once per (n, ``UTParams``) and cached read-only
-(``_ut_weights``); the per-step tests call the ndarray reductions
-(``x.all()``), which skip the ``np.all`` wrappers' dispatch.  Every cloud's
-randomness comes from that run's own Generator, in the order of the
-single-run filter (prior cloud, then per step the process noise followed by
-the resampling uniform), so a run never depends on the rest of its stack.  A
+behind potrf's own test, m > 0 (``linalg._cholesky``), so a scalar particle
+filter runs LAPACK only on the prior and Q, once per call.  What every step
+would repeat with the same inputs is formed once per run: ``run_pf`` factors
+Q and R and forms R's log-determinant and the inverse of R's factor once per
+call, and the sigma-point spread and weights are built once per (n,
+``UTParams``) and cached read-only (``_ut_weights``); the per-step tests call
+the ndarray reductions (``x.all()``), which skip the ``np.all`` wrappers'
+dispatch.  Every cloud's randomness comes from that run's own Generator, in
+the order of the single-run filter (prior cloud, then per step the process
+noise followed by the resampling uniform), so a run never depends on the
+rest of its stack.  A
 stacked call raises the first error of any of its runs, as a single-run call
 does; the harness reruns the others without it (``pcrlb.experiment``).  The
 beliefs and particle sets built inside skip the public constructors' checks:
@@ -33,8 +34,9 @@ their covariances have just been factored and their weights normalized.
 Both filters count their numeric health per run: covariance repairs by
 ``regularize_cov``, the package's only diagonal-jitter repair, and for the
 particle filter resampling events, likelihood collapses and the smallest
-effective sample size.  The particle likelihood is solved by LAPACK
-potrf/potrs (``pcrlb.linalg``), loading scipy only for m > 1.
+effective sample size.  The particle likelihood whitens the residuals with
+the inverse of R's Cholesky factor for m > 1, and for m = 1 divides by the
+factor twice as LAPACK potrs does.  Everything runs on numpy alone.
 
 A closed-form Kalman step for linear models rides along as the oracle used by
 the CLI selftest.  Randomness is always drawn from a caller-supplied seed or
@@ -50,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import NumericError, _cho_factor, _cho_solve, _cholesky_inverse, spd_inverse, symmetrize
+from .linalg import NumericError, _cholesky, _cholesky_inverse, spd_inverse, symmetrize
 from .model import GaussianBelief, SystemModel, _unchecked
 
 __all__ = [
@@ -146,19 +148,6 @@ class ParticleSet:
     def ess(self):
         """Effective sample size 1 / sum(w^2) of each cloud."""
         return 1.0 / np.sum(self.weights ** 2, axis=-1)
-
-
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky of a stack, with 1 x 1 matrices factored by one square root.
-
-    A 1 x 1 stack raises LinAlgError where an element is not > 0 (0 and -0
-    included) and passes NaN through as NaN, as potrf does.
-    """
-    if cov.shape[-1] != 1:
-        return np.linalg.cholesky(cov)
-    if (cov <= 0.0).any():
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return np.sqrt(cov)
 
 
 def _factors(cov: np.ndarray) -> bool:
@@ -280,8 +269,9 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
     """One predict/update cycle of the unscented Kalman filter at time k.
 
     belief may be a stack (..., n) with one measurement per element in z
-    (..., m).  The innovation covariance of each element is inverted through
-    its own Cholesky factor; one that does not factor raises LinAlgError.
+    (..., m).  The innovation covariances are inverted once all of them
+    pass a Cholesky factorization (_cholesky_inverse); one that does not
+    factor raises LinAlgError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m_pred, p_pred, _ = unscented_transform(
@@ -445,10 +435,11 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
 
 
 def _loglik_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """What the log density of N(0, cov) needs of cov: its potrf factor, its
-    log determinant and m log(2 pi)."""
-    factor = _cho_factor(cov)
-    return factor, 2.0 * float(np.sum(np.log(np.diag(factor)))), cov.shape[0] * np.log(2.0 * np.pi)
+    """What the log density of N(0, cov) needs of cov: the inverse of its
+    Cholesky factor, its log determinant and m log(2 pi)."""
+    factor = _cholesky(cov)
+    return (np.linalg.inv(factor), 2.0 * float(np.sum(np.log(np.diag(factor)))),
+            cov.shape[0] * np.log(2.0 * np.pi))
 
 
 def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] = None
@@ -456,18 +447,24 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] 
     """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N).
 
     terms is _loglik_terms(cov), which a caller evaluating the same cov at
-    every step computes once; left out, it is computed here.  Bad residuals
-    propagate to the log-weights, where pf_step raises a NumericError.
+    every step computes once; left out, it is computed here.  The quadratic
+    form r' cov^-1 r is |L^-1 r|^2 for m > 1, and r s s r with s = 1/l for
+    m = 1, the arithmetic of LAPACK potrs.  Bad residuals propagate to the
+    log-weights, where pf_step raises a NumericError.
     """
     m = cov.shape[0]
-    factor, log_det, log_2pi = _loglik_terms(cov) if terms is None else terms
-    columns = np.moveaxis(resid, -1, 0)  # (m, ..., N): one solve for every run
-    sol = _cho_solve(factor, columns.reshape(m, -1)).reshape(columns.shape)
-    sol *= columns
-    quad = sol[0] if m == 1 else np.sum(sol, axis=0)
+    whiten, log_det, log_2pi = _loglik_terms(cov) if terms is None else terms
+    columns = np.moveaxis(resid, -1, 0).reshape(m, -1)  # (m, ...N): one product for every run
+    if m == 1:
+        quad = columns[0] * whiten[0, 0]
+        quad *= whiten[0, 0]
+        quad *= columns[0]
+    else:
+        white = whiten @ columns
+        quad = np.square(white, out=white).sum(axis=0)
     quad += log_det
     quad += log_2pi
-    return np.multiply(quad, -0.5, out=quad)
+    return np.multiply(quad, -0.5, out=quad).reshape(resid.shape[:-1])
 
 
 def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,

@@ -6,15 +6,14 @@ A matrix that must be positive definite and does not factor is an error here,
 never silently repaired: the only diagonal-jitter repair in the package is
 ``filters.regularize_cov``, which counts every covariance it repairs.  Every
 helper takes a single (n, n) matrix or a stack of them with any leading axes
-(..., n, n) and acts on each element of the stack.  Cholesky factors and
-solves are LAPACK potrf/potrs: numpy does the 1 x 1 case in their arithmetic,
-and scipy, which supplies them for larger matrices, is imported only the first
-time one is factored, so a scalar model never loads it.
+(..., n, n) and acts on each element of the stack.  All of it is numpy's
+LAPACK: a factor is np.linalg.cholesky's (potrf's bytes), 1 x 1 elements are
+factored and inverted by numpy in potrf/potrs's own arithmetic, and a larger
+matrix, once it has factored, is inverted by np.linalg.inv.  So no model
+needs more than numpy at run time.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -49,58 +48,46 @@ def _check_square_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-@functools.cache
-def _lapack() -> tuple:
-    """LAPACK potrf and potrs for float64, importing scipy on the first call."""
-    import scipy.linalg
-    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a matrix or of each matrix of a stack.
 
-
-def _cho_factor(m: np.ndarray) -> np.ndarray:
-    """potrf's lower factor (upper triangle not zeroed); for 1 x 1 elements sqrt(m)."""
-    if m.shape[-1] == 1:
-        factor, info = np.sqrt(np.abs(m)), int(not (m > 0.0).all())
-    else:
-        factor, info = _lapack()[0](m, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return factor
-
-
-def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """potrs's solution of L L' x = b; for 1 x 1 elements b scaled by 1/l twice, as potrs does."""
-    if factor.shape[-1] == 1:
-        x = b * (scale := 1.0 / factor)
-        x *= scale
-        return x
-    return _lapack()[1](factor, b, lower=1)[0]
+    np.linalg.cholesky, whose factor is LAPACK potrf's bit for bit; a 1 x 1
+    stack is factored by one square root behind potrf's own test, m > 0.
+    LinAlgError where an element does not factor (0 and -0 included); NaN
+    passes through as NaN, as np.linalg.cholesky passes it.
+    """
+    if m.shape[-1] != 1:
+        return np.linalg.cholesky(m)
+    if (m <= 0.0).any():
+        raise np.linalg.LinAlgError("1-th leading minor of the array is not positive definite")
+    return np.sqrt(m)
 
 
 def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert each factorable matrix of a stack through its own Cholesky factor.
+    """Invert each matrix of a stack once every element has passed a Cholesky factorization.
 
-    Each element gets the bytes of LAPACK potrf/potrs, as in scipy's cho_solve:
-    1 x 1 elements in one vector operation, (1/sqrt(m))**2, larger ones singly.
+    1 x 1 elements are inverted through their factor, (1/sqrt(m))**2 in one
+    vector operation, the bytes of LAPACK potrf/potrs; larger ones by one
+    batched LU inverse (np.linalg.inv).  The result is symmetrized.
     """
     if not np.isfinite(m).all():
         raise ValueError("array must not contain infs or NaNs")
+    factor = _cholesky(m)
     if m.shape[-1] == 1:
-        return symmetrize(_cho_solve(_cho_factor(m), 1.0))
-    eye = np.eye(m.shape[-1])
-    out = np.empty_like(m)
-    for index in np.ndindex(m.shape[:-2]):
-        out[index] = _cho_solve(_cho_factor(m[index]), eye)
-    return symmetrize(out)
+        scale = 1.0 / factor
+        return symmetrize(scale * scale)
+    return symmetrize(np.linalg.inv(m))
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix, or each matrix of a stack.
 
     m is factored once, and a factorization that runs to completion is the
-    test of positive definiteness.  A single matrix is inverted through that
-    Cholesky factor (_cholesky_inverse), a stack of 1 x 1 matrices as 1 / m
-    behind potrf's own test, m > 0 (the bytes of np.linalg.inv), and a larger
-    stack, once every element has factored in one call, by one LU inverse.
+    test of positive definiteness.  A single 1 x 1 matrix is inverted through
+    its factor as (1/sqrt(m))**2, a stack of 1 x 1 matrices as 1 / m behind
+    potrf's own test, m > 0 (the bytes of np.linalg.inv), and larger
+    matrices, single or stacked, once every element has factored in one
+    call, by one batched LU inverse (_cholesky_inverse).
 
     Args:
         m: symmetric positive definite matrix, shape (n, n), or a stack of
@@ -120,12 +107,9 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
 def _spd_inverse(m: np.ndarray) -> np.ndarray:
     """spd_inverse of a finite, symmetric float matrix or stack, which it does not check."""
     try:
-        if m.ndim == 2:
-            return _cholesky_inverse(m)
-        if m.shape[-1] == 1 and (m > 0.0).all():
+        if m.ndim > 2 and m.shape[-1] == 1 and (m > 0.0).all():
             return symmetrize(1.0 / m)
-        np.linalg.cholesky(m)
+        return _cholesky_inverse(m)
     except np.linalg.LinAlgError:
         eigmin = float(np.linalg.eigvalsh(m).min())
         raise NumericError(f"matrix is not positive definite: min eigenvalue {eigmin:.3e}") from None
-    return symmetrize(np.linalg.inv(m))

@@ -436,28 +436,38 @@ def test_selftest_reports_a_failing_check(monkeypatch, capsys):
 
 
 RUN_IN_FRESH_INTERPRETER = """\
-import dataclasses, json, sys
+import dataclasses, importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused in this interpreter", name=name)
+
+sys.meta_path.insert(0, RefuseScipy())
 import pcrlb.cli as cli
 config_path, out, params = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+codes = {"selftest": cli.main(["selftest", "--quiet"])} if sys.argv[4] == "selftest" else {}
 if params:  # the config file format is scalar-only, so matrices come in here
     from_file = cli.config_from_file
     def with_matrices(*args, **kwargs):
         config, output = from_file(*args, **kwargs)
         return dataclasses.replace(config, model_params=params), output
     cli.config_from_file = with_matrices
-code = cli.main(["run", "--config", config_path, "--out", out, "--quiet"])
-print(json.dumps({"code": code, "scipy": sorted(
+codes["code"] = cli.main(["run", "--config", config_path, "--out", out, "--quiet"])
+print(json.dumps({**codes, "scipy": sorted(
     name for name in sys.modules if name.split(".")[0] == "scipy")}))
 """
 
 
-def run_fresh(tmp_path, text, params=None):
-    """`pcrlb run` in a new interpreter; returns its exit code and the scipy modules it loaded."""
+def run_fresh(tmp_path, text, params=None, selftest=False):
+    """`pcrlb run`, after `pcrlb selftest` if asked, in a new interpreter that
+    refuses to import scipy; returns their exit codes and the scipy modules
+    loaded."""
     config_path = write(tmp_path, text)
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", RUN_IN_FRESH_INTERPRETER, str(config_path),
-         str(tmp_path / "out"), json.dumps(params or {})],
+         str(tmp_path / "out"), json.dumps(params or {}), "selftest" if selftest else "-"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
     assert done.returncode == 0, done.stderr
@@ -469,8 +479,13 @@ def test_scalar_run_loads_no_scipy(tmp_path):
     assert run_fresh(tmp_path, text) == {"code": 0, "scipy": []}
 
 
+MATRIX_RUN = "[model]\nname = linear\n\n[experiment]\nhorizon = 5\nruns = 3\n\n[filters]\nparticles = 50\n"
+
+
 def test_matrix_run_completes_in_fresh_interpreter(tmp_path):
-    text = "[model]\nname = linear\n\n[experiment]\nhorizon = 5\nruns = 3\n\n[filters]\nparticles = 50\n"
+    """import pcrlb, `pcrlb selftest` (whose checks run 1-D and 2-D models)
+    and a 2-D linear `pcrlb run` succeed where importing scipy fails."""
     params = GOLDEN_CONFIGS["linear2d"].model_params
-    assert run_fresh(tmp_path, text, params)["code"] == 0
+    assert run_fresh(tmp_path, MATRIX_RUN, params, selftest=True) == {
+        "selftest": 0, "code": 0, "scipy": []}
     assert len((tmp_path / "out" / "bounds.csv").read_text().splitlines()) == 6

@@ -1,30 +1,39 @@
-"""The inverses of 1 x 1 matrices against LAPACK and numpy, byte for byte.
+"""The package's inverses and particle likelihood against LAPACK potrf/potrs.
 
-A single 1 x 1 matrix is inverted through its Cholesky factor, computed by
-numpy as (1/sqrt(m))**2.  It equals the LAPACK potrf/potrs result only as
-long as the BLAS triangular solve inside potrs multiplies by the reciprocal
-of the factor, so the comparison is made against the LAPACK of the machine
-that runs the test.  A stack of 1 x 1 matrices is inverted as 1 / m, which
-is compared with the np.linalg.inv of the same machine.
+The package runs on numpy alone; scipy supplies potrf/potrs here as the
+reference.  1 x 1 matrices are compared byte for byte.  A single 1 x 1
+matrix is inverted through its Cholesky factor, computed by numpy as
+(1/sqrt(m))**2.  It equals the LAPACK potrf/potrs result only as long as the
+BLAS triangular solve inside potrs multiplies by the reciprocal of the
+factor, so the comparison is made against the LAPACK of the machine that
+runs the test.  A stack of 1 x 1 matrices is inverted as 1 / m, which is
+compared with the np.linalg.inv of the same machine.  Larger matrices are
+inverted by np.linalg.inv once they factor, and the particle likelihood
+whitens residuals with the inverse Cholesky factor; both are compared with
+potrf/potrs within 50 kappa eps relative, kappa the condition number.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pcrlb import NumericError, spd_inverse
+from pcrlb import GaussianBelief, NumericError, spd_inverse, ukf_step
+from pcrlb import filters
+from pcrlb.cli import random_stable_linear_model
+from pcrlb.filters import _gaussian_loglik
 from pcrlb.linalg import _cholesky_inverse
 
 POTRF, POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+EPS = np.finfo(float).eps
 
 
 def lapack_inverse(stack):
-    """Each 1 x 1 element inverted by LAPACK potrf then potrs, symmetrized as spd_inverse does."""
+    """Each element inverted by LAPACK potrf then potrs, symmetrized as spd_inverse does."""
     out = np.empty_like(stack)
     for index in np.ndindex(stack.shape[:-2]):
         factor, info = POTRF(stack[index], lower=1, clean=0)
         assert info == 0
-        out[index], info = POTRS(factor, np.eye(1), lower=1)
+        out[index], info = POTRS(factor, np.eye(stack.shape[-1]), lower=1)
     return 0.5 * (out + out.mT)
 
 
@@ -79,3 +88,58 @@ def test_scalar_stack_inverse_error_texts(bad, error, text):
         with pytest.raises(error) as raised:
             spd_inverse(m)
         assert type(raised.value) is error and str(raised.value) == text
+
+
+def random_spd(rng, shape, n):
+    """SPD matrices of shape + (n, n) with condition numbers from 1 to about 1e6."""
+    basis = np.linalg.qr(rng.standard_normal(shape + (n, n)))[0]
+    spectrum = 10.0 ** rng.uniform(-3.0, 3.0, shape + (n,))
+    return (basis * spectrum[..., None, :]) @ basis.mT
+
+
+def assert_near_potrs(got, want, matrices):
+    """got within 50 kappa eps of the potrs result, relative to its largest entry, per matrix."""
+    scale = 50.0 * np.linalg.cond(matrices) * EPS * np.abs(want).max(axis=(-2, -1))
+    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= scale)
+
+
+def potrs_loglik(resid, cov):
+    """The Gaussian log density through LAPACK potrf/potrs, and the size of its terms."""
+    factor, info = POTRF(cov, lower=1, clean=0)
+    assert info == 0
+    m = cov.shape[0]
+    columns = np.moveaxis(resid, -1, 0).reshape(m, -1)
+    quad = np.sum(columns * POTRS(factor, columns, lower=1)[0], axis=0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    loglik = -0.5 * (quad + logdet + m * np.log(2.0 * np.pi))
+    return loglik.reshape(resid.shape[:-1]), 0.5 * (quad + abs(logdet) + m * np.log(2.0 * np.pi))
+
+
+def test_matrix_path_matches_potrs_within_rounding(rng, monkeypatch):
+    """For n, m = 2..4 the inverses and the likelihood are potrf/potrs's up
+    to 50 kappa eps: spd_inverse of single matrices and (R, T) stacks, the
+    UKF's innovation inverse and the particle log-likelihood."""
+    for n in (2, 3, 4):
+        singles = random_spd(rng, (40,), n)
+        for single in singles:
+            assert_near_potrs(spd_inverse(single), lapack_inverse(single), single)
+        stack = random_spd(rng, (5, 7), n)
+        assert_near_potrs(spd_inverse(stack), lapack_inverse(stack), stack)
+
+        for cov in random_spd(rng, (20,), n):
+            resid = rng.standard_normal((3, 40, n)) * np.sqrt(np.diag(cov))
+            want, size = potrs_loglik(resid, cov)
+            tolerance = 50.0 * np.linalg.cond(cov) * EPS * size.reshape(want.shape)
+            assert np.all(np.abs(_gaussian_loglik(resid, cov) - want) <= tolerance)
+
+        model = random_stable_linear_model(rng, n)
+        innovations = []
+        monkeypatch.setattr(filters, "_cholesky_inverse",
+                            lambda m: innovations.append(m) or _cholesky_inverse(m))
+        belief = GaussianBelief(model.prior.mean + rng.standard_normal((6, n)),
+                                np.tile(model.prior.cov, (6, 1, 1)))
+        ukf_step(model, 1, belief, rng.standard_normal((6, n)))
+        monkeypatch.undo()
+        (z_cov,) = innovations
+        assert z_cov.shape == (6, n, n)
+        assert_near_potrs(_cholesky_inverse(z_cov), lapack_inverse(z_cov), z_cov)
