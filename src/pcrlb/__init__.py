@@ -22,8 +22,8 @@ from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_series, fim_recursion_step, fim_via_decomposition,
                   initial_fim, mean_cov_terms, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
-from .model import (GaussianBelief, SystemModel, Trajectory, fd_hessians, fd_jacobian,
-                    linear_gaussian_model, sample_trajectory, ungm_model)
+from .model import (GaussianBelief, SystemModel, Trajectory, linear_gaussian_model,
+                    sample_trajectory, ungm_model)
 from .moments import (measurement_moment_map_derivatives, propagate_measurement_moments,
                       propagate_state_moments, state_moment_map_derivatives)
 
@@ -50,8 +50,6 @@ __all__ = [
     "build_model",
     "decompose_terms",
     "derive_run_seed",
-    "fd_hessians",
-    "fd_jacobian",
     "fim_recursion_series",
     "fim_recursion_step",
     "fim_via_decomposition",

@@ -327,10 +327,27 @@ def _run_block(config: ExperimentConfig, indices: range) -> tuple[dict, dict, di
     return _isolated(compute, np.asarray(indices), errors), errors, seconds
 
 
-def _is_negative(matrix: np.ndarray) -> np.ndarray:
-    """Per-element flag: the symmetric matrix has a clearly negative eigenvalue."""
-    eigs = np.linalg.eigvalsh(matrix)
+def _negative(eigs: np.ndarray) -> np.ndarray:
     return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
+
+
+def _is_negative(matrix: np.ndarray) -> np.ndarray:
+    """Per-element flag: the symmetric matrix has a clearly negative eigenvalue,
+    lambda_min < -1e-12 max(1, max |lambda|), with the eigenvalues eigvalsh gives.
+
+    An element that an exact bound decides needs no eigenvalue: a 1 x 1
+    matrix is its own eigenvalue (eigvalsh returns the entry), and where
+    ||M||_F < 0.5e-12 every |lambda| lies below it, half the threshold of
+    1e-12, a margin that the rounding of eigvalsh (of order eps ||M||)
+    cannot cross, so the flag is False.  Only the other elements go to
+    eigvalsh, so the flags are the eigvalsh rule's element by element."""
+    if matrix.shape[-1] == 1:
+        return _negative(matrix[..., 0])
+    flags = np.zeros(matrix.shape[:-2], dtype=bool)
+    undecided = ~(np.linalg.norm(matrix, axis=(-2, -1)) < 0.5e-12)  # NaN stays open
+    if undecided.any():
+        flags[undecided] = _negative(np.linalg.eigvalsh(matrix[undecided]))
+    return flags
 
 
 def _engine_beliefs(model: SystemModel, outputs: list) -> tuple[GaussianBelief, GaussianBelief]:

@@ -22,7 +22,11 @@ differ in the measure:
 * ``mean_cov_terms``: each filter belief N(m, P) as the third-degree cubature
   rule, 2n equally weighted nodes m +- sqrt(n) S e_i with S S' = P, the
   derivative-free form of the second-order Taylor expectation over the
-  belief.
+  belief.  S is the lower Cholesky factor of P, as in the cited rule; only a
+  P that does not factor (singular or rounding-negative) takes the eigen
+  root V sqrt(max(w, 0)), decided per element.  The root matters only for a
+  nonlinear model with n > 1 and a non-diagonal P, where the nodes turn
+  with it.
 
 ``decompose_terms`` gives the two term triples of the same beliefs: point,
 the mean-only terms at the belief means, and full, the mean+cov terms; the
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_finite, _spd_inverse, spd_inverse, symmetrize
+from .linalg import _check_finite, _cholesky, _spd_inverse, spd_inverse, symmetrize
 from .model import GaussianBelief, SystemModel
 
 __all__ = [
@@ -229,13 +233,31 @@ def mean_only_terms(model: SystemModel, k, x_prev: np.ndarray,
     return _expected_terms(model, k, x_prev[..., None, :], x_new[..., None, :])
 
 
+def _square_root(cov: np.ndarray) -> np.ndarray:
+    """S with S S' = P for each covariance P of a stack: the lower Cholesky
+    factor (linalg._cholesky) where P factors, else V sqrt(max(w, 0)) from
+    P = V diag(w) V', so a singular P, or one with a rounding-negative
+    eigenvalue, spreads nothing along that direction.  Each element is
+    decided on its own: a stack that does not factor as a whole is rooted
+    element by element."""
+    try:
+        return _cholesky(cov)
+    except np.linalg.LinAlgError:
+        if cov.ndim > 2:
+            flat = cov.reshape((-1,) + cov.shape[-2:])
+            return np.stack([_square_root(p) for p in flat]).reshape(cov.shape)
+        eigs, vectors = np.linalg.eigh(cov)
+        return vectors * np.sqrt(np.maximum(eigs, 0.0))
+
+
 def _cubature_nodes(belief: GaussianBelief) -> np.ndarray:
-    """The 2n nodes mean +- sqrt(n) S e_i of each belief, (..., 2n, n), with
-    S = V sqrt(max(w, 0)) from P = V diag(w) V': S S' = P for any PSD P, a
-    rounding-negative eigenvalue is no spread, and a 1 x 1 P gives sqrt(P)."""
-    eigs, vectors = np.linalg.eigh(belief.cov)
-    root = vectors * np.sqrt(np.maximum(eigs, 0.0))[..., None, :]
-    wings = np.sqrt(belief.dim) * root.mT  # row i is sqrt(n) S e_i
+    """The 2n nodes mean +- sqrt(n) S e_i of each belief, (..., 2n, n), with S
+    the lower Cholesky factor of P, the root of the cited rule and of
+    filters.sigma_points; a 1 x 1 P gives sqrt(P).  A covariance that does not
+    factor (singular, or with a rounding-negative eigenvalue, which
+    GaussianBelief admits) keeps the eigen root V sqrt(max(w, 0)) instead,
+    decided per element (_square_root)."""
+    wings = np.sqrt(belief.dim) * _square_root(belief.cov).mT  # row i is sqrt(n) S e_i
     center = belief.mean[..., None, :]
     return np.concatenate([center + wings, center - wings], axis=-2)
 
@@ -248,8 +270,13 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
     (Arasaratnam & Haykin, IEEE TAC 54(6), 2009), the 2n nodes
     m +- sqrt(n) S e_i with S S' = P, each of weight 1/(2n): the unscented
     transform with alpha = 1, beta = kappa = 0 without its zero-weight
-    centre.  In one dimension 0.5 [g(m + s) + g(m - s)] = g(m) + 0.5 g'' s^2
-    + O(s^4) with s^2 = P, the second-order Taylor expectation.
+    centre.  S is the lower Cholesky factor of P, the root the rule is
+    stated with; a P that does not factor takes the eigen root
+    (_cubature_nodes).  Any root gives the same first and second moments,
+    but for a nonlinear model with n > 1 and a non-diagonal P the terms
+    depend on which one.  In one dimension 0.5 [g(m + s) + g(m - s)] =
+    g(m) + 0.5 g'' s^2 + O(s^4) with s^2 = P, the second-order Taylor
+    expectation, and sqrt(P) is the root either way.
 
     Args:
         model: the system model.

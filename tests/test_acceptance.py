@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (ExperimentConfig, GaussianBelief, cli, fd_hessians, fd_jacobian,
-                   propagate_state_moments, run_experiment, state_moment_map_derivatives,
-                   ungm_model)
+from finite_differences import fd_hessians, fd_jacobian
+from pcrlb import (ExperimentConfig, GaussianBelief, cli, propagate_state_moments,
+                   run_experiment, state_moment_map_derivatives, ungm_model)
 
 BENCHMARK_CONFIG = ExperimentConfig()  # ungm, horizon 50, 100 runs, 1000 particles
 

@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pcrlb import experiment, fim
-from pcrlb.cli import write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
+from pcrlb.cli import random_spd, write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
+from pcrlb.linalg import symmetrize
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    SystemModel, UTParams, aggregate_bounds, build_model, decompose_terms,
                    derive_run_seed, fim_recursion_series, fim_recursion_step,
@@ -862,3 +863,102 @@ def test_bound_stage_inverts_each_step_once_and_the_anchor_once(monkeypatch):
     assert not errors and len(table["states"]) == 3
     assert len(calls) == config.horizon + 1
     assert ("gap_analytic", "pf") in table
+
+
+def eigvalsh_rule(matrix):
+    """The violation flag written out: lambda_min < -1e-12 max(1, max |lambda|)."""
+    eigs = np.linalg.eigvalsh(matrix)
+    return eigs[..., 0] < -1e-12 * np.maximum(1.0, np.abs(eigs).max(axis=-1))
+
+
+def violation_cases(rng, dim):
+    """Symmetric (dim, dim) matrices on both sides of every decision of the
+    violation flag: positive and negative definite, indefinite, zero, of Frobenius norm
+    just below and above 0.5e-12, and with lambda_min within a few ulps-worth
+    of -1e-12 max(1, max |lambda|) at unit and large scale."""
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+    def with_eigs(values):
+        return basis @ np.diag(values) @ basis.T
+
+    cases = [random_spd(rng, dim), -random_spd(rng, dim),
+             symmetrize(rng.standard_normal((dim, dim))), np.zeros((dim, dim)),
+             -np.eye(dim) * 1e-13]
+    for norm in (0.5e-12 * (1 - 1e-9), 0.5e-12 * (1 + 1e-9), 2e-12):
+        for sign in (1.0, -1.0):
+            tiny = symmetrize(rng.standard_normal((dim, dim)))
+            tiny[0, 0] = -abs(tiny[0, 0]) if sign < 0 else tiny[0, 0]
+            cases.append(tiny * (norm / np.linalg.norm(tiny)))
+    for top in (0.5, 1.0, 3e3):
+        for factor in (1 - 1e-6, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-6):
+            low = -1e-12 * max(1.0, top) * factor
+            cases.append(with_eigs(np.r_[low, np.full(dim - 1, top)]) if dim > 1
+                         else np.array([[low]]))
+    return np.stack(cases)
+
+
+def test_violation_flags_equal_the_eigvalsh_rule_and_solve_only_the_undecided(rng, monkeypatch):
+    """_is_negative gives the eigvalsh rule's flag element by element for
+    n = 1 to 4, and hands eigvalsh only the elements that neither n = 1 nor
+    ||M||_F < 0.5e-12 decides: for n = 1 none."""
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    for dim in (1, 2, 3, 4):
+        stack = violation_cases(rng, dim).reshape(-1, 2, dim, dim)
+        want = eigvalsh_rule(stack)
+        assert want.any() and not want.all()
+        solved.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or eigvalsh(m))
+        got = experiment._is_negative(stack)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert got.shape == want.shape and np.array_equal(got, want), dim
+        undecided = np.linalg.norm(stack, axis=(-2, -1)) >= 0.5e-12
+        if dim == 1:
+            assert not solved
+        else:
+            assert len(solved) == 1 and np.array_equal(solved[0], stack[undecided])
+            assert not undecided.all()
+
+
+def linear4d_config():
+    """A seeded 4-state linear config, the matrix path of the bound stage."""
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1.0, 1.0, size=(4, 4))
+    a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
+    params = {"a": a.tolist(), "h": rng.uniform(-1.5, 1.5, size=(4, 4)).tolist(),
+              "process_var": random_spd(rng, 4).tolist(), "meas_var": random_spd(rng, 4).tolist(),
+              "prior_mean": rng.standard_normal(4).tolist(),
+              "prior_var": random_spd(rng, 4).tolist()}
+    return ExperimentConfig(model_name="linear", model_params=params, horizon=20, runs=4,
+                            particles=200)
+
+
+@pytest.mark.parametrize("config", [ExperimentConfig(), linear4d_config()],
+                         ids=["default", "linear4d"])
+def test_bound_stage_runs_no_eigensolver(config, monkeypatch):
+    """The bound stage takes its cubature roots from Cholesky factors and
+    decides its violation flags without eigenvalues: no eigh and no eigvalsh
+    call while _bound_rows runs, on the default ungm config and on a 4-D
+    linear one."""
+    calls, inside = [], []
+
+    def watched(name):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, **kwargs: (inside and calls.append(name))
+                            or solver(*args, **kwargs))
+
+    for name in ("eigh", "eigvalsh"):
+        watched(name)
+    bound_rows = experiment._bound_rows
+
+    def observed(*args):
+        inside.append(True)
+        try:
+            return bound_rows(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(experiment, "_bound_rows", observed)
+    table, errors, _ = experiment._run_block(config, range(4))
+    assert not errors and ("gap_violation", "pf") in table
+    assert calls == []

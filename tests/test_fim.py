@@ -286,6 +286,41 @@ def test_mean_cov_takes_a_rounding_negative_eigenvalue():
     assert np.array_equal(scalar.d11, mean_only_terms(ungm_model(), 3, np.ones(1), np.ones(1)).d11)
 
 
+def test_cubature_nodes_of_a_factoring_stack_are_the_cholesky_nodes(rng):
+    """Where every covariance factors, the wings are sqrt(n) L' with L the
+    lower Cholesky factor of np.linalg.cholesky, bit for bit, for n = 1 to 4."""
+    for dim in (1, 2, 3, 4):
+        covs = np.stack([random_spd(rng, dim, shift=0.1) for _ in range(6)]).reshape(2, 3, dim, dim)
+        belief = GaussianBelief(rng.standard_normal((2, 3, dim)), covs)
+        wings = np.sqrt(dim) * np.linalg.cholesky(covs).mT
+        center = belief.mean[..., None, :]
+        want = np.concatenate([center + wings, center - wings], axis=-2)
+        assert np.array_equal(fim._cubature_nodes(belief), want)
+
+
+def test_cubature_nodes_decide_the_root_per_element(rng):
+    """A stack mixing covariances that factor with singular and
+    rounding-negative ones gives each element the nodes it gets alone: the
+    Cholesky nodes where it factors, the eigen root's where it does not."""
+    for dim in (1, 2, 3, 4):
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        scale = 8.0
+        rounding_negative = basis @ np.diag(np.r_[-1e-12 * scale, np.full(dim - 1, scale)]) @ basis.T
+        singular = np.diag(np.r_[np.ones(dim - 1), 0.0])
+        covs = np.stack([random_spd(rng, dim, shift=0.5), singular, rounding_negative,
+                         random_spd(rng, dim, shift=0.5), np.zeros((dim, dim)),
+                         random_spd(rng, dim, shift=0.5)]).reshape(3, 2, dim, dim)
+        belief = GaussianBelief(rng.standard_normal((3, 2, dim)), covs)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs)
+        nodes = fim._cubature_nodes(belief)
+        for index in np.ndindex(3, 2):
+            alone = fim._cubature_nodes(GaussianBelief(belief.mean[index], covs[index]))
+            assert np.array_equal(nodes[index], alone), (dim, index)
+        spread = nodes - belief.mean[..., None, :]
+        assert_allclose(spread.mT @ spread / (2 * dim), covs, rtol=1e-13, atol=1e-10)
+
+
 def scalar_mean_cov_oracle(x, p, y, pz):
     """The ungm terms (q = 1, r = 5) under the two-node rule, written out:
     the means of f'^2 / q and f' / q at x +- sqrt(p), and of h'^2 / r at

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import (GaussianBelief, fd_hessians, fd_jacobian, linear_gaussian_model,
-                   sample_trajectory, spd_inverse, ungm_model)
+from finite_differences import fd_hessians, fd_jacobian
+from pcrlb import (GaussianBelief, linear_gaussian_model, sample_trajectory, spd_inverse,
+                   ungm_model)
 
 from pcrlb.cli import random_stable_linear_model
 
