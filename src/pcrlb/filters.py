@@ -12,20 +12,28 @@ element of a stack gets the bytes the single-run call gives it.  The particle
 filter's step works in place on its own buffers and makes only the arrays its
 result needs: scalar process noise is scaled in place (the one product of a
 1 x 1 matmul), equal incoming weights take one logarithm per cloud, and all
-clouds are resampled in one exact O(N) ``systematic_resample`` call whose
-drawn particles, when every cloud resamples, are the new clouds without a
-copy back.  A stack of 1 x 1 covariances is factored by one square root
-behind potrf's own test, m > 0 (``linalg._cholesky``), so a scalar particle
-filter runs LAPACK only on the prior and Q, once per call.  What every step
-would repeat with the same inputs is formed once per run: ``run_pf`` factors
-Q and R and forms R's log-determinant and the inverse of R's factor once per
-call, and the sigma-point spread and weights are built once per (n,
-``UTParams``) and cached read-only (``_ut_weights``); the per-step tests call
-the ndarray reductions (``x.all()``), which skip the ``np.all`` wrappers'
-dispatch.  Every cloud's randomness comes from that run's own Generator, in
-the order of the single-run filter (prior cloud, then per step the process
-noise followed by the resampling uniform), so a run never depends on the
-rest of its stack.  A
+clouds are resampled by one exact O(N) count and scan (``_resample_indices``)
+whose gather indices draw the particles straight from the flattened stack;
+when every cloud resamples, the drawn particles are the new clouds without a
+copy back.  Inputs are validated at the public boundary only
+(``systematic_resample``, ``pf_step``, ``run_pf``, which checks the resample
+policy once per call); inside a run the step trusts what it has just made.
+Its weights are normalized by construction, so the kernel runs without
+checks, on a work buffer ``run_pf`` allocates once, and clips only each
+cloud's last column.  Non-finite log-weights are found on the per-cloud
+maxima that the max subtraction needs (a NaN propagates to its cloud's
+maximum, and +inf is it), and the incoming weights are tested for equality
+only where they can differ: in ``pf_step`` and after an adaptive step that
+resampled some of the clouds.  A stack of 1 x 1 covariances is factored by
+one square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a
+scalar particle filter runs LAPACK only on the prior and Q, once per call.
+What every step would repeat with the same inputs is formed once per run:
+``run_pf`` factors Q and R and forms R's log-determinant and the inverse of
+R's factor once per call, and the sigma-point spread and weights are built
+once per (n, ``UTParams``) and cached read-only (``_ut_weights``).  Every
+cloud's randomness comes from that run's own Generator, in the order of the
+single-run filter (prior cloud, then per step the process noise followed by
+the resampling uniform), so a run never depends on the rest of its stack.  A
 stacked call raises the first error of any of its runs, as a single-run call
 does; the harness reruns the others without it (``pcrlb.experiment``).  The
 beliefs and particle sets built inside skip the public constructors' checks:
@@ -387,15 +395,11 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
 
     Positions (j + u) / N, j = 0..N-1, with one uniform u in [0, 1) per row
     (u has the stack's shape) are matched against the cumulative weight sum
-    c: index j is #{i : c_i <= (j + u) / N}, clipped to N - 1.  One ordered
-    pass gives it (Kitagawa 1996): particle i is first passed at position
-    ceil(N c_i - u), and index j counts the particles passed by position j.
-    Rounding moves either side of that comparison by at most about
-    N * 4.4e-16, so entries with N c_i - u within 1e-12 N of an integer are
-    searched among the positions, and every index is the one a search gives.
-    A negative weight is rejected: its count would land in the previous row.
-    Two arrays the size of the weights serve every pass: the estimates
-    N c - u, whose buffer then holds the counts, and the first positions.
+    c: index j is #{i : c_i <= (j + u) / N}, clipped to N - 1.  This public
+    entry validates its inputs and runs the unchecked kernel the particle
+    filter's step calls directly (_resample_indices): one flat count and
+    scan over all rows, exact to the rule above.  A negative weight is
+    rejected: its count would land in the row before.
 
     Returns:
         Integer indices (..., N) into each row's particles.
@@ -408,30 +412,56 @@ def systematic_resample(weights: np.ndarray, u) -> np.ndarray:
         raise ValueError("resampling weights must be non-negative and normalized")
     n = weights.shape[-1]
     flat = weights.reshape(-1, n)
-    rows = flat.shape[0]
-    u = np.broadcast_to(u, weights.shape[:-1]).reshape(rows, 1)
-    work = np.empty((rows, n + 1))  # the estimates, then the counts of each row's N + 1 bins
-    estimate = np.cumsum(flat, axis=-1, out=work[:, :n])
+    index = _resample_indices(flat, np.broadcast_to(u, weights.shape[:-1]).reshape(-1),
+                              np.empty((2, flat.size + 1)))
+    index -= n * np.arange(flat.shape[0])[:, None]
+    return index.reshape(weights.shape)
+
+
+def _resample_indices(flat: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """systematic_resample of each row of flat (R, N), without its checks,
+    as gather indices row * N + index into the rows' particles stacked as
+    (R * N, n).
+
+    flat holds non-negative weights, each row normalized, u (R,) lies in
+    [0, 1), and work is a (2, R * N + 1) float buffer that the returned
+    indices are a view of.  One ordered pass gives a row's indices (Kitagawa
+    1996): particle i is first passed at position ceil(N c_i - u), and index
+    j counts the particles passed by position j.  Rounding moves either side
+    of that comparison by at most about N * 4.4e-16, so entries with
+    N c_i - u within 1e-12 N of an integer are searched among the positions,
+    and every index is the one a search gives.  The rows' bins lie end to
+    end, bin row * N + j for position j and one more after the last row, and
+    a first position past a row's end (N, or N + 1 where the cumulative sum
+    rounds above 1) is counted at N, the next row's first bin.  So one count
+    and one cumulative sum over all bins give row * N + index.  Only a row's
+    last column can count all N of its particles, where (N - 1 + u) / N
+    rounds to 1, so that column alone is clipped to (row + 1) * N - 1.
+    """
+    rows, n = flat.shape
+    estimate = np.cumsum(flat, axis=-1, out=work[0, :-1].reshape(rows, n))
     np.maximum(estimate[:, -1], 1.0, out=estimate[:, -1])  # guard rounding of the final edge
     estimate *= n
-    estimate -= u
-    first = np.ceil(estimate, out=np.empty(estimate.shape, np.intp), casting="unsafe")
+    estimate -= u[:, None]
+    first = np.ceil(estimate, out=work[1, :-1].reshape(rows, n))
     estimate -= first  # in (-1, 0]: near 0 or -1 where N c - u is near an integer
     estimate += 0.5  # near: |estimate + 1/2| >= 1/2 - 1e-12 N
     near = np.abs(estimate, out=estimate) >= 0.5 - 1e-12 * n
-    np.minimum(first, n, out=first)
-    first += (n + 1) * np.arange(rows)[:, None]  # each row counts into its own N + 1 bins
     for row in np.flatnonzero(near.any(axis=-1)):
         cumulative = np.cumsum(flat[row])
         cumulative[-1] = max(cumulative[-1], 1.0)
-        positions = (np.arange(n) + u[row, 0]) / n
-        first[row, near[row]] = (n + 1) * row + np.searchsorted(
-            positions, cumulative[near[row]], side="left")
-    passed = work.view(np.intp)
-    passed.fill(0)
-    np.add.at(passed.reshape(-1), first.reshape(-1), 1)
-    index = np.cumsum(passed, axis=-1, out=passed)[:, :n]
-    return np.minimum(index, n - 1, out=index).reshape(weights.shape)
+        positions = (np.arange(n) + u[row]) / n
+        first[row, near[row]] = np.searchsorted(positions, cumulative[near[row]], side="left")
+    if (first[:, -1] > n).any():  # first positions rise along a row: its last is its largest
+        np.minimum(first, n, out=first)
+    first += n * np.arange(rows, dtype=float)[:, None]
+    bins, counts = work.view(np.intp)  # the estimates' buffer holds the bins
+    np.copyto(bins[:-1], first.reshape(-1), casting="unsafe")
+    counts.fill(0)
+    np.add.at(counts, bins[:-1], 1)
+    index = np.cumsum(counts, out=counts)[:-1].reshape(rows, n)
+    np.minimum(index[:, -1], n * np.arange(1, rows + 1) - 1, out=index[:, -1])
+    return index
 
 
 def _loglik_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -493,17 +523,27 @@ def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
         (new particle set, FilterOutput with predicted and posterior beliefs
         and the step's health counts).
     """
+    _check_policy(resample)
+    weights = particles.weights
     return _pf_step(model, k, particles, z, _generators(seed), resample, ess_threshold,
-                    np.linalg.cholesky(model.process_cov), _loglik_terms(model.meas_cov))
+                    np.linalg.cholesky(model.process_cov), _loglik_terms(model.meas_cov),
+                    bool((weights == weights[..., :1]).all()), np.empty((2, weights.size + 1)))
+
+
+def _check_policy(resample: str) -> None:
+    if resample not in RESAMPLE_POLICIES:
+        raise ValueError(f"unknown resample policy {resample!r}")
 
 
 def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
              generators: list, resample: str, ess_threshold: float, noise_chol: np.ndarray,
-             loglik_terms: tuple) -> tuple[ParticleSet, FilterOutput]:
-    """pf_step with one generator per cloud, the process noise's Cholesky
-    factor and _loglik_terms of the measurement noise."""
-    if resample not in RESAMPLE_POLICIES:
-        raise ValueError(f"unknown resample policy {resample!r}")
+             loglik_terms: tuple, equal_weights: bool, work: np.ndarray
+             ) -> tuple[ParticleSet, FilterOutput]:
+    """pf_step for a checked resample policy, with one generator per cloud,
+    the process noise's Cholesky factor, _loglik_terms of the measurement
+    noise and the resampling kernel's work buffer, (2, R * N + 1) for R
+    clouds.  equal_weights tells that each cloud's incoming weights are
+    equal, as resampling leaves them, so one logarithm per cloud serves."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lead = particles.weights.shape[:-1]
     n_particles, n = particles.states.shape[-2:]
@@ -520,12 +560,11 @@ def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov,
                              loglik_terms)
     incoming = particles.weights
-    if (incoming == incoming[..., :1]).all():  # equal, as resampling leaves them: one log per cloud
-        incoming = incoming[..., :1]
-    log_w += np.log(incoming)
-    if not (log_w < np.inf).all():  # NaN or +inf
+    log_w += np.log(incoming[..., :1] if equal_weights else incoming)
+    peak = log_w.max(axis=-1, keepdims=True)
+    if not (peak < np.inf).all():  # a NaN propagates to its cloud's maximum; +inf is it
         raise NumericError(f"non-finite particle log-weights at step {k}")
-    log_w -= log_w.max(axis=-1, keepdims=True)
+    log_w -= peak
     weights = np.exp(log_w, out=log_w)
     total = weights.sum(axis=-1, keepdims=True)
     collapsed = ~((total > 0.0) & np.isfinite(total))[..., 0]
@@ -541,12 +580,14 @@ def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
     resampled = np.full(lead, True) if resample == "always" else ess < ess_threshold * n_particles
     rows = np.flatnonzero(resampled)
     if rows.size:
-        # one call for all resampled clouds, each u from its own generator
+        # one kernel call for all resampled clouds, each u from its own generator
         u = np.array([generators[row].random() for row in rows])
         every = rows.size == resampled.size
         flat = weights.reshape(-1, n_particles)
-        picks = systematic_resample(flat if every else flat[rows], u)
-        picks += n_particles * rows[:, None]
+        picks = _resample_indices(flat if every else flat[rows], u,
+                                  work[:, :rows.size * n_particles + 1])
+        if not every:  # the kernel's row r is cloud rows[r]
+            picks += n_particles * (rows - np.arange(rows.size))[:, None]
         chosen = np.take(propagated.reshape(-1, n), picks, axis=0, mode="clip")
         if every:  # the drawn particles are the new clouds
             updated = _unchecked(chosen.reshape(propagated.shape), weights, cls=ParticleSet)
@@ -567,6 +608,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     seed is an int seed or Generator for one run; for a stack, a list with
     one per run (flattened in C order), each run drawing only from its own.
     """
+    _check_policy(resample)
     stacked = np.ndim(measurements) > 2
     generators = _generators(seed)
     if stacked != isinstance(seed, list) or len(generators) != np.prod(np.shape(measurements)[:-2]):
@@ -574,13 +616,18 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     particles = init_particles(model, n_particles, generators)
     noise_chol = np.linalg.cholesky(model.process_cov)
     loglik_terms = _loglik_terms(model.meas_cov)
+    work = np.empty((2, particles.weights.size + 1))
 
     def step(k, z, cloud):
-        updated, out = _pf_step(model, k, _unchecked(*cloud, cls=ParticleSet), z, generators,
-                                resample, ess_threshold, noise_chol, loglik_terms)
-        return out, (updated.states, updated.weights)
+        # the clouds' weights are equal after init_particles and after a step
+        # that resampled every cloud
+        states, weights, equal = cloud
+        updated, out = _pf_step(model, k, _unchecked(states, weights, cls=ParticleSet), z,
+                                generators, resample, ess_threshold, noise_chol, loglik_terms,
+                                equal, work)
+        return out, (updated.states, updated.weights, bool(out.health["resamples"].all()))
 
-    return _run_stack(model, measurements, step, (particles.states, particles.weights),
+    return _run_stack(model, measurements, step, (particles.states, particles.weights, True),
                       {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf})
 
 

@@ -191,6 +191,37 @@ def test_stacked_resample_matches_the_search_rule_exactly(monkeypatch):
     assert np.array_equal(systematic_resample(weights[0], u[0]), got[0])
 
 
+def test_the_resampling_kernel_gives_flat_gather_indices():
+    """The step's unchecked kernel gives systematic_resample's indices offset
+    by row * N, the rows of the (R * N, n) particle stack."""
+    rng = np.random.default_rng(17)
+    clipped = 0
+    for n in (1, 2, 1000, 20000):
+        for kind in ("uniform", "one-hot", "zero-ends", "skewed", "ties"):
+            weights = resample_weights(rng, kind, 4, n)
+            u = np.array([0.0, np.nextafter(1.0, 0.0), rng.random(), rng.random()])
+            got = filters._resample_indices(weights, u, np.empty((2, weights.size + 1)))
+            rows = n * np.arange(4)[:, None]
+            assert np.array_equal(got, systematic_resample(weights, u) + rows)
+            for row in range(4):
+                assert np.array_equal(got[row] - rows[row],
+                                      searchsorted_resample(weights[row], u[row]))
+                # the search rule before its clip to N - 1: the kernel's last
+                # column counted all N particles and was clipped
+                positions = (np.arange(n) + u[row]) / n
+                cumulative = np.cumsum(weights[row])
+                cumulative[-1] = max(cumulative[-1], 1.0)
+                clipped += int(cumulative.searchsorted(positions[-1], side="right") == n)
+    assert clipped > 0
+    # a cumulative sum above 1 by more than the rounding margin puts the last
+    # first position at N + 1 (u = 0): it is counted at N, not in the next
+    # row's second bin
+    weights = np.full((3, 1000), (1.0 + 5e-10) / 1000)
+    u = np.zeros(3)
+    want = np.stack([searchsorted_resample(row, 0.0) for row in weights])
+    assert np.array_equal(systematic_resample(weights, u), want)
+
+
 def test_resampling_preserves_weighted_mean():
     """Average of 1000 seeded resampled means stays within 3 standard errors."""
     rng = np.random.default_rng(314)
@@ -352,12 +383,68 @@ def test_a_block_of_dense_clouds_matches_single_runs_bit_for_bit(resample):
 
 def test_a_stacked_step_resamples_every_cloud_in_one_call(monkeypatch):
     calls = []
-    resample = filters.systematic_resample
-    monkeypatch.setattr(filters, "systematic_resample",
+    resample = filters._resample_indices
+    monkeypatch.setattr(filters, "_resample_indices",
                         lambda *args: calls.append(np.shape(args[0])) or resample(*args))
     model, measurements, seeds = stacked_setup("ungm", runs=3, horizon=5)
     run_pf(model, measurements, 40, seeds)
     assert calls == [(3, 40)] * 5
+
+
+@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
+def test_a_loop_of_public_pf_steps_gives_run_pf_bytes(resample):
+    """pf_step tests the incoming weights for equality itself; run_pf knows
+    them equal after a step that resampled every cloud.  Both give the same
+    bytes, also where some steps resample only some of the clouds."""
+    model, measurements, seeds = stacked_setup("ungm", runs=4, horizon=20)
+    want = run_pf(model, measurements, 200, seeds, resample=resample, ess_threshold=0.6)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    particles = init_particles(model, 200, generators)
+    steps = []
+    for k in range(1, 21):
+        particles, out = pf_step(model, k, particles, measurements[:, k - 1], generators,
+                                 resample=resample, ess_threshold=0.6)
+        steps.append(out)
+    for channel in ("posterior", "predicted"):
+        for part in ("mean", "cov"):
+            looped = np.stack([getattr(getattr(out, channel), part) for out in steps], axis=1)
+            assert np.array_equal(looped, getattr(getattr(want, channel), part))
+    for name, total in want.health.items():
+        per_step = np.stack([out.health[name] for out in steps])
+        assert np.array_equal(per_step.min(axis=0) if name == "min_ess" else per_step.sum(axis=0),
+                              total)
+    if resample == "adaptive":
+        assert 0 < want.health["resamples"].sum() < 4 * 20
+        assert len(set(want.health["resamples"].tolist())) > 1
+
+
+def test_pf_step_weights_a_non_uniform_cloud_by_each_weight():
+    """A user's cloud with unequal weights takes the logarithm of every weight."""
+    model = ungm_model()
+    states = np.linspace(-3.0, 3.0, 40)[:, None]
+    weights = np.linspace(1.0, 3.0, 40)
+    weights /= weights.sum()
+    z = np.array([0.7])
+    _, out = pf_step(model, 2, ParticleSet(states, weights), z, seed=4)
+    _, equal = pf_step(model, 2, ParticleSet(states, np.full(40, 1 / 40)), z, seed=4)
+
+    rng = np.random.default_rng(4)
+    propagated = rng.standard_normal((40, 1)) * np.sqrt(model.process_cov[0, 0])
+    propagated += model.transition(2, states)
+    log_w = _gaussian_loglik(z - model.measure(2, propagated), model.meas_cov) + np.log(weights)
+    posterior = np.exp(log_w - log_w.max())
+    posterior /= posterior.sum()
+    assert_allclose(out.posterior.mean, posterior @ propagated, rtol=1e-12)
+    assert abs(out.posterior.mean[0] - equal.posterior.mean[0]) > 1e-3
+
+
+def test_an_unknown_resample_policy_raises_in_pf_step_and_run_pf():
+    model, measurements, seeds = stacked_setup("ungm", runs=2, horizon=3)
+    cloud = init_particles(model, 10, seeds)
+    with pytest.raises(ValueError, match="unknown resample policy 'never'"):
+        pf_step(model, 1, cloud, measurements[:, 0], seeds, resample="never")
+    with pytest.raises(ValueError, match="unknown resample policy 'never'"):
+        run_pf(model, measurements, 10, seeds, resample="never")
 
 
 @pytest.mark.parametrize("name", ["ungm", "linear2d"])
