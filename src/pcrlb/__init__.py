@@ -15,9 +15,9 @@ from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateRes
                          ExperimentConfig, ExperimentError, aggregate_bounds,
                          build_model, derive_run_seed, gap_series, rmse_series,
                          run_experiment, true_bound_series)
-from .filters import (FilterOutput, ParticleSet, UTParams, init_particles, kalman_step,
-                      particle_moments, pf_step, regularize_cov, run_pf, run_ukf,
-                      sigma_points, systematic_resample, ukf_step, unscented_transform)
+from .filters import (FilterOutput, UTParams, kalman_step, particle_moments, regularize_cov,
+                      run_pf, run_ukf, sigma_points, systematic_resample, ukf_step,
+                      unscented_transform)
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_series, fim_recursion_step, fim_via_decomposition,
                   initial_fim, mean_cov_terms, mean_only_terms, true_fim_terms_mc)
@@ -41,7 +41,6 @@ __all__ = [
     "FimTriple",
     "GaussianBelief",
     "NumericError",
-    "ParticleSet",
     "SystemModel",
     "Trajectory",
     "UTParams",
@@ -54,7 +53,6 @@ __all__ = [
     "fim_recursion_step",
     "fim_via_decomposition",
     "gap_series",
-    "init_particles",
     "initial_fim",
     "kalman_step",
     "linear_gaussian_model",
@@ -62,7 +60,6 @@ __all__ = [
     "mean_only_terms",
     "measurement_moment_map_derivatives",
     "particle_moments",
-    "pf_step",
     "propagate_measurement_moments",
     "propagate_state_moments",
     "regularize_cov",

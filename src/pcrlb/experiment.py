@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import RESAMPLE_POLICIES, UTParams, run_pf, run_ukf
+from .filters import RESAMPLE_POLICIES, UTParams, _ut_weights, run_pf, run_ukf
 from .fim import (FimTriple, bound_difference, decompose_terms, fim_recursion_series,
                   fim_via_decomposition, initial_fim, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
@@ -196,13 +196,11 @@ class ExperimentConfig:
                 f"max_failure_fraction must lie in [0, 1], got {self.max_failure_fraction}")
         model = build_model(self)  # checks shapes and positive definiteness
         if "ukf" in self.estimators:
-            n = model.state_dim
-            spread = self.ut.alpha ** 2 * (n + self.ut.resolved_kappa(n))
-            if not spread > 0.0:
-                raise ValueError(
-                    f"ut_alpha {self.ut.alpha} and ut_kappa {self.ut.kappa} give "
-                    f"non-positive sigma-point spread n + lambda = {spread} "
-                    f"for state dimension {n}")
+            try:  # the spread the filter forms, not a rearrangement of it
+                _ut_weights(model.state_dim, self.ut)
+            except ValueError as err:
+                raise ValueError(f"ut_alpha {self.ut.alpha} and ut_kappa {self.ut.kappa} give "
+                                 f"{err} for state dimension {model.state_dim}") from None
 
 
 # model name -> the model_params keys that apply to it

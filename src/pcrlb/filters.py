@@ -8,36 +8,35 @@ Every routine takes leading run axes: a UKF belief may be a stack of beliefs
 (..., n) and (..., n, n), a particle cloud a stack of clouds (..., N, n), and
 ``run_ukf``/``run_pf`` take a stack of measurement sequences (..., T, m).  One
 step is then one batched numpy call per operation for all runs, and each
-element of a stack gets the bytes the single-run call gives it.  The particle
-filter's step works in place on its own buffers and makes only the arrays its
+element of a stack gets the bytes the single-run call gives it.  ``run_pf`` is
+the particle filter's only entry: its step is a closure over the run's
+invariants (Q's factor, R's ``_loglik_terms``, the generators and the
+resampling kernel's work buffer, all made once per call) that carries the
+clouds as plain (states, weights) arrays.  The step makes only the arrays its
 result needs: scalar process noise is scaled in place (the one product of a
-1 x 1 matmul), equal incoming weights take one logarithm per cloud, and all
-clouds are resampled by one exact O(N) count and scan (``_resample_indices``)
-whose gather indices draw the particles straight from the flattened stack;
-when every cloud resamples, the drawn particles are the new clouds without a
-copy back.  Inputs are validated at the public boundary only
-(``systematic_resample``, ``pf_step``, ``run_pf``, which checks the resample
-policy once per call); inside a run the step trusts what it has just made.
-Its weights are normalized by construction, so the kernel runs without
-checks, on a work buffer ``run_pf`` allocates once, and clips only each
-cloud's last column.  Non-finite log-weights are found on the per-cloud
-maxima that the max subtraction needs (a NaN propagates to its cloud's
-maximum, and +inf is it), and the incoming weights are tested for equality
-only where they can differ: in ``pf_step`` and after an adaptive step that
-resampled some of the clouds.  A stack of 1 x 1 covariances is factored by
-one square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a
+1 x 1 matmul), and all clouds are resampled by one exact O(N) count and scan
+(``_resample_indices``) whose gather indices draw the particles straight from
+the flattened stack; when every cloud resamples, the drawn particles are the
+new clouds without a copy back.  Inputs are validated at the public boundary
+only (``systematic_resample``, and ``run_pf``, which checks the resample
+policy, the seeds and the particle count once per call); inside a run the
+step trusts what it has just made.  Its weights are normalized by
+construction, so the kernel runs without checks and clips only each cloud's
+last column.  Non-finite log-weights are found on the per-cloud maxima that
+the max subtraction needs (a NaN propagates to its cloud's maximum, and +inf
+is it).  ``run_pf`` carries whether every cloud's weights are equal, as after
+the prior draw and after a step where every cloud resampled; then one
+logarithm per cloud serves.  A stack of 1 x 1 covariances is factored by one
+square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a
 scalar particle filter runs LAPACK only on the prior and Q, once per call.
-What every step would repeat with the same inputs is formed once per run:
-``run_pf`` factors Q and R and forms R's log-determinant and the inverse of
-R's factor once per call, and the sigma-point spread and weights are built
-once per (n, ``UTParams``) and cached read-only (``_ut_weights``).  Every
-cloud's randomness comes from that run's own Generator, in the order of the
-single-run filter (prior cloud, then per step the process noise followed by
-the resampling uniform), so a run never depends on the rest of its stack.  A
-stacked call raises the first error of any of its runs, as a single-run call
-does; the harness reruns the others without it (``pcrlb.experiment``).  The
-beliefs and particle sets built inside skip the public constructors' checks:
-their covariances have just been factored and their weights normalized.
+The sigma-point spread and weights are built once per (n, ``UTParams``) and
+cached read-only (``_ut_weights``).  Every cloud's randomness comes from that
+run's own Generator, in the order of the single-run filter (prior cloud, then
+per step the process noise followed by the resampling uniform), so a run
+never depends on the rest of its stack.  A stacked call raises the first
+error of any of its runs, as a single-run call does; the harness reruns the
+others without it (``pcrlb.experiment``).  The beliefs built inside skip the
+public constructor's checks: their covariances have just been factored.
 
 Both filters count their numeric health per run: covariance repairs by
 ``regularize_cov``, the package's only diagonal-jitter repair, and for the
@@ -67,15 +66,12 @@ __all__ = [
     "UTParams",
     "SigmaPointSet",
     "FilterOutput",
-    "ParticleSet",
     "sigma_points",
     "unscented_transform",
     "ukf_step",
     "run_ukf",
-    "init_particles",
     "particle_moments",
     "systematic_resample",
-    "pf_step",
     "run_pf",
     "kalman_step",
     "regularize_cov",
@@ -135,27 +131,6 @@ class FilterOutput:
         of the call.
         """
         return int(np.prod(self.posterior.mean.shape[:-1]))
-
-
-@dataclass(frozen=True)
-class ParticleSet:
-    """Weighted particles, or a stack of clouds; weights are normalized and non-negative."""
-
-    states: np.ndarray   # (..., N, n)
-    weights: np.ndarray  # (..., N)
-
-    def __post_init__(self) -> None:
-        if self.states.shape[:-1] != self.weights.shape:
-            raise ValueError("states and weights disagree on particle count")
-        if not np.all(np.isfinite(self.weights)):
-            raise NumericError("particle weights are not finite")
-        if np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-8):
-            raise ValueError("particle weights must sum to one")
-
-    @property
-    def ess(self):
-        """Effective sample size 1 / sum(w^2) of each cloud."""
-        return 1.0 / np.sum(self.weights ** 2, axis=-1)
 
 
 def _factors(cov: np.ndarray) -> bool:
@@ -219,7 +194,7 @@ def _ut_weights(n: int, params: UTParams) -> tuple[float, np.ndarray, np.ndarray
     lam = params.alpha ** 2 * (n + kappa) - n
     spread = n + lam
     if spread <= 0.0:
-        raise ValueError(f"alpha/kappa give non-positive spread n + lambda = {spread}")
+        raise ValueError(f"non-positive spread n + lambda = {spread}")
     wm = np.full(2 * n + 1, 1.0 / (2.0 * spread))
     wc = wm.copy()
     wm[0] = lam / spread
@@ -355,29 +330,12 @@ def _generators(seed) -> list:
     return [np.random.default_rng(seed)]
 
 
-def _standard_normal(generators: list, lead: tuple, shape: tuple) -> np.ndarray:
-    """Draw shape from each cloud's own generator, stacked as lead + shape."""
-    if len(generators) != int(np.prod(lead)):
-        raise ValueError(f"{len(generators)} generators for {int(np.prod(lead))} clouds")
+def _standard_normal(generators: list, shape: tuple) -> np.ndarray:
+    """Draw shape from each cloud's own generator, stacked as (clouds,) + shape."""
     draws = np.empty((len(generators),) + shape)
     for row, rng in enumerate(generators):
         rng.standard_normal(shape, out=draws[row])
-    return draws.reshape(lead + shape)
-
-
-def init_particles(model: SystemModel, n_particles: int, seed) -> ParticleSet:
-    """Draw equally weighted particles from the model prior.
-
-    seed is an int seed or Generator for one cloud (N, n), or a list of them
-    for a stack of clouds (R, N, n), each drawn from its own generator.
-    """
-    if n_particles < 1:
-        raise ValueError("n_particles must be positive")
-    lead = (len(seed),) if isinstance(seed, list) else ()
-    chol = np.linalg.cholesky(model.prior.cov)
-    draws = _standard_normal(_generators(seed), lead, (n_particles, model.state_dim))
-    states = model.prior.mean + draws @ chol.T
-    return ParticleSet(states=states, weights=np.full(lead + (n_particles,), 1.0 / n_particles))
+    return draws
 
 
 def particle_moments(states: np.ndarray, weights: np.ndarray,
@@ -480,7 +438,7 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] 
     every step computes once; left out, it is computed here.  The quadratic
     form r' cov^-1 r is |L^-1 r|^2 for m > 1, and r s s r with s = 1/l for
     m = 1, the arithmetic of LAPACK potrs.  Bad residuals propagate to the
-    log-weights, where pf_step raises a NumericError.
+    log-weights, where run_pf's step raises a NumericError.
     """
     m = cov.shape[0]
     whiten, log_det, log_2pi = _loglik_terms(cov) if terms is None else terms
@@ -497,137 +455,100 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] 
     return np.multiply(quad, -0.5, out=quad).reshape(resid.shape[:-1])
 
 
-def pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
-            seed, resample: str = "always", ess_threshold: float = 0.5
-            ) -> tuple[ParticleSet, FilterOutput]:
-    """One bootstrap particle filter step at time k, for one cloud or a stack.
-
-    Particles are propagated through the transition with fresh process noise,
-    reweighted by the measurement likelihood in the log domain (max
-    subtraction before exponentiation), and resampled systematically.  The
-    reported beliefs are the weighted moments before resampling; the predicted
-    belief uses the incoming weights on the propagated cloud.
-
-    Args:
-        model: the system model.
-        k: time index of the measurement being absorbed.
-        particles: current particle set, one cloud (N, n) or a stack (..., N, n).
-        z: measurement vector at time k, (m,) or one per cloud (..., m).
-        seed: integer seed or numpy Generator for noise and resampling draws;
-            for a stack, a list with one per cloud (flattened in C order).
-        resample: "always" resamples every step; "adaptive" only when
-            ESS < ess_threshold * N.
-        ess_threshold: ESS fraction for adaptive resampling.
-
-    Returns:
-        (new particle set, FilterOutput with predicted and posterior beliefs
-        and the step's health counts).
-    """
-    _check_policy(resample)
-    weights = particles.weights
-    return _pf_step(model, k, particles, z, _generators(seed), resample, ess_threshold,
-                    np.linalg.cholesky(model.process_cov), _loglik_terms(model.meas_cov),
-                    bool((weights == weights[..., :1]).all()), np.empty((2, weights.size + 1)))
-
-
-def _check_policy(resample: str) -> None:
-    if resample not in RESAMPLE_POLICIES:
-        raise ValueError(f"unknown resample policy {resample!r}")
-
-
-def _pf_step(model: SystemModel, k: int, particles: ParticleSet, z: np.ndarray,
-             generators: list, resample: str, ess_threshold: float, noise_chol: np.ndarray,
-             loglik_terms: tuple, equal_weights: bool, work: np.ndarray
-             ) -> tuple[ParticleSet, FilterOutput]:
-    """pf_step for a checked resample policy, with one generator per cloud,
-    the process noise's Cholesky factor, _loglik_terms of the measurement
-    noise and the resampling kernel's work buffer, (2, R * N + 1) for R
-    clouds.  equal_weights tells that each cloud's incoming weights are
-    equal, as resampling leaves them, so one logarithm per cloud serves."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    lead = particles.weights.shape[:-1]
-    n_particles, n = particles.states.shape[-2:]
-
-    propagated = _standard_normal(generators, lead, (n_particles, n))
-    if n == 1:  # draws @ noise_chol.T is one product per draw: scale in place
-        propagated *= noise_chol[0, 0]
-    else:
-        propagated = propagated @ noise_chol.T
-    propagated += model.transition(k, particles.states)
-    repairs = np.zeros(lead, dtype=int)
-    predicted = particle_moments(propagated, particles.weights, repairs)
-
-    log_w = _gaussian_loglik(z[..., None, :] - model.measure(k, propagated), model.meas_cov,
-                             loglik_terms)
-    incoming = particles.weights
-    log_w += np.log(incoming[..., :1] if equal_weights else incoming)
-    peak = log_w.max(axis=-1, keepdims=True)
-    if not (peak < np.inf).all():  # a NaN propagates to its cloud's maximum; +inf is it
-        raise NumericError(f"non-finite particle log-weights at step {k}")
-    log_w -= peak
-    weights = np.exp(log_w, out=log_w)
-    total = weights.sum(axis=-1, keepdims=True)
-    collapsed = ~((total > 0.0) & np.isfinite(total))[..., 0]
-    weights /= total
-    if collapsed.any():
-        warnings.warn(f"all particle likelihoods vanished at step {k}; "
-                      "falling back to uniform weights", RuntimeWarning)
-        weights[collapsed] = 1.0 / n_particles
-    posterior = particle_moments(propagated, weights, repairs)
-
-    updated = _unchecked(propagated, weights, cls=ParticleSet)  # resampling edits its arrays
-    ess = updated.ess
-    resampled = np.full(lead, True) if resample == "always" else ess < ess_threshold * n_particles
-    rows = np.flatnonzero(resampled)
-    if rows.size:
-        # one kernel call for all resampled clouds, each u from its own generator
-        u = np.array([generators[row].random() for row in rows])
-        every = rows.size == resampled.size
-        flat = weights.reshape(-1, n_particles)
-        picks = _resample_indices(flat if every else flat[rows], u,
-                                  work[:, :rows.size * n_particles + 1])
-        if not every:  # the kernel's row r is cloud rows[r]
-            picks += n_particles * (rows - np.arange(rows.size))[:, None]
-        chosen = np.take(propagated.reshape(-1, n), picks, axis=0, mode="clip")
-        if every:  # the drawn particles are the new clouds
-            updated = _unchecked(chosen.reshape(propagated.shape), weights, cls=ParticleSet)
-            weights.fill(1.0 / n_particles)
-        else:
-            propagated.reshape(-1, n_particles, n)[rows] = chosen
-            weights[resampled] = 1.0 / n_particles
-    health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
-              "collapses": collapsed.astype(int), "min_ess": ess}
-    return updated, FilterOutput(posterior=posterior, predicted=predicted, health=health)
-
-
 def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
            resample: str = "always", ess_threshold: float = 0.5) -> FilterOutput:
     """Run the bootstrap particle filter over a measurement sequence (T, m),
     or over a stack of runs' sequences (..., T, m) at once.
 
-    seed is an int seed or Generator for one run; for a stack, a list with
-    one per run (flattened in C order), each run drawing only from its own.
+    Each run's cloud of n_particles is drawn from the model prior with equal
+    weights.  At every step k the particles are propagated through the
+    transition with fresh process noise, reweighted by the measurement
+    likelihood in the log domain (max subtraction before exponentiation)
+    and resampled systematically.  The reported beliefs are the weighted
+    moments before resampling; the predicted belief uses the incoming
+    weights on the propagated cloud.
+
+    Args:
+        seed: an int seed or Generator for one run; for a stack, a list with
+            one per run (flattened in C order), each run drawing only from
+            its own: the prior cloud, then per step the process noise
+            followed by the resampling uniform.
+        resample: "always" resamples every step; "adaptive" only the clouds
+            whose effective sample size 1 / sum(w^2) is below
+            ess_threshold * n_particles.
     """
-    _check_policy(resample)
+    if resample not in RESAMPLE_POLICIES:
+        raise ValueError(f"unknown resample policy {resample!r}")
     stacked = np.ndim(measurements) > 2
     generators = _generators(seed)
     if stacked != isinstance(seed, list) or len(generators) != np.prod(np.shape(measurements)[:-2]):
         raise ValueError("seed must be a list with one seed per run for a stack of runs")
-    particles = init_particles(model, n_particles, generators)
+    if n_particles < 1:
+        raise ValueError("n_particles must be positive")
+    clouds, n = len(generators), model.state_dim
+    prior_chol = np.linalg.cholesky(model.prior.cov)
+    states = model.prior.mean + _standard_normal(generators, (n_particles, n)) @ prior_chol.T
     noise_chol = np.linalg.cholesky(model.process_cov)
     loglik_terms = _loglik_terms(model.meas_cov)
-    work = np.empty((2, particles.weights.size + 1))
+    work = np.empty((2, clouds * n_particles + 1))  # the resampling kernel's buffer
 
     def step(k, z, cloud):
-        # the clouds' weights are equal after init_particles and after a step
-        # that resampled every cloud
-        states, weights, equal = cloud
-        updated, out = _pf_step(model, k, _unchecked(states, weights, cls=ParticleSet), z,
-                                generators, resample, ess_threshold, noise_chol, loglik_terms,
-                                equal, work)
-        return out, (updated.states, updated.weights, bool(out.health["resamples"].all()))
+        # equal: every cloud's weights are equal, as after the prior draw and
+        # after a step that resampled every cloud, so one logarithm per cloud serves
+        states, incoming, equal = cloud
+        propagated = _standard_normal(generators, (n_particles, n))
+        if n == 1:  # draws @ noise_chol.T is one product per draw: scale in place
+            propagated *= noise_chol[0, 0]
+        else:
+            propagated = propagated @ noise_chol.T
+        propagated += model.transition(k, states)
+        repairs = np.zeros(clouds, dtype=int)
+        predicted = particle_moments(propagated, incoming, repairs)
 
-    return _run_stack(model, measurements, step, (particles.states, particles.weights, True),
+        log_w = _gaussian_loglik(z[:, None, :] - model.measure(k, propagated), model.meas_cov,
+                                 loglik_terms)
+        log_w += np.log(incoming[:, :1] if equal else incoming)
+        peak = log_w.max(axis=-1, keepdims=True)
+        if not (peak < np.inf).all():  # a NaN propagates to its cloud's maximum; +inf is it
+            raise NumericError(f"non-finite particle log-weights at step {k}")
+        log_w -= peak
+        weights = np.exp(log_w, out=log_w)
+        total = weights.sum(axis=-1, keepdims=True)
+        collapsed = ~((total > 0.0) & np.isfinite(total))[:, 0]
+        weights /= total
+        if collapsed.any():
+            warnings.warn(f"all particle likelihoods vanished at step {k}; "
+                          "falling back to uniform weights", RuntimeWarning)
+            weights[collapsed] = 1.0 / n_particles
+        posterior = particle_moments(propagated, weights, repairs)
+
+        ess = 1.0 / np.sum(weights ** 2, axis=-1)
+        if resample == "always":
+            resampled = np.full(clouds, True)
+        else:
+            resampled = ess < ess_threshold * n_particles
+        rows = np.flatnonzero(resampled)
+        every = rows.size == clouds
+        if rows.size:
+            # one kernel call for all resampled clouds, each u from its own generator
+            u = np.array([generators[row].random() for row in rows])
+            picks = _resample_indices(weights if every else weights[rows], u,
+                                      work[:, :rows.size * n_particles + 1])
+            if not every:  # the kernel's row r is cloud rows[r]
+                picks += n_particles * (rows - np.arange(rows.size))[:, None]
+            chosen = np.take(propagated.reshape(-1, n), picks, axis=0, mode="clip")
+            if every:  # the drawn particles are the new clouds
+                propagated = chosen
+            else:
+                propagated[rows] = chosen
+            weights[rows] = 1.0 / n_particles
+        health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
+                  "collapses": collapsed.astype(int), "min_ess": ess}
+        return (FilterOutput(posterior=posterior, predicted=predicted, health=health),
+                (propagated, weights, every))
+
+    return _run_stack(model, measurements, step,
+                      (states, np.full((clouds, n_particles), 1.0 / n_particles), True),
                       {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf})
 
 

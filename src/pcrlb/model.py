@@ -78,13 +78,13 @@ class GaussianBelief:
         return self.mean.shape[-1]
 
 
-def _unchecked(*values, cls=GaussianBelief):
-    """cls(*values) without the checks of the dataclass cls, for arrays known to pass them:
+def _unchecked(mean, cov) -> GaussianBelief:
+    """GaussianBelief(mean, cov) without its checks, for arrays known to pass them:
     covariances that have just passed a Cholesky factorization (filters.regularize_cov),
-    slices and concatenations of such stacks and a checked prior, pf_step's weights."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
+    and slices and concatenations of such stacks and a checked prior."""
+    belief = object.__new__(GaussianBelief)
+    belief.__dict__.update(mean=mean, cov=cov)
+    return belief
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -383,6 +383,8 @@ def test_config_error_exits_2(tmp_path):
     ("model", "prior_var = nan"),
     ("filters", "ut_alpha = 0"),
     ("filters", "ut_kappa = -1"),  # n + kappa = 0 on the scalar model
+    # alpha^2 (n + kappa) = 1e-17 > 0, but the filter's n + lambda rounds to 0
+    ("filters", "ut_alpha = 0.001\nut_kappa = -0.99999999999"),
     ("filters", "ess_threshold = 7.5"),
     ("filters", "ess_threshold = 0"),
     ("filters", "resample = never"),

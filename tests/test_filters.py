@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pcrlb import (FilterOutput, GaussianBelief, NumericError, ParticleSet, UTParams, init_particles,
-                   kalman_step, linear_gaussian_model, particle_moments, pf_step,
-                   regularize_cov, run_pf, run_ukf, sample_trajectory, sigma_points,
-                   systematic_resample, ukf_step, ungm_model, unscented_transform)
+from pcrlb import (FilterOutput, GaussianBelief, NumericError, UTParams, kalman_step,
+                   linear_gaussian_model, particle_moments, regularize_cov, run_pf, run_ukf,
+                   sample_trajectory, sigma_points, systematic_resample, ukf_step, ungm_model,
+                   unscented_transform)
 
 from pcrlb import filters
 from pcrlb.cli import kalman_series, random_stable_linear_model
@@ -115,13 +115,6 @@ def test_particle_moments_degenerate():
     belief = particle_moments(states, w)
     assert_allclose(belief.mean, [9.0])
     assert belief.cov[0, 0] <= 1e-8  # zero plus regularization
-
-
-def test_particle_set_validation():
-    with pytest.raises(ValueError):
-        ParticleSet(np.zeros((3, 1)), np.array([0.5, 0.2, 0.2]))
-    ps = ParticleSet(np.zeros((4, 1)), np.full(4, 0.25))
-    assert_allclose(ps.ess, 4.0)
 
 
 def test_systematic_resample_examples():
@@ -238,20 +231,17 @@ def test_resampling_preserves_weighted_mean():
 
 
 def test_pf_single_particle_no_noise():
-    tiny = 1e-30
-    model = ungm_model(process_var=tiny, meas_var=5.0)
-    particles = ParticleSet(np.array([[1.0]]), np.array([1.0]))
-    new, out = pf_step(model, 1, particles, np.array([0.5]), seed=0)
-    assert_allclose(out.posterior.mean, model.transition(1, np.array([1.0])), atol=1e-9)
+    tiny = 1e-30  # prior and process noise: the particle starts at 1 and moves by f alone
+    model = ungm_model(process_var=tiny, meas_var=5.0, prior_mean=1.0, prior_var=tiny)
+    out = run_pf(model, np.array([[0.5]]), 1, seed=0)
+    assert_allclose(out.posterior.mean[0], model.transition(1, np.array([1.0])), atol=1e-9)
 
 
 def test_pf_identical_particles():
-    model = ungm_model(process_var=1e-30)
-    states = np.full((50, 1), 2.0)
-    particles = ParticleSet(states, np.full(50, 0.02))
-    _, out = pf_step(model, 1, particles, np.array([1.0]), seed=3)
-    assert_allclose(out.posterior.mean, model.transition(1, np.array([2.0])), atol=1e-6)
-    assert out.posterior.cov[0, 0] < 1e-8
+    model = ungm_model(process_var=1e-30, prior_mean=2.0, prior_var=1e-30)
+    out = run_pf(model, np.array([[1.0]]), 50, seed=3)
+    assert_allclose(out.posterior.mean[0], model.transition(1, np.array([2.0])), atol=1e-6)
+    assert out.posterior.cov[0, 0, 0] < 1e-8
 
 
 def test_pf_converges_to_kalman(rng):
@@ -273,14 +263,12 @@ def test_pf_large_sample_single_step():
                                   np.array([[0.5]]), np.array([[0.4]]),
                                   np.zeros(1), np.array([[1.0]]))
     n = 100000
-    particles = init_particles(model, n, seed=5)
     z = np.array([0.7])
-    new, out = pf_step(model, 1, particles, z, seed=6,
-                       resample="adaptive", ess_threshold=0.0)
+    out = run_pf(model, z[None], n, seed=5, resample="adaptive", ess_threshold=0.0)
     kal = kalman_step(np.array([[0.8]]), np.array([[1.0]]), np.array([[0.5]]),
                       np.array([[0.4]]), GaussianBelief(np.zeros(1), np.array([[1.0]])), z)
-    se = np.sqrt(kal.posterior.cov[0, 0] / new.ess)
-    assert abs(out.posterior.mean[0] - kal.posterior.mean[0]) < 3.0 * se
+    se = np.sqrt(kal.posterior.cov[0, 0] / out.health["min_ess"])
+    assert abs(out.posterior.mean[0, 0] - kal.posterior.mean[0]) < 3.0 * se
 
 
 def test_pf_reproducible():
@@ -294,20 +282,17 @@ def test_pf_reproducible():
 
 def test_pf_vanished_likelihood_warns():
     # measurement so extreme that every log-likelihood is -inf
-    model = ungm_model()
-    particles = ParticleSet(np.zeros((20, 1)), np.full(20, 0.05))
+    model = ungm_model(prior_var=1e-30)
     with pytest.warns(RuntimeWarning):
-        _, out = pf_step(model, 1, particles, np.array([1e200]), seed=1)
+        out = run_pf(model, np.array([[1e200]]), 20, seed=1)
     assert np.all(np.isfinite(out.posterior.mean))
+    assert out.health["collapses"] == 1
 
 
 def test_pf_nan_measurement_raises():
-    from pcrlb import NumericError
-
-    model = ungm_model()
-    particles = ParticleSet(np.zeros((20, 1)), np.full(20, 0.05))
+    model = ungm_model(prior_var=1e-30)
     with pytest.raises(NumericError):
-        pf_step(model, 1, particles, np.array([np.nan]), seed=1)
+        run_pf(model, np.array([[np.nan]]), 20, seed=1)
 
 
 def test_ukf_reproducible():
@@ -391,58 +376,49 @@ def test_a_stacked_step_resamples_every_cloud_in_one_call(monkeypatch):
     assert calls == [(3, 40)] * 5
 
 
-@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
-def test_a_loop_of_public_pf_steps_gives_run_pf_bytes(resample):
-    """pf_step tests the incoming weights for equality itself; run_pf knows
-    them equal after a step that resampled every cloud.  Both give the same
-    bytes, also where some steps resample only some of the clouds."""
-    model, measurements, seeds = stacked_setup("ungm", runs=4, horizon=20)
-    want = run_pf(model, measurements, 200, seeds, resample=resample, ess_threshold=0.6)
-    generators = [np.random.default_rng(seed) for seed in seeds]
-    particles = init_particles(model, 200, generators)
-    steps = []
-    for k in range(1, 21):
-        particles, out = pf_step(model, k, particles, measurements[:, k - 1], generators,
-                                 resample=resample, ess_threshold=0.6)
-        steps.append(out)
-    for channel in ("posterior", "predicted"):
-        for part in ("mean", "cov"):
-            looped = np.stack([getattr(getattr(out, channel), part) for out in steps], axis=1)
-            assert np.array_equal(looped, getattr(getattr(want, channel), part))
-    for name, total in want.health.items():
-        per_step = np.stack([out.health[name] for out in steps])
-        assert np.array_equal(per_step.min(axis=0) if name == "min_ess" else per_step.sum(axis=0),
-                              total)
-    if resample == "adaptive":
-        assert 0 < want.health["resamples"].sum() < 4 * 20
-        assert len(set(want.health["resamples"].tolist())) > 1
+def sis_reference(model, measurements, n_particles, seed):
+    """Sequential importance sampling without resampling, written out for the
+    ungm model: per step the predicted and posterior means and variances and
+    the effective sample size."""
+    rng = np.random.default_rng(seed)
+    states = model.prior.mean + rng.standard_normal((n_particles, 1)) * np.sqrt(model.prior.cov)
+    weights = np.full(n_particles, 1.0 / n_particles)
+    q, r = model.process_cov[0, 0], model.meas_cov[0, 0]
+    rows = []
+    for k, z in enumerate(measurements[:, 0], start=1):
+        states = model.transition(k, states) + rng.standard_normal((n_particles, 1)) * np.sqrt(q)
+        x = states[:, 0]
+        pred_mean = weights @ x
+        pred_var = weights @ (x - pred_mean) ** 2
+        log_w = np.log(weights) - 0.5 * ((z - x ** 2 / 20.0) ** 2 / r + np.log(2.0 * np.pi * r))
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.sum()
+        post_mean = weights @ x
+        rows.append((pred_mean, pred_var, post_mean, weights @ (x - post_mean) ** 2,
+                     1.0 / np.sum(weights ** 2)))
+    return np.array(rows).T
 
 
-def test_pf_step_weights_a_non_uniform_cloud_by_each_weight():
-    """A user's cloud with unequal weights takes the logarithm of every weight."""
-    model = ungm_model()
-    states = np.linspace(-3.0, 3.0, 40)[:, None]
-    weights = np.linspace(1.0, 3.0, 40)
-    weights /= weights.sum()
-    z = np.array([0.7])
-    _, out = pf_step(model, 2, ParticleSet(states, weights), z, seed=4)
-    _, equal = pf_step(model, 2, ParticleSet(states, np.full(40, 1 / 40)), z, seed=4)
-
-    rng = np.random.default_rng(4)
-    propagated = rng.standard_normal((40, 1)) * np.sqrt(model.process_cov[0, 0])
-    propagated += model.transition(2, states)
-    log_w = _gaussian_loglik(z - model.measure(2, propagated), model.meas_cov) + np.log(weights)
-    posterior = np.exp(log_w - log_w.max())
-    posterior /= posterior.sum()
-    assert_allclose(out.posterior.mean, posterior @ propagated, rtol=1e-12)
-    assert abs(out.posterior.mean[0] - equal.posterior.mean[0]) > 1e-3
+def test_pf_weights_match_a_sequential_importance_sampling_reference():
+    """Adaptive resampling at ESS threshold 0 never resamples, so from step 2
+    on every cloud carries unequal weights, and each step weights every
+    particle by its own incoming weight."""
+    model, measurements, seeds = stacked_setup("ungm", runs=2, horizon=5)
+    out = run_pf(model, measurements, 60, seeds, resample="adaptive", ess_threshold=0.0)
+    assert out.health["resamples"].tolist() == [0, 0]
+    for i, seed in enumerate(seeds):
+        pred_mean, pred_var, post_mean, post_var, ess = sis_reference(
+            model, measurements[i], 60, seed)
+        assert_allclose(out.predicted.mean[i, :, 0], pred_mean, rtol=1e-12)
+        assert_allclose(out.predicted.cov[i, :, 0, 0], pred_var, rtol=1e-12)
+        assert_allclose(out.posterior.mean[i, :, 0], post_mean, rtol=1e-12)
+        assert_allclose(out.posterior.cov[i, :, 0, 0], post_var, rtol=1e-12)
+        assert ess.max() < 59.0  # the weights are far from equal
+        assert_allclose(out.health["min_ess"][i], ess.min(), rtol=1e-12)
 
 
-def test_an_unknown_resample_policy_raises_in_pf_step_and_run_pf():
+def test_an_unknown_resample_policy_raises_in_run_pf():
     model, measurements, seeds = stacked_setup("ungm", runs=2, horizon=3)
-    cloud = init_particles(model, 10, seeds)
-    with pytest.raises(ValueError, match="unknown resample policy 'never'"):
-        pf_step(model, 1, cloud, measurements[:, 0], seeds, resample="never")
     with pytest.raises(ValueError, match="unknown resample policy 'never'"):
         run_pf(model, measurements, 10, seeds, resample="never")
 
@@ -580,9 +556,8 @@ def test_scalar_process_noise_scales_as_the_matmul_bit_for_bit():
     not -0.0, as the ungm transition never is, makes equal again.
     """
     model = ungm_model()
-    states = init_particles(model, 20000, [7, 8, 9]).states
-    draws = filters._standard_normal([np.random.default_rng(s) for s in range(3)], (3,),
-                                     (20000, 1))
+    states = np.sqrt(20.0) * np.random.default_rng(7).standard_normal((3, 20000, 1))
+    draws = np.stack([np.random.default_rng(s).standard_normal((20000, 1)) for s in range(3)])
     draws[0, :4, 0] = [0.0, -0.0, 5e-324, -1e200]
     states[0, :3, 0] = [0.0, -0.0, 1e-300]
     for variance in (1.0, 1e-30, 0.3, 7.0, 1e20):
@@ -683,11 +658,11 @@ def test_stacked_ukf_under_non_default_params_matches_single_runs(name):
 
 
 def test_nan_residual_raises_in_pf_step():
+    """A NaN residual in one cloud of a stack fails run_pf's step."""
     model = ungm_model()
-    cloud = init_particles(model, 30, [5, 6])
     assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan), model.meas_cov)).all()
     with pytest.raises(NumericError, match="non-finite particle log-weights at step 1"):
-        pf_step(model, 1, cloud, np.array([[0.3], [np.nan]]), [5, 6])
+        run_pf(model, np.array([[[0.3]], [[np.nan]]]), 30, [5, 6])
 
 
 @pytest.mark.parametrize("name", ["ungm", "linear"])
