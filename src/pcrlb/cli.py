@@ -114,7 +114,7 @@ prior_var = 20.0       # ungm default; linear model defaults to 1.0
 horizon = 50           # steps per run
 runs = 100             # Monte Carlo runs
 seed = 123456789       # master seed; every run seed derives from it
-workers = 1            # process count; results identical for any value
+workers = 1            # process count, the calling one included; same results for any value
 averaging = bounds     # bounds: average per-run inverses | fim: invert mean FIM
 
 [filters]

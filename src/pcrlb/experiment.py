@@ -16,27 +16,31 @@ the configured estimators, and produces:
   semidefiniteness,
 * per-step RMSE per estimator.
 
-The runs are split into consecutive blocks, mapped over a process pool of
-``workers`` processes, but no more than there are blocks, when ``workers`` > 1,
-and each block does all of its runs' work in one guarded pass
-(``_run_block``): it samples the block's trajectories in one stacked call, runs
-each estimator once over the block's stack of measurement sequences, then runs
-the bound engines over those filter outputs.  A block holds about 2^16
-particle values (block x N x n), so at N = 1000 one block takes 65 runs and at
-N = 20000 three, and there are at least ``workers`` blocks.  Every run is a
-pure function of (config, run index): run seeds come from a splitmix64
-avalanche of the master seed, the sampler and the particle filter draw only
-from the run's own Generators, and every bound element is computed on its
-own, so the block split changes no byte.  A block returns a run table: a dict
-of arrays with one row per completed run in run-index order, keyed "states",
-("mean", estimator) for the posterior means, ("health", estimator, counter),
-and (quantity, estimator) for the bound engines' stacks.  The pass is guarded
-once (``_isolated``): when its stacked call raises, the runs are halved and
-each half rerun, so a run that fails on its own, in sampling, a filter or a
-bound engine, is marked failed with its first error (sampling, then the
-estimators in config order, then the bound passes; see _bound_rows) and has
-no rows.  The calling process joins the blocks' tables and runs only what
-needs every trajectory at once, the reference bound, and the aggregation.
+The runs are split into consecutive blocks, and each block does all of its
+runs' work in one guarded pass (``_run_block``): it samples the block's
+trajectories in one stacked call, runs each estimator once over the block's
+stack of measurement sequences, then runs the bound engines over those filter
+outputs.  A block holds about 2^16 particle values (block x N x n), so at
+N = 1000 one block takes 65 runs and at N = 20000 three, and there are at
+least ``workers`` blocks.  When ``workers`` > 1 the blocks are split into
+``workers`` consecutive shares, but no more than there are blocks, and run
+fork-join (``_Fork``): the calling process forks one child per share but the
+first, runs the first share itself, then reads each child's parts back
+through a pipe.  Without ``os.fork`` every block runs in the calling
+process.  Every run is a pure function of (config, run index): run seeds come
+from a splitmix64 avalanche of the master seed, the sampler and the particle
+filter draw only from the run's own Generators, and every bound element is
+computed on its own, so the block split changes no byte.  A block returns a
+run table: a dict of arrays with one row per completed run in run-index
+order, keyed "states", ("mean", estimator) for the posterior means,
+("health", estimator, counter), and (quantity, estimator) for the bound
+engines' stacks.  The pass is guarded once (``_isolated``): when its stacked
+call raises, the runs are halved and each half rerun, so a run that fails on
+its own, in sampling, a filter or a bound engine, is marked failed with its
+first error (sampling, then the estimators in config order, then the bound
+passes; see _bound_rows) and has no rows.  The calling process joins the
+blocks' tables in block order and runs only what needs every trajectory at
+once, the reference bound, and the aggregation.
 Results are bit-identical for any worker count and block split.
 """
 
@@ -44,7 +48,10 @@ from __future__ import annotations
 
 import collections.abc
 import operator
+import os
+import pickle
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -572,25 +579,119 @@ def _failed_runs(config: ExperimentConfig, errors: dict) -> list:
     return failed
 
 
+class _Fork:
+    """A forked child process that runs _run_block over a share of the blocks
+    and sends back its parts, or the error it raised, pickled through a pipe.
+
+    The child ends in os._exit whatever happens, so it never returns into the
+    caller's stack, and it exits with status 0 only once the whole pickle is
+    written.  run_experiment starts one per share but the first; a test may
+    put an in-process stand-in with the same three members in its place.
+    """
+
+    def __init__(self, config: ExperimentConfig, share: list) -> None:
+        self.runs = f"runs {share[0].start}-{share[-1].stop - 1}"
+        read, write = os.pipe()
+        self.pipe = os.fdopen(read, "rb")
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._child(config, share, write)
+        finally:
+            os.close(write)
+
+    @staticmethod
+    def _child(config: ExperimentConfig, share: list, write: int) -> typing.NoReturn:
+        """The child's whole life: run the share, write the reply, exit."""
+        status = 1
+        try:
+            try:
+                reply = ([_run_block(config, block) for block in share], None, None)
+            except BaseException as exc:  # sent to the caller, which raises it
+                import traceback  # loaded only where a child fails
+                try:
+                    error = pickle.dumps(exc)
+                except Exception:
+                    error = None
+                reply = (None, error, traceback.format_exc())
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def join(self) -> list:
+        """Wait for the child and return its parts, or raise its error.
+
+        Raises:
+            ExperimentError: the child ended without a whole result.
+            RuntimeError: the child's error did not pickle; carries its
+                traceback text.
+        """
+        with self.pipe:
+            data = self.pipe.read()  # before waiting: a full pipe holds the child
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ExperimentError(f"the child process for {self.runs} {how} without a result")
+        parts, error, text = pickle.loads(data)
+        if text is None:
+            return parts
+        try:
+            exc = pickle.loads(error)
+        except Exception:  # None, or an exception class that does not rebuild
+            raise RuntimeError(f"the child process for {self.runs} raised an error that "
+                               f"does not pickle:\n{text}") from None
+        raise exc from RuntimeError(f"in the child process for {self.runs}:\n{text}")
+
+    def kill(self) -> None:
+        """Kill and reap the child unless it is joined already."""
+        import signal  # loaded only where a run forks
+
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run the full Monte Carlo experiment described by the config.
+
+    With ``workers`` > 1 and more than one block, the calling process forks
+    one child per share of the blocks but the first and runs the first share
+    itself (see the module docstring); where ``os.fork`` does not exist every
+    block runs in the calling process.  A child's error is raised here, and
+    whether this returns or raises, every child has ended and been reaped.
 
     The result's stage_seconds holds the seconds of its four stages:
     "filtering" (sampling and filtering) and "bound_engines" (the mean-only
     and mean+cov engines) sum the blocks' seconds in each part, over the
-    worker processes when ``workers`` > 1 and over every guarded
-    computation, those that raised included; "reference" (the reference
-    bound) and "aggregation" (bounds, RMSE, gaps and counters over the
-    completed runs) are wall seconds in the calling process.
+    calling process and its children when ``workers`` > 1 and over every
+    guarded computation, those that raised included; "reference" (the
+    reference bound) and "aggregation" (bounds, RMSE, gaps and counters over
+    the completed runs) are wall seconds in the calling process.
     """
     model = build_model(config)
     blocks = _blocks(config, model.state_dim)
-    if config.workers == 1:
+    count = min(config.workers, len(blocks))
+    if count == 1 or not hasattr(os, "fork"):
         parts = [_run_block(config, block) for block in blocks]
-    else:  # imported here, so a one-process run never loads it; no process without a block
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(min(config.workers, len(blocks))) as pool:
-            parts = list(pool.map(_run_block, [config] * len(blocks), blocks))
+    else:
+        cuts = [len(blocks) * i // count for i in range(count + 1)]
+        shares = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:])]
+        children = []
+        try:  # no child outlives this call, whatever it raises
+            for share in shares[1:]:
+                children.append(_Fork(config, share))
+            parts = [_run_block(config, block) for block in shares[0]]
+            for child in children:
+                parts += child.join()
+        finally:
+            for child in children:
+                child.kill()
     failed = _failed_runs(config, {index: error for _, errors, _ in parts
                                    for index, error in errors.items()})
     table = _rows([part[0] for part in parts if part[0]])

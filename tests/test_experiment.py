@@ -1,7 +1,8 @@
 import dataclasses
 import hashlib
 import json
-import multiprocessing
+import os
+import time
 import warnings
 
 import numpy as np
@@ -148,34 +149,117 @@ def test_block_size_follows_the_particle_budget():
     assert sizes(runs=20, particles=1000, workers=2) == [10, 10]
 
 
-def test_pool_has_no_more_processes_than_blocks(monkeypatch):
-    """Two blocks get a pool of two processes, whether workers is 2 or 4,
-    and the results are those of one process.  The pool is a stand-in that
-    records its size and maps the blocks in this process: no process starts."""
-    import concurrent.futures
+def test_fork_join_starts_one_child_per_share_but_the_first(monkeypatch):
+    """No child at workers = 1, one for two blocks whether workers is 2 or 4,
+    two for the 7-run split into blocks of 3, 3 and 1 on three workers, and
+    the results of one process each time.  The child is a stand-in that
+    records its share and runs it in this process: no process starts."""
+    shares = []
 
-    sizes = []
+    class InProcessFork:
+        def __init__(self, config, share):
+            shares.append([list(block) for block in share])
+            self.parts = [experiment._run_block(config, block) for block in share]
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def join(self):
+            return self.parts
 
-        def __enter__(self):
-            return self
+        def kill(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(experiment, "_Fork", InProcessFork)
+    for config, children in (
+            (ExperimentConfig(model_name="ungm", horizon=5, runs=2, particles=40),
+             {1: [], 2: [[[1]]], 4: [[[1]]]}),
+            (ExperimentConfig(model_name="ungm", horizon=5, runs=7, particles=40),
+             {1: [], 3: [[[3, 4, 5]], [[6]]]})):
+        serial = run_experiment(config)
+        for workers, want in children.items():
+            shares.clear()
+            assert_same_runs(run_experiment(dataclasses.replace(config, workers=workers)), serial)
+            assert shares == want, workers
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    config = ExperimentConfig(model_name="ungm", horizon=5, runs=2, particles=40)
-    serial = run_experiment(config)
-    for workers in (2, 4):
-        assert len(experiment._blocks(dataclasses.replace(config, workers=workers), 1)) == 2
-        assert_same_runs(run_experiment(dataclasses.replace(config, workers=workers)), serial)
-    assert sizes == [2, 2]
+TINY_CONFIG = ExperimentConfig(horizon=5, runs=4, particles=50, workers=2)
+
+
+def fail_blocks(monkeypatch, actions):
+    """Make _run_block call actions[first]() for the block that starts at run
+    first: run 2 is TINY_CONFIG's child, run 0 the calling process."""
+    run_block = experiment._run_block
+    assert [block.start for block in experiment._blocks(TINY_CONFIG, 1)] == [0, 2]
+
+    def failing(config, indices):
+        if indices[0] in actions:
+            actions[indices[0]]()
+        return run_block(config, indices)
+
+    monkeypatch.setattr(experiment, "_run_block", failing)
+
+
+def raising(error):
+    def action():
+        raise error
+    return action
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the failure paths need a forked child")
+
+
+@needs_fork
+def test_an_error_in_a_child_reaches_the_caller(monkeypatch):
+    """A RuntimeError, which is not a run error, keeps its type and message,
+    and carries the child's traceback as its cause."""
+    fail_blocks(monkeypatch, {2: raising(RuntimeError("boom in the child"))})
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(TINY_CONFIG)
+    assert type(info.value) is RuntimeError and str(info.value) == "boom in the child"
+    assert "in the child process for runs 2-3" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_an_error_that_does_not_pickle_comes_back_as_its_traceback(monkeypatch):
+    class Local(Exception):  # pickle cannot find a local class by name
+        pass
+
+    fail_blocks(monkeypatch, {2: raising(Local("local error"))})
+    with pytest.raises(RuntimeError, match="runs 2-3 raised an error that does not pickle") as info:
+        run_experiment(TINY_CONFIG)
+    assert type(info.value) is RuntimeError and "Local: local error" in str(info.value)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_child_that_exits_without_a_result_raises_experiment_error(monkeypatch):
+    fail_blocks(monkeypatch, {2: lambda: os._exit(3)})
+    with pytest.raises(ExperimentError, match="runs 2-3 exited with status 3 without a result"):
+        run_experiment(TINY_CONFIG)
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_the_callers_own_error_kills_and_reaps_the_child(monkeypatch, error):
+    """The child sleeps far longer than the test takes, so only a kill ends it."""
+    fail_blocks(monkeypatch, {0: raising(error("in the caller")), 2: lambda: time.sleep(60)})
+    started = time.monotonic()
+    with pytest.raises(error, match="in the caller"):
+        run_experiment(TINY_CONFIG)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_without_fork_every_block_runs_in_the_calling_process(monkeypatch):
+    serial = run_experiment(dataclasses.replace(TINY_CONFIG, workers=1))
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(experiment, "_Fork", None)  # starting a child would raise
+    assert_same_runs(run_experiment(TINY_CONFIG), serial)
 
 
 def test_forced_collapse_counts_exactly_once_in_meta(monkeypatch, tmp_path):
@@ -502,8 +586,8 @@ def test_filter_and_bound_failures_in_one_experiment(monkeypatch):
 
 
 def test_failing_runs_give_the_same_results_on_two_workers(monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the workers see the patched model only when the pool forks")
+    if not hasattr(os, "fork"):
+        pytest.skip("the workers see the patched model only when they fork")
     monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
     serial = run_experiment(FAILURE_CONFIG)
     pooled = run_experiment(dataclasses.replace(FAILURE_CONFIG, workers=2))
