@@ -233,10 +233,12 @@ def build_model(config: ExperimentConfig) -> SystemModel:
 
 
 # A block of runs holds at most about this many particle values (block x N x n).
-# A particle-filter step has a fixed cost of about 0.25 ms per call (three
-# clouds of ten particles), which larger blocks pay less often.  On pf-dense
-# (N = 20,000) 2^15, one run per block, is about 8% slower than 2^16, three;
-# 2^17, six, is within 2% of 2^16 and takes about 4 MiB more memory.
+# A particle-filter step has a fixed cost of about 0.11 ms per call without
+# covariances and 0.13 ms with them (three clouds of ten particles), which
+# larger blocks pay less often.  On pf-dense (N = 20,000, means only) 2^15,
+# one run per block, is about 10% slower than 2^16, three; 2^17, six, is
+# within 2% of 2^16, less than the spread of the runs, and takes about
+# 4 MiB more memory.
 _BLOCK_VALUES = 2 ** 16
 
 
@@ -315,7 +317,8 @@ def _run_block(config: ExperimentConfig, indices: range) -> tuple[dict, dict, di
                 else:
                     out = run_pf(model, trajectory.measurements, config.particles,
                                  [s for _, s in picked], resample=config.resample,
-                                 ess_threshold=config.ess_threshold)
+                                 ess_threshold=config.ess_threshold,
+                                 covariances="mean_cov" in config.methods)
                 outputs.append(out)
                 table["mean", estimator] = out.posterior.mean
                 table.update({("health", estimator, name): value
@@ -355,28 +358,30 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _engine_beliefs(model: SystemModel, outputs: list) -> tuple[GaussianBelief, GaussianBelief]:
+def _engine_beliefs(model: SystemModel, outputs: list, covariances: bool = True
+                    ) -> tuple[GaussianBelief, GaussianBelief]:
     """Beliefs feeding the step onto time k, from the estimators' filter
     outputs over a stack of runs, stacked (E, R, T, ...) in the order of
-    outputs, with row k-1.
+    outputs, with row k-1.  Without covariances only the means are stacked,
+    and both beliefs' cov is None.
 
     This is the one place that decides which filter belief feeds each
     channel.  The state channel (F) takes the posterior about time k-1, the
     prior at k = 1; the measurement channel (H) takes the predicted belief
     about time k, before the measurement z_k enters it.
     """
-    def channel(name):
-        return [np.stack([getattr(getattr(out, name), kind) for out in outputs])
-                for kind in ("mean", "cov")]
+    def stacked(channel, kind):
+        return np.stack([getattr(getattr(out, channel), kind) for out in outputs])
 
-    mean, cov = channel("posterior")
-    first = mean.shape[:2] + (1,)
-    state = _unchecked(
-        np.concatenate([np.broadcast_to(model.prior.mean, first + model.prior.mean.shape),
-                        mean[..., :-1, :]], axis=-2),
-        np.concatenate([np.broadcast_to(model.prior.cov, first + model.prior.cov.shape),
-                        cov[..., :-1, :, :]], axis=-3))
-    return state, _unchecked(*channel("predicted"))
+    def state(kind):
+        prior, posterior = getattr(model.prior, kind), stacked("posterior", kind)
+        return np.concatenate([np.broadcast_to(prior, posterior.shape[:2] + (1,) + prior.shape),
+                               posterior[:, :, :-1]], axis=2)
+
+    if not covariances:
+        return _unchecked(state("mean"), None), _unchecked(stacked("predicted", "mean"), None)
+    return (_unchecked(state("mean"), state("cov")),
+            _unchecked(stacked("predicted", "mean"), stacked("predicted", "cov")))
 
 
 def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> dict:
@@ -431,7 +436,7 @@ def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> 
         return {}
     j0 = initial_fim(model.prior)
     steps = np.arange(1, config.horizon + 1)[:, None]
-    state, meas = _engine_beliefs(model, outputs)
+    state, meas = _engine_beliefs(model, outputs, "mean_cov" in chains)
     if "mean_cov" in chains:
         parts = decompose_terms(model, steps, state, meas)
         terms = {"mean_only": parts.point, "mean_cov": parts.full}

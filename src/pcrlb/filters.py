@@ -26,9 +26,15 @@ last column.  Non-finite log-weights are found on the per-cloud maxima that
 the max subtraction needs (a NaN propagates to its cloud's maximum, and +inf
 is it).  ``run_pf`` carries whether every cloud's weights are equal, as after
 the prior draw and after a step where every cloud resampled; then one
-logarithm per cloud serves.  A stack of 1 x 1 covariances is factored by one
-square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a
-scalar particle filter runs LAPACK only on the prior and Q, once per call.
+logarithm per cloud serves.  Only the mean+cov bound reads a filter's
+covariances, so ``run_pf`` forms them on request (``covariances``, on by
+default): without them a step forms the weighted means alone and no
+covariance is symmetrized, factored or stored, and the output's ``cov`` is
+None.  Either way a cloud whose mean is not finite (one that holds a NaN or
+infinite particle) fails its step before the log-weights.  A stack of 1 x 1
+covariances is factored by one square root behind potrf's own test, m > 0
+(``linalg._cholesky``), so a scalar particle filter runs LAPACK only on the
+prior and Q, once per call.
 The sigma-point spread and weights are built once per (n, ``UTParams``) and
 cached read-only (``_ut_weights``).  Every cloud's randomness comes from that
 run's own Generator, in the order of the single-run filter (prior cloud, then
@@ -113,11 +119,13 @@ class FilterOutput:
     """Beliefs produced by one filter step, or by a filter run over steps 1..T.
 
     A step's beliefs are (..., n) and (..., n, n); a run's are (..., T, n)
-    and (..., T, n, n).  health maps a counter to one value per run (the
-    leading shape): "cov_repairs" (covariances regularize_cov repaired),
-    and for the particle filter "resamples", "collapses" (steps whose
-    likelihoods all vanished) and "min_ess" (smallest effective sample
-    size).
+    and (..., T, n, n).  Both beliefs' cov is None where the filter did not
+    form covariances (run_pf with covariances False): their means are all
+    it carries.  health maps a counter to one value per run (the leading
+    shape): "cov_repairs" (covariances regularize_cov repaired, 0 where
+    none were formed), and for the particle filter "resamples",
+    "collapses" (steps whose likelihoods all vanished) and "min_ess"
+    (smallest effective sample size).
     """
 
     posterior: GaussianBelief
@@ -272,7 +280,7 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
 
 
 def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
-               health: dict) -> FilterOutput:
+               health: dict, covariances: bool = True) -> FilterOutput:
     """Drive a filter over steps 1..T for one run or a stack of runs.
 
     measurements (..., T, m) are flattened to R runs (one run is a stack of
@@ -280,23 +288,30 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
     step(k, z, carry) filters every run at time k and returns (FilterOutput
     of the step, new carry).  health gives each counter's value before the
     first step: over the steps, counts add up and "min_ess" keeps the
-    smallest.  The first error of any run is raised.
+    smallest.  Without covariances the steps' covariances are None, and so
+    are the run's.  The first error of any run is raised.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
     z = measurements.reshape((-1,) + measurements.shape[-2:])
     count, n = z.shape[0], model.state_dim
-    series = [np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n)),
-              np.zeros((count, horizon, n)), np.zeros((count, horizon, n, n))]
-    series += [np.full((count, horizon), start) for start in health.values()]
+
+    def channel():  # a channel's means and, where formed, its covariances
+        return [np.zeros((count, horizon, n)),
+                np.zeros((count, horizon, n, n)) if covariances else None]
+
+    series = channel() + channel() + [np.full((count, horizon), start)
+                                      for start in health.values()]
     for k in range(1, horizon + 1):
         out, carry = step(k, z[:, k - 1], carry)
         values = (out.posterior.mean, out.posterior.cov, out.predicted.mean, out.predicted.cov,
                   *(out.health[name] for name in health))
         for array, value in zip(series, values):
-            array[:, k - 1] = value
+            if array is not None:
+                array[:, k - 1] = value
     post_mean, post_cov, pred_mean, pred_cov = (
-        array.reshape(lead + array.shape[1:]) for array in series[:4])
+        array if array is None else array.reshape(lead + array.shape[1:])
+        for array in series[:4])
     totals = {name: (array.min(axis=1) if name == "min_ess" else array.sum(axis=1)).reshape(lead)
               for name, array in zip(health, series[4:])}
     return FilterOutput(posterior=_unchecked(post_mean, post_cov),
@@ -339,11 +354,23 @@ def _standard_normal(generators: list, shape: tuple) -> np.ndarray:
 
 
 def particle_moments(states: np.ndarray, weights: np.ndarray,
-                     repairs: Optional[np.ndarray] = None) -> GaussianBelief:
+                     repairs: Optional[np.ndarray] = None, covariances: bool = True
+                     ) -> GaussianBelief:
     """Weighted mean and covariance of a particle cloud, or of each cloud of a
     stack (no bias correction); repairs counts covariance repairs as in
-    regularize_cov."""
+    regularize_cov.  With covariances False only the means are formed, the
+    same bytes, and the belief's cov is None.
+
+    Raises:
+        NumericError: a mean is not finite, as is every mean of a cloud that
+            holds a NaN or infinite particle; or a covariance is not finite,
+            or not repairable (regularize_cov).
+    """
     mean = (weights[..., None, :] @ states)[..., 0, :]
+    if not np.isfinite(mean).all():
+        raise NumericError("filter mean is not finite")
+    if not covariances:
+        return _unchecked(mean, None)
     dev = states - mean[..., None, :]
     return _unchecked(mean, regularize_cov((dev * weights[..., None]).mT @ dev, repairs))
 
@@ -456,7 +483,8 @@ def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] 
 
 
 def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
-           resample: str = "always", ess_threshold: float = 0.5) -> FilterOutput:
+           resample: str = "always", ess_threshold: float = 0.5,
+           covariances: bool = True) -> FilterOutput:
     """Run the bootstrap particle filter over a measurement sequence (T, m),
     or over a stack of runs' sequences (..., T, m) at once.
 
@@ -476,6 +504,11 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
         resample: "always" resamples every step; "adaptive" only the clouds
             whose effective sample size 1 / sum(w^2) is below
             ess_threshold * n_particles.
+        covariances: whether to form the beliefs' covariances.  Without
+            them every step forms only the weighted means, the same bytes
+            and counters, and the output's covariances are None, with
+            "cov_repairs" 0.  A cloud whose mean is not finite fails its
+            step either way, before its log-weights are formed.
     """
     if resample not in RESAMPLE_POLICIES:
         raise ValueError(f"unknown resample policy {resample!r}")
@@ -503,7 +536,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
             propagated = propagated @ noise_chol.T
         propagated += model.transition(k, states)
         repairs = np.zeros(clouds, dtype=int)
-        predicted = particle_moments(propagated, incoming, repairs)
+        predicted = particle_moments(propagated, incoming, repairs, covariances)
 
         log_w = _gaussian_loglik(z[:, None, :] - model.measure(k, propagated), model.meas_cov,
                                  loglik_terms)
@@ -520,7 +553,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
             warnings.warn(f"all particle likelihoods vanished at step {k}; "
                           "falling back to uniform weights", RuntimeWarning)
             weights[collapsed] = 1.0 / n_particles
-        posterior = particle_moments(propagated, weights, repairs)
+        posterior = particle_moments(propagated, weights, repairs, covariances)
 
         ess = 1.0 / np.sum(weights ** 2, axis=-1)
         if resample == "always":
@@ -549,7 +582,8 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
 
     return _run_stack(model, measurements, step,
                       (states, np.full((clouds, n_particles), 1.0 / n_particles), True),
-                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf})
+                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf},
+                      covariances)
 
 
 def kalman_step(a: np.ndarray, h: np.ndarray, q: np.ndarray, r: np.ndarray,

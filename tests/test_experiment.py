@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcrlb import experiment, fim
+from pcrlb import experiment, filters, fim
 from pcrlb.cli import random_spd, write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
 from pcrlb.linalg import symmetrize
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
@@ -593,6 +593,37 @@ def test_failing_runs_give_the_same_results_on_two_workers(monkeypatch):
     pooled = run_experiment(dataclasses.replace(FAILURE_CONFIG, workers=2))
     assert pooled.failed_runs == serial.failed_runs == FAILURE_RUNS
     assert_same_runs(pooled, serial)
+
+
+def test_particle_filter_failures_are_the_same_without_mean_cov(monkeypatch):
+    """Without mean_cov the particle filter forms no covariances, yet the same
+    runs fail with the same errors, and the other runs keep their RMSE, their
+    filter health and their mean-only stacks."""
+    monkeypatch.setattr(experiment, "build_model", lambda config: nan_window_model())
+    full = run_experiment(FAILURE_CONFIG)
+    lean = run_experiment(dataclasses.replace(FAILURE_CONFIG, methods=("true", "mean_only")))
+    assert lean.failed_runs == full.failed_runs == FAILURE_RUNS
+    assert lean.filter_health == full.filter_health
+    for estimator in FAILURE_CONFIG.estimators:
+        assert np.array_equal(lean.rmse[estimator], full.rmse[estimator])
+        assert np.array_equal(lean.run_stacks["mean_only", estimator],
+                              full.run_stacks["mean_only", estimator])
+
+
+@pytest.mark.parametrize("methods", [("true",), ("true", "mean_only"), ("mean_only", "mean_cov")])
+def test_the_particle_filter_forms_covariances_only_for_mean_cov(monkeypatch, methods):
+    """A PF-only experiment hands regularize_cov two covariance stacks per
+    step (predicted and posterior) when mean_cov runs, and none otherwise."""
+    calls = []
+    regularize = filters.regularize_cov
+    monkeypatch.setattr(filters, "regularize_cov",
+                        lambda *args: calls.append(args[0].shape) or regularize(*args))
+    config = ExperimentConfig(horizon=5, runs=4, particles=50, estimators=("pf",),
+                              methods=methods)
+    result = run_experiment(config)
+    assert result.runs_used == config.runs
+    assert calls == ([(config.runs, 1, 1)] * 2 * config.horizon if "mean_cov" in methods else [])
+    assert result.filter_health["pf"]["cov_repairs"] == 0
 
 
 def test_a_block_whose_runs_all_fail_leaves_the_other_blocks(monkeypatch):

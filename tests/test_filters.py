@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -364,6 +366,70 @@ def test_a_block_of_dense_clouds_matches_single_runs_bit_for_bit(resample):
         assert_same_output(row_of(pf, i), single)
     if resample == "adaptive":  # some steps resample only some of the clouds
         assert len(set(pf.health["resamples"].tolist())) > 1
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning",
+                            "ignore:all particle likelihoods vanished:RuntimeWarning")
+@pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
+@pytest.mark.parametrize("name, particles, horizon",
+                         [("ungm", 150, 25), ("linear2d", 150, 25), ("ungm", 20000, 6)],
+                         ids=["ungm", "linear2d", "ungm-dense"])
+def test_pf_without_covariances_keeps_means_and_counters_bit_for_bit(name, particles, horizon,
+                                                                     resample):
+    """Without covariances run_pf gives the posterior and predicted means and
+    the resampling, collapse and ESS counters of the run with them, for a
+    stack and for one of its runs alone; the covariances are None and no
+    repair is counted.  Run 1's likelihoods all vanish at step 4."""
+    model, measurements, seeds = stacked_setup(name, runs=3, horizon=horizon)
+    measurements[1, 3] = 1e200
+    for pf_input, pf_seed in ((measurements, seeds), (measurements[1], seeds[1])):
+        full, lean = (run_pf(model, pf_input, particles, pf_seed, resample=resample,
+                             ess_threshold=0.6, covariances=covariances)
+                      for covariances in (True, False))
+        for channel in ("posterior", "predicted"):
+            assert same_bytes(getattr(lean, channel).mean, getattr(full, channel).mean)
+            assert getattr(lean, channel).cov is None
+        assert lean.health.keys() == full.health.keys()
+        for counter in ("resamples", "collapses", "min_ess"):
+            assert same_bytes(lean.health[counter], full.health[counter]), counter
+        assert same_bytes(lean.health["cov_repairs"], np.zeros_like(full.health["cov_repairs"]))
+        assert len(lean) == len(full)
+        assert np.sum(full.health["collapses"]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("covariances", [True, False])
+def test_a_non_finite_cloud_fails_its_step_with_or_without_covariances(covariances, bad):
+    """A transition that puts one particle of the last cloud at NaN or +-inf
+    at step 3 fails that step with the same NumericError whether or not
+    covariances are formed: its mean is not finite, and the step stops
+    before it measures the cloud for the log-weights."""
+    base = linear_gaussian_model(0.9, 1.0, 1.0, 1.0, 0.0, 1.0)
+    calls = []
+
+    def transition(k, x):
+        calls.append(("transition", k))
+        y = base.transition_fn(k, x)
+        if k == 3:
+            y[-1, 0] = bad
+        return y
+
+    def measure(k, x):
+        calls.append(("measure", k))
+        return base.measurement_fn(k, x)
+
+    model = dataclasses.replace(base, transition_fn=transition, measurement_fn=measure)
+    for measurements, seed in ((np.zeros((2, 5, 1)), [1, 2]), (np.zeros((5, 1)), 3)):
+        calls.clear()
+        with pytest.raises(NumericError, match="^filter mean is not finite$"):
+            run_pf(model, measurements, 40, seed, covariances=covariances)
+        assert calls[-2:] == [("measure", 2), ("transition", 3)]
 
 
 def test_a_stacked_step_resamples_every_cloud_in_one_call(monkeypatch):
