@@ -237,7 +237,7 @@ def _write_series(path: Path, horizon: int, columns: dict) -> None:
 
 
 def write_rmse_csv(path: Path, result: AggregateResult) -> None:
-    _write_series(path, result.horizon,
+    _write_series(path, result.config.horizon,
                   {f"rmse_{est}": result.rmse.get(est) for est in ALL_ESTIMATORS})
 
 
@@ -246,7 +246,7 @@ def write_bounds_csv(path: Path, result: AggregateResult) -> None:
     for method in ("mean_only", "mean_cov"):
         for est in ALL_ESTIMATORS:
             columns[f"{method.replace('_', '')}_{est}"] = result.bounds.get((method, est))
-    _write_series(path, result.horizon, columns)
+    _write_series(path, result.config.horizon, columns)
 
 
 def write_gap_csv(path: Path, result: AggregateResult) -> None:
@@ -255,7 +255,7 @@ def write_gap_csv(path: Path, result: AggregateResult) -> None:
         gap = result.gaps.get(est, {})
         columns[f"gap26_{est}"] = gap.get("analytic")
         columns[f"gapdirect_{est}"] = gap.get("direct")
-    _write_series(path, result.horizon, columns)
+    _write_series(path, result.config.horizon, columns)
 
 
 def _json_value(value):

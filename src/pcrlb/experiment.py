@@ -22,12 +22,12 @@ trajectories in one stacked call, runs each estimator once over the block's
 stack of measurement sequences, then runs the bound engines over those filter
 outputs.  A block holds about 2^16 particle values (block x N x n), so at
 N = 1000 one block takes 65 runs and at N = 20000 three, and there are at
-least ``workers`` blocks.  When ``workers`` > 1 the blocks are split into
-``workers`` consecutive shares, but no more than there are blocks, and run
-fork-join (``_Fork``): the calling process forks one child per share but the
-first, runs the first share itself, then reads each child's parts back
-through a pipe.  Without ``os.fork`` every block runs in the calling
-process.  Every run is a pure function of (config, run index): run seeds come
+least ``workers`` blocks.  The blocks are split into ``workers``
+consecutive shares, but no more than there are blocks, and one share
+without ``os.fork``, and run fork-join (``_Fork``): the calling process
+forks one child per share but the first, runs the first share itself, then
+reads each child's parts back through a pipe.  So one share, as at
+``workers`` = 1, is the same path with no child.  Every run is a pure function of (config, run index): run seeds come
 from a splitmix64 avalanche of the master seed, the sampler and the particle
 filter draw only from the run's own Generators, and every bound element is
 computed on its own, so the block split changes no byte.  A block returns a
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import RESAMPLE_POLICIES, UTParams, _ut_weights, run_pf, run_ukf
+from .filters import RESAMPLE_POLICIES, UTParams, _health_total, _ut_weights, run_pf, run_ukf
 from .fim import (FimTriple, bound_difference, decompose_terms, fim_recursion_series,
                   fim_via_decomposition, initial_fim, mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
@@ -358,6 +358,15 @@ def _is_negative(matrix: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _previous(first: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """The value about time k-1 at row k-1 of a series (..., T, *first.shape)
+    over k = 1..T: first, the time-0 value, at k = 1, then the series' rows
+    for k = 1..T-1."""
+    axis = series.ndim - first.ndim - 1
+    head = np.broadcast_to(first, series.shape[:axis] + (1,) + first.shape)
+    return np.concatenate([head, series[(slice(None),) * axis + (slice(None, -1),)]], axis=axis)
+
+
 def _engine_beliefs(model: SystemModel, outputs: list, covariances: bool = True
                     ) -> tuple[GaussianBelief, GaussianBelief]:
     """Beliefs feeding the step onto time k, from the estimators' filter
@@ -374,9 +383,7 @@ def _engine_beliefs(model: SystemModel, outputs: list, covariances: bool = True
         return np.stack([getattr(getattr(out, channel), kind) for out in outputs])
 
     def state(kind):
-        prior, posterior = getattr(model.prior, kind), stacked("posterior", kind)
-        return np.concatenate([np.broadcast_to(prior, posterior.shape[:2] + (1,) + prior.shape),
-                               posterior[:, :, :-1]], axis=2)
+        return _previous(getattr(model.prior, kind), stacked("posterior", kind))
 
     if not covariances:
         return _unchecked(state("mean"), None), _unchecked(stacked("predicted", "mean"), None)
@@ -447,10 +454,8 @@ def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> 
           for block in ("d11", "d12", "d22"))), inverses=True)
     named = dict(zip(chains, series))
     if "mean_cov" in chains:
-        j = series[-1]  # the mean+cov chain comes last
-        j_prev = np.concatenate(
-            [np.broadcast_to(j0, j.shape[:2] + (1,) + j0.shape), j[..., :-1, :, :]], axis=-3)
-        split = fim_via_decomposition(j_prev, parts, full_inv=inverses[-1])
+        # the mean+cov chain comes last
+        split = fim_via_decomposition(_previous(j0, series[-1]), parts, full_inv=inverses[-1])
         theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
         analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
         direct = theta_inv - j_inv
@@ -554,15 +559,11 @@ class AggregateResult:
     run_stacks: dict             # per-run series of the completed runs, see _bound_rows
     stage_seconds: dict          # stage -> seconds, see run_experiment
 
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
 
 def _summarize_health(table: dict, estimator: str) -> dict:
-    """One estimator's filter counters over the table's runs: counts summed,
-    the smallest effective sample size kept."""
-    return {key[2]: float(values.min()) if key[2] == "min_ess" else int(values.sum())
+    """One estimator's filter counters over the table's runs, each combined
+    by _health_total: counts summed, the smallest effective sample size kept."""
+    return {key[2]: _health_total(key[2], values, 0).item()
             for key, values in table.items() if key[:2] == ("health", estimator)}
 
 
@@ -602,6 +603,9 @@ class _Fork:
             self.pid = os.fork()
             if self.pid == 0:
                 self._child(config, share, write)
+        except BaseException:  # no child started: its end of the pipe goes too
+            self.pipe.close()
+            raise
         finally:
             os.close(write)
 
@@ -665,11 +669,11 @@ class _Fork:
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """Run the full Monte Carlo experiment described by the config.
 
-    With ``workers`` > 1 and more than one block, the calling process forks
-    one child per share of the blocks but the first and runs the first share
-    itself (see the module docstring); where ``os.fork`` does not exist every
-    block runs in the calling process.  A child's error is raised here, and
-    whether this returns or raises, every child has ended and been reaped.
+    The calling process forks one child per share of the blocks but the
+    first and runs the first share itself (see the module docstring); with
+    one share, at ``workers`` = 1 or where ``os.fork`` does not exist, it
+    forks none.  A child's error is raised here, and whether this returns or
+    raises, every child has ended and been reaped.
 
     The result's stage_seconds holds the seconds of its four stages:
     "filtering" (sampling and filtering) and "bound_engines" (the mean-only
@@ -681,22 +685,19 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     """
     model = build_model(config)
     blocks = _blocks(config, model.state_dim)
-    count = min(config.workers, len(blocks))
-    if count == 1 or not hasattr(os, "fork"):
-        parts = [_run_block(config, block) for block in blocks]
-    else:
-        cuts = [len(blocks) * i // count for i in range(count + 1)]
-        shares = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:])]
-        children = []
-        try:  # no child outlives this call, whatever it raises
-            for share in shares[1:]:
-                children.append(_Fork(config, share))
-            parts = [_run_block(config, block) for block in shares[0]]
-            for child in children:
-                parts += child.join()
-        finally:
-            for child in children:
-                child.kill()
+    count = min(config.workers if hasattr(os, "fork") else 1, len(blocks))
+    cuts = [len(blocks) * i // count for i in range(count + 1)]
+    shares = [blocks[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    children = []
+    try:  # no child outlives this call, whatever it raises
+        for share in shares[1:]:
+            children.append(_Fork(config, share))
+        parts = [_run_block(config, block) for block in shares[0]]
+        for child in children:
+            parts += child.join()
+    finally:
+        for child in children:
+            child.kill()
     failed = _failed_runs(config, {index: error for _, errors, _ in parts
                                    for index, error in errors.items()})
     table = _rows([part[0] for part in parts if part[0]])

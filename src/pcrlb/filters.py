@@ -70,7 +70,6 @@ from .model import GaussianBelief, SystemModel, _unchecked
 
 __all__ = [
     "UTParams",
-    "SigmaPointSet",
     "FilterOutput",
     "sigma_points",
     "unscented_transform",
@@ -108,13 +107,6 @@ class UTParams:
 
 
 @dataclass(frozen=True)
-class SigmaPointSet:
-    points: np.ndarray        # (..., 2n+1, n), row 0 is the center
-    mean_weights: np.ndarray  # (2n+1,)
-    cov_weights: np.ndarray   # (2n+1,)
-
-
-@dataclass(frozen=True)
 class FilterOutput:
     """Beliefs produced by one filter step, or by a filter run over steps 1..T.
 
@@ -139,6 +131,12 @@ class FilterOutput:
         of the call.
         """
         return int(np.prod(self.posterior.mean.shape[:-1]))
+
+
+def _health_total(name: str, values: np.ndarray, axis: int) -> np.ndarray:
+    """A health counter's values combined along axis, over steps or runs:
+    "min_ess" keeps the smallest, every other counter adds up."""
+    return values.min(axis=axis) if name == "min_ess" else values.sum(axis=axis)
 
 
 def _factors(cov: np.ndarray) -> bool:
@@ -212,8 +210,10 @@ def _ut_weights(n: int, params: UTParams) -> tuple[float, np.ndarray, np.ndarray
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray,
-                 params: UTParams = UTParams()) -> SigmaPointSet:
-    """Scaled symmetric sigma points for N(mean, cov), or for each of a stack.
+                 params: UTParams = UTParams()) -> np.ndarray:
+    """Scaled symmetric sigma points for N(mean, cov), or for each of a stack,
+    shaped (..., 2n+1, n) with row 0 the center.  Their mean and covariance
+    weights are the cached _ut_weights(n, params)[1:].
 
     cov is symmetrized and factored as given, so a covariance that is not
     positive definite raises LinAlgError; callers repair it first
@@ -221,11 +221,10 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    spread, wm, wc = _ut_weights(mean.shape[-1], params)
+    spread = _ut_weights(mean.shape[-1], params)[0]
     wings = _cholesky(symmetrize(cov) * spread).mT  # row i is column i
     center = mean[..., None, :]
-    points = np.concatenate([center, center + wings, center - wings], axis=-2)
-    return SigmaPointSet(points=points, mean_weights=wm, cov_weights=wc)
+    return np.concatenate([center, center + wings, center - wings], axis=-2)
 
 
 def unscented_transform(fn, belief: GaussianBelief, noise_cov: np.ndarray,
@@ -243,15 +242,16 @@ def unscented_transform(fn, belief: GaussianBelief, noise_cov: np.ndarray,
         (..., m, m) including noise, and input-output cross covariance
         (..., n, m).
     """
-    sp = sigma_points(belief.mean, belief.cov, params)
+    points = sigma_points(belief.mean, belief.cov, params)
+    _, wm, wc = _ut_weights(points.shape[-1], params)
     # Each point as a 1 x n row, so a matmul map makes one vector-matrix
     # product per point, as when the points are mapped one at a time.
-    mapped = np.asarray(fn(sp.points[..., None, :]), dtype=float)[..., 0, :]
-    mean = sp.mean_weights @ mapped
+    mapped = np.asarray(fn(points[..., None, :]), dtype=float)[..., 0, :]
+    mean = wm @ mapped
     dev_out = mapped - mean[..., None, :]
-    dev_in = sp.points - belief.mean[..., None, :]
-    cov = symmetrize((dev_out * sp.cov_weights[:, None]).mT @ dev_out + noise_cov)
-    cross = (dev_in * sp.cov_weights[:, None]).mT @ dev_out
+    dev_in = points - belief.mean[..., None, :]
+    cov = symmetrize((dev_out * wc[:, None]).mT @ dev_out + noise_cov)
+    cross = (dev_in * wc[:, None]).mT @ dev_out
     return mean, cov, cross
 
 
@@ -280,16 +280,16 @@ def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
 
 
 def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
-               health: dict, covariances: bool = True) -> FilterOutput:
+               health: tuple, covariances: bool = True) -> FilterOutput:
     """Drive a filter over steps 1..T for one run or a stack of runs.
 
     measurements (..., T, m) are flattened to R runs (one run is a stack of
     one) and carry holds the filter's state with one row per run.
     step(k, z, carry) filters every run at time k and returns (FilterOutput
-    of the step, new carry).  health gives each counter's value before the
-    first step: over the steps, counts add up and "min_ess" keeps the
-    smallest.  Without covariances the steps' covariances are None, and so
-    are the run's.  The first error of any run is raised.
+    of the step, new carry).  health names the step's counters, each
+    combined over the steps by _health_total.  Without covariances the
+    steps' covariances are None, and so are the run's.  The first error of
+    any run is raised.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
@@ -300,20 +300,19 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
         return [np.zeros((count, horizon, n)),
                 np.zeros((count, horizon, n, n)) if covariances else None]
 
-    series = channel() + channel() + [np.full((count, horizon), start)
-                                      for start in health.values()]
+    series, counts = channel() + channel(), {name: [] for name in health}
     for k in range(1, horizon + 1):
         out, carry = step(k, z[:, k - 1], carry)
-        values = (out.posterior.mean, out.posterior.cov, out.predicted.mean, out.predicted.cov,
-                  *(out.health[name] for name in health))
+        values = (out.posterior.mean, out.posterior.cov, out.predicted.mean, out.predicted.cov)
         for array, value in zip(series, values):
             if array is not None:
                 array[:, k - 1] = value
+        for name, steps in counts.items():
+            steps.append(out.health[name])
     post_mean, post_cov, pred_mean, pred_cov = (
-        array if array is None else array.reshape(lead + array.shape[1:])
-        for array in series[:4])
-    totals = {name: (array.min(axis=1) if name == "min_ess" else array.sum(axis=1)).reshape(lead)
-              for name, array in zip(health, series[4:])}
+        array if array is None else array.reshape(lead + array.shape[1:]) for array in series)
+    totals = {name: _health_total(name, np.stack(steps, axis=1), 1).reshape(lead)
+              for name, steps in counts.items()}
     return FilterOutput(posterior=_unchecked(post_mean, post_cov),
                         predicted=_unchecked(pred_mean, pred_cov),
                         health=totals)
@@ -332,7 +331,7 @@ def run_ukf(model: SystemModel, measurements: np.ndarray,
         out = ukf_step(model, k, _unchecked(*belief), z, params)
         return out, (out.posterior.mean, out.posterior.cov)
 
-    return _run_stack(model, measurements, step, carry, {"cov_repairs": 0})
+    return _run_stack(model, measurements, step, carry, ("cov_repairs",))
 
 
 # -- particle filter ---------------------------------------------------------
@@ -457,18 +456,17 @@ def _loglik_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
             cov.shape[0] * np.log(2.0 * np.pi))
 
 
-def _gaussian_loglik(resid: np.ndarray, cov: np.ndarray, terms: Optional[tuple] = None
-                     ) -> np.ndarray:
+def _gaussian_loglik(resid: np.ndarray, terms: tuple) -> np.ndarray:
     """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N).
 
     terms is _loglik_terms(cov), which a caller evaluating the same cov at
-    every step computes once; left out, it is computed here.  The quadratic
-    form r' cov^-1 r is |L^-1 r|^2 for m > 1, and r s s r with s = 1/l for
-    m = 1, the arithmetic of LAPACK potrs.  Bad residuals propagate to the
-    log-weights, where run_pf's step raises a NumericError.
+    every step computes once.  The quadratic form r' cov^-1 r is |L^-1 r|^2
+    for m > 1, and r s s r with s = 1/l for m = 1, the arithmetic of LAPACK
+    potrs.  Bad residuals propagate to the log-weights, where run_pf's step
+    raises a NumericError.
     """
-    m = cov.shape[0]
-    whiten, log_det, log_2pi = _loglik_terms(cov) if terms is None else terms
+    whiten, log_det, log_2pi = terms
+    m = whiten.shape[0]
     columns = np.moveaxis(resid, -1, 0).reshape(m, -1)  # (m, ...N): one product for every run
     if m == 1:
         quad = columns[0] * whiten[0, 0]
@@ -538,8 +536,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
         repairs = np.zeros(clouds, dtype=int)
         predicted = particle_moments(propagated, incoming, repairs, covariances)
 
-        log_w = _gaussian_loglik(z[:, None, :] - model.measure(k, propagated), model.meas_cov,
-                                 loglik_terms)
+        log_w = _gaussian_loglik(z[:, None, :] - model.measure(k, propagated), loglik_terms)
         log_w += np.log(incoming[:, :1] if equal else incoming)
         peak = log_w.max(axis=-1, keepdims=True)
         if not (peak < np.inf).all():  # a NaN propagates to its cloud's maximum; +inf is it
@@ -582,8 +579,7 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
 
     return _run_stack(model, measurements, step,
                       (states, np.full((clouds, n_particles), 1.0 / n_particles), True),
-                      {"cov_repairs": 0, "resamples": 0, "collapses": 0, "min_ess": np.inf},
-                      covariances)
+                      ("cov_repairs", "resamples", "collapses", "min_ess"), covariances)
 
 
 def kalman_step(a: np.ndarray, h: np.ndarray, q: np.ndarray, r: np.ndarray,

@@ -268,6 +268,30 @@ def test_cmd_run_writes_all_outputs(tmp_path):
     assert all(seconds >= 0.0 for seconds in stages.values())
 
 
+# plot curve title -> the CSV column it names
+PLOT_COLUMNS = {"UKF": "rmse_ukf", "PF": "rmse_pf", "reference": "true",
+                "mean-only (UKF)": "meanonly_ukf", "mean-only (PF)": "meanonly_pf",
+                "mean+cov (UKF)": "meancov_ukf", "mean+cov (PF)": "meancov_pf",
+                "closed form (UKF)": "gap26_ukf", "direct (UKF)": "gapdirect_ukf",
+                "closed form (PF)": "gap26_pf", "direct (PF)": "gapdirect_pf"}
+
+
+def test_each_plot_curve_reads_the_column_its_title_names(tmp_path):
+    """Every curve of plot_<stem>.gp plots, by its `using 1:N`, the column of
+    the header write_<stem>_csv writes that its title names, and every data
+    column has one curve."""
+    result = run_experiment(ExperimentConfig(horizon=3, runs=2, particles=20))
+    cli.write_plot_scripts(tmp_path)
+    for stem in ("rmse", "bounds", "gap"):
+        getattr(cli, f"write_{stem}_csv")(tmp_path / f"{stem}.csv", result)
+        header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0].split(",")
+        curves = re.findall(rf'"{stem}\.csv" using 1:(\d+) .*? title "([^"]+)"',
+                            (tmp_path / f"plot_{stem}.gp").read_text())
+        assert sorted(int(column) for column, _ in curves) == list(range(2, len(header) + 1))
+        for column, title in curves:
+            assert header[int(column) - 1] == PLOT_COLUMNS[title], (stem, title)
+
+
 def test_meta_size_does_not_depend_on_stage_timings(tmp_path):
     config = ExperimentConfig(horizon=4, runs=2, particles=30)
     result = run_experiment(config)

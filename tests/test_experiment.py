@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -252,6 +253,35 @@ def test_the_callers_own_error_kills_and_reaps_the_child(monkeypatch, error):
     with pytest.raises(error, match="in the caller"):
         run_experiment(TINY_CONFIG)
     assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_a_failed_fork_closes_both_pipe_ends_and_starts_no_process(monkeypatch):
+    """os.fork raising EAGAIN reaches the caller as that OSError.  Both ends
+    of the pipe the attempt opened are closed while the traceback still
+    holds the half-built _Fork, and no process was started."""
+    opened, forks = [], []
+    pipe = os.pipe
+
+    def recording_pipe():
+        ends = pipe()
+        opened.extend(ends)
+        return ends
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork, raising=False)
+    with pytest.raises(OSError) as info:
+        run_experiment(TINY_CONFIG)
+    assert info.value.errno == errno.EAGAIN
+    assert len(forks) == 1 and len(opened) == 2
+    for end in opened:
+        with pytest.raises(OSError) as closed:
+            os.fstat(end)
+        assert closed.value.errno == errno.EBADF
     assert_no_child_left()
 
 

@@ -28,11 +28,10 @@ def test_kalman_step_hand_values():
 def test_sigma_points_shape_and_weights():
     belief = GaussianBelief(np.array([1.0, -2.0]), np.diag([4.0, 9.0]))
     pts = sigma_points(belief.mean, belief.cov, UTParams())
-    assert pts.points.shape == (5, 2)
-    assert_allclose(pts.mean_weights.sum(), 1.0, atol=1e-12)
+    assert pts.shape == (5, 2)
+    assert_allclose(filters._ut_weights(2, UTParams())[1].sum(), 1.0, atol=1e-12)
     # wings come in +/- pairs around the center
-    assert_allclose(pts.points[1:3] + pts.points[3:5],
-                    np.tile(2.0 * belief.mean, (2, 1)), atol=1e-12)
+    assert_allclose(pts[1:3] + pts[3:5], np.tile(2.0 * belief.mean, (2, 1)), atol=1e-12)
 
 
 def test_sigma_points_reject_a_covariance_that_does_not_factor():
@@ -663,7 +662,8 @@ def test_scalar_loglik_matches_cho_solve_bit_for_bit(rng):
         cov = np.array([[10.0 ** rng.uniform(-3.0, 3.0)]])
         shape = tuple(int(d) for d in rng.integers(1, 40, size=2)) + (1,)
         resid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2.0, 2.0)
-        assert np.array_equal(_gaussian_loglik(resid, cov), cho_solve_loglik(resid, cov))
+        assert np.array_equal(_gaussian_loglik(resid, filters._loglik_terms(cov)),
+                              cho_solve_loglik(resid, cov))
 
 
 @pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
@@ -694,14 +694,16 @@ def ut_weights_formula(n, params):
 @pytest.mark.parametrize("params", [UTParams(), UTParams(alpha=0.5, beta=2.0, kappa=1.0)])
 def test_ut_weights_are_cached_read_only_and_exact(params):
     for n in (1, 2, 4):
-        first = sigma_points(np.zeros(n), np.eye(n), params)
-        again = sigma_points(np.ones((3, n)), 2.0 * np.eye(n), params)
+        sigma_points(np.zeros(n), np.eye(n), params)
+        first = filters._ut_weights(n, params)
+        sigma_points(np.ones((3, n)), 2.0 * np.eye(n), params)
+        again = filters._ut_weights(n, params)
         wm, wc = ut_weights_formula(n, params)
         for got in (first, again):
-            assert np.array_equal(got.mean_weights, wm)
-            assert np.array_equal(got.cov_weights, wc)
-        assert again.mean_weights is first.mean_weights
-        for weights in (first.mean_weights, first.cov_weights):
+            assert np.array_equal(got[1], wm)
+            assert np.array_equal(got[2], wc)
+        assert again[1] is first[1]
+        for weights in first[1:]:
             assert not weights.flags.writeable
             with pytest.raises(ValueError):
                 weights[0] = 0.0
@@ -726,7 +728,8 @@ def test_stacked_ukf_under_non_default_params_matches_single_runs(name):
 def test_nan_residual_raises_in_pf_step():
     """A NaN residual in one cloud of a stack fails run_pf's step."""
     model = ungm_model()
-    assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan), model.meas_cov)).all()
+    assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan),
+                                     filters._loglik_terms(model.meas_cov))).all()
     with pytest.raises(NumericError, match="non-finite particle log-weights at step 1"):
         run_pf(model, np.array([[[0.3]], [[np.nan]]]), 30, [5, 6])
 
