@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .experiment import (_MODEL_KEYS, ALL_ESTIMATORS, AggregateResult, ExperimentConfig,
-                         ExperimentError, build_model, derive_run_seed, run_experiment,
-                         run_seeds)
+from .experiment import (_MODELS, ALL_ESTIMATORS, AggregateResult, ExperimentConfig,
+                         ExperimentError, _model_keys, build_model, derive_run_seed,
+                         run_experiment, run_seeds)
 from .filters import FilterOutput, UTParams, kalman_step, run_ukf, unscented_transform
 from .fim import (bound_difference, decompose_terms, fim_recursion_step,
                   fim_via_decomposition, initial_fim, mean_cov_terms, mean_only_terms,
@@ -70,7 +70,7 @@ def _parse_kappa(raw: str) -> Optional[float]:
 # ExperimentConfig decides which parsed values are allowed.
 _SCHEMA = {
     "model": {"name": str,
-              **{key: float for keys in _MODEL_KEYS.values() for key in keys}},
+              **{key: float for name in _MODELS for key in _model_keys(name)}},
     "experiment": {
         "horizon": int,
         "runs": int,

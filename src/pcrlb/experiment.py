@@ -27,26 +27,29 @@ consecutive shares, but no more than there are blocks, and one share
 without ``os.fork``, and run fork-join (``_Fork``): the calling process
 forks one child per share but the first, runs the first share itself, then
 reads each child's parts back through a pipe.  So one share, as at
-``workers`` = 1, is the same path with no child.  Every run is a pure function of (config, run index): run seeds come
-from a splitmix64 avalanche of the master seed, the sampler and the particle
-filter draw only from the run's own Generators, and every bound element is
-computed on its own, so the block split changes no byte.  A block returns a
-run table: a dict of arrays with one row per completed run in run-index
-order, keyed "states", ("mean", estimator) for the posterior means,
-("health", estimator, counter), and (quantity, estimator) for the bound
-engines' stacks.  The pass is guarded once (``_isolated``): when its stacked
-call raises, the runs are halved and each half rerun, so a run that fails on
-its own, in sampling, a filter or a bound engine, is marked failed with its
-first error (sampling, then the estimators in config order, then the bound
-passes; see _bound_rows) and has no rows.  The calling process joins the
-blocks' tables in block order and runs only what needs every trajectory at
-once, the reference bound, and the aggregation.
-Results are bit-identical for any worker count and block split.
+``workers`` = 1, is the same path with no child.
+
+Every run is a pure function of (config, run index): run seeds come from a
+splitmix64 avalanche of the master seed, the sampler and the particle filter
+draw only from the run's own Generators, and every bound element is computed
+on its own, so the block split changes no byte.  A block returns a run table:
+a dict of arrays with one row per completed run in run-index order, keyed
+"states", ("mean", estimator) for the posterior means, ("health", estimator,
+counter), and (quantity, estimator) for the bound engines' stacks.  The pass
+is guarded once (``_isolated``): when its stacked call raises, the runs are
+halved and each half rerun, so a run that fails on its own, in sampling, a
+filter or a bound engine, is marked failed with its first error (sampling,
+then the estimators in config order, then the bound passes; see _bound_rows)
+and has no rows.  The calling process joins the blocks' tables in block order
+and runs only what needs every trajectory at once, the reference bound, and
+the aggregation.  Results are bit-identical for any worker count and block
+split.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import inspect
 import operator
 import os
 import pickle
@@ -151,7 +154,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}") from None
             if key != "master_seed" and getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
-        for key, allowed in (("model_name", tuple(_MODEL_KEYS)), ("averaging", AVERAGING_MODES),
+        for key, allowed in (("model_name", tuple(_MODELS)), ("averaging", AVERAGING_MODES),
                              ("resample", RESAMPLE_POLICIES)):
             if getattr(self, key) not in allowed:
                 raise ValueError(f"unknown {key} {getattr(self, key)!r}; allowed: {allowed}")
@@ -171,13 +174,13 @@ class ExperimentConfig:
         if not isinstance(self.model_params, collections.abc.Mapping):
             raise ValueError(f"model_params must be a mapping of model keys to values, "
                              f"got {self.model_params!r}")
-        unknown = set(self.model_params) - set(_MODEL_KEYS[self.model_name])
+        unknown = set(self.model_params) - set(_model_keys(self.model_name))
         if unknown:
-            raise ValueError(f"model keys {sorted(unknown)} do not apply to model "
+            raise ValueError(f"model keys {sorted(unknown, key=str)} do not apply to model "
                              f"{self.model_name!r}")
         if not isinstance(self.ut, UTParams):
             raise ValueError(f"ut must be a UTParams, got {self.ut!r}")
-        # the model's values may be matrices on the linear model; ut_kappa None is 3 - n
+        # the model's values may be matrices where its table entry says so; ut_kappa None is 3 - n
         scalars = {"ess_threshold": self.ess_threshold,
                    "max_failure_fraction": self.max_failure_fraction,
                    **{f"ut_{name}": getattr(self.ut, name) for name in ("alpha", "beta", "kappa")}}
@@ -188,13 +191,13 @@ class ExperimentConfig:
                 array = np.asarray(value)
             except ValueError:  # a ragged nesting
                 array = np.asarray(None)
-            scalar = key in scalars or self.model_name == "ungm"
+            scalar = key in scalars or not _MODELS[self.model_name][1]
             if array.dtype.kind not in "iuf" or (scalar and array.ndim):
                 kind = "a number" if scalar else "a number or a matrix of numbers"
                 raise ValueError(f"{key} must be {kind}, got {value!r}")
             if not np.all(np.isfinite(array)):
                 raise ValueError(f"{key} must be finite, got {value}")
-            if key in ("process_var", "meas_var", "prior_var") and array.ndim == 0 and array <= 0:
+            if key.endswith("_var") and array.ndim == 0 and array <= 0:  # a variance
                 raise ValueError(f"{key} must be positive, got {value}")
         if not 0.0 < self.ess_threshold <= 1.0:
             raise ValueError(f"ess_threshold must lie in (0, 1], got {self.ess_threshold}")
@@ -210,26 +213,20 @@ class ExperimentConfig:
                                  f"{err} for state dimension {model.state_dim}") from None
 
 
-# model name -> the model_params keys that apply to it
-_MODEL_KEYS = {
-    "ungm": ("process_var", "meas_var", "prior_mean", "prior_var"),
-    "linear": ("process_var", "meas_var", "prior_mean", "prior_var", "a", "h"),
-}
+# model name -> (builder, whether the model's values may be matrices).  A
+# builder takes the model's [model] keys as keyword parameters, with their
+# defaults, so a model is its builder and its entry here.
+_MODELS = {"ungm": (ungm_model, False), "linear": (linear_gaussian_model, True)}
+
+
+def _model_keys(name: str) -> tuple[str, ...]:
+    """The [model] keys of the named model: its builder's parameters."""
+    return tuple(inspect.signature(_MODELS[name][0]).parameters)
 
 
 def build_model(config: ExperimentConfig) -> SystemModel:
     """Construct the configured model."""
-    params = config.model_params
-    if config.model_name == "ungm":
-        return ungm_model(**params)
-    return linear_gaussian_model(
-        a=params.get("a", 0.9),
-        h=params.get("h", 1.0),
-        process_cov=params.get("process_var", 1.0),
-        meas_cov=params.get("meas_var", 1.0),
-        prior_mean=params.get("prior_mean", 0.0),
-        prior_cov=params.get("prior_var", 1.0),
-    )
+    return _MODELS[config.model_name][0](**config.model_params)
 
 
 # A block of runs holds at most about this many particle values (block x N x n).
@@ -367,7 +364,7 @@ def _previous(first: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.concatenate([head, series[(slice(None),) * axis + (slice(None, -1),)]], axis=axis)
 
 
-def _engine_beliefs(model: SystemModel, outputs: list, covariances: bool = True
+def _engine_beliefs(model: SystemModel, outputs: list, covariances: bool
                     ) -> tuple[GaussianBelief, GaussianBelief]:
     """Beliefs feeding the step onto time k, from the estimators' filter
     outputs over a stack of runs, stacked (E, R, T, ...) in the order of

@@ -309,8 +309,10 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
     )
 
 
-def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov) -> SystemModel:
-    """Linear time-invariant Gaussian model x_k = A x_{k-1} + w, z_k = H x_k + v.
+def linear_gaussian_model(a=0.9, h=1.0, process_var=1.0, meas_var=1.0, prior_mean=0.0,
+                          prior_var=1.0) -> SystemModel:
+    """Linear time-invariant Gaussian model x_k = A x_{k-1} + w, z_k = H x_k + v,
+    with w ~ N(0, process_var), v ~ N(0, meas_var) and x_0 ~ N(prior_mean, prior_var).
 
     Accepts scalars or matrices; scalars build the 1-D model.
     """
@@ -322,14 +324,14 @@ def linear_gaussian_model(a, h, process_cov, meas_cov, prior_mean, prior_cov) ->
         raise ValueError("a must be square")
     if h.shape != (m, n):
         raise ValueError(f"h shape {h.shape} incompatible with state dim {n}")
-    prior = GaussianBelief(prior_mean, prior_cov)
+    prior = GaussianBelief(prior_mean, prior_var)
     return SystemModel(
         state_dim=n,
         meas_dim=m,
         transition_fn=lambda k, x: x @ a.T,
         measurement_fn=lambda k, x: x @ h.T,
-        process_cov=np.atleast_2d(np.asarray(process_cov, dtype=float)),
-        meas_cov=np.atleast_2d(np.asarray(meas_cov, dtype=float)),
+        process_cov=process_var,
+        meas_cov=meas_var,
         prior=prior,
         transition_jacobian_fn=lambda k, x: np.broadcast_to(a, x.shape[:-1] + a.shape),
         transition_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (n, n, n)),

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -37,6 +38,18 @@ def write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def same_model(got, want):
+    """The two models have the same noise, prior and maps."""
+    for attr in ("process_cov", "meas_cov"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert np.array_equal(got.prior.mean, want.prior.mean)
+    assert np.array_equal(got.prior.cov, want.prior.cov)
+    x = np.linspace(-20.0, 20.0, 41)[:, None] * np.ones(want.state_dim)
+    for k in (1, 2, 7):
+        for fn in ("transition", "measure", "transition_jacobian", "measurement_jacobian"):
+            assert np.array_equal(getattr(got, fn)(k, x), getattr(want, fn)(k, x)), fn
 
 
 def test_minimal_config_gives_benchmark_defaults(tmp_path):
@@ -126,15 +139,7 @@ def test_config_reference_restates_the_defaults(tmp_path):
         if field.name != "model_params":
             assert getattr(config, field.name) == getattr(default, field.name), field.name
     assert output == {"dir": ".", "plots": True}
-    got, want = build_model(config), build_model(default)
-    for attr in ("process_cov", "meas_cov"):
-        assert np.array_equal(getattr(got, attr), getattr(want, attr))
-    assert np.array_equal(got.prior.mean, want.prior.mean)
-    assert np.array_equal(got.prior.cov, want.prior.cov)
-    x = np.linspace(-20.0, 20.0, 41)[:, None]
-    for k in (1, 2, 7):
-        assert np.array_equal(got.transition(k, x), want.transition(k, x))
-        assert np.array_equal(got.measure(k, x), want.measure(k, x))
+    same_model(build_model(config), build_model(default))
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -153,6 +158,30 @@ def test_linear_model_defaults_from_a_config_file(tmp_path):
     for cov in (model.process_cov, model.meas_cov, model.prior.cov):
         assert np.array_equal(cov, [[1.0]])
     assert np.array_equal(model.prior.mean, [0.0])
+
+
+def test_model_table_drives_the_config_file(tmp_path):
+    """Each model in the table is its builder: a file naming only the model,
+    or also giving each of its keys at its default, builds the builder's
+    defaults.  CONFIG_REFERENCE names exactly the table's models and keys,
+    and the file's [model] section accepts exactly the table's keys."""
+    for name, (builder, _) in experiment._MODELS.items():
+        defaults = {key: parameter.default
+                    for key, parameter in inspect.signature(builder).parameters.items()}
+        assert inspect.Parameter.empty not in defaults.values(), name
+        assert tuple(defaults) == experiment._model_keys(name)
+        explicit = "".join(f"{key} = {value}\n" for key, value in defaults.items())
+        for text in (f"[model]\nname = {name}\n", f"[model]\nname = {name}\n{explicit}"):
+            config, _ = config_from_file(write(tmp_path, text))
+            same_model(build_model(config), builder())
+
+    names = re.search(r"^name = \w+ +# (.*)$", CONFIG_REFERENCE, re.M).group(1)
+    assert names.split(" | ") == list(experiment._MODELS)
+    keys = {"name"} | {key for name in experiment._MODELS for key in experiment._model_keys(name)}
+    assert set(cli._SCHEMA["model"]) == keys
+    block = CONFIG_REFERENCE[CONFIG_REFERENCE.index("[model]"):
+                             CONFIG_REFERENCE.index("[experiment]")]
+    assert set(re.findall(r"^#? ?(\w+) = ", block, re.M)) == keys
 
 
 def test_unknown_section(tmp_path):

@@ -39,15 +39,19 @@ def kalman_covariances(model, horizon):
 
 
 def test_linear_config_reference_series_match_kalman():
+    """On a linear model every engine gives the Kalman covariance, whatever
+    the beliefs fed to it: the reference, and mean_only and mean_cov on the
+    beliefs that the harness takes from each estimator."""
     config = ExperimentConfig(model_name="linear", model_params=LINEAR_PARAMS,
-                              horizon=30, runs=1, particles=200,
-                              estimators=("ukf",), master_seed=5)
+                              horizon=30, runs=3, particles=200, master_seed=5)
     result = run_experiment(config)
     model = build_model(config)
     kalman = kalman_covariances(model, 30)
-    # the reference and point-estimate engines are exact on a linear model
-    assert_allclose(result.bounds[("true", None)], kalman, atol=1e-6)
-    assert_allclose(result.bounds[("mean_only", "ukf")], kalman, atol=1e-6)
+    assert_allclose(result.bounds[("true", None)], kalman, atol=1e-12)
+    for method in ("mean_only", "mean_cov"):
+        for estimator in ("ukf", "pf"):
+            assert_allclose(result.bounds[method, estimator], kalman, atol=1e-12,
+                            err_msg=f"{method} {estimator}")
 
 
 def test_linear_config_mean_cov_series_matches_rewired_recursion():
@@ -888,7 +892,7 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain(monkeypatch):
     steps = np.arange(1, config.horizon + 1)[:, None]
     for estimator in config.estimators:
         # (1, R, T, ...): the estimator's beliefs stacked alone
-        state, meas = experiment._engine_beliefs(model, [outputs[estimator]])
+        state, meas = experiment._engine_beliefs(model, [outputs[estimator]], True)
         direct = fim_recursion_series(initial_fim(model.prior),
                                       mean_cov_terms(model, steps, state, meas))[0]
         assert np.array_equal(result.run_stacks[("mean_cov", estimator)], direct), estimator
@@ -930,6 +934,7 @@ def test_config_validation():
     ({"methods": ()}, "methods"),
     ({"model_params": {"a": 0.5}}, "'a'"),
     ({"model_name": "linear", "model_params": {"velocity": 1.0}}, "'velocity'"),
+    ({"model_params": {1: 2.0, "x": 1}}, r"keys \[1, 'x'\]"),
     ({"max_failure_fraction": -1.0}, "max_failure_fraction"),
     ({"max_failure_fraction": 1.5}, "max_failure_fraction"),
     ({"max_failure_fraction": float("nan")}, "max_failure_fraction"),
@@ -948,7 +953,7 @@ def test_config_validation():
     ({"model_params": None}, "model_params"),
     ({"model_params": [("process_var", 2.0)]}, "model_params"),
     ({"model_params": "process_var"}, "model_params"),
-], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity",
+], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity", "mixed-type-keys",
         "fraction-negative", "fraction-above-one", "fraction-nan",
         "repeated-estimator", "repeated-method", "ut-beta-nan", "ut-beta-neg-inf",
         "ut-alpha-inf", "ut-kappa-inf", "process-var-inf", "prior-mean-nan",
