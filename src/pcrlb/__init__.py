@@ -16,7 +16,7 @@ from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateRes
                          build_model, derive_run_seed, gap_series, rmse_series,
                          run_experiment, true_bound_series)
 from .filters import (FilterOutput, UTParams, kalman_step, particle_moments, regularize_cov,
-                      run_pf, run_ukf, sigma_points, systematic_resample, ukf_step,
+                      run_pf, run_ukf, sigma_points, systematic_resample,
                       unscented_transform)
 from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
                   fim_recursion_series, fim_recursion_step, fim_via_decomposition,
@@ -74,7 +74,6 @@ __all__ = [
     "systematic_resample",
     "true_bound_series",
     "true_fim_terms_mc",
-    "ukf_step",
     "unscented_transform",
     "ungm_model",
 ]

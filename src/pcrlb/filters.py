@@ -8,33 +8,33 @@ Every routine takes leading run axes: a UKF belief may be a stack of beliefs
 (..., n) and (..., n, n), a particle cloud a stack of clouds (..., N, n), and
 ``run_ukf``/``run_pf`` take a stack of measurement sequences (..., T, m).  One
 step is then one batched numpy call per operation for all runs, and each
-element of a stack gets the bytes the single-run call gives it.  ``run_pf`` is
-the particle filter's only entry: its step is a closure over the run's
-invariants (Q's factor, R's ``_loglik_terms``, the generators and the
-resampling kernel's work buffer, all made once per call) that carries the
-clouds as plain (states, weights) arrays.  The step makes only the arrays its
-result needs: scalar process noise is scaled in place (the one product of a
-1 x 1 matmul), and all clouds are resampled by one exact O(N) count and scan
+element of a stack gets the bytes the single-run call gives it.  Each filter
+has one entry, ``run_ukf`` or ``run_pf``, whose step closure hands
+``_run_stack`` plain arrays: all runs' beliefs and counters.  ``run_pf``'s
+step closes over the run's invariants (Q's factor, R's ``_loglik_terms``, the
+generators and the resampling kernel's work buffer, all made once per call)
+and carries the clouds as (states, weights) arrays.  It makes only the arrays
+its result needs: scalar process noise is scaled in place (the one product of
+a 1 x 1 matmul), and all clouds are resampled by one exact O(N) count and scan
 (``_resample_indices``) whose gather indices draw the particles straight from
 the flattened stack; when every cloud resamples, the drawn particles are the
 new clouds without a copy back.  Inputs are validated at the public boundary
 only (``systematic_resample``, and ``run_pf``, which checks the resample
-policy, the seeds and the particle count once per call); inside a run the
-step trusts what it has just made.  Its weights are normalized by
-construction, so the kernel runs without checks and clips only each cloud's
-last column.  Non-finite log-weights are found on the per-cloud maxima that
-the max subtraction needs (a NaN propagates to its cloud's maximum, and +inf
-is it).  ``run_pf`` carries whether every cloud's weights are equal, as after
-the prior draw and after a step where every cloud resampled; then one
-logarithm per cloud serves.  Only the mean+cov bound reads a filter's
-covariances, so ``run_pf`` forms them on request (``covariances``, on by
-default): without them a step forms the weighted means alone and no
-covariance is symmetrized, factored or stored, and the output's ``cov`` is
-None.  Either way a cloud whose mean is not finite (one that holds a NaN or
-infinite particle) fails its step before the log-weights.  A stack of 1 x 1
-covariances is factored by one square root behind potrf's own test, m > 0
-(``linalg._cholesky``), so a scalar particle filter runs LAPACK only on the
-prior and Q, once per call.
+policy, the seeds and the particle count once per call); inside a run the step
+trusts what it has just made.  Its weights are normalized by construction, so
+the kernel runs without checks and clips only each cloud's last column.
+Non-finite log-weights are found on the per-cloud maxima that the max
+subtraction needs (a NaN propagates to its cloud's maximum, and +inf is it).
+``run_pf`` carries whether every cloud's weights are equal, as after the prior
+draw and after a step where every cloud resampled; then one logarithm per
+cloud serves.  Only the mean+cov bound reads a filter's covariances, so
+``run_pf`` forms them on request (``covariances``, on by default): without
+them a step forms the weighted means alone and no covariance is symmetrized,
+factored or stored, and the output's ``cov`` is None.  Either way a cloud
+whose mean is not finite (one that holds a NaN or infinite particle) fails its
+step before the log-weights.  A stack of 1 x 1 covariances is factored by one
+square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a scalar
+particle filter runs LAPACK only on the prior and Q, once per call.
 The sigma-point spread and weights are built once per (n, ``UTParams``) and
 cached read-only (``_ut_weights``).  Every cloud's randomness comes from that
 run's own Generator, in the order of the single-run filter (prior cloud, then
@@ -73,7 +73,6 @@ __all__ = [
     "FilterOutput",
     "sigma_points",
     "unscented_transform",
-    "ukf_step",
     "run_ukf",
     "particle_moments",
     "systematic_resample",
@@ -108,10 +107,10 @@ class UTParams:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Beliefs produced by one filter step, or by a filter run over steps 1..T.
+    """Beliefs of a filter run over steps 1..T, or of one kalman_step.
 
-    A step's beliefs are (..., n) and (..., n, n); a run's are (..., T, n)
-    and (..., T, n, n).  Both beliefs' cov is None where the filter did not
+    A run's beliefs are (..., T, n) and (..., T, n, n); a Kalman step's are
+    (n,) and (n, n).  Both beliefs' cov is None where the filter did not
     form covariances (run_pf with covariances False): their means are all
     it carries.  health maps a counter to one value per run (the leading
     shape): "cov_repairs" (covariances regularize_cov repaired, 0 where
@@ -255,41 +254,18 @@ def unscented_transform(fn, belief: GaussianBelief, noise_cov: np.ndarray,
     return mean, cov, cross
 
 
-def ukf_step(model: SystemModel, k: int, belief: GaussianBelief, z: np.ndarray,
-             params: UTParams = UTParams()) -> FilterOutput:
-    """One predict/update cycle of the unscented Kalman filter at time k.
-
-    belief may be a stack (..., n) with one measurement per element in z
-    (..., m).  The innovation covariances are inverted once all of them
-    pass a Cholesky factorization (_cholesky_inverse); one that does not
-    factor raises LinAlgError.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    m_pred, p_pred, _ = unscented_transform(
-        lambda x: model.transition(k, x), belief, model.process_cov, params)
-    repairs = np.zeros(m_pred.shape[:-1], dtype=int)
-    p_pred = regularize_cov(p_pred, repairs)
-    predicted = _unchecked(m_pred, p_pred)
-    z_mean, z_cov, cross = unscented_transform(
-        lambda x: model.measure(k, x), predicted, model.meas_cov, params)
-    gain = cross @ _cholesky_inverse(z_cov)
-    post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
-    post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
-    return FilterOutput(posterior=_unchecked(post_mean, post_cov), predicted=predicted,
-                        health={"cov_repairs": repairs})
-
-
 def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
                health: tuple, covariances: bool = True) -> FilterOutput:
     """Drive a filter over steps 1..T for one run or a stack of runs.
 
     measurements (..., T, m) are flattened to R runs (one run is a stack of
     one) and carry holds the filter's state with one row per run.
-    step(k, z, carry) filters every run at time k and returns (FilterOutput
-    of the step, new carry).  health names the step's counters, each
-    combined over the steps by _health_total.  Without covariances the
-    steps' covariances are None, and so are the run's.  The first error of
-    any run is raised.
+    step(k, z, carry) filters every run at time k and returns (arrays,
+    counters, new carry): every run's posterior mean and covariance and
+    predicted mean and covariance, and its counters in health's order, which
+    the run's one FilterOutput combines over the steps by _health_total.
+    Without covariances the steps' covariances are None, and so are the
+    run's.  The first error of any run is raised.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
@@ -300,19 +276,18 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
         return [np.zeros((count, horizon, n)),
                 np.zeros((count, horizon, n, n)) if covariances else None]
 
-    series, counts = channel() + channel(), {name: [] for name in health}
+    series, counts = channel() + channel(), [[] for _ in health]
     for k in range(1, horizon + 1):
-        out, carry = step(k, z[:, k - 1], carry)
-        values = (out.posterior.mean, out.posterior.cov, out.predicted.mean, out.predicted.cov)
+        values, counters, carry = step(k, z[:, k - 1], carry)
         for array, value in zip(series, values):
             if array is not None:
                 array[:, k - 1] = value
-        for name, steps in counts.items():
-            steps.append(out.health[name])
+        for steps, value in zip(counts, counters):
+            steps.append(value)
     post_mean, post_cov, pred_mean, pred_cov = (
         array if array is None else array.reshape(lead + array.shape[1:]) for array in series)
     totals = {name: _health_total(name, np.stack(steps, axis=1), 1).reshape(lead)
-              for name, steps in counts.items()}
+              for name, steps in zip(health, counts)}
     return FilterOutput(posterior=_unchecked(post_mean, post_cov),
                         predicted=_unchecked(pred_mean, pred_cov),
                         health=totals)
@@ -321,15 +296,25 @@ def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
 def run_ukf(model: SystemModel, measurements: np.ndarray,
             params: UTParams = UTParams()) -> FilterOutput:
     """Run the UKF from the model prior over a measurement sequence (T, m),
-    or over a stack of runs' sequences (..., T, m) at once."""
+    or over a stack of runs' sequences (..., T, m) at once.  A step inverts
+    the innovation covariances once all of them pass a Cholesky factorization
+    (_cholesky_inverse); one that does not factor raises LinAlgError."""
     count = int(np.prod(np.shape(measurements)[:-2]))
     n = model.state_dim
     carry = (np.broadcast_to(model.prior.mean, (count, n)).copy(),
              np.broadcast_to(model.prior.cov, (count, n, n)).copy())
 
     def step(k, z, belief):
-        out = ukf_step(model, k, _unchecked(*belief), z, params)
-        return out, (out.posterior.mean, out.posterior.cov)
+        m_pred, p_pred, _ = unscented_transform(
+            lambda x: model.transition(k, x), _unchecked(*belief), model.process_cov, params)
+        repairs = np.zeros(count, dtype=int)
+        p_pred = regularize_cov(p_pred, repairs)
+        z_mean, z_cov, cross = unscented_transform(
+            lambda x: model.measure(k, x), _unchecked(m_pred, p_pred), model.meas_cov, params)
+        gain = cross @ _cholesky_inverse(z_cov)
+        post_mean = m_pred + (gain @ (z - z_mean)[..., None])[..., 0]
+        post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
+        return (post_mean, post_cov, m_pred, p_pred), (repairs,), (post_mean, post_cov)
 
     return _run_stack(model, measurements, step, carry, ("cov_repairs",))
 
@@ -572,9 +557,8 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
             else:
                 propagated[rows] = chosen
             weights[rows] = 1.0 / n_particles
-        health = {"cov_repairs": repairs, "resamples": resampled.astype(int),
-                  "collapses": collapsed.astype(int), "min_ess": ess}
-        return (FilterOutput(posterior=posterior, predicted=predicted, health=health),
+        return ((posterior.mean, posterior.cov, predicted.mean, predicted.cov),
+                (repairs, resampled.astype(int), collapsed.astype(int), ess),
                 (propagated, weights, every))
 
     return _run_stack(model, measurements, step,

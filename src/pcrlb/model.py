@@ -87,6 +87,16 @@ def _unchecked(mean, cov) -> GaussianBelief:
     return belief
 
 
+def _check_cov(label: str, cov: np.ndarray, dim: int) -> None:
+    """Raise ValueError naming label unless cov is (dim, dim) and symmetric positive definite."""
+    if cov.shape != (dim, dim):
+        raise ValueError(f"{label} shape {cov.shape}, expected ({dim}, {dim})")
+    if not np.allclose(cov, cov.T):
+        raise ValueError(f"{label} must be symmetric")
+    if np.any(np.linalg.eigvalsh(cov) <= 0.0):
+        raise ValueError(f"{label} must be positive definite")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -127,12 +137,7 @@ class SystemModel:
         for label, cov, dim in (("process_cov", self.process_cov, self.state_dim),
                                 ("meas_cov", self.meas_cov, self.meas_dim),
                                 ("prior cov", self.prior.cov, self.state_dim)):
-            if cov.shape != (dim, dim):
-                raise ValueError(f"{label} shape {cov.shape}, expected ({dim}, {dim})")
-            if not np.allclose(cov, cov.T):
-                raise ValueError(f"{label} must be symmetric")
-            if np.any(np.linalg.eigvalsh(cov) <= 0.0):
-                raise ValueError(f"{label} must be positive definite")
+            _check_cov(label, cov, dim)
 
     def _call(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
               x: np.ndarray) -> np.ndarray:
@@ -314,7 +319,8 @@ def linear_gaussian_model(a=0.9, h=1.0, process_var=1.0, meas_var=1.0, prior_mea
     """Linear time-invariant Gaussian model x_k = A x_{k-1} + w, z_k = H x_k + v,
     with w ~ N(0, process_var), v ~ N(0, meas_var) and x_0 ~ N(prior_mean, prior_var).
 
-    Accepts scalars or matrices; scalars build the 1-D model.
+    Accepts scalars or matrices; scalars build the 1-D model.  A bad shape, or a
+    variance not symmetric positive definite, raises ValueError naming its parameter.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -324,6 +330,11 @@ def linear_gaussian_model(a=0.9, h=1.0, process_var=1.0, meas_var=1.0, prior_mea
         raise ValueError("a must be square")
     if h.shape != (m, n):
         raise ValueError(f"h shape {h.shape} incompatible with state dim {n}")
+    if np.shape(np.atleast_1d(prior_mean)) != (n,):
+        raise ValueError(f"prior_mean shape {np.shape(prior_mean)}, expected ({n},)")
+    for key, cov, dim in (("process_var", process_var, n), ("meas_var", meas_var, m),
+                          ("prior_var", prior_var, n)):
+        _check_cov(key, np.atleast_2d(np.asarray(cov, dtype=float)), dim)
     prior = GaussianBelief(prior_mean, prior_var)
     return SystemModel(
         state_dim=n,

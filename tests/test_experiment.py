@@ -11,31 +11,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pcrlb import experiment, filters, fim
-from pcrlb.cli import random_spd, write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv
+from pcrlb.cli import (kalman_series, random_spd, write_bounds_csv, write_gap_csv, write_meta,
+                       write_rmse_csv)
 from pcrlb.linalg import symmetrize
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
                    SystemModel, UTParams, aggregate_bounds, build_model, decompose_terms,
                    derive_run_seed, fim_recursion_series, fim_recursion_step,
                    fim_via_decomposition, gap_series, initial_fim,
-                   kalman_step, mean_cov_terms, rmse_series, run_experiment, run_ukf,
+                   mean_cov_terms, rmse_series, run_experiment, run_ukf,
                    sample_trajectory, spd_inverse, true_bound_series, true_fim_terms_mc)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 LINEAR_PARAMS = {"a": 0.9, "h": 1.0, "process_var": 0.6, "meas_var": 0.8,
                  "prior_mean": 0.0, "prior_var": 2.0}
-
-
-def kalman_covariances(model, horizon):
-    belief = GaussianBelief(model.prior.mean, model.prior.cov)
-    a = model.transition_jacobian(1, model.prior.mean)
-    h = model.measurement_jacobian(1, model.prior.mean)
-    covs = []
-    for _ in range(horizon):
-        out = kalman_step(a, h, model.process_cov, model.meas_cov,
-                          belief, np.zeros(model.meas_dim))
-        belief = out.posterior
-        covs.append(belief.cov)
-    return np.stack(covs)
 
 
 def test_linear_config_reference_series_match_kalman():
@@ -46,7 +34,8 @@ def test_linear_config_reference_series_match_kalman():
                               horizon=30, runs=3, particles=200, master_seed=5)
     result = run_experiment(config)
     model = build_model(config)
-    kalman = kalman_covariances(model, 30)
+    kalman = np.stack([out.posterior.cov
+                       for out in kalman_series(model, np.zeros((30, model.meas_dim)))])
     assert_allclose(result.bounds[("true", None)], kalman, atol=1e-12)
     for method in ("mean_only", "mean_cov"):
         for estimator in ("ukf", "pf"):
@@ -953,12 +942,18 @@ def test_config_validation():
     ({"model_params": None}, "model_params"),
     ({"model_params": [("process_var", 2.0)]}, "model_params"),
     ({"model_params": "process_var"}, "model_params"),
+    ({"model_name": "linear", "model_params": {"process_var": [[-1.0]]}}, "process_var"),
+    ({"model_name": "linear", "model_params": {"prior_var": [[1, 0], [0, 1]]}}, "prior_var"),
+    ({"model_name": "linear", "model_params": {"meas_var": [[2, 0], [0, 2]]}}, "meas_var"),
+    ({"model_name": "linear", "model_params": {"prior_mean": [1, 2]}}, "prior_mean"),
 ], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity", "mixed-type-keys",
         "fraction-negative", "fraction-above-one", "fraction-nan",
         "repeated-estimator", "repeated-method", "ut-beta-nan", "ut-beta-neg-inf",
         "ut-alpha-inf", "ut-kappa-inf", "process-var-inf", "prior-mean-nan",
         "runs-float", "horizon-float", "particles-float", "workers-float",
-        "model-params-none", "model-params-pairs", "model-params-string"])
+        "model-params-none", "model-params-pairs", "model-params-string",
+        "linear-process-var-negative", "linear-prior-var-shape", "linear-meas-var-shape",
+        "linear-prior-mean-shape"])
 def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pcrlb import (FilterOutput, GaussianBelief, NumericError, UTParams, kalman_step,
                    linear_gaussian_model, particle_moments, regularize_cov, run_pf, run_ukf,
-                   sample_trajectory, sigma_points, systematic_resample, ukf_step, ungm_model,
+                   sample_trajectory, sigma_points, systematic_resample, ungm_model,
                    unscented_transform)
 
 from pcrlb import filters
@@ -83,7 +83,7 @@ def test_ukf_matches_kalman_over_50_steps(rng):
 def test_ukf_uninformative_measurement():
     model = ungm_model(meas_var=1e12)
     belief = GaussianBelief(np.array([0.5]), np.array([[2.0]]))
-    out = ukf_step(model, 1, belief, np.array([0.3]))
+    out = run_ukf(dataclasses.replace(model, prior=belief), np.array([0.3])[None])
     assert_allclose(out.posterior.mean, out.predicted.mean, rtol=1e-6)
     assert_allclose(out.posterior.cov, out.predicted.cov, rtol=1e-6)
 
@@ -97,9 +97,9 @@ def test_ukf_zero_innovation():
     z_mean, _, _ = unscented_transform(
         lambda x: model.measure(1, x), GaussianBelief(pred_mean, pred_cov),
         model.meas_cov, UTParams())
-    out = ukf_step(model, 1, belief, z_mean)
+    out = run_ukf(dataclasses.replace(model, prior=belief), z_mean[None])
     assert_allclose(out.posterior.mean, out.predicted.mean, atol=1e-10)
-    assert_allclose(out.predicted.mean, pred_mean, atol=1e-12)
+    assert_allclose(out.predicted.mean[0], pred_mean, atol=1e-12)
 
 
 def test_particle_moments_hand_values():
@@ -746,3 +746,15 @@ def test_filter_beliefs_pass_the_public_checks(name, resample):
         for belief in (out.posterior, out.predicted):
             rebuilt = GaussianBelief(belief.mean, belief.cov)
             assert np.array_equal(rebuilt.cov, belief.cov)
+
+
+def test_ukf_counts_covariance_repairs_per_run():
+    """A near-noiseless measurement leaves the UKF's covariances at the
+    rounding level, where regularize_cov repairs them.  A stacked run counts
+    each run's repairs as its single-run call does."""
+    model = linear_gaussian_model(meas_var=1e-16)
+    measurements = sample_trajectory(model, 10, [1, 2, 3]).measurements
+    stacked = run_ukf(model, measurements).health["cov_repairs"]
+    single = [int(run_ukf(model, z).health["cov_repairs"]) for z in measurements]
+    assert stacked.tolist() == single
+    assert all(count > 0 for count in single)

@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 
 from pcrlb import (FimTriple, GaussianBelief, NumericError, SystemModel, bound_difference,
                    decompose_terms, fim_recursion_series, fim_recursion_step,
-                   fim_via_decomposition, initial_fim, kalman_step, linear_gaussian_model,
+                   fim_via_decomposition, initial_fim, linear_gaussian_model,
                    mean_cov_terms, mean_only_terms, sample_trajectory, spd_inverse,
                    true_fim_terms_mc, ungm_model)
 from pcrlb import fim
 from pcrlb.linalg import symmetrize
 
-from pcrlb.cli import random_spd, random_stable_linear_model, unscented_predicted
+from pcrlb.cli import kalman_series, random_spd, random_stable_linear_model, unscented_predicted
 
 # frozen large-sample value of E[f'(x)^2] for the default scalar benchmark
 # model under its prior, from a 1e7-sample run of an independent script
@@ -56,15 +56,10 @@ def test_recursion_tracks_kalman_covariance(rng):
         model = random_stable_linear_model(rng, dim)
         x = model.prior.mean
         j = initial_fim(model.prior)
-        belief = GaussianBelief(model.prior.mean, model.prior.cov)
-        a = model.transition_jacobian(1, x)
-        h = model.measurement_jacobian(1, x)
+        kalman = kalman_series(model, np.zeros((50, model.meas_dim)))
         for k in range(1, 51):
             j = fim_recursion_step(j, mean_only_terms(model, k, x, model.transition(k, x)))
-            out = kalman_step(a, h, model.process_cov, model.meas_cov,
-                              belief, np.zeros(dim))
-            belief = out.posterior
-            assert_allclose(spd_inverse(j), belief.cov, atol=1e-8)
+            assert_allclose(spd_inverse(j), kalman[k - 1].posterior.cov, atol=1e-8)
 
 
 def test_true_terms_constant_for_linear_model(rng):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pcrlb import GaussianBelief, NumericError, spd_inverse, ukf_step
+from pcrlb import NumericError, run_ukf, spd_inverse
 from pcrlb import filters
 from pcrlb.cli import random_stable_linear_model
 from pcrlb.filters import _gaussian_loglik
@@ -137,9 +137,7 @@ def test_matrix_path_matches_potrs_within_rounding(rng, monkeypatch):
         innovations = []
         monkeypatch.setattr(filters, "_cholesky_inverse",
                             lambda m: innovations.append(m) or _cholesky_inverse(m))
-        belief = GaussianBelief(model.prior.mean + rng.standard_normal((6, n)),
-                                np.tile(model.prior.cov, (6, 1, 1)))
-        ukf_step(model, 1, belief, rng.standard_normal((6, n)))
+        run_ukf(model, rng.standard_normal((6, n))[:, None])
         monkeypatch.undo()
         (z_cov,) = innovations
         assert z_cov.shape == (6, n, n)

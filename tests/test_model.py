@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,16 +153,21 @@ def test_hessians_symmetric():
 
 def test_prior_validation():
     """The prior is a GaussianBelief, and the model asks it to be positive
-    definite and of the state's dimension."""
+    definite and of the state's dimension.  The linear builder checks its
+    values before, under their parameter names."""
     eye = np.eye(2)
-    assert isinstance(linear_gaussian_model(eye, eye, eye, eye, np.zeros(2), eye).prior,
-                      GaussianBelief)
+    model = linear_gaussian_model(eye, eye, eye, eye, np.zeros(2), eye)
+    assert isinstance(model.prior, GaussianBelief)
     for prior_cov, message in ((np.diag([1.0, -1.0]), "semidefinite"),
                                (np.ones((2, 2)), "prior cov must be positive definite"),
                                (np.eye(3), "does not match")):
         with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, prior=GaussianBelief(np.zeros(2), prior_cov))
+        with pytest.raises(ValueError, match=r"^prior_var "):
             linear_gaussian_model(eye, eye, eye, eye, np.zeros(2), prior_cov)
     with pytest.raises(ValueError, match="prior cov shape"):
+        dataclasses.replace(model, prior=GaussianBelief(np.zeros(3), np.eye(3)))
+    with pytest.raises(ValueError, match=r"^prior_mean shape \(3,\)"):
         linear_gaussian_model(eye, eye, eye, eye, np.zeros(3), np.eye(3))
 
 
