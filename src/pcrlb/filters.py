@@ -11,8 +11,8 @@ step is then one batched numpy call per operation for all runs, and each
 element of a stack gets the bytes the single-run call gives it.  Each filter
 has one entry, ``run_ukf`` or ``run_pf``, whose step closure hands
 ``_run_stack`` plain arrays: all runs' beliefs and counters.  ``run_pf``'s
-step closes over the run's invariants (Q's factor, R's ``_loglik_terms``, the
-generators and the resampling kernel's work buffer, all made once per call)
+step closes over the run's invariants (the model's factor of Q, R's
+``_loglik_terms`` of its factor, the generators and the resampling buffer)
 and carries the clouds as (states, weights) arrays.  It makes only the arrays
 its result needs: scalar process noise is scaled in place (the one product of
 a 1 x 1 matmul), and all clouds are resampled by one exact O(N) count and scan
@@ -34,7 +34,7 @@ factored or stored, and the output's ``cov`` is None.  Either way a cloud
 whose mean is not finite (one that holds a NaN or infinite particle) fails its
 step before the log-weights.  A stack of 1 x 1 covariances is factored by one
 square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a scalar
-particle filter runs LAPACK only on the prior and Q, once per call.
+particle filter factors no matrix by LAPACK; the model holds its factors.
 The sigma-point spread and weights are built once per (n, ``UTParams``) and
 cached read-only (``_ut_weights``).  Every cloud's randomness comes from that
 run's own Generator, in the order of the single-run filter (prior cloud, then
@@ -433,19 +433,18 @@ def _resample_indices(flat: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.n
     return index
 
 
-def _loglik_terms(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """What the log density of N(0, cov) needs of cov: the inverse of its
-    Cholesky factor, its log determinant and m log(2 pi)."""
-    factor = _cholesky(cov)
+def _loglik_terms(factor: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """What the log density of N(0, cov) needs of cov's lower Cholesky factor:
+    its inverse, the log determinant of cov and m log(2 pi)."""
     return (np.linalg.inv(factor), 2.0 * float(np.sum(np.log(np.diag(factor)))),
-            cov.shape[0] * np.log(2.0 * np.pi))
+            factor.shape[0] * np.log(2.0 * np.pi))
 
 
 def _gaussian_loglik(resid: np.ndarray, terms: tuple) -> np.ndarray:
     """Log density of N(0, cov) at each row of resid, shape (..., N, m) -> (..., N).
 
-    terms is _loglik_terms(cov), which a caller evaluating the same cov at
-    every step computes once.  The quadratic form r' cov^-1 r is |L^-1 r|^2
+    terms is _loglik_terms of cov's factor, which a caller evaluating the same
+    cov at every step computes once.  The quadratic form r' cov^-1 r is |L^-1 r|^2
     for m > 1, and r s s r with s = 1/l for m = 1, the arithmetic of LAPACK
     potrs.  Bad residuals propagate to the log-weights, where run_pf's step
     raises a NumericError.
@@ -502,10 +501,8 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
     if n_particles < 1:
         raise ValueError("n_particles must be positive")
     clouds, n = len(generators), model.state_dim
-    prior_chol = np.linalg.cholesky(model.prior.cov)
-    states = model.prior.mean + _standard_normal(generators, (n_particles, n)) @ prior_chol.T
-    noise_chol = np.linalg.cholesky(model.process_cov)
-    loglik_terms = _loglik_terms(model.meas_cov)
+    states = model.prior.mean + _standard_normal(generators, (n_particles, n)) @ model.prior_chol.T
+    loglik_terms = _loglik_terms(model.meas_chol)
     work = np.empty((2, clouds * n_particles + 1))  # the resampling kernel's buffer
 
     def step(k, z, cloud):
@@ -513,10 +510,10 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
         # after a step that resampled every cloud, so one logarithm per cloud serves
         states, incoming, equal = cloud
         propagated = _standard_normal(generators, (n_particles, n))
-        if n == 1:  # draws @ noise_chol.T is one product per draw: scale in place
-            propagated *= noise_chol[0, 0]
+        if n == 1:  # draws @ process_chol.T is one product per draw: scale in place
+            propagated *= model.process_chol[0, 0]
         else:
-            propagated = propagated @ noise_chol.T
+            propagated = propagated @ model.process_chol.T
         propagated += model.transition(k, states)
         repairs = np.zeros(clouds, dtype=int)
         predicted = particle_moments(propagated, incoming, repairs, covariances)

@@ -13,8 +13,9 @@ the state being produced, and the ``k`` passed to ``measure`` is the index of
 the state being observed.
 
 A model is its two maps, their analytic first and second derivatives and the
-two noise covariances.  Maps and derivatives take one state of shape (n,) or
-a stack of states (..., n) and map the whole stack in one call.
+two noise covariances, with the Cholesky factors of these and of the prior
+covariance, formed once when it is built.  Maps and derivatives take one state
+of shape (n,) or a stack of states (..., n) and map the whole stack in one call.
 
 The time index k is an int, or an integer array (..., 1) whose leading axes
 broadcast against the stack's leading axes (and whose last axis against the
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _check_square_symmetric, spd_inverse, symmetrize
+from .linalg import _check_square_symmetric, _cholesky, spd_inverse, symmetrize
 
 __all__ = [
     "GaussianBelief",
@@ -53,8 +54,8 @@ class GaussianBelief:
     mean has shape (n,) and cov (n, n), or (..., n) and (..., n, n) for a
     stack.  The covariance may be positive semidefinite (a zero covariance
     encodes exact knowledge of the state), but never indefinite.  The prior
-    of a SystemModel is one such belief, which the model requires to be
-    positive definite.
+    of a SystemModel is one whose covariance must factor; a filter belief
+    formed without covariances carries its mean alone, with cov None.
     """
 
     mean: np.ndarray
@@ -81,20 +82,22 @@ class GaussianBelief:
 def _unchecked(mean, cov) -> GaussianBelief:
     """GaussianBelief(mean, cov) without its checks, for arrays known to pass them:
     covariances that have just passed a Cholesky factorization (filters.regularize_cov),
-    and slices and concatenations of such stacks and a checked prior."""
+    slices and concatenations of such stacks and a checked prior, and cov None, the
+    one exception, for the means-only beliefs of a filter run without covariances."""
     belief = object.__new__(GaussianBelief)
     belief.__dict__.update(mean=mean, cov=cov)
     return belief
 
 
-def _check_cov(label: str, cov: np.ndarray, dim: int) -> None:
-    """Raise ValueError naming label unless cov is (dim, dim) and symmetric positive definite."""
+def _check_cov(label: str, cov: np.ndarray, dim: int) -> np.ndarray:
+    """The read-only lower Cholesky factor of cov; ValueError naming label unless
+    cov is (dim, dim), finite and symmetric, and factors (linalg._cholesky)."""
     if cov.shape != (dim, dim):
         raise ValueError(f"{label} shape {cov.shape}, expected ({dim}, {dim})")
-    if not np.allclose(cov, cov.T):
-        raise ValueError(f"{label} must be symmetric")
-    if np.any(np.linalg.eigvalsh(cov) <= 0.0):
-        raise ValueError(f"{label} must be positive definite")
+    try:
+        return _read_only(_cholesky(_check_square_symmetric(cov, label)))
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{label} must be positive definite") from None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -102,7 +105,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemModel:
     """A state-space model: its maps, their analytic derivatives and its noise.
 
@@ -114,9 +117,10 @@ class SystemModel:
     entry [..., c, i, j] being the (i, j) second derivative of output c.
 
     The prior is a GaussianBelief about x_0 whose covariance, like Q and R,
-    must be positive definite.  The noise covariances are time-constant.
-    Their precisions ``process_precision`` and ``meas_precision`` are
-    inverted on first use and handed out read-only.
+    must have a Cholesky factor.  The noise covariances are time-constant.
+    The lower factors ``process_chol``, ``meas_chol`` and ``prior_chol`` are
+    formed when the model is built, the precisions ``process_precision`` and
+    ``meas_precision`` on first use, all read-only in a frozen model.
     """
 
     state_dim: int
@@ -132,12 +136,12 @@ class SystemModel:
     measurement_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        self.process_cov = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
-        self.meas_cov = np.atleast_2d(np.asarray(self.meas_cov, dtype=float))
-        for label, cov, dim in (("process_cov", self.process_cov, self.state_dim),
-                                ("meas_cov", self.meas_cov, self.meas_dim),
-                                ("prior cov", self.prior.cov, self.state_dim)):
-            _check_cov(label, cov, dim)
+        q = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
+        r = np.atleast_2d(np.asarray(self.meas_cov, dtype=float))
+        self.__dict__.update(process_cov=q, meas_cov=r,
+                             process_chol=_check_cov("process_cov", q, self.state_dim),
+                             meas_chol=_check_cov("meas_cov", r, self.meas_dim),
+                             prior_chol=_check_cov("prior cov", self.prior.cov, self.state_dim))
 
     def _call(self, fn: Callable[[int, np.ndarray], np.ndarray], k,
               x: np.ndarray) -> np.ndarray:
@@ -234,18 +238,16 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     draws = np.stack([np.random.default_rng(s).standard_normal(n + horizon * (n + m))
                       for s in seeds])
     steps = draws[:, n:].reshape(len(seeds), horizon, n + m)
-    chol_q = np.linalg.cholesky(model.process_cov)
-    chol_r = np.linalg.cholesky(model.meas_cov)
     states = np.empty((len(seeds), horizon + 1, n))
     measurements = np.empty((len(seeds), horizon, m))
-    states[:, 0] = model.prior.mean + _noise(np.linalg.cholesky(model.prior.cov), draws[:, :n])
+    states[:, 0] = model.prior.mean + _noise(model.prior_chol, draws[:, :n])
     # each state as a 1 x n row, so a matmul map makes one vector-matrix
     # product per run, as for a single (n,) state
     for k in range(1, horizon + 1):
         states[:, k] = (model.transition(k, states[:, None, k - 1])[:, 0]
-                        + _noise(chol_q, steps[:, k - 1, :n]))
+                        + _noise(model.process_chol, steps[:, k - 1, :n]))
         measurements[:, k - 1] = (model.measure(k, states[:, None, k])[:, 0]
-                                  + _noise(chol_r, steps[:, k - 1, n:]))
+                                  + _noise(model.meas_chol, steps[:, k - 1, n:]))
     if not isinstance(seed, list):
         states, measurements = states[0], measurements[0]
     return Trajectory(states=states, measurements=measurements)

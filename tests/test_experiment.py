@@ -918,6 +918,12 @@ def test_config_validation():
         ExperimentConfig(resample="never")
 
 
+# a 2-D linear model, and a singular matrix whose eigvalsh reads +1.1e-16
+LINEAR_2D = {"a": [[0.5, 0], [0, 0.5]], "h": [[1, 0], [0, 1]], "process_var": [[1, 0], [0, 1]],
+             "meas_var": [[1, 0], [0, 1]], "prior_mean": [0, 0], "prior_var": [[1, 0], [0, 1]]}
+SINGULAR = [[1, 3], [3, 9]]
+
+
 @pytest.mark.parametrize("fields, key", [
     ({"estimators": ()}, "estimators"),
     ({"methods": ()}, "methods"),
@@ -946,6 +952,9 @@ def test_config_validation():
     ({"model_name": "linear", "model_params": {"prior_var": [[1, 0], [0, 1]]}}, "prior_var"),
     ({"model_name": "linear", "model_params": {"meas_var": [[2, 0], [0, 2]]}}, "meas_var"),
     ({"model_name": "linear", "model_params": {"prior_mean": [1, 2]}}, "prior_mean"),
+    *(({"model_name": "linear", "model_params": {**LINEAR_2D, key: cov}}, key)
+      for key, cov in (("process_var", SINGULAR), ("meas_var", SINGULAR),
+                       ("prior_var", SINGULAR), ("process_var", [[1, 0.5], [0, 1]]))),
 ], ids=["no-estimators", "no-methods", "ungm-a", "linear-velocity", "mixed-type-keys",
         "fraction-negative", "fraction-above-one", "fraction-nan",
         "repeated-estimator", "repeated-method", "ut-beta-nan", "ut-beta-neg-inf",
@@ -953,7 +962,9 @@ def test_config_validation():
         "runs-float", "horizon-float", "particles-float", "workers-float",
         "model-params-none", "model-params-pairs", "model-params-string",
         "linear-process-var-negative", "linear-prior-var-shape", "linear-meas-var-shape",
-        "linear-prior-mean-shape"])
+        "linear-prior-mean-shape", "linear2d-process-var-singular",
+        "linear2d-meas-var-singular", "linear2d-prior-var-singular",
+        "linear2d-process-var-asymmetric"])
 def test_config_rejects_values_a_run_would_misuse(fields, key):
     """Each value fails at construction, before any run starts, with a
     ValueError naming its key."""

@@ -11,6 +11,7 @@ from pcrlb import (FilterOutput, GaussianBelief, NumericError, UTParams, kalman_
                    unscented_transform)
 
 from pcrlb import filters
+from pcrlb import model as model_module
 from pcrlb.cli import kalman_series, random_stable_linear_model
 from pcrlb.filters import RESAMPLE_POLICIES, _gaussian_loglik
 
@@ -597,7 +598,8 @@ def test_scalar_regularize_cov_decides_as_a_cholesky_trial():
 
 @pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
 def test_scalar_pf_factors_only_the_model_matrices(monkeypatch, resample):
-    """A scalar particle filter factors the prior and Q once each, never a stack,
+    """A scalar particle filter calls no np.linalg.cholesky, on a step's stack
+    or on a model matrix (the model's factors were formed when it was built),
     also when its clouds degenerate and regularize_cov repairs them."""
     _, measurements, seeds = stacked_setup("ungm", runs=3, horizon=10)
     models = (ungm_model(), ungm_model(process_var=1e-300, prior_var=1e-300))
@@ -608,8 +610,7 @@ def test_scalar_pf_factors_only_the_model_matrices(monkeypatch, resample):
     for model, repaired in zip(models, (False, True)):
         arguments.clear()
         out = run_pf(model, measurements, 200, seeds, resample=resample)
-        assert [a.tolist() for a in arguments] == [model.prior.cov.tolist(),
-                                                   model.process_cov.tolist()]
+        assert arguments == []
         assert np.all(out.health["cov_repairs"] > 0) == repaired
 
 
@@ -662,22 +663,30 @@ def test_scalar_loglik_matches_cho_solve_bit_for_bit(rng):
         cov = np.array([[10.0 ** rng.uniform(-3.0, 3.0)]])
         shape = tuple(int(d) for d in rng.integers(1, 40, size=2)) + (1,)
         resid = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2.0, 2.0)
-        assert np.array_equal(_gaussian_loglik(resid, filters._loglik_terms(cov)),
-                              cho_solve_loglik(resid, cov))
+        terms = filters._loglik_terms(np.linalg.cholesky(cov))
+        assert np.array_equal(_gaussian_loglik(resid, terms), cho_solve_loglik(resid, cov))
 
 
 @pytest.mark.parametrize("resample", RESAMPLE_POLICIES)
 @pytest.mark.parametrize("name", ["ungm", "linear2d"])
 def test_run_pf_factors_the_measurement_noise_once(monkeypatch, name, resample):
-    """R is factored once per run_pf call, not once per step, and the
-    likelihoods keep their bytes.  The filter's other factorizations are the
-    moment tests of regularize_cov, one (3, n, n) stack per call."""
+    """R is factored once, when the model is built, not once per call or per
+    step, and the likelihoods keep their bytes.  Neither sample_trajectory
+    nor run_pf factors a model matrix: the filter's only factorizations are
+    the moment tests of regularize_cov, one (3, n, n) stack per call."""
     model, measurements, seeds = stacked_setup(name, runs=3, horizon=12)
     want = run_pf(model, measurements, 60, seeds, resample=resample)
-    factor, calls = filters._cholesky, []
-    monkeypatch.setattr(filters, "_cholesky", lambda m: calls.append(m) or factor(m))
+    calls = []
+    for module, attribute in ((np.linalg, "cholesky"), (filters, "_cholesky"),
+                              (model_module, "_cholesky")):
+        original = getattr(module, attribute)
+        monkeypatch.setattr(module, attribute,
+                            lambda m, original=original: calls.append(m) or original(m))
+    sample_trajectory(model, 12, seeds)
+    assert calls == []
     got = run_pf(model, measurements, 60, seeds, resample=resample)
-    assert [m.tolist() for m in calls if m.ndim == 2] == [model.meas_cov.tolist()]
+    n = model.state_dim
+    assert calls and all(m.shape == (3, n, n) for m in calls)
     assert_same_output(got, want)
 
 
@@ -729,7 +738,7 @@ def test_nan_residual_raises_in_pf_step():
     """A NaN residual in one cloud of a stack fails run_pf's step."""
     model = ungm_model()
     assert np.isnan(_gaussian_loglik(np.full((2, 30, 1), np.nan),
-                                     filters._loglik_terms(model.meas_cov))).all()
+                                     filters._loglik_terms(model.meas_chol))).all()
     with pytest.raises(NumericError, match="non-finite particle log-weights at step 1"):
         run_pf(model, np.array([[[0.3]], [[np.nan]]]), 30, [5, 6])
 

@@ -171,6 +171,22 @@ def test_prior_validation():
         linear_gaussian_model(eye, eye, eye, eye, np.zeros(3), np.eye(3))
 
 
+def test_a_model_covariance_is_valid_exactly_when_it_factors():
+    """Q and R are checked by linalg's rules, in order: finite, symmetric,
+    then a Cholesky factor, which the singular [[1, 3], [3, 9]] lacks (its
+    eigvalsh reads +1.1e-16)."""
+    eye = np.eye(2)
+    model = linear_gaussian_model(0.5 * eye, eye, eye, eye, np.zeros(2), eye)
+    for cov, rule in (([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+                      ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+                      ([[1.0, 3.0], [3.0, 9.0]], "positive definite")):
+        for label in ("process_cov", "meas_cov"):
+            with pytest.raises(ValueError, match=f"^{label} must be {rule}$"):
+                dataclasses.replace(model, **{label: np.array(cov)})
+    with pytest.raises(ValueError, match="^belief covariance must be symmetric$"):
+        GaussianBelief(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]])
+
+
 def test_sample_trajectory_shapes_and_determinism():
     m = ungm_model()
     t1 = sample_trajectory(m, 50, 1234)
@@ -251,14 +267,21 @@ def test_sample_trajectory_generator_ends_after_its_draws(rng, name):
 
 
 def test_cached_noise_precisions_are_the_inverses_and_read_only(rng):
+    """So are the factors of Q, R and the prior cov, with np.linalg.cholesky's
+    bytes, and the model they were formed from is frozen."""
     for model in sampling_models(rng).values():
         q_inv, r_inv = model.process_precision, model.meas_precision
         assert np.array_equal(q_inv, spd_inverse(model.process_cov))
         assert np.array_equal(r_inv, spd_inverse(model.meas_cov))
         assert q_inv is model.process_precision
-        for precision in (q_inv, r_inv):
+        factors = (model.process_chol, model.meas_chol, model.prior_chol)
+        for factor, cov in zip(factors, (model.process_cov, model.meas_cov, model.prior.cov)):
+            assert factor.tobytes() == np.linalg.cholesky(cov).tobytes()
+        for cached in (q_inv, r_inv) + factors:
             with pytest.raises(ValueError, match="read-only"):
-                precision[0, 0] = 0.0
+                cached[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):  # so none can go stale
+            model.process_cov = 2.0 * model.process_cov
 
 
 def test_stacked_maps_and_derivatives_match_pointwise(rng):
