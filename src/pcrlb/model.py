@@ -12,9 +12,9 @@ Time indices are explicit: the ``k`` passed to ``transition`` is the index of
 the state being produced, and the ``k`` passed to ``measure`` is the index of
 the state being observed.
 
-A model is its two maps, their analytic first and second derivatives and the
-two noise covariances, with the Cholesky factors of these and of the prior
-covariance, formed once when it is built.  Maps and derivatives take one state
+A model is its two maps, their analytic Jacobians and the two noise
+covariances, with the Cholesky factors of these and of the prior
+covariance, formed once when it is built.  Maps and Jacobians take one state
 of shape (n,) or a stack of states (..., n) and map the whole stack in one call.
 
 The time index k is an int, or an integer array (..., 1) whose leading axes
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _check_square_symmetric, _cholesky, spd_inverse, symmetrize
+from .linalg import _check_square_symmetric, _cholesky, spd_inverse
 
 __all__ = [
     "GaussianBelief",
@@ -42,10 +42,6 @@ __all__ = [
     "ungm_model",
     "linear_gaussian_model",
 ]
-
-_EPS = np.finfo(float).eps
-_JAC_STEP = _EPS ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -107,14 +103,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """A state-space model: its maps, their analytic derivatives and its noise.
+    """A state-space model: its maps, their analytic Jacobians and its noise.
 
-    All six callables take the time index k, as the module notes describe,
+    All four callables take the time index k, as the module notes describe,
     and a stack of states (..., n); a single state (n,) is a stack without
     leading axes.  ``transition_fn`` and ``measurement_fn`` return the mapped
-    stack (..., n) and (..., m), the Jacobian callables (..., n, n) and
-    (..., m, n), and the Hessian callables (..., n, n, n) and (..., m, n, n),
-    entry [..., c, i, j] being the (i, j) second derivative of output c.
+    stack (..., n) and (..., m), and the Jacobian callables (..., n, n) and
+    (..., m, n).
 
     The prior is a GaussianBelief about x_0 whose covariance, like Q and R,
     must have a Cholesky factor.  The noise covariances are time-constant.
@@ -131,9 +126,7 @@ class SystemModel:
     meas_cov: np.ndarray
     prior: GaussianBelief
     transition_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
-    transition_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
     measurement_jacobian_fn: Callable[[int, np.ndarray], np.ndarray]
-    measurement_hessian_fn: Callable[[int, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         q = np.atleast_2d(np.asarray(self.process_cov, dtype=float))
@@ -161,19 +154,13 @@ class SystemModel:
         """Noise-free measurement of the state at time k."""
         return self._call(self.measurement_fn, k, x)
 
-    # -- derivatives -----------------------------------------------------
+    # -- Jacobians -------------------------------------------------------
 
     def transition_jacobian(self, k, x: np.ndarray) -> np.ndarray:
         return self._call(self.transition_jacobian_fn, k, x)
 
-    def transition_hessians(self, k, x: np.ndarray) -> np.ndarray:
-        return symmetrize(self._call(self.transition_hessian_fn, k, x))
-
     def measurement_jacobian(self, k, x: np.ndarray) -> np.ndarray:
         return self._call(self.measurement_jacobian_fn, k, x)
-
-    def measurement_hessians(self, k, x: np.ndarray) -> np.ndarray:
-        return symmetrize(self._call(self.measurement_hessian_fn, k, x))
 
     # -- noise precisions ------------------------------------------------
 
@@ -263,8 +250,8 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         z_k = x_k^2 / 20 + v_k
 
     with x the previous state.  The cosine forcing depends on time only, so
-    state derivatives of the transition are time-invariant.  Analytic first
-    and second derivatives ride along on the model interface.
+    the transition's Jacobian is time-invariant.  Analytic Jacobians ride
+    along on the model interface.
     """
 
     def f(k: int, x: np.ndarray) -> np.ndarray:
@@ -285,20 +272,13 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         out /= 20.0
         return out
 
-    # x has shape (..., 1); derivatives come out as (..., 1, 1) and (..., 1, 1, 1)
+    # x has shape (..., 1); Jacobians come out as (..., 1, 1)
     def f_jac(k: int, x: np.ndarray) -> np.ndarray:
         v = 1.0 + x * x
         return (0.5 + 25.0 * (1.0 - x * x) / (v * v))[..., None]
 
-    def f_hess(k: int, x: np.ndarray) -> np.ndarray:
-        v = 1.0 + x * x
-        return (25.0 * (2.0 * x ** 3 - 6.0 * x) / v ** 3)[..., None, None]
-
     def h_jac(k: int, x: np.ndarray) -> np.ndarray:
         return (x / 10.0)[..., None]
-
-    def h_hess(k: int, x: np.ndarray) -> np.ndarray:
-        return np.full(x.shape + (1, 1), 0.1)
 
     prior = GaussianBelief(np.array([prior_mean]), np.array([[prior_var]]))
     return SystemModel(
@@ -310,9 +290,7 @@ def ungm_model(process_var: float = 1.0, meas_var: float = 5.0,
         meas_cov=np.array([[meas_var]]),
         prior=prior,
         transition_jacobian_fn=f_jac,
-        transition_hessian_fn=f_hess,
         measurement_jacobian_fn=h_jac,
-        measurement_hessian_fn=h_hess,
     )
 
 
@@ -347,7 +325,5 @@ def linear_gaussian_model(a=0.9, h=1.0, process_var=1.0, meas_var=1.0, prior_mea
         meas_cov=meas_var,
         prior=prior,
         transition_jacobian_fn=lambda k, x: np.broadcast_to(a, x.shape[:-1] + a.shape),
-        transition_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (n, n, n)),
         measurement_jacobian_fn=lambda k, x: np.broadcast_to(h, x.shape[:-1] + h.shape),
-        measurement_hessian_fn=lambda k, x: np.zeros(x.shape[:-1] + (m, n, n)),
     )

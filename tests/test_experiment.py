@@ -319,9 +319,7 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
                        measurement_fn=lambda k, x: x, process_cov=[[1.0]], meas_cov=[[0.01]],
                        prior=GaussianBelief([0.0], [[1.0]]),
                        transition_jacobian_fn=lambda k, x: np.full(x.shape + (1,), 0.5),
-                       transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
-                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
-                       measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
+                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)))
     config = ExperimentConfig(horizon=10, runs=4, master_seed=4, estimators=("ukf",),
                               methods=("true",), max_failure_fraction=0.5)
     monkeypatch.setattr(experiment, "build_model", lambda config: edge)
@@ -551,9 +549,7 @@ def nan_window_model(window: bool = True) -> SystemModel:
                        measurement_fn=measure, process_cov=[[1.0]], meas_cov=[[1.0]],
                        prior=GaussianBelief([0.0], [[1.0]]),
                        transition_jacobian_fn=lambda k, x: 0.9 + 0.0 * x[..., None],
-                       transition_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)),
-                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)),
-                       measurement_hessian_fn=lambda k, x: np.zeros(x.shape + (1, 1)))
+                       measurement_jacobian_fn=lambda k, x: np.ones(x.shape + (1,)))
 
 
 # The particle filter fails runs 10, 14 and 16 of this config on nan_window_model().

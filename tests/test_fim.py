@@ -119,27 +119,25 @@ def test_stacked_true_terms_equal_per_step_calls_bit_for_bit(rng):
 
 def ungm_pair_model():
     """Two independent ungm components as one 2-D model: block-diagonal
-    Jacobians and Hessians, Q = I, R = 5I, P_0 = 20I."""
+    Jacobians, Q = I, R = 5I, P_0 = 20I."""
     one = ungm_model()
 
-    def diagonal(fn, order):
-        """The derivative stack of order 1 or 2 with each component's scalar
-        derivative at [..., i, i] or [..., i, i, i] and zeros elsewhere."""
-        def derivative(k, x):
-            out = np.zeros(x.shape + (2,) * order)
+    def diagonal(fn):
+        """The Jacobian stack with each component's scalar derivative at
+        [..., i, i] and zeros elsewhere."""
+        def jacobian(k, x):
+            out = np.zeros(x.shape + (2,))
             for i in range(2):
-                out[(..., i) + (i,) * order] = fn(k, x[..., i:i + 1])[(..., 0) + (0,) * order]
+                out[..., i, i] = fn(k, x[..., i:i + 1])[..., 0, 0]
             return out
-        return derivative
+        return jacobian
 
     return SystemModel(
         state_dim=2, meas_dim=2, transition_fn=one.transition_fn,
         measurement_fn=one.measurement_fn, process_cov=np.eye(2), meas_cov=5.0 * np.eye(2),
         prior=GaussianBelief(np.zeros(2), 20.0 * np.eye(2)),
-        transition_jacobian_fn=diagonal(one.transition_jacobian_fn, 1),
-        transition_hessian_fn=diagonal(one.transition_hessian_fn, 2),
-        measurement_jacobian_fn=diagonal(one.measurement_jacobian_fn, 1),
-        measurement_hessian_fn=diagonal(one.measurement_hessian_fn, 2))
+        transition_jacobian_fn=diagonal(one.transition_jacobian_fn),
+        measurement_jacobian_fn=diagonal(one.measurement_jacobian_fn))
 
 
 def test_engines_on_two_independent_ungm_components(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from finite_differences import fd_hessians, fd_jacobian
+from finite_differences import fd_jacobian
 from pcrlb import (GaussianBelief, linear_gaussian_model, sample_trajectory, spd_inverse,
                    ungm_model)
 
@@ -56,16 +56,9 @@ def test_ungm_transition_jacobian():
     assert_allclose(m.transition_jacobian(1, np.array([1.0])), [[0.5]], rtol=0, atol=1e-14)
 
 
-def test_ungm_transition_hessians():
-    m = ungm_model()
-    assert_allclose(m.transition_hessians(1, np.array([0.0])), [[[0.0]]], atol=1e-14)
-    assert_allclose(m.transition_hessians(1, np.array([1.0])), [[[-12.5]]], rtol=1e-14)
-
-
 def test_ungm_measurement_derivatives():
     m = ungm_model()
     assert_allclose(m.measurement_jacobian(1, np.array([2.0])), [[0.2]], rtol=1e-15)
-    assert_allclose(m.measurement_hessians(1, np.array([-7.0])), [[[0.1]]], rtol=1e-15)
 
 
 def test_linear_model_derivatives():
@@ -77,8 +70,6 @@ def test_linear_model_derivatives():
     assert_allclose(model.transition(5, x), a @ x, rtol=1e-15)
     assert_allclose(model.transition_jacobian(5, x), a)
     assert_allclose(model.measurement_jacobian(5, x), h)
-    assert_allclose(model.transition_hessians(5, x), np.zeros((2, 2, 2)))
-    assert_allclose(model.measurement_hessians(5, x), np.zeros((1, 2, 2)))
 
 
 def test_linear_identity_map():
@@ -114,12 +105,6 @@ def test_fd_jacobian_matches_analytic_ungm():
     assert_allclose(got, [[25.5]], rtol=1e-5)
 
 
-def test_fd_hessians_quadratic():
-    got = fd_hessians(lambda x: np.array([x[0] ** 2 + 3 * x[0] * x[1]]),
-                      np.array([0.4, -1.2]))
-    assert_allclose(got, [[[2.0, 3.0], [3.0, 2.0 * 0]]], atol=1e-4)
-
-
 def test_analytic_derivatives_match_fd():
     # every built-in model, 100 random points, 1e-5 relative
     rng = np.random.default_rng(42)
@@ -132,23 +117,10 @@ def test_analytic_derivatives_match_fd():
         assert_allclose(ungm.transition_jacobian(k, x1), fd_f, rtol=1e-5, atol=1e-7)
         fd_h = fd_jacobian(lambda v: ungm.measure(k, v), x1)
         assert_allclose(ungm.measurement_jacobian(k, x1), fd_h, rtol=1e-5, atol=1e-7)
-        fd_s = fd_hessians(lambda v: ungm.transition(k, v), x1)
-        assert_allclose(ungm.transition_hessians(k, x1), fd_s, rtol=1e-5, atol=1e-4)
         x2 = rng.uniform(-5.0, 5.0, size=2)
         assert_allclose(lin.transition_jacobian(k, x2),
                         fd_jacobian(lambda v: lin.transition(k, v), x2),
                         rtol=1e-5, atol=1e-8)
-
-
-def test_hessians_symmetric():
-    rng = np.random.default_rng(7)
-    m = ungm_model()
-    for _ in range(20):
-        x = rng.uniform(-10.0, 10.0, size=1)
-        s = m.transition_hessians(1, x)
-        assert_allclose(s[0], s[0].T, atol=1e-12)
-    fd = fd_hessians(lambda v: np.array([np.sin(v[0] * v[1])]), np.array([0.3, 0.9]))
-    assert_allclose(fd[0], fd[0].T, atol=1e-12)
 
 
 def test_prior_validation():
@@ -285,12 +257,11 @@ def test_cached_noise_precisions_are_the_inverses_and_read_only(rng):
 
 
 def test_stacked_maps_and_derivatives_match_pointwise(rng):
-    """Maps and derivatives take (..., n) stacks."""
+    """Maps and Jacobians take (..., n) stacks."""
     for model in (ungm_model(), random_stable_linear_model(rng, 2)):
         x = rng.uniform(-3.0, 3.0, size=(2, 3, model.state_dim))
         for name in ("transition", "measure", "transition_jacobian",
-                     "transition_hessians", "measurement_jacobian",
-                     "measurement_hessians"):
+                     "measurement_jacobian"):
             fn = getattr(model, name)
             stacked = fn(4, x)
             for index in np.ndindex(x.shape[:-1]):
