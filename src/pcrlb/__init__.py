@@ -11,16 +11,14 @@ covariance-aware chain, and an experiment driver compares everything against
 sigma-point and particle filters on a standard scalar benchmark.
 """
 
-from .experiment import (ALL_ESTIMATORS, ALL_METHODS, DEFAULT_SEED, AggregateResult,
-                         ExperimentConfig, ExperimentError, aggregate_bounds,
-                         build_model, derive_run_seed, gap_series, rmse_series,
-                         run_experiment, true_bound_series)
+from .experiment import (AggregateResult, ExperimentConfig, ExperimentError, build_model,
+                         run_experiment)
 from .filters import (FilterOutput, UTParams, kalman_step, particle_moments, regularize_cov,
                       run_pf, run_ukf, sigma_points, systematic_resample,
                       unscented_transform)
-from .fim import (DecomposedFim, FimTriple, bound_difference, decompose_terms,
-                  fim_recursion_series, fim_recursion_step, fim_via_decomposition,
-                  initial_fim, mean_cov_terms, mean_only_terms, true_fim_terms_mc)
+from .fim import (FimTriple, bound_difference, decompose_terms, fim_recursion_series,
+                  fim_recursion_step, fim_via_decomposition, initial_fim, mean_cov_terms,
+                  mean_only_terms, true_fim_terms_mc)
 from .linalg import NumericError, spd_inverse
 from .model import (GaussianBelief, SystemModel, Trajectory, linear_gaussian_model,
                     sample_trajectory, ungm_model)
@@ -29,11 +27,7 @@ from . import moments  # noqa: F401  perfbench's tracer reads it from sys.module
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_ESTIMATORS",
-    "ALL_METHODS",
     "AggregateResult",
-    "DEFAULT_SEED",
-    "DecomposedFim",
     "ExperimentConfig",
     "ExperimentError",
     "FilterOutput",
@@ -43,15 +37,12 @@ __all__ = [
     "SystemModel",
     "Trajectory",
     "UTParams",
-    "aggregate_bounds",
     "bound_difference",
     "build_model",
     "decompose_terms",
-    "derive_run_seed",
     "fim_recursion_series",
     "fim_recursion_step",
     "fim_via_decomposition",
-    "gap_series",
     "initial_fim",
     "kalman_step",
     "linear_gaussian_model",
@@ -59,7 +50,6 @@ __all__ = [
     "mean_only_terms",
     "particle_moments",
     "regularize_cov",
-    "rmse_series",
     "run_experiment",
     "run_pf",
     "run_ukf",
@@ -67,7 +57,6 @@ __all__ = [
     "sigma_points",
     "spd_inverse",
     "systematic_resample",
-    "true_bound_series",
     "true_fim_terms_mc",
     "unscented_transform",
     "ungm_model",

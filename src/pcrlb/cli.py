@@ -476,12 +476,13 @@ def decomposition_deviation(rng: np.random.Generator, trials: int) -> tuple[floa
         parts = decompose_terms(model, k, belief, predicted)
         point = mean_only_terms(model, k, belief.mean, predicted.mean)
         full = mean_cov_terms(model, k, belief, predicted)
-        for got, want in ((parts.point, point), (parts.full, full)):
+        for got, want in zip(parts, (point, full)):
             worst_block = max(worst_block, *map(_relative_deviation, dataclasses.astuple(got),
                                                  dataclasses.astuple(want)))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
-        worst_path = max(worst_path, _relative_deviation(
-            fim_via_decomposition(j_prev, parts).j, fim_recursion_step(j_prev, full)))
+        theta, pi = fim_via_decomposition(j_prev, *parts)
+        worst_path = max(worst_path, _relative_deviation(theta + pi,
+                                                         fim_recursion_step(j_prev, full)))
     return worst_block, worst_path
 
 
@@ -533,8 +534,8 @@ def _check_zero_spread_limit() -> None:
     # the unscented prediction of a belief without spread, whose zero
     # covariance has no Cholesky factor: every sigma point sits at m
     predicted = GaussianBelief(model.transition(1, belief.mean), model.process_cov)
-    parts = decompose_terms(model, 1, belief, predicted)
-    _within(float(np.abs(parts.full.d11 - parts.point.d11).max()), 1e-8)
+    point, full = decompose_terms(model, 1, belief, predicted)
+    _within(float(np.abs(full.d11 - point.d11).max()), 1e-8)
 
 
 def _check_seed_derivation() -> None:

@@ -442,8 +442,8 @@ def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> 
     steps = np.arange(1, config.horizon + 1)[:, None]
     state, meas = _engine_beliefs(model, outputs, "mean_cov" in chains)
     if "mean_cov" in chains:
-        parts = decompose_terms(model, steps, state, meas)
-        terms = {"mean_only": parts.point, "mean_cov": parts.full}
+        point, full = decompose_terms(model, steps, state, meas)
+        terms = {"mean_only": point, "mean_cov": full}
     else:
         terms = {"mean_only": mean_only_terms(model, steps, state.mean, meas.mean)}
     series, inverses = fim_recursion_series(j0, FimTriple(
@@ -452,11 +452,12 @@ def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> 
     named = dict(zip(chains, series))
     if "mean_cov" in chains:
         # the mean+cov chain comes last
-        split = fim_via_decomposition(_previous(j0, series[-1]), parts, full_inv=inverses[-1])
-        theta_inv, j_inv = spd_inverse(split.theta), spd_inverse(split.j)
-        analytic, _ = bound_difference(theta_inv, split.pi, j_inv)
+        theta, pi = fim_via_decomposition(_previous(j0, series[-1]), point, full,
+                                          full_inv=inverses[-1])
+        theta_inv, j_inv = spd_inverse(theta), spd_inverse(theta + pi)
+        analytic, _ = bound_difference(theta_inv, pi, j_inv)
         direct = theta_inv - j_inv
-        named |= {"pi": split.pi, "gap_analytic": analytic, "gap_direct": direct,
+        named |= {"pi": pi, "gap_analytic": analytic, "gap_direct": direct,
                   "gap_violation": _is_negative(direct)}
     return {(name, estimator): stack[e] for name, stack in named.items()
             for e, estimator in enumerate(estimators)}

@@ -3,7 +3,7 @@
 The bound on the error covariance of any estimator of x_k is J_k^-1, where
 the information matrix follows the recursion
 
-    J_k = D22 - D12' (J_{k-1} + D11)^-1 D12,        J_0 = P_0^-1
+    J_k = D22 - D12' (J_{k-1} + D11)^-1 D12,        J_0 = P_0^-1 (``initial_fim``)
 
 with step terms, for additive Gaussian noise, the expectations
 
@@ -22,21 +22,18 @@ differ in the measure:
 * ``mean_cov_terms``: each filter belief N(m, P) as the third-degree cubature
   rule, 2n equally weighted nodes m +- sqrt(n) S e_i with S S' = P, the
   derivative-free form of the second-order Taylor expectation over the
-  belief.  S is the lower Cholesky factor of P, as in the cited rule; only a
-  P that does not factor (singular or rounding-negative) takes the eigen
-  root V sqrt(max(w, 0)), decided per element.  The root matters only for a
-  nonlinear model with n > 1 and a non-diagonal P, where the nodes turn
-  with it.
+  belief (``_square_root`` chooses S).
 
-``decompose_terms`` gives the two term triples of the same beliefs: point,
-the mean-only terms at the belief means, and full, the mean+cov terms; the
-spread full - point is everything the belief covariance adds.  There is one
-recursion: each bound is ``fim_recursion_series`` over its own terms, the
-mean+cov bound over full.  ``fim_via_decomposition`` analyses a step of that
-chain from J_{k-1} and the pair: theta, the mean-only update of J_{k-1}, and
-pi, every covariance correction, with theta + pi = J_k up to rounding; given
-J_{k-1} for every step it splits a whole chain in one call, and given the
-inverses the chain's recursion formed it reuses them.
+``decompose_terms`` gives the pair (point, full) of term triples of the same
+beliefs: point, the mean-only terms at the belief means, and full, the
+mean+cov terms; the spread full - point is everything the belief covariance
+adds.  There is one recursion: each bound is ``fim_recursion_series`` over its
+own terms, the mean+cov bound over full.  ``fim_via_decomposition`` analyses
+a step of that chain from J_{k-1} and the pair, and returns the split
+(theta, pi): theta, the mean-only update of J_{k-1}, and pi, every covariance
+correction, with theta + pi = J_k up to rounding; a caller that needs J_k
+forms the sum.  Given J_{k-1} for every step it splits a whole chain in one
+call, and given the inverses the chain's recursion formed it reuses them.
 The difference of two inverses in pi and in the gap between the two
 approximate bounds is evaluated with the product identity
 
@@ -46,9 +43,6 @@ approximate bounds is evaluated with the product identity
 inverses the step already holds is inverted and S may be singular:
 ``bound_difference`` gives the gap theta^-1 pi J^-1 from the two inverses
 its caller holds.  The bound itself is J^-1, ``spd_inverse`` of J.
-
-``initial_fim`` starts the recursion at the precision of the model's prior,
-a ``pcrlb.model.GaussianBelief`` like every belief the engines take.
 
 Every engine also takes stacks: beliefs, states and information matrices with
 leading axes (..., n) / (..., n, n) give terms and states of the same leading
@@ -68,6 +62,7 @@ in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +71,6 @@ from .model import GaussianBelief, SystemModel
 
 __all__ = [
     "FimTriple",
-    "DecomposedFim",
     "FimState",
     "initial_fim",
     "fim_recursion_step",
@@ -106,28 +100,16 @@ class FimTriple:
             raise ValueError("FIM term blocks must share one square shape")
 
 
-@dataclass(frozen=True)
-class DecomposedFim:
-    """The two term triples of one set of beliefs: point, the mean-only terms
-    at the belief means, and full, the mean+cov terms.  full - point, block
-    by block, is everything the belief covariance adds."""
+class FimState(NamedTuple):
+    """The split of one step (or a stack of them), J_k = theta + pi."""
 
-    point: FimTriple
-    full: FimTriple
-
-
-@dataclass(frozen=True)
-class FimState:
-    """Information state of one step split as j = theta + pi."""
-
-    j: np.ndarray
     theta: np.ndarray
     pi: np.ndarray
 
     @property
     def pi_fallback(self) -> int:
-        # always 0: pi needs no fallback.  perfbench/tracing.py reads it on
-        # every traced fim_via_decomposition call, so it stays.
+        """Always 0, as pi needs no fallback; perfbench/tracing.py reads it on
+        every traced fim_via_decomposition call, so it stays with the tracer."""
         return 0
 
 
@@ -252,11 +234,8 @@ def _square_root(cov: np.ndarray) -> np.ndarray:
 
 def _cubature_nodes(belief: GaussianBelief) -> np.ndarray:
     """The 2n nodes mean +- sqrt(n) S e_i of each belief, (..., 2n, n), with S
-    the lower Cholesky factor of P, the root of the cited rule and of
-    filters.sigma_points; a 1 x 1 P gives sqrt(P).  A covariance that does not
-    factor (singular, or with a rounding-negative eigenvalue, which
-    GaussianBelief admits) keeps the eigen root V sqrt(max(w, 0)) instead,
-    decided per element (_square_root)."""
+    from _square_root: where P factors, its lower Cholesky factor, the root of
+    the cited rule and of filters.sigma_points; a 1 x 1 P gives sqrt(P)."""
     wings = np.sqrt(belief.dim) * _square_root(belief.cov).mT  # row i is sqrt(n) S e_i
     center = belief.mean[..., None, :]
     return np.concatenate([center + wings, center - wings], axis=-2)
@@ -272,7 +251,7 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
     transform with alpha = 1, beta = kappa = 0 without its zero-weight
     centre.  S is the lower Cholesky factor of P, the root the rule is
     stated with; a P that does not factor takes the eigen root
-    (_cubature_nodes).  Any root gives the same first and second moments,
+    (_square_root).  Any root gives the same first and second moments,
     but for a nonlinear model with n > 1 and a non-diagonal P the terms
     depend on which one.  In one dimension 0.5 [g(m + s) + g(m - s)] =
     g(m) + 0.5 g'' s^2 + O(s^4) with s^2 = P, the second-order Taylor
@@ -293,7 +272,7 @@ def mean_cov_terms(model: SystemModel, k, state_belief: GaussianBelief,
 
 
 def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
-                    meas_belief: GaussianBelief) -> DecomposedFim:
+                    meas_belief: GaussianBelief) -> tuple[FimTriple, FimTriple]:
     """The point and full term triples of the same two beliefs.
 
     Args:
@@ -303,40 +282,39 @@ def decompose_terms(model: SystemModel, k, state_belief: GaussianBelief,
         meas_belief: belief about the state at time k (measurement channel).
 
     Returns:
-        DecomposedFim(mean_only_terms at the means, mean_cov_terms).
+        (point, full): mean_only_terms at the means, and mean_cov_terms.
     """
-    return DecomposedFim(mean_only_terms(model, k, state_belief.mean, meas_belief.mean),
-                         mean_cov_terms(model, k, state_belief, meas_belief))
+    return (mean_only_terms(model, k, state_belief.mean, meas_belief.mean),
+            mean_cov_terms(model, k, state_belief, meas_belief))
 
 
-def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
+def fim_via_decomposition(j_prev: np.ndarray, point: FimTriple, full: FimTriple,
                           full_inv: np.ndarray | None = None) -> FimState:
     """Split the recursion step from j_prev over the point and full terms.
 
-    Computes theta (the mean-only update of j_prev over parts.point) and pi
-    (the total covariance-induced correction) so that j = theta + pi is the
-    step fim_recursion_step takes over parts.full, up to rounding.  With
-    spread_XY = full.dXY - point.dXY, pi needs anchor^-1 - (anchor +
-    spread_11)^-1 with anchor = j_prev + point.d11, which is the product
-    anchor^-1 spread_11 (j_prev + full.d11)^-1 of two inverses the step
-    computes anyway, for any spread_11, singular ones included.  Every
-    element of a stack is split on its own, so j_prev (R, T, n, n) holding
-    J_0..J_{T-1} of a chain splits all its steps in one call.  The recursion
-    over parts.full has already inverted j_prev + full.d11 at every step
-    (fim_recursion_series with inverses), so a caller holding those
-    inverses passes them and the split inverts only the anchor.
+    Computes theta (the mean-only update of j_prev over point) and pi (the
+    total covariance-induced correction) so that theta + pi is the step
+    fim_recursion_step takes over full, up to rounding.  With spread_XY =
+    full.dXY - point.dXY, pi needs anchor^-1 - (anchor + spread_11)^-1 with
+    anchor = j_prev + point.d11, which is the product anchor^-1 spread_11
+    (j_prev + full.d11)^-1 of two inverses the step computes anyway, for any
+    spread_11, singular ones included.  Every element of a stack is split on
+    its own, so j_prev (R, T, n, n) holding J_0..J_{T-1} of a chain splits
+    all its steps in one call.  The recursion over full has already inverted
+    j_prev + full.d11 at every step (fim_recursion_series with inverses), so
+    a caller holding those inverses passes them and the split inverts only
+    the anchor.
 
     Args:
         j_prev: previous information matrix, shape (..., n, n).
-        parts: the point and full step terms.
+        point, full: the step terms, as decompose_terms returns them.
         full_inv: optionally (j_prev + full.d11)^-1 as the recursion formed
             it from the same bytes; computed here when left out.
 
     Returns:
-        FimState with j, theta and pi.
+        FimState (theta, pi).
     """
     j_prev = symmetrize(np.atleast_2d(np.asarray(j_prev, float)))
-    point, full = parts.point, parts.full
     spread_12 = full.d12 - point.d12
     anchor_inv = _inverse(j_prev + point.d11)
     theta = symmetrize(point.d22 - point.d12.mT @ anchor_inv @ point.d12)
@@ -346,7 +324,7 @@ def fim_via_decomposition(j_prev: np.ndarray, parts: DecomposedFim,
     shift = anchor_inv @ (full.d11 - point.d11) @ full_inv
     pi = symmetrize((full.d22 - point.d22) - full.d12.mT @ full_inv @ spread_12
                     - (spread_12.mT @ full_inv - point.d12.mT @ shift) @ point.d12)
-    return FimState(theta + pi, theta, pi)
+    return FimState(theta, pi)
 
 
 def bound_difference(theta_inv: np.ndarray, pi: np.ndarray,

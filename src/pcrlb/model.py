@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _check_square_symmetric, _cholesky, spd_inverse
+from .linalg import NumericError, _check_square_symmetric, _cholesky, spd_inverse
 
 __all__ = [
     "GaussianBelief",
@@ -217,6 +217,10 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     Returns:
         Trajectory with states (T+1, n) and measurements (T, m), or
         (R, T+1, n) and (R, T, m) for a list of R seeds.
+
+    Raises:
+        NumericError: a state or measurement is not finite; the message names
+            the first such step k (k = 0 the initial state), over the stack.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -229,12 +233,19 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     measurements = np.empty((len(seeds), horizon, m))
     states[:, 0] = model.prior.mean + _noise(model.prior_chol, draws[:, :n])
     # each state as a 1 x n row, so a matmul map makes one vector-matrix
-    # product per run, as for a single (n,) state
-    for k in range(1, horizon + 1):
-        states[:, k] = (model.transition(k, states[:, None, k - 1])[:, 0]
-                        + _noise(model.process_chol, steps[:, k - 1, :n]))
-        measurements[:, k - 1] = (model.measure(k, states[:, None, k])[:, 0]
-                                  + _noise(model.meas_chol, steps[:, k - 1, n:]))
+    # product per run, as for a single (n,) state; a value that leaves the
+    # reals is reported below, by its step, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, horizon + 1):
+            states[:, k] = (model.transition(k, states[:, None, k - 1])[:, 0]
+                            + _noise(model.process_chol, steps[:, k - 1, :n]))
+            measurements[:, k - 1] = (model.measure(k, states[:, None, k])[:, 0]
+                                      + _noise(model.meas_chol, steps[:, k - 1, n:]))
+    # one flag per step k = 0..T: x_k, or z_k, is not finite in some run
+    bad = ~np.isfinite(states).all(axis=(0, 2))
+    bad[1:] |= ~np.isfinite(measurements).all(axis=(0, 2))
+    if bad.any():
+        raise NumericError(f"trajectory is not finite at step k = {bad.argmax()}")
     if not isinstance(seed, list):
         states, measurements = states[0], measurements[0]
     return Trajectory(states=states, measurements=measurements)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcrlb import DEFAULT_SEED, cli, experiment
+from pcrlb import cli, experiment
 from pcrlb.cli import (CONFIG_REFERENCE, ConfigError, config_from_file, parse_config,
                        write_bounds_csv, write_gap_csv, write_meta, write_rmse_csv, _write_csv)
-from pcrlb.experiment import ExperimentConfig, build_model, run_experiment
+from pcrlb.experiment import DEFAULT_SEED, ExperimentConfig, build_model, run_experiment
 from pcrlb.filters import UTParams
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -38,6 +38,15 @@ def write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def in_fresh_interpreter(*args):
+    """`python *args` in a new interpreter that imports this package's src;
+    returns the finished process with its output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def same_model(got, want):
@@ -424,6 +433,22 @@ def test_simulate_writes_run_0_trajectory_bit_for_bit(tmp_path):
     assert not np.array_equal(written, table["states"][1])
 
 
+@pytest.mark.parametrize("command", ["simulate", "run"])
+def test_a_diverging_model_is_a_runtime_error(tmp_path, command):
+    """A model whose states overflow fails `simulate` as it fails `run`: exit 1
+    and one `error:` line naming the first step that is not finite, without a
+    traceback or a numpy warning."""
+    config_path = write(tmp_path, "[model]\nname = linear\na = 1e200\n\n[experiment]\n"
+                                  "horizon = 5\nruns = 2\n\n[filters]\nparticles = 20\n")
+    done = in_fresh_interpreter("-m", "pcrlb.cli", command, "--config", str(config_path),
+                                "--out", str(tmp_path / "out"), "--quiet")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: "), done.stderr
+    assert "trajectory is not finite at step k = 2" in done.stderr
+    assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+    assert not [path.name for path in (tmp_path / "out").glob("*.csv")]
+
+
 def test_config_error_exits_2(tmp_path):
     config_path = write(tmp_path, "[model]\nname = pendulum\n")
     assert cli.main(["run", "--config", str(config_path), "--quiet"]) == 2
@@ -519,12 +544,9 @@ def run_fresh(tmp_path, text, params=None, selftest=False):
     refuses to import scipy; returns their exit codes and the scipy modules
     loaded."""
     config_path = write(tmp_path, text)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", RUN_IN_FRESH_INTERPRETER, str(config_path),
-         str(tmp_path / "out"), json.dumps(params or {}), "selftest" if selftest else "-"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    done = in_fresh_interpreter("-c", RUN_IN_FRESH_INTERPRETER, str(config_path),
+                                str(tmp_path / "out"), json.dumps(params or {}),
+                                "selftest" if selftest else "-")
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 

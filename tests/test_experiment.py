@@ -15,11 +15,13 @@ from pcrlb.cli import (kalman_series, random_spd, write_bounds_csv, write_gap_cs
                        write_rmse_csv)
 from pcrlb.linalg import symmetrize
 from pcrlb import (ExperimentConfig, ExperimentError, GaussianBelief,
-                   SystemModel, UTParams, aggregate_bounds, build_model, decompose_terms,
-                   derive_run_seed, fim_recursion_series, fim_recursion_step,
-                   fim_via_decomposition, gap_series, initial_fim,
-                   mean_cov_terms, rmse_series, run_experiment, run_ukf,
-                   sample_trajectory, spd_inverse, true_bound_series, true_fim_terms_mc)
+                   SystemModel, UTParams, build_model, decompose_terms,
+                   fim_recursion_series, fim_recursion_step,
+                   fim_via_decomposition, initial_fim,
+                   mean_cov_terms, run_experiment, run_ukf,
+                   sample_trajectory, spd_inverse, true_fim_terms_mc)
+from pcrlb.experiment import (aggregate_bounds, derive_run_seed, gap_series, rmse_series,
+                              true_bound_series)
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 LINEAR_PARAMS = {"a": 0.9, "h": 1.0, "process_var": 0.6, "meas_var": 0.8,
@@ -324,13 +326,13 @@ def test_non_finite_trajectory_fails_only_its_run(monkeypatch):
                               methods=("true",), max_failure_fraction=0.5)
     monkeypatch.setattr(experiment, "build_model", lambda config: edge)
     table, errors, _ = experiment._run_block(config, range(4))
-    assert errors == {2: "ValueError: trajectory contains non-finite values"}
+    assert errors == {2: "NumericError: trajectory is not finite at step k = 5"}
     assert len(table["states"]) == 3
     for i, states in zip([0, 1, 3], table["states"]):
         seed = derive_run_seed(derive_run_seed(config.master_seed, i), 0)
         assert np.array_equal(states, sample_trajectory(edge, 10, seed).states)
     result = run_experiment(config)
-    assert result.failed_runs == [(2, "ValueError: trajectory contains non-finite values")]
+    assert result.failed_runs == [(2, "NumericError: trajectory is not finite at step k = 5")]
     assert result.runs_used == 3
 
 
@@ -883,8 +885,8 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain(monkeypatch):
         assert np.array_equal(result.run_stacks[("mean_cov", estimator)], direct), estimator
         j_prev = np.concatenate([np.broadcast_to(initial_fim(model.prior), (config.runs, 1, 1, 1)),
                                  direct[:, :-1]], axis=1)
-        split = fim_via_decomposition(j_prev, decompose_terms(model, steps, state, meas))
-        theta, pi = split.theta[0], split.pi[0]
+        theta, pi = fim_via_decomposition(j_prev, *decompose_terms(model, steps, state, meas))
+        theta, pi = theta[0], pi[0]
         assert np.array_equal(result.run_stacks[("pi", estimator)], pi), estimator
         assert np.all(np.abs(theta + pi - direct) <= 1e-12 * np.abs(direct)), estimator
 

@@ -351,10 +351,10 @@ def test_mean_cov_matches_independent_oracle():
 
 
 def spreads(parts):
-    """The spread blocks full - point, (d11, d12, d22): what the belief
-    covariance adds to each term."""
-    return [full - point for full, point in
-            zip(dataclasses.astuple(parts.full), dataclasses.astuple(parts.point))]
+    """The spread blocks full - point, (d11, d12, d22), of the pair (point,
+    full): what the belief covariance adds to each term."""
+    point, full = parts
+    return [f - p for f, p in zip(dataclasses.astuple(full), dataclasses.astuple(point))]
 
 
 def test_decompose_terms_are_the_engines_terms_bit_for_bit(rng):
@@ -368,9 +368,9 @@ def test_decompose_terms_are_the_engines_terms_bit_for_bit(rng):
               GaussianBelief(rng.standard_normal(4), random_spd(rng, 4)), 2)]
     for model, prev, new, k in cases:
         parts = decompose_terms(model, k, prev, new)
-        assert [field.name for field in dataclasses.fields(parts)] == ["point", "full"]
-        for got, want in ((parts.point, mean_only_terms(model, k, prev.mean, new.mean)),
-                          (parts.full, mean_cov_terms(model, k, prev, new))):
+        assert type(parts) is tuple and len(parts) == 2
+        for got, want in zip(parts, (mean_only_terms(model, k, prev.mean, new.mean),
+                                     mean_cov_terms(model, k, prev, new))):
             for block, expected in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
                 assert np.array_equal(block, expected)
 
@@ -383,8 +383,8 @@ def test_decompose_linear_hand_values():
                             GaussianBelief(np.zeros(1), np.full((1, 1), 2.0)))
     for spread in spreads(parts):
         assert_allclose(spread, [[0.0]], atol=1e-12)
-    assert_allclose(parts.point.d11, [[1.0]], atol=1e-12)
-    assert_allclose(parts.full.d11, [[1.0]], atol=1e-12)
+    for terms in parts:
+        assert_allclose(terms.d11, [[1.0]], atol=1e-12)
 
 
 def test_decompose_zero_spread_limit(rng):
@@ -395,7 +395,7 @@ def test_decompose_zero_spread_limit(rng):
     parts = decompose_terms(model, 1, GaussianBelief(x, zero),
                             GaussianBelief(meas_point, zero))
     point = mean_only_terms(model, 1, x, meas_point)
-    for got, want in zip(dataclasses.astuple(parts.point), dataclasses.astuple(point)):
+    for got, want in zip(dataclasses.astuple(parts[0]), dataclasses.astuple(point)):
         assert_allclose(got, want, atol=1e-10)
     for spread in spreads(parts):
         assert_allclose(spread, zero, atol=1e-10)
@@ -407,14 +407,14 @@ def test_decompose_zero_spread_limit(rng):
     zeros = np.zeros((50, 1, 1))
     parts = decompose_terms(model, steps, GaussianBelief(x, zeros),
                             GaussianBelief(model.transition(steps, x), zeros))
-    for spread, point in zip(spreads(parts), dataclasses.astuple(parts.point)):
+    for spread, point in zip(spreads(parts), dataclasses.astuple(parts[0])):
         assert np.all(np.abs(spread) <= 1e-15 * np.abs(point))
 
 
 def block_sums(parts, full):
     """(point + spread, the full term) for the three blocks."""
     return [(point + spread, want) for point, spread, want in
-            zip(dataclasses.astuple(parts.point), spreads(parts), dataclasses.astuple(full))]
+            zip(dataclasses.astuple(parts[0]), spreads(parts), dataclasses.astuple(full))]
 
 
 def test_decompose_block_sums_match_full_terms():
@@ -450,8 +450,8 @@ def test_decompose_block_sums_match_full_terms():
         for got, want in block_sums(parts, full):
             assert relative(got, want) <= 1e-13
         j_prev = random_spd(rng, 4)
-        assert relative(fim_via_decomposition(j_prev, parts).j,
-                        fim_recursion_step(j_prev, full)) <= 1e-13
+        theta, pi = fim_via_decomposition(j_prev, *parts)
+        assert relative(theta + pi, fim_recursion_step(j_prev, full)) <= 1e-13
 
 
 def test_fim_via_decomposition_linear_hand_values():
@@ -459,13 +459,13 @@ def test_fim_via_decomposition_linear_hand_values():
     belief = GaussianBelief(np.zeros(1), np.ones((1, 1)))
     predicted = GaussianBelief(np.zeros(1), np.full((1, 1), 2.0))
     parts = decompose_terms(model, 1, belief, predicted)
-    state = fim_via_decomposition(np.array([[1.0]]), parts)
+    state = fim_via_decomposition(np.array([[1.0]]), *parts)
+    assert fim.FimState._fields == ("theta", "pi") and type(state) is fim.FimState
     assert_allclose(state.theta, [[1.5]], atol=1e-12)
     direct = fim_recursion_step(np.array([[1.0]]), mean_cov_terms(model, 1, belief, predicted))
-    assert_allclose(state.j, direct, atol=1e-10)
-    assert_allclose(state.pi, state.j - state.theta, atol=1e-10)
+    assert_allclose(state.theta + state.pi, direct, atol=1e-10)
     assert_allclose(state.pi, [[0.0]], atol=1e-10)
-    assert not state.pi_fallback
+    assert state.pi_fallback == 0
 
 
 def test_fim_via_decomposition_zero_spread(rng):
@@ -474,9 +474,8 @@ def test_fim_via_decomposition_zero_spread(rng):
     zero = np.zeros((1, 1))
     parts = decompose_terms(model, 1, GaussianBelief(x, zero),
                             GaussianBelief(model.transition(1, x), zero))
-    state = fim_via_decomposition(np.array([[2.0]]), parts)
-    assert_allclose(state.pi, zero, atol=1e-10)
-    assert_allclose(state.j, state.theta, atol=1e-10)
+    _, pi = fim_via_decomposition(np.array([[2.0]]), *parts)
+    assert_allclose(pi, zero, atol=1e-10)
 
 
 def test_fim_via_decomposition_matches_direct_path():
@@ -487,10 +486,9 @@ def test_fim_via_decomposition_matches_direct_path():
                                 np.array([[rng.uniform(0.2, 20.0)]]))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
         predicted = unscented_predicted(model, 2, belief)
-        state = fim_via_decomposition(j_prev, decompose_terms(model, 2, belief, predicted))
+        theta, pi = fim_via_decomposition(j_prev, *decompose_terms(model, 2, belief, predicted))
         direct = fim_recursion_step(j_prev, mean_cov_terms(model, 2, belief, predicted))
-        assert_allclose(state.j, direct, rtol=1e-8, atol=1e-12)
-        assert_allclose(state.theta + state.pi, state.j, rtol=1e-12, atol=1e-14)
+        assert_allclose(theta + pi, direct, rtol=1e-8, atol=1e-12)
 
 
 def test_bound_difference_hand_values():
@@ -526,8 +524,9 @@ def test_bound_difference_matches_exact_rational_gap():
         k = int(rng.integers(1, 51))
         j_prev = np.array([[rng.uniform(0.05, 5.0)]])
         parts = decompose_terms(model, k, belief, unscented_predicted(model, k, belief))
-        state = fim_via_decomposition(j_prev, parts)
-        gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
+        state = fim_via_decomposition(j_prev, *parts)
+        gap, _ = bound_difference(spd_inverse(state.theta), state.pi,
+                                  spd_inverse(state.theta + state.pi))
         theta, pi = Fraction(state.theta[0, 0]), Fraction(state.pi[0, 0])
         exact = 1 / theta - 1 / (theta + pi)
         scale = abs(1 / theta) + abs(1 / (theta + pi))
@@ -596,8 +595,9 @@ def test_stacked_engines_match_pointwise(rng):
         point = mean_only_terms(model, k, x_prev, x_new)
         full = mean_cov_terms(model, k, prev, new)
         parts = decompose_terms(model, k, prev, new)
-        state = fim_via_decomposition(j_prev, parts)
-        gap, _ = bound_difference(spd_inverse(state.theta), state.pi, spd_inverse(state.j))
+        state = fim_via_decomposition(j_prev, *parts)
+        gap, _ = bound_difference(spd_inverse(state.theta), state.pi,
+                                  spd_inverse(state.theta + state.pi))
         inverse = spd_inverse(j_prev)
         for i in range(count):
             one_prev = GaussianBelief(x_prev[i], cov_prev[i])
@@ -605,17 +605,18 @@ def test_stacked_engines_match_pointwise(rng):
             one_point = mean_only_terms(model, k, x_prev[i], x_new[i])
             one_full = mean_cov_terms(model, k, one_prev, one_new)
             one_parts = decompose_terms(model, k, one_prev, one_new)
-            one_state = fim_via_decomposition(j_prev[i], one_parts)
+            one_state = fim_via_decomposition(j_prev[i], *one_parts)
             for name in ("d11", "d12", "d22"):
                 assert_allclose(getattr(point, name)[i], getattr(one_point, name), rtol=1e-14)
                 assert_allclose(getattr(full, name)[i], getattr(one_full, name), rtol=1e-12)
             assert_allclose(inverse[i], spd_inverse(j_prev[i]), rtol=1e-12)
             assert_allclose(state.theta[i], one_state.theta, rtol=1e-12)
-            assert_allclose(parts.full.d11[i], one_parts.full.d11, rtol=1e-12)
-            assert_allclose(state.j[i], one_state.j, rtol=1e-11)
+            assert_allclose(parts[1].d11[i], one_parts[1].d11, rtol=1e-12)
+            assert_allclose((state.theta + state.pi)[i], one_state.theta + one_state.pi,
+                            rtol=1e-11)
             assert_allclose(state.pi[i], one_state.pi, rtol=1e-11)
             one_gap, _ = bound_difference(spd_inverse(one_state.theta), one_state.pi,
-                                          spd_inverse(one_state.j))
+                                          spd_inverse(one_state.theta + one_state.pi))
             assert_allclose(gap[i], one_gap, rtol=1e-11)
 
 
@@ -644,7 +645,7 @@ def test_array_k_terms_equal_per_step_calls_bit_for_bit(rng):
             one_full = mean_cov_terms(model, k, one_prev, one_new)
             one_parts = decompose_terms(model, k, one_prev, one_new)
             for terms, one in ((point, one_point), (full, one_full),
-                               (parts.point, one_parts.point), (parts.full, one_parts.full)):
+                               *zip(parts, one_parts)):
                 for field in dataclasses.fields(terms):
                     got = getattr(terms, field.name)[:, k - 1]
                     assert np.array_equal(got, getattr(one, field.name)), (k, field.name)
@@ -754,16 +755,17 @@ def test_split_of_a_chain_equals_per_step_calls_bit_for_bit(rng):
         j0 = initial_fim(model.prior)
         prev, new, steps = belief_stack(rng, model, count, horizon)
         parts = decompose_terms(model, steps, prev, new)
-        j = fim_recursion_series(j0, parts.full)
+        j = fim_recursion_series(j0, parts[1])
         j_prev = np.concatenate([np.broadcast_to(j0, (count, 1, n, n)), j[:, :-1]], axis=1)
-        split = fim_via_decomposition(j_prev, parts)
+        split = fim_via_decomposition(j_prev, *parts)
         for k in range(1, horizon + 1):
-            one = fim_via_decomposition(j_prev[:, k - 1], decompose_terms(
+            one = fim_via_decomposition(j_prev[:, k - 1], *decompose_terms(
                 model, k, GaussianBelief(prev.mean[:, k - 1], prev.cov[:, k - 1]),
                 GaussianBelief(new.mean[:, k - 1], new.cov[:, k - 1])))
-            for name in ("j", "theta", "pi"):
+            for name in ("theta", "pi"):
                 assert np.array_equal(getattr(split, name)[:, k - 1], getattr(one, name)), name
-        assert np.all(np.abs(split.j - j) <= 1e-12 * np.abs(j).max(axis=(-2, -1), keepdims=True))
+        scale = np.abs(j).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(split.theta + split.pi - j) <= 1e-12 * scale)
 
 
 def test_split_reads_the_recursions_inverses_bit_for_bit(rng):
@@ -778,12 +780,12 @@ def test_split_reads_the_recursions_inverses_bit_for_bit(rng):
                                     b.cov.reshape(lead + b.cov.shape[1:])) for b in (prev, new))
         parts = decompose_terms(model, steps, prev, new)
         j0 = initial_fim(model.prior)
-        series, inverses = fim_recursion_series(j0, parts.full, inverses=True)
-        assert np.array_equal(series, fim_recursion_series(j0, parts.full))
+        series, inverses = fim_recursion_series(j0, parts[1], inverses=True)
+        assert np.array_equal(series, fim_recursion_series(j0, parts[1]))
         assert inverses.shape == series.shape
         j_prev = np.concatenate([np.broadcast_to(j0, lead + (1,) + j0.shape),
                                  series[..., :-1, :, :]], axis=-3)
-        given = fim_via_decomposition(j_prev, parts, full_inv=inverses)
-        computed = fim_via_decomposition(j_prev, parts)
-        for name in ("j", "theta", "pi"):
+        given = fim_via_decomposition(j_prev, *parts, full_inv=inverses)
+        computed = fim_via_decomposition(j_prev, *parts)
+        for name in ("theta", "pi"):
             assert np.array_equal(getattr(given, name), getattr(computed, name))
