@@ -336,7 +336,7 @@ def write_plot_scripts(outdir: Path) -> list[str]:
 # -- subcommands --------------------------------------------------------------
 
 
-def _resolve_outdir(args, output: dict) -> Path:
+def _make_outdir(args, output: dict) -> Path:
     outdir = Path(args.out) if args.out else Path(output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
@@ -345,10 +345,10 @@ def _resolve_outdir(args, output: dict) -> Path:
 def cmd_run(args) -> int:
     """`run` and `bounds`: run the experiment and write the subcommand's files."""
     config, output = config_from_file(args.config, seed=args.seed, runs=args.runs)
-    outdir = _resolve_outdir(args, output)
     started = time.perf_counter()
     result = run_experiment(config)
     elapsed = time.perf_counter() - started
+    outdir = _make_outdir(args, output)
     full = args.command == "run"
     writers = ({"rmse.csv": write_rmse_csv, "bounds.csv": write_bounds_csv,
                 "gap.csv": write_gap_csv} if full else {"bounds.csv": write_bounds_csv})
@@ -372,10 +372,10 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, output = config_from_file(args.config, seed=args.seed, runs=args.runs)
-    outdir = _resolve_outdir(args, output)
     model = build_model(config)
     sample_seed, _ = run_seeds(config.master_seed, 0)  # run 0's trajectory
     trajectory = sample_trajectory(model, config.horizon, sample_seed)
+    outdir = _make_outdir(args, output)
     n, m = model.state_dim, model.meas_dim
     header = (["k"] + [f"x{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(m)])
     # no measurement at k = 0

@@ -463,11 +463,11 @@ def _bound_rows(config: ExperimentConfig, model: SystemModel, outputs: list) -> 
             for e, estimator in enumerate(estimators)}
 
 
-def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> np.ndarray:
+def true_bound_series(model: SystemModel, states: np.ndarray) -> np.ndarray:
     """Reference information series from Monte Carlo averages over trajectories.
 
     Args:
-        states: the trajectories' states, shape (R, T+1, n).
+        states: the trajectories' states, shape (R, T+1, n); T is read from them.
 
     Returns:
         J series of shape (T, n, n) for k = 1..T.
@@ -477,8 +477,8 @@ def true_bound_series(model: SystemModel, states: np.ndarray, horizon: int) -> n
     # (T+1, R, n): each step's R states contiguous, so each mean over them
     # sums in the order of a single step's (R, n) call
     states = np.ascontiguousarray(np.swapaxes(np.asarray(states, dtype=float), 0, 1))
-    steps = np.arange(1, horizon + 1)[:, None, None]
-    terms = true_fim_terms_mc(model, steps, states[:horizon], states[1:horizon + 1])
+    steps = np.arange(1, len(states))[:, None, None]
+    terms = true_fim_terms_mc(model, steps, states[:-1], states[1:])
     return fim_recursion_series(initial_fim(model.prior), terms)
 
 
@@ -705,7 +705,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     clock = time.perf_counter()
     bounds: dict = {}
     if "true" in config.methods:
-        bounds["true", None] = spd_inverse(true_bound_series(model, table["states"], config.horizon))
+        bounds["true", None] = spd_inverse(true_bound_series(model, table["states"]))
     stage_seconds["reference"] = (lap := time.perf_counter()) - clock
 
     states = table.pop("states")

@@ -37,8 +37,9 @@ square root behind potrf's own test, m > 0 (``linalg._cholesky``), so a scalar
 particle filter factors no matrix by LAPACK; the model holds its factors.
 The sigma-point spread and weights are built once per (n, ``UTParams``) and
 cached read-only (``_ut_weights``).  Every cloud's randomness comes from that
-run's own Generator, in the order of the single-run filter (prior cloud, then
-per step the process noise followed by the resampling uniform), so a run
+run's own Generator, by the model's seed rule (``model._generators``), in the
+order of the single-run filter (prior cloud, then per step the process noise
+followed by the resampling uniform), so a run is reproducible bit for bit and
 never depends on the rest of its stack.  A stacked call raises the first
 error of any of its runs, as a single-run call does; the harness reruns the
 others without it (``pcrlb.experiment``).  The beliefs built inside skip the
@@ -52,8 +53,7 @@ the inverse of R's Cholesky factor for m > 1, and for m = 1 divides by the
 factor twice as LAPACK potrs does.  Everything runs on numpy alone.
 
 A closed-form Kalman step for linear models rides along as the oracle used by
-the CLI selftest.  Randomness is always drawn from a caller-supplied seed or
-numpy Generator, so every routine is reproducible bit for bit.
+the CLI selftest.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import NumericError, _cholesky, _cholesky_inverse, spd_inverse, symmetrize
-from .model import GaussianBelief, SystemModel, _unchecked
+from .model import GaussianBelief, SystemModel, _generators, _standard_normal, _unchecked
 
 __all__ = [
     "UTParams",
@@ -254,38 +254,30 @@ def unscented_transform(fn, belief: GaussianBelief, noise_cov: np.ndarray,
     return mean, cov, cross
 
 
-def _run_stack(model: SystemModel, measurements: np.ndarray, step, carry: tuple,
-               health: tuple, covariances: bool = True) -> FilterOutput:
+def _run_stack(measurements: np.ndarray, step, carry: tuple, health: tuple) -> FilterOutput:
     """Drive a filter over steps 1..T for one run or a stack of runs.
 
     measurements (..., T, m) are flattened to R runs (one run is a stack of
     one) and carry holds the filter's state with one row per run.
     step(k, z, carry) filters every run at time k and returns (arrays,
     counters, new carry): every run's posterior mean and covariance and
-    predicted mean and covariance, and its counters in health's order, which
-    the run's one FilterOutput combines over the steps by _health_total.
-    Without covariances the steps' covariances are None, and so are the
-    run's.  The first error of any run is raised.
+    predicted mean and covariance, and its counters in health's order.  Each
+    is stacked over the steps and reshaped to the leading axes, the counters
+    then combined over the steps by _health_total; a covariance the step
+    returns as None comes out as None.  The first error of any run is raised.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    lead, (horizon, _) = measurements.shape[:-2], measurements.shape[-2:]
+    lead, horizon = measurements.shape[:-2], measurements.shape[-2]
     z = measurements.reshape((-1,) + measurements.shape[-2:])
-    count, n = z.shape[0], model.state_dim
-
-    def channel():  # a channel's means and, where formed, its covariances
-        return [np.zeros((count, horizon, n)),
-                np.zeros((count, horizon, n, n)) if covariances else None]
-
-    series, counts = channel() + channel(), [[] for _ in health]
+    series, counts = [[] for _ in range(4)], [[] for _ in health]
     for k in range(1, horizon + 1):
         values, counters, carry = step(k, z[:, k - 1], carry)
-        for array, value in zip(series, values):
-            if array is not None:
-                array[:, k - 1] = value
-        for steps, value in zip(counts, counters):
+        for steps, value in zip(series + counts, values + counters):
             steps.append(value)
     post_mean, post_cov, pred_mean, pred_cov = (
-        array if array is None else array.reshape(lead + array.shape[1:]) for array in series)
+        None if steps[0] is None
+        else np.stack(steps, axis=1).reshape(lead + (horizon,) + steps[0].shape[1:])
+        for steps in series)
     totals = {name: _health_total(name, np.stack(steps, axis=1), 1).reshape(lead)
               for name, steps in zip(health, counts)}
     return FilterOutput(posterior=_unchecked(post_mean, post_cov),
@@ -316,25 +308,10 @@ def run_ukf(model: SystemModel, measurements: np.ndarray,
         post_cov = regularize_cov(p_pred - gain @ z_cov @ gain.mT, repairs)
         return (post_mean, post_cov, m_pred, p_pred), (repairs,), (post_mean, post_cov)
 
-    return _run_stack(model, measurements, step, carry, ("cov_repairs",))
+    return _run_stack(measurements, step, carry, ("cov_repairs",))
 
 
 # -- particle filter ---------------------------------------------------------
-
-
-def _generators(seed) -> list:
-    """One Generator per cloud: a list of seeds for a stack, else one seed."""
-    if isinstance(seed, list):
-        return [np.random.default_rng(s) for s in seed]
-    return [np.random.default_rng(seed)]
-
-
-def _standard_normal(generators: list, shape: tuple) -> np.ndarray:
-    """Draw shape from each cloud's own generator, stacked as (clouds,) + shape."""
-    draws = np.empty((len(generators),) + shape)
-    for row, rng in enumerate(generators):
-        rng.standard_normal(shape, out=draws[row])
-    return draws
 
 
 def particle_moments(states: np.ndarray, weights: np.ndarray,
@@ -558,9 +535,9 @@ def run_pf(model: SystemModel, measurements: np.ndarray, n_particles: int, seed,
                 (repairs, resampled.astype(int), collapsed.astype(int), ess),
                 (propagated, weights, every))
 
-    return _run_stack(model, measurements, step,
+    return _run_stack(measurements, step,
                       (states, np.full((clouds, n_particles), 1.0 / n_particles), True),
-                      ("cov_repairs", "resamples", "collapses", "min_ess"), covariances)
+                      ("cov_repairs", "resamples", "collapses", "min_ess"))
 
 
 def kalman_step(a: np.ndarray, h: np.ndarray, q: np.ndarray, r: np.ndarray,

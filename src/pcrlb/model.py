@@ -22,6 +22,10 @@ broadcast against the stack's leading axes (and whose last axis against the
 state axis), so one call covers a stack over runs and steps, e.g. states
 (R, T, n) with k = np.arange(1, T + 1)[:, None].  Each state is then mapped
 at its own k.
+
+The sampler and the particle filter share one seed rule: an int or Generator
+for one run, a list for a stack, and one Generator per run drawing into its
+own row (``_generators``, ``_standard_normal``).
 """
 
 from __future__ import annotations
@@ -180,17 +184,25 @@ class Trajectory:
     """One sampled state/measurement history, or a stack of them.
 
     states has shape (..., T+1, n) with row 0 the initial state; measurements
-    has shape (..., T, m) with row k-1 the measurement of state k.
+    has shape (..., T, m) with row k-1 the measurement of state k.  The
+    sampler that makes it checks that its values are finite.
     """
 
     states: np.ndarray
     measurements: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.states.shape[-2] != self.measurements.shape[-2] + 1:
-            raise ValueError("states must have exactly one more row than measurements")
-        if not (np.all(np.isfinite(self.states)) and np.all(np.isfinite(self.measurements))):
-            raise ValueError("trajectory contains non-finite values")
+
+def _generators(seed) -> list:
+    """One Generator per run: a list of seeds for a stack, else one seed."""
+    return [np.random.default_rng(s) for s in (seed if isinstance(seed, list) else [seed])]
+
+
+def _standard_normal(generators: list, shape: tuple) -> np.ndarray:
+    """Draw shape from each run's own generator, stacked as (runs,) + shape."""
+    draws = np.empty((len(generators),) + shape)
+    for row, rng in enumerate(generators):
+        rng.standard_normal(shape, out=draws[row])
+    return draws
 
 
 def _noise(chol: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -203,10 +215,10 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     """Draw one trajectory of the model over ``horizon`` steps, or a stack of them.
 
     Each trajectory draws its n + T (n + m) standard normals from its own
-    Generator in one call, in the order prior draw, then per step k the
-    process noise followed by the measurement noise.  A stack steps all its
-    runs at once, and each of its elements has the bytes of the single-run
-    call with the same seed.
+    Generator in one call (_generators, _standard_normal), in the order prior
+    draw, then per step k the process noise followed by the measurement
+    noise.  A stack steps all its runs at once, and each of its elements has
+    the bytes of the single-run call with the same seed.
 
     Args:
         model: the system to simulate.
@@ -224,13 +236,11 @@ def sample_trajectory(model: SystemModel, horizon: int, seed) -> Trajectory:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    seeds = seed if isinstance(seed, list) else [seed]
     n, m = model.state_dim, model.meas_dim
-    draws = np.stack([np.random.default_rng(s).standard_normal(n + horizon * (n + m))
-                      for s in seeds])
-    steps = draws[:, n:].reshape(len(seeds), horizon, n + m)
-    states = np.empty((len(seeds), horizon + 1, n))
-    measurements = np.empty((len(seeds), horizon, m))
+    draws = _standard_normal(_generators(seed), (n + horizon * (n + m),))
+    steps = draws[:, n:].reshape(len(draws), horizon, n + m)
+    states = np.empty((len(draws), horizon + 1, n))
+    measurements = np.empty((len(draws), horizon, m))
     states[:, 0] = model.prior.mean + _noise(model.prior_chol, draws[:, :n])
     # each state as a 1 x n row, so a matmul map makes one vector-matrix
     # product per run, as for a single (n,) state; a value that leaves the

@@ -809,7 +809,7 @@ def test_true_bound_series_equals_the_per_step_loop_bit_for_bit(name, runs):
     config = GOLDEN_CONFIGS[name]
     model = build_model(config)
     states = sample_trajectory(model, config.horizon, list(range(runs))).states
-    assert np.array_equal(true_bound_series(model, states, config.horizon),
+    assert np.array_equal(true_bound_series(model, states),
                           per_step_reference(model, states, config.horizon))
 
 
@@ -894,7 +894,7 @@ def test_theta_plus_pi_equals_the_direct_mean_cov_chain(monkeypatch):
 def test_true_bound_series_requires_trajectories():
     model = build_model(ExperimentConfig())
     with pytest.raises(ExperimentError):
-        true_bound_series(model, [], 5)
+        true_bound_series(model, [])
 
 
 def test_config_validation():

@@ -402,6 +402,40 @@ def test_pf_without_covariances_keeps_means_and_counters_bit_for_bit(name, parti
         assert np.sum(full.health["collapses"]) == 1
 
 
+@pytest.mark.parametrize("run", ["ukf", "pf", "pf without covariances"])
+@pytest.mark.parametrize("name", ["ungm", "linear2d"])
+def test_two_leading_axes_give_each_run_its_single_run_bytes(name, run):
+    """A (2, 2) stack of runs: every belief array and health counter comes out
+    with both leading axes, and run (i, j), whose particle filter seed is
+    seeds[2 i + j] (the stack flattened in C order), has the bytes of its
+    single-run call."""
+    model, measurements, seeds = stacked_setup(name, runs=4, horizon=10)
+    n = model.state_dim
+
+    def filtered(z, seed):
+        if run == "ukf":
+            return run_ukf(model, z)
+        return run_pf(model, z, 100, seed, covariances=run == "pf")
+
+    out = filtered(measurements.reshape((2, 2) + measurements.shape[1:]), seeds)
+    for belief in (out.posterior, out.predicted):
+        assert belief.mean.shape == (2, 2, 10, n)
+        if run == "pf without covariances":
+            assert belief.cov is None
+        else:
+            assert belief.cov.shape == (2, 2, 10, n, n)
+    assert all(values.shape == (2, 2) for values in out.health.values())
+    for i, j in np.ndindex(2, 2):
+        single = filtered(measurements[2 * i + j], seeds[2 * i + j])
+        for channel in ("posterior", "predicted"):
+            for part in ("mean", "cov"):
+                got, want = (getattr(getattr(o, channel), part) for o in (out, single))
+                assert (got is None and want is None) or same_bytes(got[i, j], want)
+        assert out.health.keys() == single.health.keys()
+        for counter, value in single.health.items():
+            assert same_bytes(out.health[counter][i, j], value), counter
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("covariances", [True, False])

@@ -183,14 +183,6 @@ def test_sample_trajectory_noise_free():
                         rtol=1e-9, atol=1e-9)
 
 
-def test_trajectory_rejects_nonfinite():
-    from pcrlb import Trajectory
-
-    with pytest.raises(ValueError):
-        Trajectory(states=np.array([[0.0], [np.nan]]),
-                   measurements=np.array([[1.0]]))
-
-
 def stepwise_trajectory(model, horizon, rng):
     """The sampler as a loop over steps, drawing each noise vector on its own."""
     states = [model.prior.mean
